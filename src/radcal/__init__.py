@@ -12,8 +12,8 @@ from .autolabel import (
     InstanceMask,
     LabelParams,
     LabelRecord,
+    PointCloud,
     Provenance,
-    RadarPoint,
     autolabel_frame,
 )
 from .calibration import (

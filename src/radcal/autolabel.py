@@ -15,7 +15,6 @@ to the lower-id cluster.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,14 +25,13 @@ from .reflector import RadarFrame
 
 __all__ = [
     "DimensionMismatch",
-    "RadarPoint",
+    "PointCloud",
     "InstanceMask",
     "PointLabel",
     "Provenance",
     "LabelRecord",
     "ClusterStats",
     "LabelParams",
-    "points_from_frame",
     "coarse_associate",
     "cluster_stats",
     "depth_valid",
@@ -53,23 +51,42 @@ class DimensionMismatch(ValueError):
     """Mask dimensions disagree with the camera intrinsics."""
 
 
-@dataclass(frozen=True)
-class RadarPoint:
-    """One 4D radar point: Cartesian position plus Doppler velocity and RCS."""
+@dataclass(frozen=True, eq=False)
+class PointCloud:
+    """A radar frame as columns: positions (N, 3) in the radar frame,
+    Doppler velocity (N,) and RCS (N,), all float64 and finite."""
 
-    position: np.ndarray  # (3,) meters, radar frame
-    velocity_mps: float
-    rcs_dbsm: float
+    xyz: np.ndarray  # (N, 3) meters
+    velocity: np.ndarray  # (N,) m/s
+    rcs: np.ndarray  # (N,) dBsm
 
     def __post_init__(self):
-        position = np.asarray(self.position, dtype=float).reshape(3)
-        if not (
-            np.all(np.isfinite(position))
-            and math.isfinite(self.velocity_mps)
-            and math.isfinite(self.rcs_dbsm)
-        ):
+        xyz = np.asarray(self.xyz, dtype=float)
+        velocity = np.asarray(self.velocity, dtype=float)
+        rcs = np.asarray(self.rcs, dtype=float)
+        n = len(velocity)
+        if xyz.shape != (n, 3) or velocity.shape != (n,) or rcs.shape != (n,):
+            raise ValueError(
+                f"point columns disagree: xyz {xyz.shape}, velocity "
+                f"{velocity.shape}, rcs {rcs.shape}"
+            )
+        if not (np.isfinite(xyz).all() and np.isfinite(velocity).all() and np.isfinite(rcs).all()):
             raise ValueError("radar point fields must be finite")
-        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "velocity", velocity)
+        object.__setattr__(self, "rcs", rcs)
+
+    def __len__(self) -> int:
+        return len(self.velocity)
+
+    @classmethod
+    def from_frame(cls, frame: RadarFrame) -> "PointCloud":
+        """Convert a spherical radar frame to Cartesian points."""
+        return cls(
+            np.array([sph2cart(r) for r in frame.returns]).reshape(-1, 3),
+            [r.velocity_mps for r in frame.returns],
+            [r.rcs_dbsm for r in frame.returns],
+        )
 
 
 @dataclass(frozen=True)
@@ -103,6 +120,11 @@ class Provenance(str, Enum):
     FILTERED_OUT = "filtered_out"
     RECOVERED = "recovered"
     UNLABELED = "unlabeled"
+
+
+# autolabel_frame tracks provenance as integer codes into this list
+_PROVENANCE = list(Provenance)
+_CODE = {p: i for i, p in enumerate(_PROVENANCE)}
 
 
 @dataclass(frozen=True)
@@ -171,28 +193,21 @@ class LabelParams:
             raise ValueError("tau_a must be in (0, 1]")
 
 
-def points_from_frame(frame: RadarFrame) -> list[RadarPoint]:
-    """Convert a spherical radar frame to Cartesian labeled-pipeline points."""
-    return [
-        RadarPoint(
-            position=sph2cart(r),
-            velocity_mps=r.velocity_mps,
-            rcs_dbsm=r.rcs_dbsm,
-        )
-        for r in frame.returns
-    ]
-
-
 @dataclass
 class CoarseResult:
     """Output of the projection stage, kept around for the fine stage."""
 
-    labels: list  # per point: (class_id, instance_id) or None
-    clusters: dict  # instance_id -> list of point indices
-    cluster_labels: dict  # instance_id -> (class_id, instance_id)
-    unassociated: list  # point indices with no label
+    owner: np.ndarray  # (N,) index of the mask each point took, -1 for none
+    mask_labels: list  # per mask (class_id, instance_id), then None for owner -1
+    clusters: dict  # instance_id -> ascending member indices
+    cluster_owner: dict  # instance_id -> index of the mask whose label it carries
+    unassociated: np.ndarray  # ascending indices of the unlabeled points
     depths: np.ndarray  # (N,) camera-frame z (NaN-free; invalid rows unused)
-    in_image: np.ndarray  # (N,) bool
+
+    @property
+    def labels(self) -> list:
+        """Per point: (class_id, instance_id) or None."""
+        return [self.mask_labels[j] for j in self.owner.tolist()]
 
 
 def _lookup_pixels(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +218,7 @@ def _lookup_pixels(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coarse_associate(
-    points: list[RadarPoint],
+    points: PointCloud,
     masks: list[InstanceMask],
     k: CameraIntrinsics,
     t: Extrinsics,
@@ -221,17 +236,7 @@ def coarse_associate(
                 f"mask {m.instance_id} has shape {m.mask.shape}, "
                 f"expected {(k.height, k.width)}"
             )
-    n = len(points)
-    labels: list = [None] * n
-    clusters: dict[int, list[int]] = {}
-    cluster_labels: dict[int, tuple[int, int]] = {}
-    unassociated: list[int] = []
-    if n == 0:
-        return CoarseResult(labels, clusters, cluster_labels, unassociated,
-                            np.empty(0), np.empty(0, dtype=bool))
-
-    positions = np.array([p.position for p in points])
-    uv, depth, in_front = project_points(k, t, positions)
+    uv, depth, in_front = project_points(k, t, points.xyz)
     with np.errstate(invalid="ignore"):
         in_image = (
             in_front
@@ -240,60 +245,64 @@ def coarse_associate(
             & (uv[:, 1] >= 1.0)
             & (uv[:, 1] <= k.height)
         )
-    ui, vi = _lookup_pixels(np.where(in_image[:, None], uv, 1.0))
+    cand = np.flatnonzero(in_image)
+    ui, vi = _lookup_pixels(uv[cand])
+    rows, cols = vi - 1, ui - 1
 
     # Highest confidence first so the first covering mask wins; instance id
     # ascending breaks exact confidence ties deterministically.
+    owner = np.full(len(points), -1)
     order = sorted(range(len(masks)), key=lambda j: (-masks[j].confidence, masks[j].instance_id))
-    for i in range(n):
-        if not in_image[i]:
-            unassociated.append(i)
-            continue
-        row, col = vi[i] - 1, ui[i] - 1
-        chosen = None
-        for j in order:
-            if masks[j].mask[row, col]:
-                chosen = masks[j]
-                break
-        if chosen is None:
-            unassociated.append(i)
-            continue
-        label = (chosen.class_id, chosen.instance_id)
-        labels[i] = label
-        clusters.setdefault(chosen.instance_id, []).append(i)
-        cluster_labels[chosen.instance_id] = label
-    return CoarseResult(labels, clusters, cluster_labels, unassociated, depth, in_image)
+    for j in order:
+        hit = masks[j].mask[rows, cols]
+        owner[cand[hit]] = j
+        cand, rows, cols = cand[~hit], rows[~hit], cols[~hit]
+
+    # Masks that share an instance id share its cluster, which carries the
+    # label of its last member's mask.
+    instance_of = np.array([m.instance_id for m in masks] + [0])[owner]
+    clusters = {
+        int(iid): np.flatnonzero(instance_of == iid)
+        for iid in np.unique(instance_of[owner >= 0])
+    }
+    cluster_owner = {iid: int(owner[members[-1]]) for iid, members in clusters.items()}
+    mask_labels = [(m.class_id, m.instance_id) for m in masks] + [None]
+    return CoarseResult(
+        owner, mask_labels, clusters, cluster_owner, np.flatnonzero(owner < 0), depth
+    )
 
 
 def cluster_stats(
-    member_indices: list[int],
-    points: list[RadarPoint],
+    member_indices: np.ndarray | list[int],
+    points: PointCloud,
     depths: np.ndarray,
 ) -> ClusterStats:
     """Depth median, RCS and velocity mean/std, and the 3D centroid."""
-    idx = list(member_indices)
-    if not idx:
+    idx = np.asarray(member_indices, dtype=np.intp)
+    if not len(idx):
         raise ValueError("cluster must be non-empty")
-    rcs = np.array([points[i].rcs_dbsm for i in idx])
-    vel = np.array([points[i].velocity_mps for i in idx])
-    pos = np.array([points[i].position for i in idx])
+    rcs = points.rcs[idx]
+    vel = points.velocity[idx]
     return ClusterStats(
         median_depth_m=float(np.median(depths[idx])),
         mean_rcs_dbsm=float(rcs.mean()),
         std_rcs_dbsm=float(rcs.std()),
         mean_velocity_mps=float(vel.mean()),
         std_velocity_mps=float(vel.std()),
-        centroid=pos.mean(axis=0),
+        centroid=points.xyz[idx].mean(axis=0),
         count=len(idx),
     )
 
 
-def depth_valid(depth_m: float, stats: ClusterStats, params: LabelParams) -> bool:
+# The gates take one value or an array of them.
+
+
+def depth_valid(depth_m: float | np.ndarray, stats: ClusterStats, params: LabelParams):
     """Camera-frame depth within tau_d of the cluster median (strict)."""
     return abs(depth_m - stats.median_depth_m) < params.tau_d
 
 
-def rcs_valid(rcs_dbsm: float, stats: ClusterStats, params: LabelParams) -> bool:
+def rcs_valid(rcs_dbsm: float | np.ndarray, stats: ClusterStats, params: LabelParams):
     """RCS within kappa_rho cluster standard deviations of the mean (non-strict).
 
     No variance floor: a zero-spread cluster accepts only its exact value.
@@ -301,7 +310,7 @@ def rcs_valid(rcs_dbsm: float, stats: ClusterStats, params: LabelParams) -> bool
     return abs(rcs_dbsm - stats.mean_rcs_dbsm) <= params.kappa_rho * stats.std_rcs_dbsm
 
 
-def vel_valid(velocity_mps: float, stats: ClusterStats, params: LabelParams) -> bool:
+def vel_valid(velocity_mps: float | np.ndarray, stats: ClusterStats, params: LabelParams):
     """Velocity gate: static clusters accept everything, dynamic ones gate
     on kappa_v floored standard deviations around the mean."""
     if abs(stats.mean_velocity_mps) <= params.v_static:
@@ -311,94 +320,79 @@ def vel_valid(velocity_mps: float, stats: ClusterStats, params: LabelParams) -> 
 
 
 def filter_cluster(
-    member_indices: list[int],
+    member_indices: np.ndarray | list[int],
     stats: ClusterStats,
-    points: list[RadarPoint],
+    points: PointCloud,
     depths: np.ndarray,
     params: LabelParams,
-) -> tuple[list[int], list[int]]:
-    """Keep members passing all three gates; return (kept, removed).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep members passing all three gates; return (kept, removed) indices.
 
     Statistics must have been computed on the unfiltered cluster.
     """
-    kept, removed = [], []
-    for i in member_indices:
-        p = points[i]
-        if (
-            depth_valid(float(depths[i]), stats, params)
-            and rcs_valid(p.rcs_dbsm, stats, params)
-            and vel_valid(p.velocity_mps, stats, params)
-        ):
-            kept.append(i)
-        else:
-            removed.append(i)
-    return kept, removed
+    idx = np.asarray(member_indices, dtype=np.intp)
+    ok = (
+        depth_valid(depths[idx], stats, params)
+        & rcs_valid(points.rcs[idx], stats, params)
+        & vel_valid(points.velocity[idx], stats, params)
+    )
+    return idx[ok], idx[~ok]
 
 
-def _affinity(
-    point: RadarPoint, stats: ClusterStats, params: LabelParams
-) -> float:
-    """Unit-peak Gaussian product over position, velocity, and RCS distance.
+def complete_clusters(
+    refined: dict[int, np.ndarray],
+    unassociated: np.ndarray | list[int],
+    points: PointCloud,
+    depths: np.ndarray,
+    params: LabelParams,
+    excluded: np.ndarray | None = None,
+) -> dict[int, int]:
+    """Assign unassociated points to clusters by maximum Gaussian affinity.
 
-    The velocity and RCS scales are floored so zero-spread clusters keep a
-    usable Gaussian instead of dividing by zero.
+    The affinity is a unit-peak Gaussian product over position, velocity
+    and RCS distance to the cluster's statistics; the velocity and RCS
+    scales are floored so zero-spread clusters keep a usable Gaussian.  A
+    point is a candidate for a cluster when it lies within r_search of the
+    cluster centroid; it joins the highest-affinity cluster among those with
+    affinity >= tau_a (ties: lower instance id), at most once.
+    ``excluded`` holds, per point of the cloud, the instance id whose filter
+    removed it (0 for none); such a point may only be recovered by other
+    clusters.  Returns {point index: instance id}.
     """
-    d_pos = float(np.linalg.norm(point.position - stats.centroid))
-    d_v = abs(point.velocity_mps - stats.mean_velocity_mps)
-    d_rho = abs(point.rcs_dbsm - stats.mean_rcs_dbsm)
-    sigma_v = max(stats.std_velocity_mps, params.sigma_v_min)
-    sigma_rho = max(stats.std_rcs_dbsm, RCS_AFFINITY_SIGMA_FLOOR)
-    return math.exp(
+    order = sorted(iid for iid, members in refined.items() if len(members))
+    cand = np.unique(np.asarray(unassociated, dtype=np.intp))
+    if not order or not len(cand):
+        return {}
+    ids = np.array(order)
+    st = [cluster_stats(refined[iid], points, depths) for iid in order]
+    mean_v = np.array([s.mean_velocity_mps for s in st])
+    mean_rho = np.array([s.mean_rcs_dbsm for s in st])
+    sigma_v = np.maximum([s.std_velocity_mps for s in st], params.sigma_v_min)
+    sigma_rho = np.maximum([s.std_rcs_dbsm for s in st], RCS_AFFINITY_SIGMA_FLOOR)
+
+    # (candidates, clusters) matrices, clusters in ascending id order
+    d_pos = np.linalg.norm(
+        points.xyz[cand, None, :] - np.array([s.centroid for s in st]), axis=2
+    )
+    d_v = points.velocity[cand, None] - mean_v
+    d_rho = points.rcs[cand, None] - mean_rho
+    affinity = np.exp(
         -(d_pos**2) / (2.0 * params.sigma_pos**2)
         - (d_v**2) / (2.0 * sigma_v**2)
         - (d_rho**2) / (2.0 * sigma_rho**2)
     )
-
-
-def complete_clusters(
-    refined: dict[int, list[int]],
-    unassociated: list[int],
-    points: list[RadarPoint],
-    depths: np.ndarray,
-    params: LabelParams,
-    excluded: dict[int, int] | None = None,
-) -> dict[int, int]:
-    """Assign unassociated points to clusters by maximum Gaussian affinity.
-
-    A point is a candidate for a cluster when it lies within r_search of the
-    cluster centroid; it joins the highest-affinity cluster among those with
-    affinity >= tau_a, at most once.  ``excluded`` maps point index to the
-    instance id whose filter removed it; such a point may only be recovered
-    by other clusters.  Returns {point index: instance id}.
-    """
-    excluded = excluded or {}
-    stats = {
-        iid: cluster_stats(members, points, depths)
-        for iid, members in refined.items()
-        if members
-    }
-    cluster_order = sorted(stats.keys())
-    assignments: dict[int, int] = {}
-    for i in sorted(unassociated):
-        best_iid = None
-        best_affinity = 0.0
-        for iid in cluster_order:
-            if excluded.get(i) == iid:
-                continue
-            st = stats[iid]
-            if np.linalg.norm(points[i].position - st.centroid) > params.r_search:
-                continue
-            a = _affinity(points[i], st, params)
-            if a >= params.tau_a and a > best_affinity:
-                best_iid = iid
-                best_affinity = a
-        if best_iid is not None:
-            assignments[i] = best_iid
-    return assignments
+    ok = (d_pos <= params.r_search) & (affinity >= params.tau_a)
+    if excluded is not None:
+        ok &= excluded[cand, None] != ids
+    # tau_a > 0, so a row's first maximum is an accepted entry if it has one
+    affinity = np.where(ok, affinity, 0.0)
+    best = affinity.argmax(axis=1)
+    hit = ok[np.arange(len(cand)), best]
+    return dict(zip(cand[hit].tolist(), ids[best[hit]].tolist()))
 
 
 def autolabel_frame(
-    points: list[RadarPoint],
+    points: PointCloud,
     masks: list[InstanceMask],
     k: CameraIntrinsics,
     t: Extrinsics,
@@ -416,45 +410,40 @@ def autolabel_frame(
     params = params or LabelParams()
     coarse = coarse_associate(points, masks, k, t)
 
-    labels = list(coarse.labels)
-    provenance = [
-        Provenance.COARSE if lbl is not None else Provenance.UNLABELED
-        for lbl in labels
+    owner = coarse.owner.copy()
+    provenance = np.where(owner >= 0, _CODE[Provenance.COARSE], _CODE[Provenance.UNLABELED])
+
+    if stage != "coarse":
+        # Out-of-target point filtering; clusters below n_min pass through
+        # and sit out the completion stage as well.
+        refined = {}
+        unassociated = [coarse.unassociated]
+        removed_from = np.zeros(len(points), dtype=np.int64)
+        for iid in sorted(coarse.clusters):
+            members = coarse.clusters[iid]
+            if len(members) < params.n_min:
+                continue
+            stats = cluster_stats(members, points, coarse.depths)
+            kept, removed = filter_cluster(members, stats, points, coarse.depths, params)
+            refined[iid] = kept
+            owner[removed] = -1
+            provenance[removed] = _CODE[Provenance.FILTERED_OUT]
+            removed_from[removed] = iid
+            unassociated.append(removed)
+
+        if stage == "full":
+            recovered = complete_clusters(
+                refined, np.concatenate(unassociated), points, coarse.depths,
+                params, excluded=removed_from,
+            )
+            idx = np.fromiter(recovered.keys(), dtype=np.intp, count=len(recovered))
+            iids = np.fromiter(recovered.values(), dtype=np.int64, count=len(recovered))
+            for iid in refined:
+                owner[idx[iids == iid]] = coarse.cluster_owner[iid]
+            provenance[idx] = _CODE[Provenance.RECOVERED]
+
+    labels = coarse.mask_labels
+    return [
+        LabelRecord(i, labels[j], _PROVENANCE[c])
+        for i, (j, c) in enumerate(zip(owner.tolist(), provenance.tolist()))
     ]
-    if stage == "coarse":
-        return [
-            LabelRecord(i, labels[i], provenance[i]) for i in range(len(points))
-        ]
-
-    # Out-of-target point filtering; clusters below n_min pass through and
-    # sit out the completion stage as well.
-    refined: dict[int, list[int]] = {}
-    eligible: set[int] = set()
-    unassociated = list(coarse.unassociated)
-    removed_from: dict[int, int] = {}
-    for iid in sorted(coarse.clusters.keys()):
-        members = coarse.clusters[iid]
-        if len(members) < params.n_min:
-            refined[iid] = list(members)
-            continue
-        eligible.add(iid)
-        stats = cluster_stats(members, points, coarse.depths)
-        kept, removed = filter_cluster(members, stats, points, coarse.depths, params)
-        refined[iid] = kept
-        for i in removed:
-            labels[i] = None
-            provenance[i] = Provenance.FILTERED_OUT
-            removed_from[i] = iid
-            unassociated.append(i)
-
-    if stage == "full":
-        candidates = {iid: refined[iid] for iid in eligible if refined[iid]}
-        recovered = complete_clusters(
-            candidates, unassociated, points, coarse.depths, params,
-            excluded=removed_from,
-        )
-        for i, iid in recovered.items():
-            labels[i] = coarse.cluster_labels[iid]
-            provenance[i] = Provenance.RECOVERED
-
-    return [LabelRecord(i, labels[i], provenance[i]) for i in range(len(points))]

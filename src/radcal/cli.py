@@ -78,14 +78,21 @@ def _params_from_file(path: str | Path | None) -> dict:
 
 
 def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
-    """(index, path) for files named <prefix>_<number>.<ext>, sorted by index."""
+    """(index, path) for files named <prefix>_<number>.<ext>, sorted by index.
+
+    Two files with one index (``radar_001.json`` and ``radar_001.jsonl``, or
+    ``radar_1.json``) are a SchemaError rather than a silent pick.
+    """
     pattern = re.compile(rf"^{re.escape(prefix)}_(\d+)\.\w+$")
-    out = []
+    out: dict[int, Path] = {}
     for p in sorted(directory.iterdir()):
         m = pattern.match(p.name)
         if m:
-            out.append((int(m.group(1)), p))
-    return sorted(out)
+            index = int(m.group(1))
+            if index in out:
+                raise fileio.SchemaError(f"{out[index]} and {p} both have index {index}")
+            out[index] = p
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +246,7 @@ def _cmd_synth(args) -> int:
         cfg = _label_config_from(doc, args, seed_offset=frame_idx)
         scene = synth.gen_label_scene(cfg, intrinsics, extrinsics)
         fileio.write_radar_points(
-            out / f"radar_{frame_idx:03d}.json", scene.timestamp_s, list(scene.points)
+            out / f"radar_{frame_idx:03d}.json", scene.timestamp_s, scene.points
         )
         fileio.write_masks(
             out / f"masks_{frame_idx:03d}.json",
@@ -601,9 +608,7 @@ def _cmd_eval(args) -> int:
                 continue
             _, points = fileio.load_radar_points(frame_files[i])
             records = fileio.load_labels(pred_files[i])
-            uv, depth, in_front = project_points(
-                intrinsics, extrinsics, np.array([p.position for p in points])
-            )
+            uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
             entries = []
             for rec, (u, v), z, ok in zip(records, uv, depth, in_front):
                 entries.append(

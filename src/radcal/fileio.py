@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .autolabel import InstanceMask, LabelRecord, Provenance, RadarPoint
+from .autolabel import InstanceMask, LabelRecord, PointCloud, Provenance
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import CameraIntrinsics, Extrinsics, SphericalReturn, cart2sph
 from .reflector import RadarFrame
@@ -209,19 +210,13 @@ def write_radar_frame(
     write_json(path, _frame_doc(frame, variant))
 
 
-def write_radar_points(
-    path: str | Path, timestamp_s: float, points: list[RadarPoint]
-) -> None:
-    """Cartesian-variant frame straight from labeling-pipeline points."""
+def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud) -> None:
+    """Cartesian-variant frame straight from a labeling point cloud."""
     pts = [
-        {
-            "x_m": float(p.position[0]),
-            "y_m": float(p.position[1]),
-            "z_m": float(p.position[2]),
-            "v_mps": p.velocity_mps,
-            "rcs_dbsm": p.rcs_dbsm,
-        }
-        for p in points
+        {"x_m": x, "y_m": y, "z_m": z, "v_mps": v, "rcs_dbsm": rho}
+        for (x, y, z), v, rho in zip(
+            points.xyz.tolist(), points.velocity.tolist(), points.rcs.tolist()
+        )
     ]
     write_json(path, {"timestamp_s": timestamp_s, "points": pts})
 
@@ -295,39 +290,27 @@ def _frame_from_doc(doc: dict, source: str) -> RadarFrame:
     return RadarFrame(timestamp_s=timestamp, returns=tuple(returns))
 
 
-def load_radar_points(path: str | Path) -> tuple[float, list[RadarPoint]]:
-    """Read either coordinate variant into Cartesian labeling points."""
+_CARTESIAN_FIELDS = operator.itemgetter("x_m", "y_m", "z_m", "v_mps", "rcs_dbsm")
+
+
+def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
+    """Read either coordinate variant into a Cartesian labeling point cloud."""
     doc = _load_json(path)
     try:
         pts = doc["points"]
         timestamp = float(doc["timestamp_s"])
-        out = []
         if _frame_variant(pts) == "cartesian":
-            for p in pts:
-                out.append(
-                    RadarPoint(
-                        np.array([float(p["x_m"]), float(p["y_m"]), float(p["z_m"])]),
-                        float(p["v_mps"]),
-                        float(p["rcs_dbsm"]),
-                    )
-                )
+            rows = np.fromiter(
+                map(_CARTESIAN_FIELDS, pts), dtype=np.dtype((float, 5)), count=len(pts)
+            )
+            points = PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
         else:
-            from .geometry import sph2cart
-
-            for p in pts:
-                pos = sph2cart(
-                    SphericalReturn(
-                        float(p["r_m"]),
-                        float(p["az_rad"]),
-                        float(p["el_rad"]),
-                        0.0,
-                        0.0,
-                    )
-                )
-                out.append(RadarPoint(pos, float(p["v_mps"]), float(p["rcs_dbsm"])))
+            points = PointCloud.from_frame(_frame_from_doc(doc, str(path)))
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, SchemaError):
+            raise
         raise SchemaError(f"bad radar frame file {path}: {exc}") from exc
-    return timestamp, out
+    return timestamp, points
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +467,20 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
 
 
 def write_labels(path: str | Path, records: list[LabelRecord]) -> None:
+    """One canonical JSON line per record, formatted directly: records that
+    share a label and provenance share every byte but the point index."""
+    parts: dict = {}
     lines = []
     for rec in records:
-        lines.append(
-            canonical_json(
-                {
-                    "point_index": rec.point_index,
-                    "class_id": rec.class_id,
-                    "instance_id": rec.instance_id,
-                    "provenance": rec.provenance.value,
-                }
+        key = (rec.label, rec.provenance)
+        if key not in parts:
+            parts[key] = (
+                f'{{"class_id":{canonical_json(rec.class_id)},'
+                f'"instance_id":{canonical_json(rec.instance_id)},"point_index":',
+                f',"provenance":{canonical_json(rec.provenance.value)}}}',
             )
-        )
+        head, tail = parts[key]
+        lines.append(f"{head}{rec.point_index}{tail}")
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

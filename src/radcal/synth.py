@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autolabel import InstanceMask, RadarPoint
+from .autolabel import InstanceMask, PointCloud
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
     CameraIntrinsics,
@@ -358,7 +358,7 @@ class SceneObject:
 @dataclass(frozen=True)
 class LabelScene:
     config: LabelSceneConfig
-    points: tuple[RadarPoint, ...]
+    points: PointCloud
     masks: tuple[InstanceMask, ...]
     gt_labels: tuple  # per point: (class_id, instance_id) or None
     objects: tuple[SceneObject, ...]
@@ -426,20 +426,6 @@ def _render_mask(
         inside &= a * uu + b * vv + c <= margin
     mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = inside
     return mask
-
-
-def _project_lookup(
-    k: CameraIntrinsics, t: Extrinsics, positions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(uv, lookup u, lookup v, depth) for an (N, 3) batch; all must be in front."""
-    from .geometry import project_points
-
-    uv, depth, in_front = project_points(k, t, positions)
-    if not np.all(in_front):
-        raise ValueError("object points must project in front of the camera")
-    ui = np.floor(uv[:, 0] + 0.5).astype(int)
-    vi = np.floor(uv[:, 1] + 0.5).astype(int)
-    return uv, ui, vi, depth
 
 
 def _bboxes_disjoint(a, b, gap: int) -> bool:
@@ -577,11 +563,14 @@ def gen_label_scene(
                 f"could not place object {obj_idx} after 2000 attempts"
             )
 
-    points: list[RadarPoint] = []
+    # per point: position, velocity, RCS
+    xyz: list[np.ndarray] = []
+    velocities: list[float] = []
+    rcs: list[float] = []
     gt_labels: list = []
     scene_objects: list[SceneObject] = []
     for o in objects:
-        idx_start = len(points)
+        idx_start = len(xyz)
         n = len(o["positions"])
         for j in range(n):
             v = o["velocity"] + (
@@ -594,7 +583,9 @@ def gen_label_scene(
                 if cfg.rcs_jitter_dbsm > 0
                 else 0.0
             )
-            points.append(RadarPoint(o["positions"][j], v, rho))
+            xyz.append(o["positions"][j])
+            velocities.append(v)
+            rcs.append(rho)
             gt_labels.append((o["class_id"], o["instance_id"]))
         scene_objects.append(
             SceneObject(
@@ -630,13 +621,9 @@ def gen_label_scene(
                 )
                 p_radar = t_inv.transform(p_cam)
                 if np.min(np.linalg.norm(centroids - p_radar, axis=1)) > 2.5:
-                    points.append(
-                        RadarPoint(
-                            p_radar,
-                            float(rng.uniform(-10.0, 10.0)),
-                            float(rng.uniform(-5.0, 30.0)),
-                        )
-                    )
+                    xyz.append(p_radar)
+                    velocities.append(float(rng.uniform(-10.0, 10.0)))
+                    rcs.append(float(rng.uniform(-5.0, 30.0)))
                     gt_labels.append(None)
                     break
 
@@ -671,13 +658,9 @@ def gen_label_scene(
                     c0, c1 = max(0, ui - 3), min(k.width, ui + 2)
                     if masks_any[r0:r1, c0:c1].any():
                         continue
-            points.append(
-                RadarPoint(
-                    pos,
-                    float(rng.uniform(-10.0, 10.0)),
-                    float(rng.uniform(-5.0, 30.0)),
-                )
-            )
+            xyz.append(pos)
+            velocities.append(float(rng.uniform(-10.0, 10.0)))
+            rcs.append(float(rng.uniform(-5.0, 30.0)))
             gt_labels.append(None)
             break
 
@@ -692,7 +675,7 @@ def gen_label_scene(
     )
     return LabelScene(
         config=cfg,
-        points=tuple(points),
+        points=PointCloud(np.array(xyz).reshape(-1, 3), velocities, rcs),
         masks=masks,
         gt_labels=tuple(gt_labels),
         objects=tuple(scene_objects),

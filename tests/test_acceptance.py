@@ -187,7 +187,7 @@ def test_criterion_4_lm_gradient_check():
 def test_criterion_5_clean_labeling_soundness():
     k, t = default_intrinsics(), default_extrinsics()
     scene = gen_label_scene(LabelSceneConfig(seed=5), k, t)
-    records = autolabel_frame(list(scene.points), list(scene.masks), k, t, stage="full")
+    records = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
     rep = label_report([r.label for r in records], list(scene.gt_labels))
     assert rep.pa_percent == 100.0, f"PA {rep.pa_percent}"
     assert rep.miou_percent == 100.0, f"mIoU {rep.miou_percent}"
@@ -213,7 +213,7 @@ def test_criterion_6_ablation_direction():
         stage_labels = {}
         for stage in ("coarse", "otpf", "full"):
             records = autolabel_frame(
-                list(scene.points), list(scene.masks), k, t, stage=stage
+                scene.points, list(scene.masks), k, t, stage=stage
             )
             labels = [r.label for r in records]
             stage_labels[stage] = labels

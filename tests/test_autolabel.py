@@ -8,8 +8,8 @@ from radcal.autolabel import (
     DimensionMismatch,
     InstanceMask,
     LabelParams,
+    PointCloud,
     Provenance,
-    RadarPoint,
     autolabel_frame,
     cluster_stats,
     coarse_associate,
@@ -27,7 +27,13 @@ T = Extrinsics.identity()
 
 
 def pt(x, y, z, v=0.0, rcs=10.0):
-    return RadarPoint(np.array([x, y, z], dtype=float), v, rcs)
+    return (x, y, z, v, rcs)
+
+
+def cloud(*points):
+    """PointCloud from pt() rows."""
+    rows = np.array(points, dtype=float).reshape(-1, 5)
+    return PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
 
 
 def rect_mask(u_lo, u_hi, v_lo, v_hi, class_id=1, instance_id=1, confidence=0.9):
@@ -54,17 +60,17 @@ class TestCoarseAssociate:
     def test_unique_candidate(self):
         # point at (0, 0, 10) projects to pixel (50, 50)
         masks = [rect_mask(40, 60, 40, 60, class_id=2, instance_id=2, confidence=0.9)]
-        result = coarse_associate([pt(0, 0, 10)], masks, K, T)
+        result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
         assert result.labels == [(2, 2)]
-        assert result.clusters == {2: [0]}
-        assert result.unassociated == []
+        assert {i: m.tolist() for i, m in result.clusters.items()} == {2: [0]}
+        assert result.unassociated.tolist() == []
 
     def test_overlap_resolved_by_confidence(self):
         masks = [
             rect_mask(40, 60, 40, 60, class_id=1, instance_id=1, confidence=0.8),
             rect_mask(45, 65, 45, 65, class_id=2, instance_id=2, confidence=0.95),
         ]
-        result = coarse_associate([pt(0, 0, 10)], masks, K, T)
+        result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
         assert result.labels == [(2, 2)]
 
     def test_confidence_tie_goes_to_lower_instance_id(self):
@@ -72,26 +78,26 @@ class TestCoarseAssociate:
             rect_mask(40, 60, 40, 60, class_id=1, instance_id=5, confidence=0.9),
             rect_mask(40, 60, 40, 60, class_id=2, instance_id=3, confidence=0.9),
         ]
-        result = coarse_associate([pt(0, 0, 10)], masks, K, T)
+        result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
         assert result.labels == [(2, 3)]
 
     def test_out_of_bounds_unassociated(self):
         # u = 100 * 5.15/10 + 50 = 101.5 = W + 1.5: outside
         masks = [rect_mask(1, 100, 1, 100)]
-        result = coarse_associate([pt(5.15, 0, 10)], masks, K, T)
+        result = coarse_associate(cloud(pt(5.15, 0, 10)), masks, K, T)
         assert result.labels == [None]
-        assert result.unassociated == [0]
+        assert result.unassociated.tolist() == [0]
 
     def test_behind_camera_unassociated(self):
         masks = [rect_mask(1, 100, 1, 100)]
-        result = coarse_associate([pt(0, 0, -5)], masks, K, T)
+        result = coarse_associate(cloud(pt(0, 0, -5)), masks, K, T)
         assert result.labels == [None]
-        assert result.unassociated == [0]
+        assert result.unassociated.tolist() == [0]
 
     def test_pixel_membership_uses_rounding(self):
         # u = 100 * -0.304/10 + 50 = 46.96 -> lookup pixel 47
         masks = [rect_mask(47, 47, 50, 50)]
-        result = coarse_associate([pt(-0.304, 0, 10)], masks, K, T)
+        result = coarse_associate(cloud(pt(-0.304, 0, 10)), masks, K, T)
         assert result.labels == [(1, 1)]
 
     def test_boundary_pixels_valid(self):
@@ -101,39 +107,39 @@ class TestCoarseAssociate:
         masks = [rect_mask(1, 100, 1, 100)]
         left = pt(-49.0, 0, 10)  # u = 10 * (-49/10) + 50 = 1.0
         right = pt(50.0, 0, 10)  # u = 100.0
-        result = coarse_associate([left, right], masks, k10, T)
+        result = coarse_associate(cloud(left, right), masks, k10, T)
         assert result.labels == [(1, 1), (1, 1)]
 
     def test_dimension_mismatch(self):
         bad = InstanceMask(np.zeros((50, 50), dtype=bool), 1, 1, 0.9)
         with pytest.raises(DimensionMismatch):
-            coarse_associate([pt(0, 0, 10)], [bad], K, T)
+            coarse_associate(cloud(pt(0, 0, 10)), [bad], K, T)
 
 
 class TestClusterStats:
     def test_median_depth(self):
-        points = [pt(0, 0, 3.0), pt(0, 0, 9.0), pt(0, 0, 4.0)]
+        points = cloud(pt(0, 0, 3.0), pt(0, 0, 9.0), pt(0, 0, 4.0))
         depths = np.array([3.0, 9.0, 4.0])
         stats = cluster_stats([0, 1, 2], points, depths)
         assert stats.median_depth_m == 4.0
 
     def test_singleton_has_zero_spread(self):
-        stats = cluster_stats([0], [pt(1, 2, 3, v=4.0, rcs=5.0)], np.array([3.0]))
+        stats = cluster_stats([0], cloud(pt(1, 2, 3, v=4.0, rcs=5.0)), np.array([3.0]))
         assert stats.std_rcs_dbsm == 0.0
         assert stats.std_velocity_mps == 0.0
         assert stats.count == 1
 
     def test_matches_streaming_oracle(self):
         rng = np.random.default_rng(0)
-        points = [
+        points = cloud(*[
             pt(*rng.normal(size=3), v=rng.normal(), rcs=rng.normal() * 5 + 10)
             for _ in range(20)
-        ]
+        ])
         depths = rng.uniform(5, 15, 20)
         stats = cluster_stats(list(range(20)), points, depths)
         # independent pass: plain accumulators
-        rcs = [p.rcs_dbsm for p in points]
-        vel = [p.velocity_mps for p in points]
+        rcs = points.rcs.tolist()
+        vel = points.velocity.tolist()
         mean_rcs = math.fsum(rcs) / 20
         var_rcs = math.fsum((x - mean_rcs) ** 2 for x in rcs) / 20
         mean_v = math.fsum(vel) / 20
@@ -145,7 +151,7 @@ class TestClusterStats:
         assert abs(stats.median_depth_m - sorted(depths)[10 - 1 : 10 + 1][0]) <= abs(
             sorted(depths)[10] - sorted(depths)[9]
         )
-        centroid = np.array([p.position for p in points]).mean(axis=0)
+        centroid = points.xyz.mean(axis=0)
         assert np.allclose(stats.centroid, centroid)
 
 
@@ -191,29 +197,27 @@ class TestGates:
 
 class TestFilterCluster:
     def test_all_pass_unchanged(self):
-        points = [pt(0, 0, 10.0, v=0.0, rcs=15.0) for _ in range(4)]
+        points = cloud(*[pt(0, 0, 10.0, v=0.0, rcs=15.0) for _ in range(4)])
         depths = np.full(4, 10.0)
         stats = cluster_stats([0, 1, 2, 3], points, depths)
         kept, removed = filter_cluster([0, 1, 2, 3], stats, points, depths, LabelParams())
-        assert kept == [0, 1, 2, 3]
-        assert removed == []
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert removed.tolist() == []
 
     def test_depth_outlier_removed(self):
-        points = [pt(0, 0, 10.0, rcs=15.0) for _ in range(4)] + [
-            pt(0, 0, 15.0, rcs=15.0)
-        ]
+        points = cloud(*[pt(0, 0, 10.0, rcs=15.0) for _ in range(4)], pt(0, 0, 15.0, rcs=15.0))
         depths = np.array([10.0, 10.0, 10.0, 10.0, 15.0])
         stats = cluster_stats(list(range(5)), points, depths)
         kept, removed = filter_cluster(list(range(5)), stats, points, depths, LabelParams())
-        assert kept == [0, 1, 2, 3]
-        assert removed == [4]
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert removed.tolist() == [4]
 
 
 class TestCompleteClusters:
     def test_exact_match_recovers(self):
         members = [pt(1.0, 2.0, 10.0, v=3.0, rcs=12.0) for _ in range(3)]
         candidate = pt(1.0, 2.0, 10.0, v=3.0, rcs=12.0)
-        points = members + [candidate]
+        points = cloud(*members, candidate)
         depths = np.full(4, 10.0)
         out = complete_clusters({7: [0, 1, 2]}, [3], points, depths, LabelParams())
         assert out == {3: 7}
@@ -221,7 +225,7 @@ class TestCompleteClusters:
     def test_beyond_search_radius_not_candidate(self):
         members = [pt(0, 0, 10.0) for _ in range(3)]
         candidate = pt(10.0, 0, 10.0)
-        points = members + [candidate]
+        points = cloud(*members, candidate)
         out = complete_clusters(
             {1: [0, 1, 2]}, [3], points, np.full(4, 10.0), LabelParams(r_search=2.0)
         )
@@ -234,7 +238,7 @@ class TestCompleteClusters:
         cluster_a = [pt(0.0, 0.0, 10.0) for _ in range(3)]
         cluster_b = [pt(d_a + d_b, 0.0, 10.0) for _ in range(3)]
         candidate = pt(d_a, 0.0, 10.0)
-        points = cluster_a + cluster_b + [candidate]
+        points = cloud(*cluster_a, *cluster_b, candidate)
         depths = np.full(7, 10.0)
         out = complete_clusters(
             {1: [0, 1, 2], 2: [3, 4, 5]}, [6], points, depths, params
@@ -245,7 +249,7 @@ class TestCompleteClusters:
         members = [pt(0, 0, 10.0) for _ in range(3)]
         d = LabelParams().sigma_pos * math.sqrt(-2.0 * math.log(0.5))
         candidate = pt(d, 0, 10.0)  # affinity 0.5 < 0.6
-        points = members + [candidate]
+        points = cloud(*members, candidate)
         out = complete_clusters(
             {1: [0, 1, 2]}, [3], points, np.full(4, 10.0), LabelParams()
         )
@@ -254,14 +258,14 @@ class TestCompleteClusters:
     def test_excluded_cluster_skipped(self):
         members = [pt(0, 0, 10.0) for _ in range(3)]
         candidate = pt(0, 0, 10.0)
-        points = members + [candidate]
+        points = cloud(*members, candidate)
         out = complete_clusters(
             {1: [0, 1, 2]},
             [3],
             points,
             np.full(4, 10.0),
             LabelParams(),
-            excluded={3: 1},
+            excluded=np.array([0, 0, 0, 1]),
         )
         assert out == {}
 
@@ -281,7 +285,7 @@ class TestAutolabelFrame:
 
     def test_clean_frame_full_pipeline(self):
         points, masks = self.clean_setup()
-        records = autolabel_frame(points, masks, K, T, stage="full")
+        records = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         assert [r.label for r in records[:4]] == [(3, 1)] * 4
         assert records[4].label is None
         assert [r.provenance for r in records[:4]] == [Provenance.COARSE] * 4
@@ -290,13 +294,13 @@ class TestAutolabelFrame:
     def test_stage_argument_validated(self):
         points, masks = self.clean_setup()
         with pytest.raises(ValueError):
-            autolabel_frame(points, masks, K, T, stage="everything")
+            autolabel_frame(cloud(*points), masks, K, T, stage="everything")
 
     def test_filtered_point_marked(self):
         points, masks = self.clean_setup()
         # add a wrong-depth point projecting inside the mask
         points.append(pt(0.0, 0.0, 16.0, v=2.0, rcs=15.0))
-        records = autolabel_frame(points, masks, K, T, stage="otpf")
+        records = autolabel_frame(cloud(*points), masks, K, T, stage="otpf")
         assert records[5].label is None
         assert records[5].provenance == Provenance.FILTERED_OUT
 
@@ -306,7 +310,7 @@ class TestAutolabelFrame:
             pt(0.0, 0.0, 16.0, v=2.0, rcs=15.0),  # would fail the depth gate
         ]
         masks = [rect_mask(45, 55, 45, 55)]
-        records = autolabel_frame(points, masks, K, T, LabelParams(n_min=3), "full")
+        records = autolabel_frame(cloud(*points), masks, K, T, LabelParams(n_min=3), "full")
         assert records[0].label == (1, 1)
         assert records[1].label == (1, 1)  # size guard: no filtering below n_min
 
@@ -315,21 +319,21 @@ class TestAutolabelFrame:
         # a point spatially on the object whose projection misses the mask
         points.append(pt(0.45, 0.0, 10.0, v=2.0, rcs=15.0))  # u = 54.5 in mask...
         points[-1] = pt(0.7, 0.0, 10.0, v=2.0, rcs=15.0)  # u = 57: outside mask
-        records = autolabel_frame(points, masks, K, T, stage="full")
+        records = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         assert records[5].label == (3, 1)
         assert records[5].provenance == Provenance.RECOVERED
-        coarse = autolabel_frame(points, masks, K, T, stage="coarse")
+        coarse = autolabel_frame(cloud(*points), masks, K, T, stage="coarse")
         assert coarse[5].label is None
 
     def test_empty_mask_set_all_unlabeled(self):
         points, _ = self.clean_setup()
-        records = autolabel_frame(points, [], K, T, stage="full")
+        records = autolabel_frame(cloud(*points), [], K, T, stage="full")
         assert all(r.label is None for r in records)
         assert all(r.provenance == Provenance.UNLABELED for r in records)
 
     def test_label_conservation(self):
         points, masks = self.clean_setup()
-        records = autolabel_frame(points, masks, K, T, stage="full")
+        records = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         assert [r.point_index for r in records] == list(range(len(points)))
         valid_instances = {(m.class_id, m.instance_id) for m in masks}
         for r in records:
@@ -337,17 +341,17 @@ class TestAutolabelFrame:
 
     def test_determinism(self):
         points, masks = self.clean_setup()
-        a = autolabel_frame(points, masks, K, T, stage="full")
-        b = autolabel_frame(points, masks, K, T, stage="full")
+        a = autolabel_frame(cloud(*points), masks, K, T, stage="full")
+        b = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         assert a == b
 
     def test_stage_monotonicity(self):
         points, masks = self.clean_setup()
         points.append(pt(0.0, 0.0, 16.0, v=2.0, rcs=15.0))  # filtered out
         points.append(pt(0.7, 0.0, 10.0, v=2.0, rcs=15.0))  # recoverable
-        coarse = autolabel_frame(points, masks, K, T, stage="coarse")
-        otpf = autolabel_frame(points, masks, K, T, stage="otpf")
-        full = autolabel_frame(points, masks, K, T, stage="full")
+        coarse = autolabel_frame(cloud(*points), masks, K, T, stage="coarse")
+        otpf = autolabel_frame(cloud(*points), masks, K, T, stage="otpf")
+        full = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         # OTPF only removes labels
         for c, o in zip(coarse, otpf):
             assert o.label == c.label or o.label is None
@@ -361,12 +365,12 @@ class TestAutolabelFrame:
             rect_mask(45, 65, 45, 65, class_id=2, instance_id=2, confidence=0.6),
         ]
         points = [pt(0, 0, 10)]
-        base = coarse_associate(points, masks, K, T)
+        base = coarse_associate(cloud(*points), masks, K, T)
         assert base.labels == [(1, 1)]
         for bumped in (0.8, 0.95, 1.0):
             masks2 = [
                 InstanceMask(masks[0].mask, 1, 1, bumped),
                 masks[1],
             ]
-            result = coarse_associate(points, masks2, K, T)
+            result = coarse_associate(cloud(*points), masks2, K, T)
             assert result.labels == [(1, 1)]

@@ -1,0 +1,189 @@
+"""The columnar labeling path against the scalar reference in scalar_reference.py.
+
+Both must produce identical records at every stage: on seeded synthetic
+frames of the benchmark's sparse and dense shapes, and on hand-built frames
+that sit on the tie-breaks and boundaries.
+"""
+
+import numpy as np
+import pytest
+
+import scalar_reference as ref
+from radcal.autolabel import (
+    InstanceMask,
+    LabelParams,
+    PointCloud,
+    Provenance,
+    autolabel_frame,
+    complete_clusters,
+)
+from radcal.geometry import CameraIntrinsics, Extrinsics
+from radcal.synth import (
+    LabelSceneConfig,
+    default_extrinsics,
+    default_intrinsics,
+    gen_label_scene,
+)
+
+STAGES = ("coarse", "otpf", "full")
+
+# The scene shapes of the benchmark's label-sparse and label-dense workloads.
+SPARSE = dict(object_count=5, clutter_count=30, false_positive_rate=0.1, false_negative_rate=0.1)
+DENSE = dict(
+    object_count=20,
+    points_per_object=(150, 250),
+    range_m=(6.0, 60.0),
+    clutter_count=2000,
+    false_positive_rate=0.1,
+    false_negative_rate=0.1,
+)
+# Jitter lets the gates remove genuine points and lets clusters compete.
+JITTER = dict(SPARSE, velocity_jitter_mps=0.3, rcs_jitter_dbsm=2.0, dynamic_fraction=0.5)
+
+FRAMES = {  # name: (config, seeds)
+    "sparse": (SPARSE, range(100, 124)),
+    "sparse-jitter": (JITTER, range(200, 220)),
+    "sparse-hull": (dict(SPARSE, mask_shape="hull"), range(300, 304)),
+    "dense": (DENSE, range(400, 404)),
+}
+
+
+def assert_same_records(points, masks, k, t, params=None):
+    """Both paths agree at every stage; returns the full-stage records."""
+    scalar_points = ref.radar_points(points)
+    for stage in STAGES:
+        records = autolabel_frame(points, masks, k, t, params, stage)
+        expected = ref.autolabel_frame(scalar_points, masks, k, t, params, stage)
+        assert records == expected, stage
+    return records
+
+
+def test_frame_count():
+    assert sum(len(seeds) for _, seeds in FRAMES.values()) >= 50
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_seeded_frames_match_scalar_reference(name):
+    config, seeds = FRAMES[name]
+    k, t = default_intrinsics(), default_extrinsics()
+    provenances = set()
+    for seed in seeds:
+        scene = gen_label_scene(LabelSceneConfig(seed=seed, **config), k, t)
+        records = assert_same_records(scene.points, list(scene.masks), k, t)
+        provenances |= {r.provenance for r in records}
+    # every stage had something to do
+    assert provenances == set(Provenance)
+
+
+# Hand-built frames: identity extrinsics, so the camera depth is z and a
+# point (x, y, z) looks up pixel (100 x / z + 50, 100 y / z + 50).
+K = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
+T = Extrinsics.identity()
+
+
+def cloud(*rows):
+    """PointCloud from (x, y, z, v, rcs) rows."""
+    rows = np.array(rows, dtype=float).reshape(-1, 5)
+    return PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
+
+
+def rect_mask(u_lo, u_hi, v_lo, v_hi, class_id, instance_id, confidence=0.9):
+    mask = np.zeros((K.height, K.width), dtype=bool)
+    mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = True
+    return InstanceMask(mask, class_id, instance_id, confidence)
+
+
+def test_equal_mask_confidence_goes_to_lower_instance_id():
+    points = cloud(*[(0.0, 0.0, 10.0, 0.0, 10.0)] * 3, (0.8, 0.0, 10.0, 0.0, 10.0))
+    masks = [
+        rect_mask(40, 60, 40, 60, class_id=1, instance_id=5),
+        rect_mask(45, 55, 45, 55, class_id=2, instance_id=3),
+    ]
+    records = assert_same_records(points, masks, K, T)
+    assert [r.label for r in records] == [(2, 3)] * 3 + [(1, 5)]
+
+
+def test_masks_sharing_an_instance_id_share_a_cluster():
+    # the cluster carries the label of its last member's mask, (2, 3); the
+    # last point is recovered into it
+    points = cloud(
+        *[(-0.3, 0.0, 10.0, 0.0, 10.0)] * 3,
+        *[(0.3, 0.0, 10.0, 0.0, 10.0)] * 3,
+        (0.0, 0.3, 10.0, 0.0, 10.0),
+    )
+    masks = [
+        rect_mask(45, 48, 48, 52, class_id=1, instance_id=3),
+        rect_mask(52, 55, 48, 52, class_id=2, instance_id=3, confidence=0.8),
+    ]
+    records = assert_same_records(points, masks, K, T)
+    assert [r.label for r in records] == [(1, 3)] * 3 + [(2, 3)] * 4
+    assert records[6].provenance == Provenance.RECOVERED
+
+
+def test_equal_affinity_goes_to_lower_cluster_id():
+    # the last point is 0.5 m from both centroids, outside both masks
+    points = cloud(
+        *[(-0.5, 0.0, 10.0, 0.0, 10.0)] * 3,
+        *[(0.5, 0.0, 10.0, 0.0, 10.0)] * 3,
+        (0.0, 0.0, 10.0, 0.0, 10.0),
+    )
+    masks = [
+        rect_mask(44, 46, 49, 51, class_id=1, instance_id=7),
+        rect_mask(54, 56, 49, 51, class_id=2, instance_id=4),
+    ]
+    records = assert_same_records(points, masks, K, T)
+    assert records[6].label == (2, 4)
+    assert records[6].provenance == Provenance.RECOVERED
+
+
+def test_point_at_exactly_r_search_is_a_candidate():
+    params = LabelParams(r_search=2.0, sigma_pos=4.0)
+    beyond = np.nextafter(2.0, 3.0)
+    points = cloud(
+        *[(0.0, 0.0, 10.0, 0.0, 10.0)] * 3,
+        (2.0, 0.0, 10.0, 0.0, 10.0),
+        (beyond, 0.0, 10.0, 0.0, 10.0),
+    )
+    masks = [rect_mask(45, 55, 45, 55, class_id=1, instance_id=1)]
+    records = assert_same_records(points, masks, K, T, params)
+    assert records[3].provenance == Provenance.RECOVERED
+    assert records[4].provenance == Provenance.UNLABELED
+
+
+def excluded_scene(with_other_cluster):
+    # point 4 fails cluster 1's depth gate (1.6 > tau_d) but is 1.6 m from
+    # its refined centroid; cluster 2 sits 1.9 m away from it
+    rows = [(0.0, 0.0, 10.0, 0.0, 10.0)] * 4 + [(0.0, 0.0, 11.6, 0.0, 10.0)]
+    masks = [rect_mask(45, 55, 45, 55, class_id=1, instance_id=1)]
+    if with_other_cluster:
+        rows += [(1.9, 0.0, 11.6, 0.0, 10.0)] * 3
+        masks.append(rect_mask(64, 68, 48, 52, class_id=2, instance_id=2))
+    return cloud(*rows), masks, LabelParams(sigma_pos=4.0)
+
+
+@pytest.mark.parametrize("with_other_cluster", [False, True])
+def test_excluded_cluster_cannot_recover_its_own_point(with_other_cluster):
+    points, masks, params = excluded_scene(with_other_cluster)
+    records = assert_same_records(points, masks, K, T, params)
+    if with_other_cluster:
+        assert records[4].label == (2, 2)
+        assert records[4].provenance == Provenance.RECOVERED
+    else:
+        assert records[4].label is None
+        assert records[4].provenance == Provenance.FILTERED_OUT
+
+
+def test_excluded_changes_the_winner():
+    # without the exclusion, cluster 1 (affinity 0.92) beats cluster 2 (0.89)
+    points, _, params = excluded_scene(with_other_cluster=True)
+    refined = {1: [0, 1, 2, 3], 2: [5, 6, 7]}
+    depths = points.xyz[:, 2]
+    assert complete_clusters(refined, [4], points, depths, params) == {4: 1}
+    assert ref.complete_clusters(
+        refined, [4], ref.radar_points(points), depths, params
+    ) == {4: 1}
+    excluded = np.array([0, 0, 0, 0, 1, 0, 0, 0])
+    assert complete_clusters(refined, [4], points, depths, params, excluded) == {4: 2}
+    assert ref.complete_clusters(
+        refined, [4], ref.radar_points(points), depths, params, excluded={4: 1}
+    ) == {4: 2}

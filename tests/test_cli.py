@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 
 import numpy as np
@@ -118,6 +119,34 @@ class TestDeterminism:
         assert sha256_tree(tmp_path / "l1") == sha256_tree(tmp_path / "l2")
 
 
+# sha256 of the files `synth --kind labeling --seed 8 --frames 2 --fp-rate 0.1
+# --fn-rate 0.1` writes and of their `autolabel --stage full` labels, pinned
+# from the scalar labeling path: a change to the generator, the labeling
+# stages or the writers that moves one byte fails here.
+GOLDEN_LABELING = {
+    "labels/labels_000.jsonl": "839459f7fc621272614aef14f7aae8217387c7084d84cfdf19d0e9ad35aefb43",
+    "labels/labels_001.jsonl": "7108533c94a6d9f7521944632775e360de7de348aef0461e8a33a06f2ad939ff",
+    "scene/calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
+    "scene/ground_truth.json": "3f9dbad7da2b71c350c87dcd4e0c9bd7336b007fc9e2504e3bdca31240bcc9b0",
+    "scene/gt_labels/labels_000.jsonl": "46ea6000adf3842f102b7c05ca7158c5f362809b656222c44ede4aeeda2c8ea5",
+    "scene/gt_labels/labels_001.jsonl": "563f1350792060069073698232255239e5b197ca27959340a411e0681c810d01",
+    "scene/masks_000.json": "feb8ff86b5fb839276ace021fcf108dad954e7e27772ddf06b727b5d88e674d5",
+    "scene/masks_001.json": "a905e2ab33116bc8a217737d831b60705919d05571bf765db2b17bf61c8ea9ea",
+    "scene/radar_000.json": "d8e4688bfd788cb8bcce0e71ed0587b47188b85c4d72d09a8353caba3ca69c47",
+    "scene/radar_001.json": "4b9677edc791706a71ed6df717c98ea0e19380e93b8d8815820b2c54ef9f3160",
+}
+
+
+def test_labeling_golden_digests(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "8", "--frames", "2",
+                "--fp-rate", "0.1", "--fn-rate", "0.1", "-o", scene]) == 0
+    assert run(["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json", "--stage", "full",
+                "-o", tmp_path / "labels"]) == 0
+    assert sha256_tree(tmp_path) == GOLDEN_LABELING
+
+
 class TestExitCodes:
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "config.toml"
@@ -177,6 +206,58 @@ class TestExitCodes:
         write_labels(pred / "labels_000.jsonl", records[:-1])
         assert run(["eval", "--pred", pred, "--gt", lab_scene / "gt_labels",
                     "-o", tmp_path / "r.json"]) == 4
+
+    def test_duplicate_radar_index_autolabel_exit_4(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--frames", "2", "--seed", "2",
+                    "-o", scene]) == 0
+        shutil.copy(scene / "radar_001.json", scene / "radar_001.jsonl")
+        capsys.readouterr()
+        assert run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json",
+                    "-o", tmp_path / "out"]) == 4
+        err = capsys.readouterr().err
+        assert "radar_001.json " in err and "radar_001.jsonl" in err
+
+    def test_duplicate_labels_index_eval_exit_4(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        pred = tmp_path / "pred"
+        shutil.copytree(scene / "gt_labels", pred)
+        shutil.copy(pred / "labels_000.jsonl", pred / "labels_0.jsonl")
+        capsys.readouterr()
+        assert run(["eval", "--pred", pred, "--gt", scene / "gt_labels",
+                    "-o", tmp_path / "r.json"]) == 4
+        err = capsys.readouterr().err
+        assert "labels_000.jsonl" in err and "labels_0.jsonl" in err
+
+    @pytest.mark.parametrize("prefix", ["corners", "radar"])
+    def test_duplicate_pose_index_calibrate_exit_4(self, tmp_path, capsys, prefix):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "calibration", "--poses", "4", "--seed", "1",
+                    "-o", scene]) == 0
+        shutil.copy(scene / f"{prefix}_002.json", scene / f"{prefix}_2.json")
+        capsys.readouterr()
+        assert run(["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json",
+                    "-o", tmp_path / "c.json"]) == 4
+        err = capsys.readouterr().err
+        assert f"{prefix}_002.json" in err and f"{prefix}_2.json" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["x_m", "z_m", "v_mps", "rcs_dbsm"])
+    def test_non_finite_radar_point_exit_4(self, tmp_path, capsys, field, value):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        path = scene / "radar_000.json"
+        doc = json.loads(path.read_text())
+        doc["points"][3][field] = float(value)
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        assert run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json",
+                    "-o", tmp_path / "out"]) == 4
+        assert "must be finite" in capsys.readouterr().err
 
     def test_not_converged_exit_5_still_writes(self, tmp_path, workflow):
         scene = workflow / "cal_scene"

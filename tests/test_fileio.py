@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from radcal.autolabel import InstanceMask, LabelRecord, Provenance, RadarPoint
+from radcal.autolabel import InstanceMask, LabelRecord, PointCloud, Provenance
 from radcal.checkerboard import CheckerboardSpec, CornerSet
 from radcal.fileio import (
     SchemaError,
@@ -109,9 +109,9 @@ class TestRadarFrameFiles:
         path = tmp_path / "radar_000.json"
         write_radar_frame(path, self.frame(), variant="cartesian")
         _, points = load_radar_points(path)
-        for ret, point in zip(self.frame().returns, points):
-            assert np.allclose(point.position, sph2cart(ret), atol=1e-12)
-            assert point.velocity_mps == ret.velocity_mps
+        for ret, xyz, v in zip(self.frame().returns, points.xyz, points.velocity):
+            assert np.allclose(xyz, sph2cart(ret), atol=1e-12)
+            assert v == ret.velocity_mps
 
     def test_byte_identical_reserialization(self, tmp_path):
         path_a = tmp_path / "a.json"
@@ -159,19 +159,41 @@ class TestRadarFrameFiles:
         write_radar_frame(path, self.frame())
         assert load_radar_frames(path) == [self.frame()]
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"x_m": 1.0, "y_m": 2.0, "z_m": 3.0, "v_mps": 0.5, "rcs_dbsm": 12.0},
+            {"r_m": 8.0, "az_rad": 0.1, "el_rad": -0.05, "v_mps": 0.2, "rcs_dbsm": 31.5},
+        ],
+    )
+    def test_non_finite_point_field_rejected(self, tmp_path, point, value):
+        for field in point:
+            path = tmp_path / f"{field}.json"
+            bad = dict(point, **{field: float(value)})
+            path.write_text(json.dumps({"timestamp_s": 0.0, "points": [point, bad]}))
+            with pytest.raises(SchemaError, match="finite"):
+                load_radar_points(path)
+
+    def test_empty_frame_loads(self, tmp_path):
+        path = tmp_path / "radar_000.json"
+        path.write_text(json.dumps({"timestamp_s": 0.0, "points": []}))
+        _, points = load_radar_points(path)
+        assert len(points) == 0
+        assert points.xyz.shape == (0, 3)
+
     def test_radar_points_round_trip(self, tmp_path):
-        points = [
-            RadarPoint(np.array([1.0, 2.0, 3.0]), 0.5, 12.0),
-            RadarPoint(np.array([-4.0, 0.25, 1.0]), -2.0, -3.5),
-        ]
+        points = PointCloud(
+            np.array([[1.0, 2.0, 3.0], [-4.0, 0.25, 1.0]]), [0.5, -2.0], [12.0, -3.5]
+        )
         path = tmp_path / "radar_000.json"
         write_radar_points(path, 1.25, points)
         timestamp, back = load_radar_points(path)
         assert timestamp == 1.25
-        for a, b in zip(points, back):
-            assert np.array_equal(a.position, b.position)
-            assert a.velocity_mps == b.velocity_mps
-            assert a.rcs_dbsm == b.rcs_dbsm
+        assert len(back) == 2
+        assert np.array_equal(points.xyz, back.xyz)
+        assert np.array_equal(points.velocity, back.velocity)
+        assert np.array_equal(points.rcs, back.rcs)
 
 
 class TestCornerFiles:

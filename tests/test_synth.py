@@ -104,7 +104,7 @@ class TestOracleSoundness:
         k, t = default_intrinsics(), result.extrinsics
         label_scene = gen_label_scene(LabelSceneConfig(seed=12), k, t)
         records = autolabel_frame(
-            list(label_scene.points), list(label_scene.masks), k, t, stage="full"
+            label_scene.points, list(label_scene.masks), k, t, stage="full"
         )
         report = label_report([r.label for r in records], list(label_scene.gt_labels))
         assert report.pa_percent == 100.0
@@ -116,7 +116,7 @@ class TestLabelScene:
         out = {}
         for stage in ("coarse", "otpf", "full"):
             records = autolabel_frame(
-                list(scene.points), list(scene.masks), k, t, params, stage
+                scene.points, list(scene.masks), k, t, params, stage
             )
             out[stage] = (
                 [r.label for r in records],
@@ -130,9 +130,8 @@ class TestLabelScene:
         a = gen_label_scene(cfg, k, t)
         b = gen_label_scene(cfg, k, t)
         assert a.gt_labels == b.gt_labels
-        for pa, pb in zip(a.points, b.points):
-            assert np.array_equal(pa.position, pb.position)
-            assert pa.velocity_mps == pb.velocity_mps
+        assert np.array_equal(a.points.xyz, b.points.xyz)
+        assert np.array_equal(a.points.velocity, b.points.velocity)
         for ma, mb in zip(a.masks, b.masks):
             assert np.array_equal(ma.mask, mb.mask)
 
@@ -182,7 +181,7 @@ class TestLabelScene:
         k, t = default_intrinsics(), default_extrinsics()
         scene = gen_label_scene(LabelSceneConfig(seed=17, mask_shape="hull"), k, t)
         records = autolabel_frame(
-            list(scene.points), list(scene.masks), k, t, stage="full"
+            scene.points, list(scene.masks), k, t, stage="full"
         )
         report = label_report([r.label for r in records], list(scene.gt_labels))
         assert report.pa_percent == 100.0
@@ -207,7 +206,7 @@ class TestLabelScene:
             stage_labels = {}
             for stage in ("coarse", "otpf", "full"):
                 records = autolabel_frame(
-                    list(scene.points), list(scene.masks), k, t, stage=stage
+                    scene.points, list(scene.masks), k, t, stage=stage
                 )
                 assert [r.point_index for r in records] == list(range(len(scene.points)))
                 for r in records:
