@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .geometry import (
     CameraIntrinsics,
     Extrinsics,
     Z_EPS,
+    _skew,
     canonicalize_rotvec,
     extrinsics_to_pose,
     matrix_to_rotvec,
@@ -48,9 +50,6 @@ __all__ = [
 # Nearest plausible pairing window for a static target (radar at 15 Hz).
 DEFAULT_SYNC_TOLERANCE_S = 0.025
 
-# Central-difference step for the solver Jacobian, per parameter.
-FD_STEP = 1e-6
-
 # Residual substituted (per component) when a candidate pose puts the radar
 # point behind the camera; keeps the cost finite and repels the optimizer.
 BEHIND_CAMERA_RESIDUAL = 1e4
@@ -58,6 +57,8 @@ BEHIND_CAMERA_RESIDUAL = 1e4
 # Relative singular-value floor below which the Jacobian at the solution is
 # considered rank-deficient.
 RANK_TOLERANCE = 1e-10
+
+_EYE6 = np.eye(6)
 
 
 class TooFewPoses(ValueError):
@@ -224,6 +225,21 @@ def cube_rotation_seeds() -> list[np.ndarray]:
     return identity + rest
 
 
+def _residuals(
+    k: CameraIntrinsics, observed: np.ndarray, cam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, 2) residuals of camera-frame points, the depth guard and safe depths.
+
+    Behind-camera rows get the constant penalty and a depth of 1.
+    """
+    z = cam[:, 2:]
+    front = z > Z_EPS
+    zs = np.where(front, z, 1.0)
+    projected = np.array([k.fx, k.fy]) * cam[:, :2] / zs + np.array([k.cx, k.cy])
+    res = np.where(front, observed - projected, BEHIND_CAMERA_RESIDUAL)
+    return res, front, zs
+
+
 def _residual_vector(
     pose: np.ndarray,
     k: CameraIntrinsics,
@@ -232,15 +248,50 @@ def _residual_vector(
 ) -> np.ndarray:
     """Stacked (2K,) residuals; behind-camera poses get the constant penalty."""
     rotation = rotvec_to_matrix(pose[:3])
-    cam = points @ rotation.T + pose[3:]
-    z = cam[:, 2]
-    res = np.empty_like(observed)
-    front = z > Z_EPS
-    zs = np.where(front, z, 1.0)
-    res[:, 0] = observed[:, 0] - (k.fx * cam[:, 0] / zs + k.cx)
-    res[:, 1] = observed[:, 1] - (k.fy * cam[:, 1] / zs + k.cy)
-    res[~front] = BEHIND_CAMERA_RESIDUAL
-    return res.ravel()
+    return _residuals(k, observed, points @ rotation.T + pose[3:])[0].ravel()
+
+
+def _linearize(
+    pose: np.ndarray,
+    k: CameraIntrinsics,
+    observed: np.ndarray,
+    points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector (2K,) and its closed-form Jacobian (2K, 6) at one pose.
+
+    The rotation part uses d(R p)/d(omega) = -R [p]x J, with
+    J = (omega omega^T + (R^T - I)[omega]x) / |omega|^2 (Gallego & Yezzi;
+    Sola et al., arXiv:1812.01537), rewritten as -[R p]x (R J).  Near
+    omega = 0, J is I - [omega]x / 2 to first order.  Rows of points behind
+    the camera are 0: the derivative of the constant penalty.
+    """
+    omega = pose[:3]
+    rotation = rotvec_to_matrix(omega)
+    rotated = points @ rotation.T
+    cam = rotated + pose[3:]
+    res, front, zs = _residuals(k, observed, cam)
+    inv_z = np.where(front, 1.0 / zs, 0.0)[:, 0]
+    skew = _skew(omega)
+    theta2 = float(omega @ omega)
+    if theta2 < 1e-10:
+        right = np.eye(3) - 0.5 * skew
+    else:
+        right = (np.outer(omega, omega) + (rotation.T - np.eye(3)) @ skew) / theta2
+    # d(cam)/d(omega): column i is (R J)[:, i] x (R p); d(cam)/d(t) = I
+    b = rotation @ right
+    d_cam = np.empty((len(points), 3, 6))
+    x, y, z = rotated.T[:, :, None]
+    d_cam[:, 0, :3] = z * b[1] - y * b[2]
+    d_cam[:, 1, :3] = x * b[2] - z * b[0]
+    d_cam[:, 2, :3] = y * b[0] - x * b[1]
+    d_cam[:, :, 3:] = np.eye(3)
+    # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind
+    d_res = np.zeros((len(points), 2, 3))
+    d_res[:, 0, 0] = -k.fx * inv_z
+    d_res[:, 1, 1] = -k.fy * inv_z
+    d_res[:, 0, 2] = k.fx * cam[:, 0] * inv_z**2
+    d_res[:, 1, 2] = k.fy * cam[:, 1] * inv_z**2
+    return res.ravel(), (d_res @ d_cam).reshape(-1, 6)
 
 
 def _jacobian(
@@ -248,20 +299,9 @@ def _jacobian(
     k: CameraIntrinsics,
     observed: np.ndarray,
     points: np.ndarray,
-    step: float = FD_STEP,
 ) -> np.ndarray:
-    """Central-difference Jacobian of the residual vector, (2K, 6)."""
-    jac = np.empty((2 * len(points), 6))
-    for i in range(6):
-        forward = pose.copy()
-        backward = pose.copy()
-        forward[i] += step
-        backward[i] -= step
-        jac[:, i] = (
-            _residual_vector(forward, k, observed, points)
-            - _residual_vector(backward, k, observed, points)
-        ) / (2.0 * step)
-    return jac
+    """Closed-form Jacobian of the residual vector, (2K, 6)."""
+    return _linearize(pose, k, observed, points)[1]
 
 
 def _run_lm(
@@ -287,17 +327,20 @@ def _run_lm(
     jac = None
     for iterations in range(1, cfg.max_iters + 1):
         if jac is None:
-            residual = _residual_vector(pose, k, observed, points)
-            jac = _jacobian(pose, k, observed, points)
+            residual, jac = _linearize(pose, k, observed, points)
+            if not jac.any():
+                # every point is behind the camera: the penalty is flat, so
+                # the zero gradient marks no minimum
+                break
             jtj = jac.T @ jac
             gradient = jac.T @ residual
         try:
             # Gauss-Newton normal equations, damped: (J^T J + lam I) d = -J^T r
-            delta = np.linalg.solve(jtj + lam * np.eye(6), -gradient)
+            delta = np.linalg.solve(jtj + lam * _EYE6, -gradient)
         except np.linalg.LinAlgError:
             lam *= cfg.lambda_up
             continue
-        step_norm = float(np.linalg.norm(delta))
+        step_norm = math.sqrt(float(delta @ delta))
         if step_norm <= cfg.step_tol:
             converged = True
             break

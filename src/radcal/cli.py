@@ -27,7 +27,13 @@ from . import autolabel as al
 from . import calibration as cal
 from . import fileio, metrics, reflector, synth
 from .checkerboard import checkerboard_center
-from .geometry import CameraIntrinsics, Extrinsics, project_points, rotvec_to_matrix
+from .geometry import (
+    BehindCamera,
+    CameraIntrinsics,
+    Extrinsics,
+    project_points,
+    rotvec_to_matrix,
+)
 
 logger = logging.getLogger("radcal")
 
@@ -301,6 +307,16 @@ def _radar_frame_inputs(path_str: str) -> list[tuple[int, "object"]]:
     raise FileNotFoundError(f"missing radar input: {path}")
 
 
+def _pose_entry(corr, residual, split: str) -> dict:
+    return {
+        "pose_id": corr.pose_id,
+        "du_px": float(residual[0]),
+        "dv_px": float(residual[1]),
+        "error_px": float(np.hypot(residual[0], residual[1])),
+        "split": split,
+    }
+
+
 def _cmd_calibrate(args) -> int:
     params = _params_from_file(args.params)
     corners_dir = Path(args.corners)
@@ -355,38 +371,40 @@ def _cmd_calibrate(args) -> int:
     result = cal.solve_extrinsics(solve_set, intrinsics, params["solver"])
 
     per_pose = [
-        {
-            "pose_id": c.pose_id,
-            "du_px": float(r[0]),
-            "dv_px": float(r[1]),
-            "error_px": float(np.hypot(r[0], r[1])),
-            "split": "train",
-        }
+        _pose_entry(c, r, "train")
         for c, r in zip(solve_set.correspondences, result.residuals)
     ]
     line = f"MRE {result.mre_px:.6g} px  RMSE {result.rmse_px:.6g} px  ({len(solve_set)} poses"
     if holdout_report:
-        held_res = np.array(
-            [
-                cal.reprojection_residual(intrinsics, result.extrinsics, c)
-                for c in holdout_report
-            ]
-        )
-        held_norms = np.linalg.norm(held_res, axis=1)
-        for c, r in zip(holdout_report, held_res):
-            per_pose.append(
-                {
-                    "pose_id": c.pose_id,
-                    "du_px": float(r[0]),
-                    "dv_px": float(r[1]),
-                    "error_px": float(np.hypot(r[0], r[1])),
-                    "split": "holdout",
-                }
+        held_res = []
+        behind = []
+        for c in holdout_report:
+            try:
+                r = cal.reprojection_residual(intrinsics, result.extrinsics, c)
+            except BehindCamera:
+                # no pixel to compare: reported, but left out of the holdout error
+                behind.append(c.pose_id)
+                per_pose.append(
+                    {
+                        "pose_id": c.pose_id,
+                        "du_px": None,
+                        "dv_px": None,
+                        "error_px": None,
+                        "split": "holdout",
+                        "behind_camera": True,
+                    }
+                )
+                continue
+            held_res.append(r)
+            per_pose.append(_pose_entry(c, r, "holdout"))
+        if held_res:
+            held_norms = np.linalg.norm(np.array(held_res), axis=1)
+            line += (
+                f"; holdout MRE {held_norms.mean():.6g} px RMSE "
+                f"{np.sqrt((held_norms**2).mean()):.6g} px over {len(held_res)} poses"
             )
-        line += (
-            f"; holdout MRE {held_norms.mean():.6g} px RMSE "
-            f"{np.sqrt((held_norms**2).mean()):.6g} px over {len(holdout_report)} poses"
-        )
+        if behind:
+            line += f"; holdout pose(s) behind the camera: {behind}"
     line += ")"
 
     config_echo = {
@@ -691,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, synth.FovInfeasible) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, NotADirectoryError) as exc:

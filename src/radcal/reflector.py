@@ -11,11 +11,11 @@ tie -> smaller mean range; max-RCS tie -> lowest index).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import SphericalReturn, sph2cart
 
@@ -123,18 +123,67 @@ def filter_returns(
     return kept
 
 
+# The 27 cells around (and including) a cell, as (dx, dy, dz) offsets.
+_NEIGHBOR_CELLS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+
+_ULP = np.finfo(float).eps
+
+
+def _radius_neighbors(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbors within eps of every point, self included, as ``(indptr, indices)``.
+
+    The neighbors of point i are ``indices[indptr[i]:indptr[i + 1]]``, in
+    ascending order.  A grid hash: points are bucketed into cells of side
+    eps, candidates come from the 27 cells around each point's own, and a
+    candidate is accepted by the same ``np.linalg.norm(p - q) <= eps`` test
+    as the O(n^2) definition, so points at exactly eps land on the same side.
+    The side is widened by a few ulps of the largest coordinate, so rounding
+    in the cell division cannot put an accepted pair two cells apart.
+    """
+    n = len(points)
+    side = eps * (1.0 + 4.0 * _ULP * (1.0 + np.abs(points).max(initial=0.0) / eps))
+    cells = np.floor(points / side)
+    # Renumber each axis's cell coordinates in order, capping every gap at 2:
+    # adjacency is kept and the packed int64 key cannot overflow.
+    by_axis = (np.argsort(cells, axis=0), np.arange(3))
+    sorted_cells = cells[by_axis]
+    steps = np.zeros_like(sorted_cells)
+    steps[1:] = np.minimum(sorted_cells[1:] - sorted_cells[:-1], 2.0)
+    grid = np.empty((n, 3), dtype=np.int64)
+    grid[by_axis] = np.cumsum(steps, axis=0) + 1
+    base = 2 * n + 1  # coordinates of neighbouring cells lie in [0, 2n)
+    weights = np.array([base * base, base, 1])
+    key = grid @ weights
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    targets = (key[:, None] + _NEIGHBOR_CELLS @ weights).ravel()
+    lo = np.searchsorted(sorted_key, targets, side="left")
+    counts = np.searchsorted(sorted_key, targets, side="right") - lo
+    # Expand each (point, cell) run of sorted positions into candidate pairs.
+    starts = np.cumsum(counts) - counts
+    offsets = np.arange(counts.sum()) - np.repeat(starts, counts)
+    owner = np.repeat(np.arange(n).repeat(len(_NEIGHBOR_CELLS)), counts)
+    candidate = order[np.repeat(lo, counts) + offsets]
+    near = np.linalg.norm(points[owner] - points[candidate], axis=1) <= eps
+    owner, candidate = owner[near], candidate[near]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, candidate[np.lexsort((candidate, owner))]
+
+
 def _dbscan_labels(
-    neighbors: list[np.ndarray], min_pts: int
+    indptr: np.ndarray, indices: np.ndarray, min_pts: int
 ) -> tuple[np.ndarray, int]:
-    """Sequential DBSCAN given per-point sorted neighbor lists (self included).
+    """Sequential DBSCAN given sorted neighbor lists (self included) in CSR form.
 
     Clusters are seeded in ascending index order and grown breadth-first,
     so a border point reachable from several clusters always joins the one
     seeded first.
     """
-    n = len(neighbors)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    labels = np.full(n, -1, dtype=int)
+    n = len(indptr) - 1
+    core = (np.diff(indptr) >= min_pts).tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
+    labels = [-1] * n
     cluster_id = 0
     for i in range(n):
         if labels[i] != -1 or not core[i]:
@@ -143,13 +192,13 @@ def _dbscan_labels(
         queue = deque([i])
         while queue:
             j = queue.popleft()
-            for k in neighbors[j]:
+            for k in indices[indptr[j] : indptr[j + 1]]:
                 if labels[k] == -1:
                     labels[k] = cluster_id
                     if core[k]:
                         queue.append(k)
         cluster_id += 1
-    return labels, cluster_id
+    return np.array(labels), cluster_id
 
 
 def dbscan(
@@ -166,12 +215,9 @@ def dbscan(
     n = len(points)
     if n == 0:
         return [], []
-    tree = cKDTree(points)
-    neighbors = [
-        np.sort(np.asarray(nb, dtype=int))
-        for nb in tree.query_ball_point(points, params.eps)
-    ]
-    labels, n_clusters = _dbscan_labels(neighbors, params.min_pts)
+    labels, n_clusters = _dbscan_labels(
+        *_radius_neighbors(points, params.eps), params.min_pts
+    )
     clusters = []
     for cid in range(n_clusters):
         idx = np.flatnonzero(labels == cid)

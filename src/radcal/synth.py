@@ -560,7 +560,8 @@ def gen_label_scene(
             break
         if not placed:
             raise FovInfeasible(
-                f"could not place object {obj_idx} after 2000 attempts"
+                f"could not fit object {obj_idx + 1} of {cfg.object_count} into "
+                "the camera view after 2000 attempts; use fewer objects"
             )
 
     # per point: position, velocity, RCS

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from fd_oracle import central_difference_jacobian
 from radcal.calibration import (
     BEHIND_CAMERA_RESIDUAL,
     Correspondence,
     CorrespondenceSet,
     DegenerateGeometry,
+    SolverConfig,
     TooFewPoses,
     _jacobian,
     _residual_vector,
+    _run_lm,
     build_correspondences,
     cube_rotation_seeds,
     reprojection_residual,
@@ -145,7 +148,7 @@ class TestSeeds:
 
 
 class TestJacobian:
-    def test_central_difference_self_consistency(self):
+    def test_matches_central_differences(self):
         scene = gen_calibration_scene(SceneConfig(seed=4, pose_count=10))
         k = scene.config.intrinsics
         corrs = scene_correspondences(scene)
@@ -159,13 +162,60 @@ class TestJacobian:
             pose = base + np.concatenate(
                 [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
             )
-            j6 = _jacobian(pose, k, observed, points, step=1e-6)
-            j8 = _jacobian(pose, k, observed, points, step=1e-8)
-            rel = np.linalg.norm(j6 - j8) / np.linalg.norm(j8)
+            analytic = _jacobian(pose, k, observed, points)
+            numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
+            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-4, rel
 
 
+    @pytest.mark.parametrize("angle", [0.0, 1e-7, 1e-5, 1e-3, 3.0])
+    def test_matches_central_differences_at_small_and_large_rotations(self, angle):
+        k = default_intrinsics()
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-1.0, 1.0, (8, 3)) + [0.0, 0.0, 6.0]
+        observed = rng.uniform(0.0, 1000.0, (8, 2))
+        axis = np.array([0.6, -0.48, 0.64])
+        pose = np.concatenate([angle * axis, [0.1, -0.2, 0.3]])
+        analytic = _jacobian(pose, k, observed, points)
+        numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
+        assert np.linalg.norm(analytic - numeric) < 1e-6 * np.linalg.norm(numeric)
+
+    def test_behind_camera_rows_are_zero(self):
+        k = default_intrinsics()
+        points = np.array([[0.5, 0.2, 5.0], [0.0, 0.0, -5.0]])
+        observed = np.zeros((2, 2))
+        jac = _jacobian(np.zeros(6), k, observed, points)
+        numeric = central_difference_jacobian(np.zeros(6), k, observed, points)
+        assert np.all(jac[2:] == 0.0)
+        assert np.allclose(jac[:2], numeric[:2], rtol=1e-6, atol=1e-6)
+
+
 class TestSolve:
+    def test_seed_with_every_point_behind_camera_stops_unconverged(self):
+        scene = gen_calibration_scene(SceneConfig(seed=7))
+        corrs = scene_correspondences(scene)
+        k = scene.config.intrinsics
+        observed = np.array([c.image_center for c in corrs.correspondences])
+        points = np.array([c.radar_center for c in corrs.correspondences])
+        infeasible = []
+        for index, seed in enumerate(cube_rotation_seeds()):
+            if not np.all(_residual_vector(seed, k, observed, points) == BEHIND_CAMERA_RESIDUAL):
+                continue
+            infeasible.append(index)
+            pose, cost, iterations, converged, history = _run_lm(
+                seed, k, observed, points, SolverConfig()
+            )
+            assert converged is False
+            assert iterations == 1
+            assert np.array_equal(pose, seed)
+            assert history == [cost]
+        assert len(infeasible) == 4
+        result = solve_extrinsics(corrs, k)
+        assert result.converged
+        assert result.seed_index not in infeasible
+        assert result.mre_px < 1e-6
+
+
     def test_noise_free_recovery(self):
         scene = gen_calibration_scene(SceneConfig(seed=7))
         corrs = scene_correspondences(scene)

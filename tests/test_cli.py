@@ -1,14 +1,26 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radcal
 from radcal import cli
 from radcal.autolabel import InstanceMask
-from radcal.fileio import load_calibration, load_labels, write_masks
+from radcal.fileio import (
+    load_calibration,
+    load_labels,
+    load_radar_frame,
+    write_masks,
+    write_radar_frame,
+)
+from radcal.geometry import SphericalReturn
+from radcal.reflector import RadarFrame
 
 
 def sha256_tree(directory):
@@ -89,6 +101,20 @@ class TestWorkflow:
         )
         assert proc.returncode == 0, proc.stderr
         assert "3 poses" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(radcal.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys, radcal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:
@@ -259,6 +285,14 @@ class TestExitCodes:
                     "-o", tmp_path / "out"]) == 4
         assert "must be finite" in capsys.readouterr().err
 
+    def test_overfull_labeling_scene_exit_2(self, tmp_path, capsys):
+        # 8 objects do not fit the camera view at seed 11
+        assert run(["synth", "--kind", "labeling", "--objects", "8", "--seed", "11",
+                    "-o", tmp_path / "scene"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: could not fit object")
+        assert err.count("\n") == 1
+
     def test_not_converged_exit_5_still_writes(self, tmp_path, workflow):
         scene = workflow / "cal_scene"
         params = tmp_path / "params.toml"
@@ -285,6 +319,31 @@ class TestFlags:
         assert splits == {"train", "holdout"}
         n_hold = sum(1 for p in doc["per_pose"] if p["split"] == "holdout")
         assert n_hold == 6  # round(24 * 0.25)
+
+    def test_holdout_pose_behind_camera_reported(self, workflow, tmp_path, capsys):
+        # the last pose's reflector moves behind the radar, so under the
+        # solved calibration it is behind the camera too
+        scene = tmp_path / "scene"
+        shutil.copytree(workflow / "cal_scene", scene)
+        last = scene / "radar_023.json"
+        frame = load_radar_frame(last)
+        behind = [SphericalReturn(8.0, 3.10 + 0.01 * i, 0.0, 0.0, 30.0) for i in range(4)]
+        write_radar_frame(last, RadarFrame(frame.timestamp_s, tuple(behind)))
+        out = tmp_path / "c.json"
+        assert run(["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json",
+                    "--holdout", "0.1", "-o", out]) == 0
+        printed = capsys.readouterr().out
+        assert "over 1 poses" in printed
+        assert "holdout pose(s) behind the camera: [23]" in printed
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        held = {p["pose_id"]: p for p in doc["per_pose"] if p["split"] == "holdout"}
+        assert sorted(held) == [22, 23]
+        assert held[23]["behind_camera"] is True
+        assert held[23]["error_px"] is None
+        assert "behind_camera" not in held[22]
+        assert held[22]["error_px"] < 1e-6
 
     def test_stage_flag_full_at_least_coarse(self, workflow, tmp_path):
         lab_scene = workflow / "lab_scene"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radcal.geometry import SphericalReturn, sph2cart
 from radcal.reflector import (
@@ -16,6 +18,7 @@ from radcal.reflector import (
     filter_returns,
     locate_center,
     select_corner_cluster,
+    _radius_neighbors,
 )
 
 
@@ -203,6 +206,62 @@ class TestDbscan:
         c = clusters[0]
         assert np.allclose(c.centroid, points.mean(axis=0))
         assert np.isclose(c.mean_range, np.linalg.norm(points, axis=1).mean())
+
+
+@st.composite
+def clouds(draw):
+    """(points, eps, min_pts) with duplicates and pairs at and just beyond eps.
+
+    On a dyadic grid, p + eps is exact, so such pairs are exactly eps apart.
+    """
+    if draw(st.booleans()):
+        eps = draw(st.integers(1, 32)) / 16.0
+        coord = st.integers(-64, 64).map(lambda i: i / 16.0)
+    else:
+        eps = draw(st.floats(1e-3, 3.0))
+        coord = st.floats(-20.0, 20.0, allow_nan=False)
+    points = draw(st.lists(st.tuples(coord, coord, coord), max_size=40))
+    kinds = st.sampled_from(["dup", "eps", "ulp"])
+    derived = draw(
+        st.lists(st.tuples(st.integers(0, 10**6), kinds, st.integers(0, 2)), max_size=12)
+    )
+    for index, kind, axis in derived:
+        if not points:
+            break
+        p = list(points[index % len(points)])
+        if kind == "eps":
+            p[axis] += eps
+        elif kind == "ulp":
+            p[axis] = float(np.nextafter(p[axis] + eps, np.inf))
+        points.append(tuple(p))
+    return np.array(points, dtype=float).reshape(-1, 3), eps, draw(st.integers(1, 5))
+
+
+class TestRadiusSearchProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(clouds())
+    @example((np.empty((0, 3)), 0.3, 3))
+    @example((np.array([[1.0, 2.0, 3.0]]), 0.3, 1))
+    # eps + 1e-217 rounds to eps, but the two points sit two eps-cells apart
+    @example((np.array([[0.0, -1e-217, 0.0], [0.0, 0.3, 0.0]]), 0.3, 2))
+    def test_matches_quadratic_reference(self, cloud):
+        points, eps, min_pts = cloud
+        dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+        indptr, indices = _radius_neighbors(points, eps)
+        assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == [
+            np.flatnonzero(row <= eps).tolist() for row in dist
+        ]
+        clusters, noise = dbscan(points, ClusterParams(eps=eps, min_pts=min_pts))
+        labels = labels_from_result(len(points), clusters, noise)
+        assert np.array_equal(labels, dbscan_reference(points, eps, min_pts))
+
+    def test_pair_at_exactly_eps_is_a_neighbor(self):
+        points = np.array([[0.25, 0.5, 0.0], [0.25, 0.5, 0.75]])
+        clusters, noise = dbscan(points, ClusterParams(eps=0.75, min_pts=2))
+        assert [c.indices for c in clusters] == [(0, 1)] and noise == []
+        points[1, 2] = np.nextafter(0.75, 1.0)
+        clusters, noise = dbscan(points, ClusterParams(eps=0.75, min_pts=2))
+        assert clusters == [] and noise == [0, 1]
 
 
 class TestSelection:
