@@ -10,6 +10,7 @@ A built-in synthetic scene generator provides ground truth for both.
 
 from .autolabel import (
     InstanceMask,
+    LabelColumns,
     LabelParams,
     LabelRecord,
     PointCloud,

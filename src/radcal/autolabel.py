@@ -30,6 +30,7 @@ __all__ = [
     "PointLabel",
     "Provenance",
     "LabelRecord",
+    "LabelColumns",
     "ClusterStats",
     "LabelParams",
     "coarse_associate",
@@ -142,6 +143,40 @@ class LabelRecord:
     @property
     def instance_id(self) -> int | None:
         return None if self.label is None else self.label[1]
+
+
+@dataclass(frozen=True, eq=False)
+class LabelColumns:
+    """One frame's point labels as columns, in point-index order.
+
+    ``class_id`` and ``instance_id`` are int64 (0 where unlabeled),
+    ``labeled`` is bool, and ``provenance`` holds int8 codes into
+    ``list(Provenance)``.
+    """
+
+    class_id: np.ndarray
+    instance_id: np.ndarray
+    labeled: np.ndarray
+    provenance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labeled)
+
+    @classmethod
+    def from_labels(cls, labels) -> "LabelColumns":
+        """Columns from per-point labels ((class_id, instance_id) or None),
+        with a ground-truth file's provenance: coarse where labeled."""
+        labeled = np.array([lbl is not None for lbl in labels], dtype=bool)
+        pairs = np.array(
+            [lbl for lbl in labels if lbl is not None], dtype=np.int64
+        ).reshape(-1, 2)
+        class_id = np.zeros(len(labeled), dtype=np.int64)
+        instance_id = np.zeros(len(labeled), dtype=np.int64)
+        class_id[labeled], instance_id[labeled] = pairs.T
+        provenance = np.where(
+            labeled, _CODE[Provenance.COARSE], _CODE[Provenance.UNLABELED]
+        ).astype(np.int8)
+        return cls(class_id, instance_id, labeled, provenance)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ import json
 import logging
 import os
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +210,33 @@ def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelScen
 
 
 def _cmd_synth(args) -> int:
+    """Generate into a staging directory inside the output directory and
+    move the files into place once every frame is written, so a failed run
+    leaves the output directory as it found it."""
     out = Path(args.out)
+    created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".synth-", dir=out))
+    try:
+        summary = _write_scene(args, stage)
+        for path in sorted(stage.rglob("*")):
+            target = out / path.relative_to(stage)
+            if path.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                os.replace(path, target)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for directory in created:
+            directory.rmdir()
+        raise
+    shutil.rmtree(stage)
+    print(f"{summary} -> {out}")
+    return EXIT_OK
+
+
+def _write_scene(args, out: Path) -> str:
+    """Write the requested scene's files into ``out``; returns a summary."""
     doc = _load_config_file(args.config) if args.config else {}
     if args.kind == "calibration":
         cfg = _scene_config_from(doc, args)
@@ -226,14 +253,11 @@ def _cmd_synth(args) -> int:
             )
         fileio.write_intrinsics(out / "intrinsics.json", cfg.intrinsics)
         fileio.write_json(out / "ground_truth.json", scene.ground_truth())
-        print(
-            f"calibration scene: {len(scene.poses)} poses, seed {cfg.seed} -> {out}"
-        )
-        return EXIT_OK
+        return f"calibration scene: {len(scene.poses)} poses, seed {cfg.seed}"
 
     # labeling scene(s)
     gt_dir = out / "gt_labels"
-    gt_dir.mkdir(exist_ok=True)
+    gt_dir.mkdir()
     try:
         intrinsics = (
             _intrinsics_from(doc["intrinsics"])
@@ -283,10 +307,8 @@ def _cmd_synth(args) -> int:
         converged=True,
         config={"source": "synthetic ground truth"},
     )
-    print(
-        f"labeling scene: {args.frames} frame(s), seed {args.seed if args.seed is not None else doc.get('seed', 0)} -> {out}"
-    )
-    return EXIT_OK
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    return f"labeling scene: {args.frames} frame(s), seed {seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +540,6 @@ def _cmd_autolabel(args) -> int:
 # eval
 
 
-def _records_to_labels(records) -> list:
-    return [r.label for r in records]
-
-
 def _cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
@@ -536,37 +554,24 @@ def _cmd_eval(args) -> int:
         raise FileNotFoundError("no frame indices shared between pred and gt")
 
     per_frame = []
-    all_matches = []
-    correct_all = total_all = correct_fg = total_fg = 0
+    preds = {}
     for i in shared:
-        pred = _records_to_labels(fileio.load_labels(pred_files[i]))
-        gt = _records_to_labels(fileio.load_labels(gt_files[i]))
+        preds[i] = pred = fileio.load_labels(pred_files[i])
+        gt = fileio.load_labels(gt_files[i])
         if len(pred) != len(gt):
             raise metrics.LengthMismatch(
                 f"frame {i}: {len(pred)} predicted vs {len(gt)} true labels"
             )
-        report = metrics.label_report(pred, gt)
-        per_frame.append((i, report, len(pred)))
-        all_matches.extend(report.per_instance_iou)
-        correct_all += report.n_correct
-        total_all += report.n_points
-        correct_fg += report.n_correct_foreground
-        total_fg += report.n_foreground
+        per_frame.append((i, metrics.label_report(pred, gt)))
+    pooled = metrics.pooled_report([r for _, r in per_frame])
 
-    pa = 100.0 * correct_all / total_all if total_all else 100.0
-    pa_fg = 100.0 * correct_fg / total_fg if total_fg else 100.0
-    pooled_miou = (
-        100.0 * float(np.mean([m.iou for m in all_matches])) if all_matches else (
-            0.0 if total_fg else 100.0
-        )
-    )
     report_doc = {
-        "pa_percent": pa,
-        "pa_foreground_percent": pa_fg,
-        "miou_percent": pooled_miou,
-        "n_matched": len(all_matches),
+        "pa_percent": pooled.pa_percent,
+        "pa_foreground_percent": pooled.pa_foreground_percent,
+        "miou_percent": pooled.miou_percent,
+        "n_matched": pooled.n_matched,
         "n_frames": len(shared),
-        "n_points": total_all,
+        "n_points": pooled.n_points,
         "per_frame": [
             {
                 "frame": i,
@@ -574,9 +579,9 @@ def _cmd_eval(args) -> int:
                 "pa_foreground_percent": r.pa_foreground_percent,
                 "miou_percent": r.miou_percent,
                 "n_matched": r.n_matched,
-                "n_points": n,
+                "n_points": r.n_points,
             }
-            for i, r, n in per_frame
+            for i, r in per_frame
         ],
         "per_instance": [
             {
@@ -587,27 +592,24 @@ def _cmd_eval(args) -> int:
                 "gt_instance_id": m.gt[1],
                 "iou": m.iou,
             }
-            for i, r, _ in per_frame
+            for i, r in per_frame
             for m in r.per_instance_iou
         ],
     }
     fileio.write_json(Path(args.out), report_doc)
 
     rows = [("frame", "PA%", "PA-fg%", "mIoU%", "matched", "points")]
-    for i, r, n in per_frame:
+    for name, r in [*per_frame, ("all", pooled)]:
         rows.append(
             (
-                str(i),
+                str(name),
                 f"{r.pa_percent:.2f}",
                 f"{r.pa_foreground_percent:.2f}",
                 f"{r.miou_percent:.2f}",
                 str(r.n_matched),
-                str(n),
+                str(r.n_points),
             )
         )
-    rows.append(
-        ("all", f"{pa:.2f}", f"{pa_fg:.2f}", f"{pooled_miou:.2f}", str(len(all_matches)), str(total_all))
-    )
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     table_lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
@@ -621,23 +623,30 @@ def _cmd_eval(args) -> int:
         overlay_dir.mkdir(parents=True, exist_ok=True)
         extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
+        provenance = [p.value for p in al.Provenance]  # indexed by LabelColumns codes
         for i in shared:
             if i not in frame_files:
                 continue
             _, points = fileio.load_radar_points(frame_files[i])
-            records = fileio.load_labels(pred_files[i])
+            labels = preds[i]
             uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
             entries = []
-            for rec, (u, v), z, ok in zip(records, uv, depth, in_front):
+            for index, ((u, v), z, ok, labeled, class_id, instance_id, code) in enumerate(
+                zip(
+                    uv.tolist(), depth.tolist(), in_front.tolist(),
+                    labels.labeled.tolist(), labels.class_id.tolist(),
+                    labels.instance_id.tolist(), labels.provenance.tolist(),
+                )
+            ):
                 entries.append(
                     {
-                        "point_index": rec.point_index,
-                        "u_px": float(u) if ok else None,
-                        "v_px": float(v) if ok else None,
-                        "depth_m": float(z),
-                        "class_id": rec.class_id,
-                        "instance_id": rec.instance_id,
-                        "provenance": rec.provenance.value,
+                        "point_index": index,
+                        "u_px": u if ok else None,
+                        "v_px": v if ok else None,
+                        "depth_m": z,
+                        "class_id": class_id if labeled else None,
+                        "instance_id": instance_id if labeled else None,
+                        "provenance": provenance[code],
                     }
                 )
             fileio.write_json(overlay_dir / f"overlay_{i:03d}.json", entries)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autolabel import InstanceMask, LabelRecord, PointCloud, Provenance
+from .autolabel import InstanceMask, LabelColumns, LabelRecord, PointCloud, Provenance
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import CameraIntrinsics, Extrinsics, SphericalReturn, cart2sph
 from .reflector import RadarFrame
@@ -69,6 +69,11 @@ __all__ = [
 
 class SchemaError(ValueError):
     """File content violates its schema."""
+
+
+# What reading a parsed document's fields can raise: a missing key, a wrong
+# type, a bad value, or a number too large for its type (1e999 as an int).
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,7 @@ def _frame_from_doc(doc: dict, source: str) -> RadarFrame:
                 returns.append(
                     SphericalReturn(r, az, el, float(p["v_mps"]), float(p["rcs_dbsm"]))
                 )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise SchemaError(f"bad radar frame {source}: {exc}") from exc
     return RadarFrame(timestamp_s=timestamp, returns=tuple(returns))
 
@@ -306,7 +311,7 @@ def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
             points = PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
         else:
             points = PointCloud.from_frame(_frame_from_doc(doc, str(path)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"bad radar frame file {path}: {exc}") from exc
@@ -342,7 +347,7 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
         ).reshape(-1, 2)
         pose_id = int(doc["pose_id"])
         timestamp = float(doc["timestamp_s"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise SchemaError(f"bad corners file {path}: {exc}") from exc
     return pose_id, timestamp, CornerSet(corners, spec)
 
@@ -383,7 +388,7 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                     confidence=float(inst["confidence"]),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"bad mask file {path}: {exc}") from exc
@@ -444,7 +449,7 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
             width=int(intr["width"]),
             height=int(intr["height"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
     err = np.abs(rotation.T @ rotation - np.eye(3)).max()
     if err > 1e-6:
@@ -484,35 +489,93 @@ def write_labels(path: str | Path, records: list[LabelRecord]) -> None:
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_labels(path: str | Path) -> list[LabelRecord]:
-    records = []
+_LABEL_FIELDS = operator.itemgetter("point_index", "class_id", "instance_id", "provenance")
+_PROVENANCE_CODE = {p.value: i for i, p in enumerate(Provenance)}
+
+
+def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, np.ndarray]:
+    """int64 column of JSON integers (nulls as 0 where allowed) and its null mask."""
+    allowed = {int, type(None)} if nullable else {int}
+    wrong = set(map(type, values)) - allowed
+    if wrong:
+        kind = "a JSON integer or null" if nullable else "a JSON integer"
+        raise TypeError(f"{name} must be {kind}, got {wrong.pop().__name__}")
+    if None not in values:
+        return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
+    column = np.array(values, dtype=object)
+    null = column == None  # noqa: E711 (elementwise on an object array)
+    column[null] = 0
+    return column.astype(np.int64), null
+
+
+def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
+    """Point indices and label columns of parsed label lines, in line order."""
+    index, class_id, instance_id, provenance = list(zip(*map(_LABEL_FIELDS, docs))) or [()] * 4
+    point_index, _ = _int_column(index, "point_index", nullable=False)
+    class_id, class_null = _int_column(class_id, "class_id", nullable=True)
+    instance_id, instance_null = _int_column(instance_id, "instance_id", nullable=True)
+    unlabeled = class_null | instance_null
+    class_id[unlabeled] = 0
+    instance_id[unlabeled] = 0
+    if set(map(type, provenance)) - {str}:
+        raise TypeError("provenance must be a string")
+    unknown = set(provenance) - _PROVENANCE_CODE.keys()
+    if unknown:
+        raise ValueError(f"unknown provenance {min(unknown)!r}")
+    codes = np.fromiter(map(_PROVENANCE_CODE.get, provenance), dtype=np.int8, count=len(docs))
+    return point_index, LabelColumns(class_id, instance_id, ~unlabeled, codes)
+
+
+def _parse_labels(path: str | Path, raw_lines: list[str]) -> tuple[np.ndarray, LabelColumns]:
+    """Point indices and label columns of a labels file's non-blank lines.
+
+    One ``json.loads`` parses all lines joined into an array when that is
+    sure to give each line's own value: no line holds a bracket and every
+    line after the first starts with "{".  A separator inside a nested
+    container would then sit inside an object, where a "{" cannot follow a
+    comma, so the parse fails instead; and one value per line means one
+    element per line.  Otherwise, and to name the first bad line, the lines
+    are parsed one by one.
+    """
+    lines = [s for line in raw_lines if (s := line.strip())]
+    body = ",\n".join(lines)
+    if "[" not in body and "]" not in body and body.count("\n{") == len(lines) - 1:
+        try:
+            docs = json.loads(f"[{body}]")
+            if len(docs) == len(lines):
+                return _label_columns(docs)
+        except _BAD_FIELD:
+            pass
+    for line_no, line in enumerate(raw_lines, 1):
+        if not line.strip():
+            continue
+        try:
+            _label_columns([json.loads(line.strip())])
+        except _BAD_FIELD as exc:
+            raise SchemaError(f"bad labels file {path}:{line_no}: {exc}") from exc
+    return _label_columns([json.loads(line) for line in lines])
+
+
+def load_labels(path: str | Path) -> LabelColumns:
+    """Read a labels file into columns in point-index order.
+
+    Each non-blank line holds one JSON object with an integer
+    ``point_index``, integer-or-null ``class_id`` and ``instance_id`` (a
+    point with either null is unlabeled) and a known ``provenance``; the
+    indices cover 0..N-1 exactly once.
+    """
     with open(path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                class_id = doc["class_id"]
-                instance_id = doc["instance_id"]
-                label = (
-                    None
-                    if class_id is None or instance_id is None
-                    else (int(class_id), int(instance_id))
-                )
-                records.append(
-                    LabelRecord(
-                        point_index=int(doc["point_index"]),
-                        label=label,
-                        provenance=Provenance(doc["provenance"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad labels file {path}:{line_no + 1}: {exc}") from exc
-    indices = [r.point_index for r in records]
-    if sorted(indices) != list(range(len(records))):
+        text = fh.read()
+    point_index, columns = _parse_labels(path, text.split("\n"))
+    order = np.argsort(point_index, kind="stable")
+    if not np.array_equal(point_index[order], np.arange(len(order))):
         raise SchemaError(f"labels file {path} does not cover point indices exactly once")
-    return sorted(records, key=lambda r: r.point_index)
+    return LabelColumns(
+        columns.class_id[order],
+        columns.instance_id[order],
+        columns.labeled[order],
+        columns.provenance[order],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,5 +600,5 @@ def load_intrinsics(path: str | Path) -> CameraIntrinsics:
             width=int(doc["width"]),
             height=int(doc["height"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise SchemaError(f"bad intrinsics file {path}: {exc}") from exc

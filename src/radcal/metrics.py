@@ -2,7 +2,7 @@
 
 MRE and RMSE summarize calibration residuals in pixels.  Point accuracy
 (PA) and mean instance IoU (mIoU) compare predicted point labels against
-ground truth; predicted and true instances are first matched one-to-one
+ground truth, given as ``LabelColumns``; predicted and true instances are first matched one-to-one
 greedily by descending point-set IoU (same class, IoU > 0), so metric
 values do not depend on the arbitrary numeric instance ids.
 """
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autolabel import LabelColumns
+
 __all__ = [
     "EmptyInput",
     "LengthMismatch",
@@ -21,10 +23,10 @@ __all__ = [
     "mre",
     "rmse",
     "match_instances",
-    "correct_counts",
     "point_accuracy",
     "miou",
     "label_report",
+    "pooled_report",
 ]
 
 
@@ -61,113 +63,97 @@ class InstanceMatch:
     iou: float
 
 
-def _instance_sets(labels: list) -> dict:
-    """Group point indices by (class_id, instance_id); None is skipped."""
-    out: dict[tuple[int, int], set[int]] = {}
-    for i, lbl in enumerate(labels):
-        if lbl is not None:
-            out.setdefault((int(lbl[0]), int(lbl[1])), set()).add(i)
-    return out
+def _instance_keys(labels: LabelColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (class_id, instance_id) rows of the labeled points, in
+    tuple order, and each point's row among them (-1 where unlabeled)."""
+    index = np.flatnonzero(labels.labeled)
+    class_id, instance_id = labels.class_id[index], labels.instance_id[index]
+    order = np.lexsort((instance_id, class_id))
+    class_id, instance_id = class_id[order], instance_id[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (class_id[1:] != class_id[:-1]) | (instance_id[1:] != instance_id[:-1])
+    row = np.full(len(labels), -1, dtype=np.int64)
+    row[index[order]] = np.cumsum(first) - 1
+    return np.stack([class_id[first], instance_id[first]], axis=1), row
 
 
-def match_instances(pred: list, gt: list) -> list[InstanceMatch]:
+def _evaluate(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
+    """Match instances and count correct points in one pass over the columns."""
+    if len(pred) != len(gt):
+        raise LengthMismatch(f"{len(pred)} predicted vs {len(gt)} true labels")
+    p_keys, p_row = _instance_keys(pred)
+    g_keys, g_row = _instance_keys(gt)
+    # intersection sizes of every overlapping (pred, gt) instance pair; a
+    # sort-based count keeps memory at O(points), not O(n_pred * n_gt)
+    both = (p_row >= 0) & (g_row >= 0)
+    pair, inter = np.unique(p_row[both] * len(g_keys) + g_row[both], return_counts=True)
+    p_idx, g_idx = np.divmod(pair, len(g_keys))
+    same_class = p_keys[p_idx, 0] == g_keys[g_idx, 0]
+    p_idx, g_idx, inter = p_idx[same_class], g_idx[same_class], inter[same_class]
+    p_size = np.bincount(p_row[p_row >= 0], minlength=len(p_keys))
+    g_size = np.bincount(g_row[g_row >= 0], minlength=len(g_keys))
+    iou = inter / (p_size[p_idx] + g_size[g_idx] - inter)
+
+    # greedy one-to-one in (-iou, pred key, gt key) order; key rows are
+    # sorted like the key tuples, so row order breaks ties the same way.
+    # matched_gt[p] is the gt row of pred row p, -2 while unmatched, and
+    # its extra last slot (row -1, unlabeled) holds -1.
+    matched_gt = [-2] * len(p_keys) + [-1]
+    used_gt = set()
+    p_list, g_list, iou_list = p_idx.tolist(), g_idx.tolist(), iou.tolist()
+    p_tuples = [tuple(k) for k in p_keys.tolist()]
+    g_tuples = [tuple(k) for k in g_keys.tolist()]
+    matches = []
+    for k in np.lexsort((g_idx, p_idx, -iou)).tolist():
+        p, g = p_list[k], g_list[k]
+        if matched_gt[p] != -2 or g in used_gt:
+            continue
+        matched_gt[p] = g
+        used_gt.add(g)
+        matches.append(InstanceMatch(pred=p_tuples[p], gt=g_tuples[g], iou=iou_list[k]))
+
+    # a point is correct when both labels are None, or when its predicted
+    # instance is matched to its true instance
+    correct = np.array(matched_gt)[p_row] == g_row
+    foreground = g_row >= 0
+    return _report(
+        matches,
+        n_correct=int(np.count_nonzero(correct)),
+        n_points=len(correct),
+        n_correct_foreground=int(np.count_nonzero(correct & foreground)),
+        n_foreground=int(np.count_nonzero(foreground)),
+        n_predicted=int(np.count_nonzero(p_row >= 0)),
+    )
+
+
+def match_instances(pred: LabelColumns, gt: LabelColumns) -> list[InstanceMatch]:
     """Greedy one-to-one matching of predicted to true instances.
 
     Candidate pairs need equal class and point-set IoU > 0; pairs are taken
     in descending IoU (ties broken by instance keys), each instance used at
     most once.
     """
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"{len(pred)} predicted vs {len(gt)} true labels")
-    pred_sets = _instance_sets(pred)
-    gt_sets = _instance_sets(gt)
-    candidates = []
-    for pk, pset in pred_sets.items():
-        for gk, gset in gt_sets.items():
-            if pk[0] != gk[0]:
-                continue
-            inter = len(pset & gset)
-            if inter == 0:
-                continue
-            iou = inter / len(pset | gset)
-            candidates.append((-iou, pk, gk, iou))
-    candidates.sort()
-    matches = []
-    used_pred: set = set()
-    used_gt: set = set()
-    for _, pk, gk, iou in candidates:
-        if pk in used_pred or gk in used_gt:
-            continue
-        used_pred.add(pk)
-        used_gt.add(gk)
-        matches.append(InstanceMatch(pred=pk, gt=gk, iou=iou))
-    return matches
+    return _evaluate(pred, gt).per_instance_iou
 
 
-def correct_counts(
-    pred: list, gt: list, matches: list[InstanceMatch] | None = None
-) -> tuple[int, int, int, int]:
-    """(correct, total, correct_foreground, foreground) point counts.
-
-    A point counts as correct when both labels are None, or when its
-    predicted instance is matched to its true instance.
-    """
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"{len(pred)} predicted vs {len(gt)} true labels")
-    if matches is None:
-        matches = match_instances(pred, gt)
-    pred_to_gt = {m.pred: m.gt for m in matches}
-    correct_all = 0
-    correct_fg = 0
-    n_fg = 0
-    for p, g in zip(pred, gt):
-        pk = None if p is None else (int(p[0]), int(p[1]))
-        gk = None if g is None else (int(g[0]), int(g[1]))
-        ok = (pk is None and gk is None) or (
-            pk is not None and gk is not None and pred_to_gt.get(pk) == gk
-        )
-        correct_all += ok
-        if gk is not None:
-            n_fg += 1
-            correct_fg += ok
-    return correct_all, len(pred), correct_fg, n_fg
-
-
-def point_accuracy(
-    pred: list, gt: list, matches: list[InstanceMatch] | None = None
-) -> tuple[float, float]:
+def point_accuracy(pred: LabelColumns, gt: LabelColumns) -> tuple[float, float]:
     """Percent of points labeled consistently with ground truth.
 
     Returns ``(pa_all, pa_foreground)``: the first over all points
     (headline), the second over points with a non-None true label only
     (100.0 when there are none).
     """
-    if len(pred) == 0 and len(gt) == 0:
-        raise EmptyInput("no points to evaluate")
-    correct_all, n, correct_fg, n_fg = correct_counts(pred, gt, matches)
-    pa_all = 100.0 * correct_all / n
-    pa_fg = 100.0 * correct_fg / n_fg if n_fg else 100.0
-    return pa_all, pa_fg
+    report = label_report(pred, gt)
+    return report.pa_percent, report.pa_foreground_percent
 
 
-def miou(
-    pred: list, gt: list, matches: list[InstanceMatch] | None = None
-) -> float:
+def miou(pred: LabelColumns, gt: LabelColumns) -> float:
     """Mean IoU (percent) over matched instance pairs.
 
     0 when instances exist on either side but none matched; 100 when both
     sides contain no instances at all (labelings vacuously identical).
     """
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"{len(pred)} predicted vs {len(gt)} true labels")
-    if matches is None:
-        matches = match_instances(pred, gt)
-    if not matches:
-        has_instances = any(l is not None for l in pred) or any(
-            l is not None for l in gt
-        )
-        return 0.0 if has_instances else 100.0
-    return 100.0 * float(np.mean([m.iou for m in matches]))
+    return _evaluate(pred, gt).miou_percent
 
 
 @dataclass
@@ -185,6 +171,7 @@ class MetricReport:
     n_correct: int = 0
     n_foreground: int = 0
     n_correct_foreground: int = 0
+    n_predicted: int = 0  # points with a predicted label
 
     def to_dict(self) -> dict:
         out = {
@@ -210,19 +197,53 @@ class MetricReport:
         return out
 
 
-def label_report(pred: list, gt: list) -> MetricReport:
-    """Match instances once and assemble PA / mIoU for one aligned label set."""
-    matches = match_instances(pred, gt)
-    pa_all, pa_fg = point_accuracy(pred, gt, matches)
-    correct, n, correct_fg, n_fg = correct_counts(pred, gt, matches)
+def _percent(part: int, whole: int) -> float:
+    return 100.0 * part / whole if whole else 100.0
+
+
+def _report(
+    matches: list[InstanceMatch],
+    n_correct: int,
+    n_points: int,
+    n_correct_foreground: int,
+    n_foreground: int,
+    n_predicted: int,
+) -> MetricReport:
+    """PA and mIoU from point counts and matches.  mIoU is 0 when instances
+    exist on either side but none matched, 100 when there are none."""
+    if matches:
+        miou_percent = 100.0 * float(np.mean([m.iou for m in matches]))
+    else:
+        miou_percent = 0.0 if n_foreground or n_predicted else 100.0
     return MetricReport(
-        pa_percent=pa_all,
-        pa_foreground_percent=pa_fg,
-        miou_percent=miou(pred, gt, matches),
+        pa_percent=_percent(n_correct, n_points),
+        pa_foreground_percent=_percent(n_correct_foreground, n_foreground),
+        miou_percent=miou_percent,
         n_matched=len(matches),
         per_instance_iou=matches,
-        n_points=n,
-        n_correct=correct,
-        n_foreground=n_fg,
-        n_correct_foreground=correct_fg,
+        n_points=n_points,
+        n_correct=n_correct,
+        n_foreground=n_foreground,
+        n_correct_foreground=n_correct_foreground,
+        n_predicted=n_predicted,
+    )
+
+
+def label_report(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
+    """Match instances once and assemble PA / mIoU for one aligned label set."""
+    if len(pred) == 0 and len(gt) == 0:
+        raise EmptyInput("no points to evaluate")
+    return _evaluate(pred, gt)
+
+
+def pooled_report(reports: list[MetricReport]) -> MetricReport:
+    """Pool per-frame reports: PA over all points, mIoU over all matches,
+    with the per-frame rules for empty denominators."""
+    return _report(
+        [m for r in reports for m in r.per_instance_iou],
+        n_correct=sum(r.n_correct for r in reports),
+        n_points=sum(r.n_points for r in reports),
+        n_correct_foreground=sum(r.n_correct_foreground for r in reports),
+        n_foreground=sum(r.n_foreground for r in reports),
+        n_predicted=sum(r.n_predicted for r in reports),
     )

@@ -10,7 +10,7 @@ import pytest
 
 from fd_oracle import central_difference_jacobian
 from radcal import cli
-from radcal.autolabel import LabelParams, autolabel_frame
+from radcal.autolabel import LabelColumns, LabelParams, autolabel_frame
 from radcal.calibration import (
     _jacobian,
     build_correspondences,
@@ -193,7 +193,9 @@ def test_criterion_5_clean_labeling_soundness():
     k, t = default_intrinsics(), default_extrinsics()
     scene = gen_label_scene(LabelSceneConfig(seed=5), k, t)
     records = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
-    rep = label_report([r.label for r in records], list(scene.gt_labels))
+    rep = label_report(
+        LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
+    )
     assert rep.pa_percent == 100.0, f"PA {rep.pa_percent}"
     assert rep.miou_percent == 100.0, f"mIoU {rep.miou_percent}"
     report(5, f"PA {rep.pa_percent}, mIoU {rep.miou_percent} on the clean scene")
@@ -222,7 +224,7 @@ def test_criterion_6_ablation_direction():
             )
             labels = [r.label for r in records]
             stage_labels[stage] = labels
-            rep = label_report(labels, gt)
+            rep = label_report(LabelColumns.from_labels(labels), LabelColumns.from_labels(gt))
             pa[stage].append(rep.pa_percent)
             miou_v[stage].append(rep.miou_percent)
 
@@ -270,7 +272,7 @@ def test_criterion_7_metric_unit_truths():
     assert np.isclose(rmse(residuals), np.sqrt(50.0))
     gt = [(1, 1)] * 4 + [None]
     pred = [(1, 1)] * 3 + [None, None]
-    assert miou(pred, gt) == 75.0
+    assert miou(LabelColumns.from_labels(pred), LabelColumns.from_labels(gt)) == 75.0
     report(7, "MRE/RMSE unit cases and the 3-of-4 IoU case hold exactly")
 
 

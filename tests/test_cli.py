@@ -11,11 +11,12 @@ import pytest
 
 import radcal
 from radcal import cli
-from radcal.autolabel import InstanceMask
+from radcal.autolabel import InstanceMask, LabelRecord, Provenance
 from radcal.fileio import (
     load_calibration,
     load_labels,
     load_radar_frame,
+    write_labels,
     write_masks,
     write_radar_frame,
 )
@@ -173,6 +174,60 @@ def test_labeling_golden_digests(tmp_path):
     assert sha256_tree(tmp_path) == GOLDEN_LABELING
 
 
+# sha256 of `eval`'s report and overlay files on the same scene, for the
+# `full` labels (every value 100) and the `coarse` ones (every value below),
+# pinned from the list-based metrics and per-line label loader.
+GOLDEN_EVAL = {
+    "full/report.json": "996ce239d032ddff8342085fac1c9c84e085bd9594338be4f29e55e5a807baec",
+    "full/report.txt": "912c057029f2a98db25c6d964b4172803aa531fcb9a10ac254d8c8545d900594",
+    "full/overlay/overlay_000.json": "20cf54ac90eaa539e69d4dab402d2375300260c5918aa885ba0907f3bb2ab959",
+    "full/overlay/overlay_001.json": "4508ddc5a60502fc72d0b692486bca92fcde3b056f6907780b9fe457643371ab",
+    "coarse/report.json": "254b11af7ec493a696d22c80312d630ced4ae39514e64a53b4c3e976d2770422",
+    "coarse/report.txt": "7b159631d37853729fa73f397eb3ad5fe31d8e598fe88ac450713df88b499c9a",
+}
+
+
+def test_eval_golden_digests(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "8", "--frames", "2",
+                "--fp-rate", "0.1", "--fn-rate", "0.1", "-o", scene]) == 0
+    reports = tmp_path / "reports"
+    for stage in ("full", "coarse"):
+        labels = tmp_path / f"labels_{stage}"
+        assert run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json", "--stage", stage,
+                    "-o", labels]) == 0
+        overlay = []
+        if stage == "full":
+            overlay = ["--overlay-frames", scene,
+                       "--overlay-calibration", scene / "calibration.json",
+                       "--overlay-dir", reports / stage / "overlay"]
+        (reports / stage).mkdir(parents=True)
+        assert run(["eval", "--pred", labels, "--gt", scene / "gt_labels", *overlay,
+                    "-o", reports / stage / "report.json"]) == 0
+    assert sha256_tree(reports) == GOLDEN_EVAL
+
+
+def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
+    # the frame row said 0.00 here while the pooled row said 100.00
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    pred.mkdir()
+    gt.mkdir()
+    write_labels(pred / "labels_000.jsonl", [
+        LabelRecord(0, (1, 1), Provenance.COARSE),
+        LabelRecord(1, (1, 1), Provenance.COARSE),
+        LabelRecord(2, None, Provenance.UNLABELED),
+    ])
+    write_labels(gt / "labels_000.jsonl",
+                 [LabelRecord(i, None, Provenance.UNLABELED) for i in range(3)])
+    assert run(["eval", "--pred", pred, "--gt", gt, "-o", tmp_path / "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["per_frame"][0]["miou_percent"] == 0.0
+    assert report["miou_percent"] == 0.0
+    table = (tmp_path / "report.txt").read_text().splitlines()
+    assert table[-1].split()[:4] == ["all", "33.33", "100.00", "0.00"]
+
+
 class TestExitCodes:
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "config.toml"
@@ -226,10 +281,8 @@ class TestExitCodes:
         lab_scene = workflow / "lab_scene"
         pred = tmp_path / "pred"
         pred.mkdir()
-        records = load_labels(lab_scene / "gt_labels" / "labels_000.jsonl")
-        from radcal.fileio import write_labels
-
-        write_labels(pred / "labels_000.jsonl", records[:-1])
+        lines = (lab_scene / "gt_labels" / "labels_000.jsonl").read_text().splitlines()
+        (pred / "labels_000.jsonl").write_text("\n".join(lines[:-1]) + "\n")
         assert run(["eval", "--pred", pred, "--gt", lab_scene / "gt_labels",
                     "-o", tmp_path / "r.json"]) == 4
 
@@ -292,6 +345,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: could not fit object")
         assert err.count("\n") == 1
+
+    def test_failed_synth_leaves_output_dir_as_found(self, tmp_path):
+        # seed 6 fits 8 objects in frames 0-2 and fails on frame 3
+        args = ["synth", "--kind", "labeling", "--objects", "8", "--frames", "4",
+                "--seed", "6", "-o"]
+        out = tmp_path / "scene"
+        out.mkdir()
+        (out / "radar_000.json").write_text("kept\n")
+        (out / "notes.txt").write_text("kept\n")
+        assert run([*args, out]) == 2
+        assert sorted(p.name for p in out.rglob("*")) == ["notes.txt", "radar_000.json"]
+        assert (out / "radar_000.json").read_text() == "kept\n"
+        assert run([*args, tmp_path / "new" / "scene"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene"]
+        # three frames fit: written in place, no staging directory left
+        assert run(["synth", "--kind", "labeling", "--objects", "8", "--frames", "3",
+                    "--seed", "6", "-o", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calibration.json", "ground_truth.json", "gt_labels",
+            "masks_000.json", "masks_001.json", "masks_002.json", "notes.txt",
+            "radar_000.json", "radar_001.json", "radar_002.json",
+        ]
 
     def test_not_converged_exit_5_still_writes(self, tmp_path, workflow):
         scene = workflow / "cal_scene"

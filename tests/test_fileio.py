@@ -1,7 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radcal import cli, fileio
 
 from radcal.autolabel import InstanceMask, LabelRecord, PointCloud, Provenance
 from radcal.checkerboard import CheckerboardSpec, CornerSet
@@ -297,6 +303,22 @@ class TestCalibrationFiles:
         assert np.allclose(t2.rotation, t.rotation, atol=1e-6)
 
 
+def as_records(columns):
+    """LabelRecords of loaded label columns, to compare with what was written."""
+    provenance = list(Provenance)
+    return [
+        LabelRecord(i, (c, n) if labeled else None, provenance[p])
+        for i, (c, n, labeled, p) in enumerate(
+            zip(
+                columns.class_id.tolist(),
+                columns.instance_id.tolist(),
+                columns.labeled.tolist(),
+                columns.provenance.tolist(),
+            )
+        )
+    ]
+
+
 class TestLabelFiles:
     def records(self):
         return [
@@ -310,12 +332,16 @@ class TestLabelFiles:
         path = tmp_path / "labels_000.jsonl"
         write_labels(path, self.records())
         back = load_labels(path)
-        assert back == self.records()
+        assert back.class_id.dtype == back.instance_id.dtype == np.int64
+        assert back.labeled.tolist() == [True, False, True, False]
+        assert back.class_id.tolist() == [1, 0, 2, 0]
+        assert back.instance_id.tolist() == [2, 0, 3, 0]
+        assert as_records(back) == self.records()
 
     def test_byte_identical_reserialization(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_labels(a, self.records())
-        write_labels(b, load_labels(a))
+        write_labels(b, as_records(load_labels(a)))
         assert a.read_bytes() == b.read_bytes()
 
     def test_incomplete_coverage_rejected(self, tmp_path):
@@ -324,6 +350,182 @@ class TestLabelFiles:
                             LabelRecord(2, None, Provenance.UNLABELED)])
         with pytest.raises(SchemaError):
             load_labels(path)
+
+    def test_lines_in_any_order_load_in_point_order(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        write_labels(path, self.records()[::-1])
+        assert as_records(load_labels(path)) == self.records()
+
+    def test_blank_lines_and_surrounding_whitespace_ignored(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_labels(a, self.records())
+        lines = a.read_text().splitlines()
+        b.write_text("\n\n" + "\n  \n".join(f" {line}\t" for line in lines) + "\n\n")
+        assert as_records(load_labels(b)) == self.records()
+
+    def test_lines_with_brackets_parse_one_by_one(self, tmp_path):
+        # extra keys are ignored; a bracket keeps the file off the joined parse
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            '{"point_index":1,"class_id":null,"instance_id":4,"provenance":"unlabeled","note":"[x]"}\n'
+            '{"provenance":"coarse","point_index":0,"extra":[1,{"a":2}],"instance_id":2,"class_id":1}\n'
+        )
+        back = load_labels(path)
+        assert back.labeled.tolist() == [True, False]
+        assert back.class_id.tolist() == [1, 0]
+        assert back.instance_id.tolist() == [2, 0]
+        assert back.provenance.tolist() == [0, 3]
+
+    def test_container_spanning_two_lines_rejected(self, tmp_path):
+        # joined with ",\n" these two lines would parse as two objects, but
+        # neither line is one JSON value on its own
+        path = tmp_path / "labels.jsonl"
+        line = '{"point_index":0,"class_id":1,"instance_id":1,"provenance":"coarse"}'
+        path.write_text(
+            f'{line},{{"point_index":1,"class_id":1,"instance_id":1,"provenance":"coarse","x":[1\n'
+            "2]}\n"
+        )
+        with pytest.raises(SchemaError, match=r"labels\.jsonl:1: Extra data"):
+            load_labels(path)
+
+    def test_empty_file_loads_no_points(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text("\n")
+        assert len(load_labels(path)) == 0
+
+    @pytest.mark.parametrize("field", ["point_index", "class_id", "instance_id"])
+    @pytest.mark.parametrize("value", ["2.7", "3.0", "1e2", "true", '"3"', "1e999", "NaN"])
+    def test_ids_must_be_json_integers(self, tmp_path, field, value):
+        doc = {"point_index": 0, "class_id": 1, "instance_id": 1, "provenance": "coarse"}
+        doc[field] = "VALUE"
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value) + "\n")
+        with pytest.raises(SchemaError, match=rf"labels\.jsonl:1: {field} must be a JSON integer"):
+            load_labels(path)
+
+
+# one line of a valid labels file, and how a mutation may rewrite it
+LABEL_LINES = [
+    {"point_index": 0, "class_id": 1, "instance_id": 2, "provenance": "coarse"},
+    {"point_index": 1, "class_id": None, "instance_id": None, "provenance": "filtered_out"},
+    {"point_index": 2, "class_id": 2, "instance_id": 3, "provenance": "recovered"},
+    {"point_index": 3, "class_id": None, "instance_id": None, "provenance": "unlabeled"},
+]
+ID_FIELDS = ("point_index", "class_id", "instance_id")
+WRONG_ID = st.sampled_from([2.5, 3.0, True, False, "3", [1], {"a": 1}])
+NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])
+
+
+@st.composite
+def mutated_label_file(draw):
+    """(file text, 1-based line number the error must name, or None for
+    coverage errors) for one single-line mutation of LABEL_LINES."""
+    lines = [dict(doc) for doc in LABEL_LINES]
+    i = draw(st.integers(0, len(lines) - 1))
+    doc = lines[i]
+    raw = None
+    kind = draw(st.sampled_from(
+        ["drop", "wrong_id", "null_index", "wrong_provenance", "duplicate", "missing",
+         "non_finite", "two_values", "truncated", "array"]
+    ))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "wrong_id":
+        doc[draw(st.sampled_from(ID_FIELDS))] = draw(WRONG_ID)
+    elif kind == "null_index":
+        doc["point_index"] = None
+    elif kind == "wrong_provenance":
+        doc["provenance"] = draw(st.sampled_from([1, None, True, "bogus", ["coarse"], {"p": 1}]))
+    elif kind == "duplicate":
+        doc["point_index"] = draw(st.sampled_from([j for j in range(len(lines)) if j != i]))
+    elif kind == "missing":
+        doc["point_index"] = draw(st.sampled_from([-1, len(lines), 100]))
+    elif kind == "non_finite":
+        doc[draw(st.sampled_from(ID_FIELDS))] = "NON_FINITE"
+        raw = draw(NON_FINITE)
+    text_lines = [json.dumps(d) for d in lines]
+    if raw is not None:
+        text_lines[i] = text_lines[i].replace('"NON_FINITE"', raw)
+    if kind == "two_values":
+        text_lines[i] = f"{text_lines[i]},{text_lines[i]}"
+    elif kind == "truncated":
+        text_lines[i] = text_lines[i][: draw(st.integers(1, len(text_lines[i]) - 1))]
+    elif kind == "array":
+        text_lines[i] = f"[{text_lines[i]}]"
+    coverage_only = kind in ("duplicate", "missing")
+    return "\n".join(text_lines) + "\n", None if coverage_only else i + 1
+
+
+class TestLabelFileMutations:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mutated_label_file())
+    def test_single_line_mutation_is_a_schema_error(self, case):
+        text, line_no = case
+        with tempfile.TemporaryDirectory() as tmp:
+            pred, gt = Path(tmp) / "pred", Path(tmp) / "gt"
+            pred.mkdir()
+            gt.mkdir()
+            (gt / "labels_000.jsonl").write_text(
+                "\n".join(json.dumps(d) for d in LABEL_LINES) + "\n"
+            )
+            path = pred / "labels_000.jsonl"
+            path.write_text(text)
+            with pytest.raises(SchemaError) as info:
+                load_labels(path)
+            if line_no is not None:
+                assert f"{path}:{line_no}:" in str(info.value)
+            code = cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
+                             "-o", str(Path(tmp) / "report.json")])
+            assert code == cli.EXIT_INVALID
+
+
+BIG_INT = "1" + "0" * 400  # overflows a float as well as an int64
+TOO_LARGE = {
+    "load_labels": (
+        "labels.jsonl",
+        '{"point_index":0,"class_id":%s,"instance_id":1,"provenance":"coarse"}' % BIG_INT,
+    ),
+    "load_corners": (
+        "corners.json",
+        '{"pose_id":1e999,"timestamp_s":0.0,"checkerboard":{"nx":2,"ny":2},"corners":[]}',
+    ),
+    "load_intrinsics": (
+        "intrinsics.json",
+        '{"fx":1.0,"fy":1.0,"cx":1.0,"cy":1.0,"width":1e999,"height":10}',
+    ),
+    "load_masks": (
+        "masks.json",
+        '{"width":2,"height":2,"instances":[{"instance_id":1,"class_id":1e999,'
+        '"confidence":0.5,"rle":[0,1]}]}',
+    ),
+    "load_calibration": (
+        "calibration.json",
+        '{"rotation_row_major":[1,0,0,0,1,0,0,0,1],"translation_m":[0,0,0],'
+        '"intrinsics":{"fx":1.0,"fy":1.0,"cx":1.0,"cy":1.0,"width":1e999,"height":10}}',
+    ),
+    "load_radar_frame": (
+        "radar.json",
+        '{"timestamp_s":0.0,"points":[{"r_m":%s,"az_rad":0.0,"el_rad":0.0,'
+        '"v_mps":0.0,"rcs_dbsm":0.0}]}' % BIG_INT,
+    ),
+    "load_radar_frames": ("radar.jsonl", '{"timestamp_s":%s,"points":[]}' % BIG_INT),
+    "load_radar_points": (
+        "radar.json",
+        '{"timestamp_s":0.0,"points":[{"x_m":%s,"y_m":0.0,"z_m":0.0,'
+        '"v_mps":0.0,"rcs_dbsm":0.0}]}' % BIG_INT,
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(TOO_LARGE))
+def test_number_too_large_for_its_type_is_a_schema_error(tmp_path, loader):
+    """1e999 as an int, or an integer beyond float range, is a SchemaError
+    in every loader rather than an OverflowError."""
+    name, text = TOO_LARGE[loader]
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    with pytest.raises(SchemaError):
+        getattr(fileio, loader)(path)
 
 
 class TestIntrinsicsFiles:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from radcal.autolabel import LabelColumns
 from radcal.metrics import (
     EmptyInput,
     LengthMismatch,
@@ -14,6 +15,8 @@ from radcal.metrics import (
     point_accuracy,
     rmse,
 )
+
+columns = LabelColumns.from_labels
 
 
 class TestResidualMetrics:
@@ -88,14 +91,14 @@ def optimal_matching_total(pred, gt):
 class TestMatching:
     def test_identical_partitions_match_perfectly(self):
         labels = [(1, 1)] * 4 + [(1, 2)] * 3 + [None] * 3
-        matches = match_instances(labels, labels)
+        matches = match_instances(columns(labels), columns(labels))
         assert len(matches) == 2
         assert all(m.iou == 1.0 for m in matches)
 
     def test_split_instance_greedy(self):
         gt = [(1, 1)] * 6 + [None] * 2
         pred = [(1, 10)] * 4 + [(1, 20)] * 2 + [None] * 2
-        matches = match_instances(pred, gt)
+        matches = match_instances(columns(pred), columns(gt))
         assert len(matches) == 1
         assert matches[0].pred == (1, 10)  # larger-overlap half wins
         assert np.isclose(matches[0].iou, 4 / 6)
@@ -103,7 +106,7 @@ class TestMatching:
     def test_class_mismatch_blocks_match(self):
         gt = [(1, 1)] * 4
         pred = [(2, 1)] * 4
-        assert match_instances(pred, gt) == []
+        assert match_instances(columns(pred), columns(gt)) == []
 
     def test_greedy_close_to_exhaustive_optimum(self):
         rng = np.random.default_rng(2)
@@ -118,7 +121,7 @@ class TestMatching:
                         out.append((int(rng.integers(1, 3)), int(rng.integers(1, 4))))
                 return out
             pred, gt = random_labels(), random_labels()
-            matches = match_instances(pred, gt)
+            matches = match_instances(columns(pred), columns(gt))
             greedy_total = sum(m.iou for m in matches)
             optimal = optimal_matching_total(pred, gt)
             max_step = max((m.iou for m in matches), default=0.0)
@@ -127,20 +130,20 @@ class TestMatching:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            match_instances([None], [None, None])
+            match_instances(columns([None]), columns([None, None]))
 
 
 class TestPointAccuracy:
     def test_perfect(self):
         labels = [(1, 1)] * 5 + [None] * 5
-        pa_all, pa_fg = point_accuracy(labels, labels)
+        pa_all, pa_fg = point_accuracy(columns(labels), columns(labels))
         assert pa_all == 100.0
         assert pa_fg == 100.0
 
     def test_eight_of_ten(self):
         gt = [(1, 1)] * 10
         pred = [(1, 1)] * 8 + [None, None]
-        pa_all, pa_fg = point_accuracy(pred, gt)
+        pa_all, pa_fg = point_accuracy(columns(pred), columns(gt))
         assert pa_all == 80.0
         assert pa_fg == 80.0
 
@@ -150,34 +153,34 @@ class TestPointAccuracy:
         pred[0] = None
         pred[30] = None
         pred[46] = (1, 1)
-        pa_all, _ = point_accuracy(pred, gt)
+        pa_all, _ = point_accuracy(columns(pred), columns(gt))
         assert pa_all == 94.0
 
     def test_id_renaming_is_free(self):
         gt = [(1, 1)] * 5 + [(1, 2)] * 5
         pred = [(1, 42)] * 5 + [(1, 7)] * 5
-        pa_all, pa_fg = point_accuracy(pred, gt)
+        pa_all, pa_fg = point_accuracy(columns(pred), columns(gt))
         assert pa_all == 100.0
 
     def test_background_only(self):
-        pa_all, pa_fg = point_accuracy([None] * 4, [None] * 4)
+        pa_all, pa_fg = point_accuracy(columns([None] * 4), columns([None] * 4))
         assert pa_all == 100.0
         assert pa_fg == 100.0  # vacuous foreground
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            point_accuracy([], [])
+            point_accuracy(columns([]), columns([]))
 
 
 class TestMiou:
     def test_identical(self):
         labels = [(1, 1)] * 4 + [(2, 5)] * 6
-        assert miou(labels, labels) == 100.0
+        assert miou(columns(labels), columns(labels)) == 100.0
 
     def test_three_of_four(self):
         gt = [(1, 1)] * 4 + [None]
         pred = [(1, 1)] * 3 + [None, None]
-        assert miou(pred, gt) == 75.0
+        assert miou(columns(pred), columns(gt)) == 75.0
 
     def test_multi_instance_hand_enumerated(self):
         gt = [(1, 1)] * 4 + [(1, 2)] * 4 + [(2, 3)] * 2
@@ -187,15 +190,15 @@ class TestMiou:
             + [(2, 7), None]               # 1/2 overlap with gt 3
         )
         expected = 100.0 * (3 / 4 + 1.0 + 1 / 2) / 3
-        assert np.isclose(miou(pred, gt), expected)
+        assert np.isclose(miou(columns(pred), columns(gt)), expected)
 
     def test_no_matches_zero(self):
         gt = [(1, 1)] * 4
         pred = [None] * 4
-        assert miou(pred, gt) == 0.0
+        assert miou(columns(pred), columns(gt)) == 0.0
 
     def test_no_instances_at_all_vacuous_hundred(self):
-        assert miou([None] * 3, [None] * 3) == 100.0
+        assert miou(columns([None] * 3), columns([None] * 3)) == 100.0
 
     def test_pa_hundred_implies_miou_hundred(self):
         rng = np.random.default_rng(3)
@@ -207,9 +210,9 @@ class TestMiou:
                 else (int(rng.integers(1, 3)), int(rng.integers(1, 5)))
                 for _ in range(n)
             ]
-            pa_all, _ = point_accuracy(labels, labels)
+            pa_all, _ = point_accuracy(columns(labels), columns(labels))
             assert pa_all == 100.0
-            assert miou(labels, labels) == 100.0
+            assert miou(columns(labels), columns(labels)) == 100.0
 
     def test_consistent_relabeling_invariance(self):
         rng = np.random.default_rng(4)
@@ -221,8 +224,8 @@ class TestMiou:
             None if rng.uniform() < 0.3 else (int(rng.integers(1, 3)), int(rng.integers(1, 5)))
             for _ in range(40)
         ]
-        base_pa, _ = point_accuracy(pred, gt)
-        base_miou = miou(pred, gt)
+        base_pa, _ = point_accuracy(columns(pred), columns(gt))
+        base_miou = miou(columns(pred), columns(gt))
         remap = {}
         renamed = []
         for lbl in pred:
@@ -231,16 +234,16 @@ class TestMiou:
             else:
                 remap.setdefault(lbl, (lbl[0], 100 + len(remap)))
                 renamed.append(remap[lbl])
-        pa, _ = point_accuracy(renamed, gt)
+        pa, _ = point_accuracy(columns(renamed), columns(gt))
         assert pa == base_pa
-        assert miou(renamed, gt) == base_miou
+        assert miou(columns(renamed), columns(gt)) == base_miou
 
 
 class TestLabelReport:
     def test_report_fields(self):
         gt = [(1, 1)] * 4 + [None]
         pred = [(1, 2)] * 3 + [None, None]
-        report = label_report(pred, gt)
+        report = label_report(columns(pred), columns(gt))
         assert report.n_matched == 1
         assert np.isclose(report.miou_percent, 75.0)
         assert report.pa_percent == 80.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radcal.autolabel import autolabel_frame
+from radcal.autolabel import LabelColumns, autolabel_frame
 from radcal.calibration import build_correspondences, solve_extrinsics
 from radcal.checkerboard import checkerboard_center
 from radcal.geometry import Extrinsics, matrix_to_rotvec
@@ -106,7 +106,9 @@ class TestOracleSoundness:
         records = autolabel_frame(
             label_scene.points, list(label_scene.masks), k, t, stage="full"
         )
-        report = label_report([r.label for r in records], list(label_scene.gt_labels))
+        report = label_report(
+            LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(label_scene.gt_labels)
+        )
         assert report.pa_percent == 100.0
         assert report.miou_percent == 100.0
 
@@ -120,7 +122,9 @@ class TestLabelScene:
             )
             out[stage] = (
                 [r.label for r in records],
-                label_report([r.label for r in records], list(scene.gt_labels)),
+                label_report(
+                    LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
+                ),
             )
         return out
 
@@ -183,7 +187,9 @@ class TestLabelScene:
         records = autolabel_frame(
             scene.points, list(scene.masks), k, t, stage="full"
         )
-        report = label_report([r.label for r in records], list(scene.gt_labels))
+        report = label_report(
+            LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
+        )
         assert report.pa_percent == 100.0
 
     def test_invariants_hold_under_jitter(self):
