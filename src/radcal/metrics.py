@@ -2,9 +2,10 @@
 
 MRE and RMSE summarize calibration residuals in pixels.  Point accuracy
 (PA) and mean instance IoU (mIoU) compare predicted point labels against
-ground truth, given as ``LabelColumns``; predicted and true instances are first matched one-to-one
-greedily by descending point-set IoU (same class, IoU > 0), so metric
-values do not depend on the arbitrary numeric instance ids.
+ground truth, both given as ``LabelColumns``; predicted and true instances
+are first matched one-to-one greedily by descending point-set IoU (same
+class, IoU > 0), so metric values do not depend on the arbitrary numeric
+instance ids.
 """
 
 from __future__ import annotations
