@@ -27,6 +27,8 @@ __all__ = [
     "DimensionMismatch",
     "PointCloud",
     "InstanceMask",
+    "dense_to_runs",
+    "runs_to_dense",
     "PointLabel",
     "Provenance",
     "LabelRecord",
@@ -90,24 +92,63 @@ class PointCloud:
         )
 
 
-@dataclass(frozen=True)
-class InstanceMask:
-    """Binary instance mask with class, per-frame-unique id, and confidence."""
+def dense_to_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open int64 runs (starts, ends) of a bool mask's set pixels, row-major."""
+    px = np.flatnonzero(mask)
+    return px[np.diff(px, prepend=-2) != 1], px[np.diff(px, append=-2) != 1] + 1
 
-    mask: np.ndarray  # (H, W) bool
+
+def runs_to_dense(starts: np.ndarray, ends: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (height, width) bool mask set on the given runs."""
+    flat = np.zeros(height * width, dtype=bool)
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        flat[start:end] = True
+    return flat.reshape(height, width)
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceMask:
+    """Binary instance mask with class, per-frame-unique id, and confidence.
+
+    The mask is held as runs, the COCO run-length idea (Lin et al.,
+    arXiv:1405.0312): int64 ``starts`` and ``ends`` are half-open, sorted,
+    disjoint row-major flat offsets into a ``height`` x ``width`` image.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    height: int
+    width: int
     class_id: int
     instance_id: int
     confidence: float
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.ndim != 2:
-            raise ValueError(f"mask must be 2D, got shape {mask.shape}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         if self.instance_id <= 0:
             raise ValueError("instance_id must be positive")
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.int64))
+        object.__setattr__(self, "ends", np.asarray(self.ends, dtype=np.int64))
+
+    @classmethod
+    def from_dense(cls, mask, class_id: int, instance_id: int, confidence: float):
+        """Convert an (H, W) bool mask to runs, once."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ValueError(f"mask must be 2D, got shape {mask.shape}")
+        return cls(*dense_to_runs(mask), *mask.shape, class_id, instance_id, confidence)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The dense (H, W) bool mask, decoded on each access."""
+        return runs_to_dense(self.starts, self.ends, self.height, self.width)
+
+    def covers(self, flat: np.ndarray) -> np.ndarray:
+        """Whether each row-major flat pixel offset lies in a run."""
+        pos = np.searchsorted(self.starts, flat, side="right") - 1
+        # pos -1 (before the first run) reads the appended 0: not covered
+        return flat < np.append(self.ends, 0)[pos]
 
 
 # A label is (class_id, instance_id); None means background / clutter.
@@ -266,9 +307,9 @@ def coarse_associate(
     lower instance id).  Everything else joins the unassociated set.
     """
     for m in masks:
-        if m.mask.shape != (k.height, k.width):
+        if (m.height, m.width) != (k.height, k.width):
             raise DimensionMismatch(
-                f"mask {m.instance_id} has shape {m.mask.shape}, "
+                f"mask {m.instance_id} has shape {(m.height, m.width)}, "
                 f"expected {(k.height, k.width)}"
             )
     uv, depth, in_front = project_points(k, t, points.xyz)
@@ -282,16 +323,16 @@ def coarse_associate(
         )
     cand = np.flatnonzero(in_image)
     ui, vi = _lookup_pixels(uv[cand])
-    rows, cols = vi - 1, ui - 1
+    flat = (vi - 1) * k.width + (ui - 1)
 
     # Highest confidence first so the first covering mask wins; instance id
     # ascending breaks exact confidence ties deterministically.
     owner = np.full(len(points), -1)
     order = sorted(range(len(masks)), key=lambda j: (-masks[j].confidence, masks[j].instance_id))
     for j in order:
-        hit = masks[j].mask[rows, cols]
+        hit = masks[j].covers(flat)
         owner[cand[hit]] = j
-        cand, rows, cols = cand[~hit], rows[~hit], cols[~hit]
+        cand, flat = cand[~hit], flat[~hit]
 
     # Masks that share an instance id share its cluster, which carries the
     # label of its last member's mask.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import os
@@ -108,104 +109,80 @@ def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
 
 
 def _extrinsics_from(doc: dict) -> Extrinsics:
-    if "rotation_row_major" in doc:
-        rotation = np.array(doc["rotation_row_major"], dtype=float).reshape(3, 3)
-    else:
-        rotation = rotvec_to_matrix(np.array(doc["axis_angle"], dtype=float))
-    return Extrinsics(rotation, np.array(doc["translation_m"], dtype=float))
+    try:
+        if "rotation_row_major" in doc:
+            rotation = np.array(doc["rotation_row_major"], dtype=float).reshape(3, 3)
+        else:
+            rotation = rotvec_to_matrix(np.array(doc["axis_angle"], dtype=float))
+        return Extrinsics(rotation, np.array(doc["translation_m"], dtype=float))
+    except fileio._BAD_FIELD as exc:
+        raise ConfigError(f"bad scene extrinsics: {exc}") from exc
 
 
 def _intrinsics_from(doc: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        fx=float(doc["fx"]),
-        fy=float(doc["fy"]),
-        cx=float(doc["cx"]),
-        cy=float(doc["cy"]),
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-    )
+    try:
+        return CameraIntrinsics(
+            fx=float(doc["fx"]),
+            fy=float(doc["fy"]),
+            cx=float(doc["cx"]),
+            cy=float(doc["cy"]),
+            width=int(doc["width"]),
+            height=int(doc["height"]),
+        )
+    except fileio._BAD_FIELD as exc:
+        raise ConfigError(f"bad scene intrinsics: {exc}") from exc
+
+
+def _config_fields(cls, doc: dict) -> dict:
+    """The doc's values for the fields of a config dataclass."""
+    return {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
 
 
 def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
-    kwargs = {}
-    field_names = {
-        "pose_count",
-        "radar_fov_az_deg",
-        "radar_fov_el_deg",
-        "range_min_m",
-        "range_max_m",
-        "board_nx",
-        "board_ny",
-        "board_square_m",
-        "pixel_sigma_px",
-        "range_sigma_m",
-        "angle_sigma_rad",
-        "rcs_sigma_dbsm",
-        "clutter_per_frame",
-        "moving_clutter_per_frame",
-        "center_offset_px",
-        "seed",
-    }
-    for name in field_names & doc.keys():
-        kwargs[name] = doc[name]
-    if "clutter_only_poses" in doc:
-        kwargs["clutter_only_poses"] = tuple(doc["clutter_only_poses"])
-    if "extrinsics" in doc:
-        kwargs["extrinsics"] = _extrinsics_from(doc["extrinsics"])
-    if "intrinsics" in doc:
-        kwargs["intrinsics"] = _intrinsics_from(doc["intrinsics"])
-    if args.poses is not None:
-        kwargs["pose_count"] = args.poses
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.pixel_sigma is not None:
-        kwargs["pixel_sigma_px"] = args.pixel_sigma
-    if args.range_sigma is not None:
-        kwargs["range_sigma_m"] = args.range_sigma
-    if args.angle_sigma is not None:
-        kwargs["angle_sigma_rad"] = args.angle_sigma
-    if args.clutter_only:
-        kwargs["clutter_only_poses"] = tuple(
-            int(x) for x in args.clutter_only.split(",")
-        )
     try:
+        kwargs = _config_fields(synth.SceneConfig, doc)
+        if "clutter_only_poses" in doc:
+            kwargs["clutter_only_poses"] = tuple(doc["clutter_only_poses"])
+        if "extrinsics" in doc:
+            kwargs["extrinsics"] = _extrinsics_from(doc["extrinsics"])
+        if "intrinsics" in doc:
+            kwargs["intrinsics"] = _intrinsics_from(doc["intrinsics"])
+        if args.poses is not None:
+            kwargs["pose_count"] = args.poses
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
+        if args.pixel_sigma is not None:
+            kwargs["pixel_sigma_px"] = args.pixel_sigma
+        if args.range_sigma is not None:
+            kwargs["range_sigma_m"] = args.range_sigma
+        if args.angle_sigma is not None:
+            kwargs["angle_sigma_rad"] = args.angle_sigma
+        if args.clutter_only:
+            kwargs["clutter_only_poses"] = tuple(
+                int(x) for x in args.clutter_only.split(",")
+            )
         return synth.SceneConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad calibration scene config: {exc}") from exc
 
 
 def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelSceneConfig:
-    kwargs = {}
-    field_names = {
-        "object_count",
-        "class_count",
-        "dynamic_fraction",
-        "velocity_jitter_mps",
-        "rcs_jitter_dbsm",
-        "clutter_count",
-        "false_positive_rate",
-        "false_negative_rate",
-        "mask_shape",
-        "mask_margin_px",
-        "seed",
-    }
-    for name in field_names & doc.keys():
-        kwargs[name] = doc[name]
-    for name in ("points_per_object", "extent_m", "range_m"):
-        if name in doc:
-            kwargs[name] = tuple(doc[name])
-    if args.objects is not None:
-        kwargs["object_count"] = args.objects
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.fp_rate is not None:
-        kwargs["false_positive_rate"] = args.fp_rate
-    if args.fn_rate is not None:
-        kwargs["false_negative_rate"] = args.fn_rate
-    kwargs["seed"] = kwargs.get("seed", 0) + seed_offset
     try:
+        kwargs = _config_fields(synth.LabelSceneConfig, doc)
+        for name in ("points_per_object", "extent_m", "range_m"):
+            if name in doc:
+                kwargs[name] = tuple(doc[name])
+        if args.objects is not None:
+            kwargs["object_count"] = args.objects
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
+        if args.fp_rate is not None:
+            kwargs["false_positive_rate"] = args.fp_rate
+        if args.fn_rate is not None:
+            kwargs["false_negative_rate"] = args.fn_rate
+        kwargs["seed"] = kwargs.get("seed", 0) + seed_offset
         return synth.LabelSceneConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad labeling scene config: {exc}") from exc
 
 
@@ -258,19 +235,12 @@ def _write_scene(args, out: Path) -> str:
     # labeling scene(s)
     gt_dir = out / "gt_labels"
     gt_dir.mkdir()
-    try:
-        intrinsics = (
-            _intrinsics_from(doc["intrinsics"])
-            if "intrinsics" in doc
-            else synth.default_intrinsics()
-        )
-        extrinsics = (
-            _extrinsics_from(doc["extrinsics"])
-            if "extrinsics" in doc
-            else synth.default_extrinsics()
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad labeling scene config: {exc}") from exc
+    intrinsics = (
+        _intrinsics_from(doc["intrinsics"]) if "intrinsics" in doc else synth.default_intrinsics()
+    )
+    extrinsics = (
+        _extrinsics_from(doc["extrinsics"]) if "extrinsics" in doc else synth.default_extrinsics()
+    )
     ground_truths = []
     for frame_idx in range(args.frames):
         cfg = _label_config_from(doc, args, seed_offset=frame_idx)

@@ -36,7 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .autolabel import InstanceMask, LabelColumns, LabelRecord, PointCloud, Provenance
+from .autolabel import (
+    InstanceMask,
+    LabelColumns,
+    LabelRecord,
+    PointCloud,
+    Provenance,
+    dense_to_runs,
+    runs_to_dense,
+)
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import CameraIntrinsics, Extrinsics, SphericalReturn, cart2sph
 from .reflector import RadarFrame
@@ -72,8 +80,9 @@ class SchemaError(ValueError):
 
 
 # What reading a parsed document's fields can raise: a missing key, a wrong
-# type, a bad value, or a number too large for its type (1e999 as an int).
-_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+# type, a bad value, a number too large for its type (1e999 as an int), or
+# JSON nested deeper than the parser recurses.
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 # ---------------------------------------------------------------------------
@@ -132,45 +141,63 @@ def write_json(path: str | Path, obj) -> None:
 
 def _load_json(path: str | Path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # run-length encoding (row-major, absolute starts)
 
 
+def _run_list(starts: np.ndarray, ends: np.ndarray) -> list[int]:
+    return np.column_stack((starts, ends - starts)).ravel().tolist()
+
+
 def rle_encode(mask: np.ndarray) -> list[int]:
     """Boolean mask to a flat [start, length, ...] run list over row-major order."""
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if not flat.any():
-        return []
-    padded = np.concatenate([[False], flat, [False]])
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts = changes[0::2]
-    ends = changes[1::2]
-    out = []
-    for s, e in zip(starts, ends):
-        out.extend([int(s), int(e - s)])
-    return out
+    return _run_list(*dense_to_runs(np.asarray(mask, dtype=bool)))
 
 
 def rle_decode(runs: list[int], height: int, width: int) -> np.ndarray:
     """Inverse of rle_encode; validates ordering and bounds."""
+    return runs_to_dense(*_rle_runs(runs, height, width), height, width)
+
+
+def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (starts, ends) of a [start, length, ...] list, not decoded.
+
+    Each run in turn: int(start), int(length), length >= 1, sorted and
+    disjoint, inside height * width; the first failure raises.
+    """
     if len(runs) % 2 != 0:
         raise SchemaError("RLE list must hold (start, length) pairs")
-    flat = np.zeros(height * width, dtype=bool)
-    prev_end = 0
-    for i in range(0, len(runs), 2):
-        start, length = int(runs[i]), int(runs[i + 1])
-        if length < 1:
-            raise SchemaError(f"RLE run length must be >= 1, got {length}")
-        if start < prev_end:
+    values, error = [], None
+    for i in range(len(runs)):  # indexing, so a JSON object is rejected
+        try:
+            values.append(int(runs[i]))
+        except _BAD_FIELD as exc:
+            error = exc
+            break
+    pairs = values[: len(values) // 2 * 2]
+    # clipped into int64; no check's outcome moves, as valid runs end by H * W
+    flat = np.clip(np.array(pairs, dtype=object), -(2**61), 2**61).astype(np.int64)
+    starts, lengths = flat[0::2], flat[1::2]
+    ends = starts + lengths
+    short = lengths < 1
+    unsorted = starts < np.concatenate(([0], ends[:-1]))
+    bad = short | unsorted | (ends > height * width)
+    if bad.any():
+        i = int(bad.argmax())
+        if short[i]:
+            raise SchemaError(f"RLE run length must be >= 1, got {pairs[2 * i + 1]}")
+        if unsorted[i]:
             raise SchemaError("RLE runs must be sorted and non-overlapping")
-        if start + length > height * width:
-            raise SchemaError("RLE run exceeds the mask size")
-        flat[start : start + length] = True
-        prev_end = start + length
-    return flat.reshape(height, width)
+        raise SchemaError("RLE run exceeds the mask size")
+    if error is not None:
+        raise error
+    return starts, ends
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +282,7 @@ def load_radar_frames(path: str | Path) -> list[RadarFrame]:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"bad frame stream {path}:{line_no + 1}: {exc}") from exc
             frames.append(_frame_from_doc(doc, f"{path}:{line_no + 1}"))
     return frames
@@ -359,16 +386,16 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
 def write_masks(path: str | Path, width: int, height: int, masks: list[InstanceMask]) -> None:
     instances = []
     for m in masks:
-        if m.mask.shape != (height, width):
+        if (m.height, m.width) != (height, width):
             raise ValueError(
-                f"mask {m.instance_id} shape {m.mask.shape} != ({height}, {width})"
+                f"mask {m.instance_id} shape {(m.height, m.width)} != ({height}, {width})"
             )
         instances.append(
             {
                 "instance_id": m.instance_id,
                 "class_id": m.class_id,
                 "confidence": m.confidence,
-                "rle": rle_encode(m.mask),
+                "rle": _run_list(m.starts, m.ends),
             }
         )
     write_json(path, {"width": width, "height": height, "instances": instances})
@@ -378,11 +405,15 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
     doc = _load_json(path)
     try:
         width, height = int(doc["width"]), int(doc["height"])
+        if min(width, height) < 0:
+            raise ValueError(f"negative mask size {width}x{height}")
         masks = []
         for inst in doc["instances"]:
             masks.append(
                 InstanceMask(
-                    mask=rle_decode(inst["rle"], height, width),
+                    *_rle_runs(inst["rle"], height, width),
+                    height=height,
+                    width=width,
                     class_id=int(inst["class_id"]),
                     instance_id=int(inst["instance_id"]),
                     confidence=float(inst["confidence"]),

@@ -666,11 +666,8 @@ def gen_label_scene(
             break
 
     masks = tuple(
-        InstanceMask(
-            mask=o["mask"],
-            class_id=o["class_id"],
-            instance_id=o["instance_id"],
-            confidence=o["confidence"],
+        InstanceMask.from_dense(
+            o["mask"], o["class_id"], o["instance_id"], o["confidence"]
         )
         for o in objects
     )

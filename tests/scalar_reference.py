@@ -6,6 +6,10 @@ in ``radcal.autolabel`` replaced, copied unchanged: one frozen
 scalar affinity per point and cluster.  ``test_autolabel_differential.py``
 requires both paths to produce identical records.  ``radar_points``
 converts a ``PointCloud`` to the point list this path takes.
+
+``rle_decode`` is the dense, per-run mask decoder that ``radcal.fileio``
+used before masks were held as runs; ``test_masks.py`` requires the run
+reader to accept and reject what it does, with the same messages.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from radcal.autolabel import (
     PointCloud,
     Provenance,
 )
+from radcal.fileio import SchemaError
 from radcal.geometry import CameraIntrinsics, Extrinsics, project_points
 
 # Floor for the RCS affinity scale; the velocity floor reuses sigma_v_min.
@@ -89,10 +94,11 @@ def coarse_associate(
     several masks covering that pixel the highest confidence wins (ties:
     lower instance id).  Everything else joins the unassociated set.
     """
-    for m in masks:
-        if m.mask.shape != (k.height, k.width):
+    dense = [m.mask for m in masks]  # decoded once: the oracle indexes dense masks
+    for m, mask in zip(masks, dense):
+        if mask.shape != (k.height, k.width):
             raise DimensionMismatch(
-                f"mask {m.instance_id} has shape {m.mask.shape}, "
+                f"mask {m.instance_id} has shape {mask.shape}, "
                 f"expected {(k.height, k.width)}"
             )
     n = len(points)
@@ -126,7 +132,7 @@ def coarse_associate(
         row, col = vi[i] - 1, ui[i] - 1
         chosen = None
         for j in order:
-            if masks[j].mask[row, col]:
+            if dense[j][row, col]:
                 chosen = masks[j]
                 break
         if chosen is None:
@@ -332,3 +338,22 @@ def autolabel_frame(
             provenance[i] = Provenance.RECOVERED
 
     return [LabelRecord(i, labels[i], provenance[i]) for i in range(len(points))]
+
+
+def rle_decode(runs: list[int], height: int, width: int) -> np.ndarray:
+    """Inverse of rle_encode; validates ordering and bounds."""
+    if len(runs) % 2 != 0:
+        raise SchemaError("RLE list must hold (start, length) pairs")
+    flat = np.zeros(height * width, dtype=bool)
+    prev_end = 0
+    for i in range(0, len(runs), 2):
+        start, length = int(runs[i]), int(runs[i + 1])
+        if length < 1:
+            raise SchemaError(f"RLE run length must be >= 1, got {length}")
+        if start < prev_end:
+            raise SchemaError("RLE runs must be sorted and non-overlapping")
+        if start + length > height * width:
+            raise SchemaError("RLE run exceeds the mask size")
+        flat[start : start + length] = True
+        prev_end = start + length
+    return flat.reshape(height, width)

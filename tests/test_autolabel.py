@@ -39,7 +39,7 @@ def cloud(*points):
 def rect_mask(u_lo, u_hi, v_lo, v_hi, class_id=1, instance_id=1, confidence=0.9):
     mask = np.zeros((K.height, K.width), dtype=bool)
     mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = True
-    return InstanceMask(mask, class_id, instance_id, confidence)
+    return InstanceMask.from_dense(mask, class_id, instance_id, confidence)
 
 
 def stats_of(**kw):
@@ -111,7 +111,7 @@ class TestCoarseAssociate:
         assert result.labels == [(1, 1), (1, 1)]
 
     def test_dimension_mismatch(self):
-        bad = InstanceMask(np.zeros((50, 50), dtype=bool), 1, 1, 0.9)
+        bad = InstanceMask.from_dense(np.zeros((50, 50), dtype=bool), 1, 1, 0.9)
         with pytest.raises(DimensionMismatch):
             coarse_associate(cloud(pt(0, 0, 10)), [bad], K, T)
 
@@ -369,7 +369,7 @@ class TestAutolabelFrame:
         assert base.labels == [(1, 1)]
         for bumped in (0.8, 0.95, 1.0):
             masks2 = [
-                InstanceMask(masks[0].mask, 1, 1, bumped),
+                InstanceMask.from_dense(masks[0].mask, 1, 1, bumped),
                 masks[1],
             ]
             result = coarse_associate(cloud(*points), masks2, K, T)

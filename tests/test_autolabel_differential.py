@@ -90,7 +90,7 @@ def cloud(*rows):
 def rect_mask(u_lo, u_hi, v_lo, v_hi, class_id, instance_id, confidence=0.9):
     mask = np.zeros((K.height, K.width), dtype=bool)
     mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = True
-    return InstanceMask(mask, class_id, instance_id, confidence)
+    return InstanceMask.from_dense(mask, class_id, instance_id, confidence)
 
 
 def test_equal_mask_confidence_goes_to_lower_instance_id():

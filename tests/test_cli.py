@@ -4,17 +4,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radcal
-from radcal import cli
+from radcal import autolabel as al
+from radcal import cli, fileio
 from radcal.autolabel import InstanceMask, LabelRecord, Provenance
 from radcal.fileio import (
     load_calibration,
     load_labels,
+    load_masks,
     load_radar_frame,
     write_labels,
     write_masks,
@@ -174,6 +177,32 @@ def test_labeling_golden_digests(tmp_path):
     assert sha256_tree(tmp_path) == GOLDEN_LABELING
 
 
+def test_labeling_golden_digests_without_dense_masks(tmp_path, monkeypatch):
+    # masks stay runs from the file to the labels: no dense decode anywhere
+    def refuse(*args):
+        raise AssertionError("a dense mask was decoded")
+
+    monkeypatch.setattr(fileio, "rle_decode", refuse)
+    monkeypatch.setattr(al, "runs_to_dense", refuse)
+    monkeypatch.setattr(InstanceMask, "mask", property(refuse))
+    test_labeling_golden_digests(tmp_path)
+
+
+def test_autolabel_allocates_no_image_sized_array(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "8", "-o", scene]) == 0
+    width, height, _ = load_masks(scene / "masks_000.json")
+    tracemalloc.start()
+    try:
+        assert run(["autolabel", "--frames", scene, "--masks", scene, "--jobs", "1",
+                    "--calibration", scene / "calibration.json",
+                    "-o", tmp_path / "labels"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < width * height  # one byte per pixel: a bool mask
+
+
 # sha256 of `eval`'s report and overlay files on the same scene, for the
 # `full` labels (every value 100) and the `coarse` ones (every value below),
 # pinned from the list-based metrics and per-line label loader.
@@ -245,6 +274,44 @@ class TestExitCodes:
                     "--intrinsics", scene / "intrinsics.json", "--params", bad,
                     "-o", tmp_path / "c.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    @pytest.mark.parametrize("bad", ['"width": 1e999', '"width": "wide"', '"fx": null'])
+    def test_bad_scene_intrinsics_exit_2(self, tmp_path, capsys, kind, bad):
+        # 1e999 parses as an infinite float, which int() cannot take
+        fields = ['"fx": 1000', '"fy": 1000', '"cx": 960', '"cy": 540', '"height": 1080']
+        config = tmp_path / "scene.json"
+        config.write_text('{"intrinsics": {' + ", ".join([*fields, bad]) + "}}")
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad scene intrinsics")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    def test_bad_scene_extrinsics_exit_2(self, tmp_path, capsys, kind):
+        config = tmp_path / "scene.json"
+        config.write_text('{"extrinsics": {"axis_angle": [0, 0], "translation_m": [0, 0, 0]}}')
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad scene extrinsics")
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    def test_bad_scene_config_value_exit_2(self, tmp_path, capsys, kind):
+        # a number where a list belongs
+        field = "clutter_only_poses" if kind == "calibration" else "range_m"
+        config = tmp_path / "scene.json"
+        config.write_text(f'{{"{field}": 3}}')
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad {kind} scene config")
+
+    def test_deeply_nested_labels_eval_exit_4(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "labels_000.jsonl").write_text("[" * 100_000 + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--pred", pred, "--gt", scene / "gt_labels",
+                    "-o", tmp_path / "r.json"]) == 4
+        assert "labels_000.jsonl:1" in capsys.readouterr().err
+
     def test_missing_calibration_exit_3(self, tmp_path):
         scene = tmp_path / "scene"
         assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
@@ -271,7 +338,7 @@ class TestExitCodes:
     def test_mask_dimension_mismatch_exit_4(self, tmp_path, workflow):
         scene = tmp_path / "scene"
         assert run(["synth", "--kind", "labeling", "--seed", "3", "-o", scene]) == 0
-        small = InstanceMask(np.ones((50, 50), dtype=bool), 1, 1, 0.9)
+        small = InstanceMask.from_dense(np.ones((50, 50), dtype=bool), 1, 1, 0.9)
         write_masks(scene / "masks_000.json", 50, 50, [small])
         assert run(["autolabel", "--frames", scene, "--masks", scene,
                     "--calibration", workflow / "calibration.json",

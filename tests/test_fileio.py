@@ -20,6 +20,7 @@ from radcal.fileio import (
     load_labels,
     load_masks,
     load_radar_frame,
+    load_radar_frames,
     load_radar_points,
     rle_decode,
     rle_encode,
@@ -230,7 +231,7 @@ class TestMaskFiles:
         for i in (1, 2):
             mask = np.zeros((10, 12), dtype=bool)
             mask[rng.uniform(size=(10, 12)) < 0.2] = True
-            out.append(InstanceMask(mask, class_id=i, instance_id=i, confidence=0.5 + 0.1 * i))
+            out.append(InstanceMask.from_dense(mask, i, i, 0.5 + 0.1 * i))
         return out
 
     def test_round_trip(self, tmp_path):
@@ -540,6 +541,33 @@ class TestIntrinsicsFiles:
         path.write_text('{"fx": 100.0}')
         with pytest.raises(SchemaError):
             load_intrinsics(path)
+
+
+DEEP = "[" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a SchemaError."""
+
+    def test_intrinsics_with_nested_extra_key(self, tmp_path):
+        path = tmp_path / "intrinsics.json"
+        write_intrinsics(path, default_intrinsics())
+        path.write_text(path.read_text().strip()[:-1] + ',"extra":' + DEEP + "}")
+        with pytest.raises(SchemaError, match="recursion"):
+            load_intrinsics(path)
+
+    @pytest.mark.parametrize("text", [DEEP, '{"a":' * 100_000], ids=["arrays", "objects"])
+    def test_labels(self, tmp_path, text):
+        path = tmp_path / "labels_000.jsonl"
+        path.write_text(text + "\n")
+        with pytest.raises(SchemaError, match="labels_000.jsonl:1"):
+            load_labels(path)
+
+    def test_radar_frame_stream(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        path.write_text(DEEP + "\n")
+        with pytest.raises(SchemaError, match="frames.jsonl:1"):
+            load_radar_frames(path)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
