@@ -23,11 +23,13 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Extrinsics,
-    Z_EPS,
     _skew,
     canonicalize_rotvec,
     extrinsics_to_pose,
     matrix_to_rotvec,
+    nearest_rotation,
+    pinhole,
+    project,
     rotvec_to_matrix,
 )
 
@@ -102,7 +104,7 @@ class CorrespondenceSet:
 
 @dataclass
 class SolverConfig:
-    """LM hyperparameters.  Defaults are standard; all are overridable."""
+    """LM hyperparameters, all overridable; the multistart is the 24 cube seeds."""
 
     max_iters: int = 200
     lambda_init: float = 1e-3
@@ -110,12 +112,16 @@ class SolverConfig:
     lambda_down: float = 10.0
     cost_rel_tol: float = 1e-12
     step_tol: float = 1e-10
-    multistart: list[np.ndarray] | None = None  # 6-vector seeds; None -> cube set
 
-    def seeds(self) -> list[np.ndarray]:
-        if self.multistart is not None:
-            return [np.asarray(s, dtype=float).reshape(6) for s in self.multistart]
-        return cube_rotation_seeds()
+    def __post_init__(self):
+        if type(self.max_iters) is not int or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        for name in ("lambda_init", "lambda_up", "lambda_down"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("cost_rel_tol", "step_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -195,8 +201,6 @@ def reprojection_residual(
 
     Raises BehindCamera when the radar point has non-positive depth under t.
     """
-    from .geometry import project
-
     return corr.image_center - project(k, t, corr.radar_center)
 
 
@@ -227,17 +231,13 @@ def cube_rotation_seeds() -> list[np.ndarray]:
 
 def _residuals(
     k: CameraIntrinsics, observed: np.ndarray, cam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, 2) residuals of camera-frame points, the depth guard and safe depths.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 2) residuals of camera-frame points and the (K, 1) depth guard.
 
-    Behind-camera rows get the constant penalty and a depth of 1.
+    Behind-camera rows get the constant penalty.
     """
-    z = cam[:, 2:]
-    front = z > Z_EPS
-    zs = np.where(front, z, 1.0)
-    projected = np.array([k.fx, k.fy]) * cam[:, :2] / zs + np.array([k.cx, k.cy])
-    res = np.where(front, observed - projected, BEHIND_CAMERA_RESIDUAL)
-    return res, front, zs
+    projected, front = pinhole(k, cam)
+    return np.where(front, observed - projected, BEHIND_CAMERA_RESIDUAL), front
 
 
 def _residual_vector(
@@ -269,8 +269,8 @@ def _linearize(
     rotation = rotvec_to_matrix(omega)
     rotated = points @ rotation.T
     cam = rotated + pose[3:]
-    res, front, zs = _residuals(k, observed, cam)
-    inv_z = np.where(front, 1.0 / zs, 0.0)[:, 0]
+    res, front = _residuals(k, observed, cam)
+    inv_z = np.divide(1.0, cam[:, 2], out=np.zeros(len(cam)), where=front[:, 0])
     skew = _skew(omega)
     theta2 = float(omega @ omega)
     if theta2 < 1e-10:
@@ -391,7 +391,7 @@ def solve_extrinsics(
     points = np.array([c.radar_center for c in ordered])
 
     best = None
-    for seed_index, seed in enumerate(cfg.seeds()):
+    for seed_index, seed in enumerate(cube_rotation_seeds()):
         pose, cost, iterations, converged, history = _run_lm(
             seed, k, observed, points, cfg
         )
@@ -409,13 +409,7 @@ def solve_extrinsics(
 
     # Rodrigues output is orthonormal to machine precision; the SVD snap
     # guards against accumulated drift before the Extrinsics invariant check.
-    rotation = rotvec_to_matrix(pose[:3])
-    u, _, vt = np.linalg.svd(rotation)
-    rotation = u @ vt
-    if np.linalg.det(rotation) < 0:
-        u[:, -1] = -u[:, -1]
-        rotation = u @ vt
-    extrinsics = Extrinsics(rotation, pose[3:].copy())
+    extrinsics = Extrinsics(nearest_rotation(rotvec_to_matrix(pose[:3])), pose[3:].copy())
 
     residuals = _residual_vector(pose, k, observed, points).reshape(-1, 2)
     norms = np.linalg.norm(residuals, axis=1)

@@ -63,10 +63,14 @@ def _load_config_file(path: str | Path) -> dict:
                 import tomllib  # py311+
             except ModuleNotFoundError:
                 import tomli as tomllib
-            return tomllib.loads(raw.decode())
-        return json.loads(raw.decode())
+            doc = tomllib.loads(raw.decode())
+        else:
+            doc = json.loads(raw.decode())
     except Exception as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold an object, not {type(doc).__name__}")
+    return doc
 
 
 def _params_from_file(path: str | Path | None) -> dict:
@@ -82,7 +86,7 @@ def _params_from_file(path: str | Path | None) -> dict:
                 doc.get("sync_tolerance_s", cal.DEFAULT_SYNC_TOLERANCE_S)
             ),
         }
-    except (TypeError, ValueError) as exc:
+    except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
 
@@ -121,42 +125,31 @@ def _extrinsics_from(doc: dict) -> Extrinsics:
 
 def _intrinsics_from(doc: dict) -> CameraIntrinsics:
     try:
-        return CameraIntrinsics(
-            fx=float(doc["fx"]),
-            fy=float(doc["fy"]),
-            cx=float(doc["cx"]),
-            cy=float(doc["cy"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-        )
+        return CameraIntrinsics.from_doc(doc)
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad scene intrinsics: {exc}") from exc
 
 
-def _config_fields(cls, doc: dict) -> dict:
-    """The doc's values for the fields of a config dataclass."""
-    return {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+def _config_fields(cls, doc: dict, **flags) -> dict:
+    """The doc's values for the fields of a config dataclass, with the
+    command-line flags that were given set over them."""
+    values = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+    return {**values, **{name: v for name, v in flags.items() if v is not None}}
 
 
 def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
     try:
-        kwargs = _config_fields(synth.SceneConfig, doc)
+        kwargs = _config_fields(
+            synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
+            pixel_sigma_px=args.pixel_sigma, range_sigma_m=args.range_sigma,
+            angle_sigma_rad=args.angle_sigma,
+        )
         if "clutter_only_poses" in doc:
             kwargs["clutter_only_poses"] = tuple(doc["clutter_only_poses"])
         if "extrinsics" in doc:
             kwargs["extrinsics"] = _extrinsics_from(doc["extrinsics"])
         if "intrinsics" in doc:
             kwargs["intrinsics"] = _intrinsics_from(doc["intrinsics"])
-        if args.poses is not None:
-            kwargs["pose_count"] = args.poses
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.pixel_sigma is not None:
-            kwargs["pixel_sigma_px"] = args.pixel_sigma
-        if args.range_sigma is not None:
-            kwargs["range_sigma_m"] = args.range_sigma
-        if args.angle_sigma is not None:
-            kwargs["angle_sigma_rad"] = args.angle_sigma
         if args.clutter_only:
             kwargs["clutter_only_poses"] = tuple(
                 int(x) for x in args.clutter_only.split(",")
@@ -168,20 +161,15 @@ def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
 
 def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelSceneConfig:
     try:
-        kwargs = _config_fields(synth.LabelSceneConfig, doc)
+        kwargs = _config_fields(
+            synth.LabelSceneConfig, doc, object_count=args.objects, seed=args.seed,
+            false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
+        )
         for name in ("points_per_object", "extent_m", "range_m"):
             if name in doc:
                 kwargs[name] = tuple(doc[name])
-        if args.objects is not None:
-            kwargs["object_count"] = args.objects
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.fp_rate is not None:
-            kwargs["false_positive_rate"] = args.fp_rate
-        if args.fn_rate is not None:
-            kwargs["false_negative_rate"] = args.fn_rate
-        kwargs["seed"] = kwargs.get("seed", 0) + seed_offset
-        return synth.LabelSceneConfig(**kwargs)
+        cfg = synth.LabelSceneConfig(**kwargs)
+        return dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad labeling scene config: {exc}") from exc
 
@@ -400,24 +388,7 @@ def _cmd_calibrate(args) -> int:
     line += ")"
 
     config_echo = {
-        "solver": {
-            "max_iters": params["solver"].max_iters,
-            "lambda_init": params["solver"].lambda_init,
-            "lambda_up": params["solver"].lambda_up,
-            "lambda_down": params["solver"].lambda_down,
-            "cost_rel_tol": params["solver"].cost_rel_tol,
-            "step_tol": params["solver"].step_tol,
-        },
-        "filter": {
-            "r_min": params["filter"].r_min,
-            "r_max": params["filter"].r_max,
-            "v_th": params["filter"].v_th,
-            "rho_min": params["filter"].rho_min,
-        },
-        "cluster": {
-            "eps": params["cluster"].eps,
-            "min_pts": params["cluster"].min_pts,
-        },
+        **{name: dataclasses.asdict(params[name]) for name in ("solver", "filter", "cluster")},
         "sync_tolerance_s": params["sync_tolerance_s"],
         "holdout": args.holdout,
         "iterations": result.iterations,

@@ -27,6 +27,7 @@ intrinsics    {"fx", "fy", "cx", "cy", "width", "height"}
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -46,7 +47,15 @@ from .autolabel import (
     runs_to_dense,
 )
 from .checkerboard import CheckerboardSpec, CornerSet
-from .geometry import CameraIntrinsics, Extrinsics, SphericalReturn, cart2sph
+from .geometry import (
+    CameraIntrinsics,
+    Extrinsics,
+    SphericalReturn,
+    cart2sph,
+    matrix_to_rotvec,
+    nearest_rotation,
+    sph2cart,
+)
 from .reflector import RadarFrame
 
 __all__ = [
@@ -217,8 +226,6 @@ def _frame_doc(frame: RadarFrame, variant: str) -> dict:
             for r in frame.returns
         ]
     elif variant == "cartesian":
-        from .geometry import sph2cart
-
         pts = []
         for r in frame.returns:
             xyz = sph2cart(r)
@@ -440,22 +447,13 @@ def write_calibration(
     per_pose: list[dict] | None = None,
     config: dict | None = None,
 ) -> None:
-    from .geometry import matrix_to_rotvec
-
     write_json(
         path,
         {
             "rotation_row_major": [float(x) for x in extrinsics.rotation.ravel()],
             "axis_angle": [float(x) for x in matrix_to_rotvec(extrinsics.rotation)],
             "translation_m": [float(x) for x in extrinsics.translation],
-            "intrinsics": {
-                "fx": intrinsics.fx,
-                "fy": intrinsics.fy,
-                "cx": intrinsics.cx,
-                "cy": intrinsics.cy,
-                "width": intrinsics.width,
-                "height": intrinsics.height,
-            },
+            "intrinsics": dataclasses.asdict(intrinsics),
             "mre_px": mre_px,
             "rmse_px": rmse_px,
             "converged": converged,
@@ -471,15 +469,7 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
     try:
         rotation = np.array([float(x) for x in doc["rotation_row_major"]]).reshape(3, 3)
         translation = np.array([float(x) for x in doc["translation_m"]])
-        intr = doc["intrinsics"]
-        intrinsics = CameraIntrinsics(
-            fx=float(intr["fx"]),
-            fy=float(intr["fy"]),
-            cx=float(intr["cx"]),
-            cy=float(intr["cy"]),
-            width=int(intr["width"]),
-            height=int(intr["height"]),
-        )
+        intrinsics = CameraIntrinsics.from_doc(doc["intrinsics"])
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
     err = np.abs(rotation.T @ rotation - np.eye(3)).max()
@@ -490,11 +480,7 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
     if err >= 1e-9:
         # rounded external matrix: snap to the nearest rotation; exact
         # writer output is used untouched so round-trips stay byte-identical
-        u, _, vt = np.linalg.svd(rotation)
-        rotation = u @ vt
-        if np.linalg.det(rotation) < 0:
-            u[:, -1] = -u[:, -1]
-            rotation = u @ vt
+        rotation = nearest_rotation(rotation)
     return Extrinsics(rotation, translation), intrinsics, doc
 
 
@@ -614,22 +600,12 @@ def load_labels(path: str | Path) -> LabelColumns:
 
 
 def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
-    write_json(
-        path,
-        {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "width": k.width, "height": k.height},
-    )
+    write_json(path, dataclasses.asdict(k))
 
 
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:
     doc = _load_json(path)
     try:
-        return CameraIntrinsics(
-            fx=float(doc["fx"]),
-            fy=float(doc["fy"]),
-            cx=float(doc["cx"]),
-            cy=float(doc["cy"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-        )
+        return CameraIntrinsics.from_doc(doc)
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad intrinsics file {path}: {exc}") from exc

@@ -33,6 +33,8 @@ __all__ = [
     "canonicalize_rotvec",
     "pose_to_extrinsics",
     "extrinsics_to_pose",
+    "nearest_rotation",
+    "pinhole",
     "project",
     "project_points",
 ]
@@ -105,6 +107,14 @@ class CameraIntrinsics:
                 f"{self.width}x{self.height} image",
                 stacklevel=2,
             )
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "CameraIntrinsics":
+        """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` document
+        (``dataclasses.asdict`` writes one).  A bad field raises KeyError,
+        TypeError, ValueError or OverflowError, which each reader maps."""
+        fx, fy, cx, cy = (float(doc[name]) for name in ("fx", "fy", "cx", "cy"))
+        return cls(fx, fy, cx, cy, width=int(doc["width"]), height=int(doc["height"]))
 
     def matrix(self) -> np.ndarray:
         """3x3 intrinsic matrix."""
@@ -276,6 +286,26 @@ def extrinsics_to_pose(t: Extrinsics) -> np.ndarray:
     return np.concatenate([matrix_to_rotvec(t.rotation), t.translation])
 
 
+def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
+    """The rotation nearest to a 3x3 matrix (SVD snap, determinant forced to +1)."""
+    u, _, vt = np.linalg.svd(matrix)
+    rotation = u @ vt
+    if np.linalg.det(rotation) < 0:
+        u[:, -1] = -u[:, -1]
+        rotation = u @ vt
+    return rotation
+
+
+def pinhole(k: CameraIntrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pinhole model: pixels ``(..., 2)`` of camera-frame points ``(..., 3)``
+    and the depth guard ``(..., 1)``, depth > Z_EPS.  Points failing the guard
+    are divided by 1 instead; each caller decides what their pixels become."""
+    z = cam[..., 2:]
+    front = z > Z_EPS
+    zs = np.where(front, z, 1.0)
+    return np.array([k.fx, k.fy]) * cam[..., :2] / zs + np.array([k.cx, k.cy]), front
+
+
 def project(k: CameraIntrinsics, t: Extrinsics, point: np.ndarray) -> np.ndarray:
     """Pinhole projection of one radar-frame point. Returns pixel (u, v).
 
@@ -283,10 +313,9 @@ def project(k: CameraIntrinsics, t: Extrinsics, point: np.ndarray) -> np.ndarray
     decides whether that is fatal (calibration) or a skip (labeling).
     """
     cam = t.transform(np.asarray(point, dtype=float))
-    z = cam[2]
-    if z <= Z_EPS:
-        raise BehindCamera(f"depth {z:.3g} m is behind the camera plane")
-    return np.array([k.fx * cam[0] / z + k.cx, k.fy * cam[1] / z + k.cy])
+    if cam[2] <= Z_EPS:
+        raise BehindCamera(f"depth {cam[2]:.3g} m is behind the camera plane")
+    return pinhole(k, cam)[0]
 
 
 def project_points(
@@ -298,12 +327,8 @@ def project_points(
     camera-frame z, and ``in_front`` flags depth > Z_EPS.  Rows of ``uv``
     with ``in_front`` False are NaN rather than an error.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    cam = t.transform(points)
-    z = cam[:, 2]
-    in_front = z > Z_EPS
-    uv = np.full((len(points), 2), np.nan)
-    zs = np.where(in_front, z, 1.0)
-    uv[:, 0] = np.where(in_front, k.fx * cam[:, 0] / zs + k.cx, np.nan)
-    uv[:, 1] = np.where(in_front, k.fy * cam[:, 1] / zs + k.cy, np.nan)
-    return uv, z, in_front
+    cam = t.transform(np.asarray(points, dtype=float).reshape(-1, 3))
+    uv, front = pinhole(k, cam)
+    in_front = front[:, 0]
+    uv[~in_front] = np.nan
+    return uv, cam[:, 2], in_front

@@ -27,7 +27,7 @@ identical scenes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .geometry import (
     CameraIntrinsics,
     Extrinsics,
     cart2sph,
+    matrix_to_rotvec,
+    pinhole,
     rotvec_to_matrix,
     sph2cart,
     SphericalReturn,
@@ -74,6 +76,13 @@ def default_extrinsics() -> Extrinsics:
     return Extrinsics(tilt @ axes, np.array([0.1, 0.0, -0.05]))
 
 
+def _check_seed(seed) -> None:
+    # numpy's SeedSequence would reject a float or a string only once
+    # generation starts, and take a bool as 0 or 1
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Calibration-scene knobs; all noise defaults to zero."""
@@ -99,6 +108,7 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.pose_count < 1:
             raise ValueError("pose_count must be >= 1")
         for name in ("pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"):
@@ -128,22 +138,13 @@ class CalibrationScene:
     def ground_truth(self) -> dict:
         cfg = self.config
         t = cfg.extrinsics
-        from .geometry import matrix_to_rotvec
-
         return {
             "kind": "calibration",
             "seed": cfg.seed,
             "rotation_row_major": [float(x) for x in t.rotation.ravel()],
             "axis_angle": [float(x) for x in matrix_to_rotvec(t.rotation)],
             "translation_m": [float(x) for x in t.translation],
-            "intrinsics": {
-                "fx": cfg.intrinsics.fx,
-                "fy": cfg.intrinsics.fy,
-                "cx": cfg.intrinsics.cx,
-                "cy": cfg.intrinsics.cy,
-                "width": cfg.intrinsics.width,
-                "height": cfg.intrinsics.height,
-            },
+            "intrinsics": asdict(cfg.intrinsics),
             "poses": [
                 {
                     "pose_id": p.pose_id,
@@ -176,10 +177,9 @@ def _place_board(
         cam = cfg.extrinsics.transform(center)
         if cam[2] <= 0.5:
             continue
-        u = k.fx * cam[0] / cam[2] + k.cx
-        v = k.fy * cam[1] / cam[2] + k.cy
+        u, v = pixel = pinhole(k, cam)[0]
         if margin_px <= u <= k.width - margin_px and margin_px <= v <= k.height - margin_px:
-            return center, np.array([u, v])
+            return center, pixel
     raise FovInfeasible(
         "no board placement satisfies both fields of view; check the "
         "extrinsics / FOV / range configuration"
@@ -340,6 +340,7 @@ class LabelSceneConfig:
             raise ValueError(f"unknown mask_shape {self.mask_shape!r}")
         if self.object_count < 1:
             raise ValueError("object_count must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -428,6 +429,12 @@ def _render_mask(
     return mask
 
 
+def _unproject(k: CameraIntrinsics, t_inv: Extrinsics, u, v, z: float) -> np.ndarray:
+    """Radar-frame point seen at pixel (u, v) with camera depth z (``t_inv``
+    maps camera to radar): the pinhole model inverted."""
+    return t_inv.transform(np.array([(u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z]))
+
+
 def _bboxes_disjoint(a, b, gap: int) -> bool:
     au_lo, au_hi, av_lo, av_hi = a
     bu_lo, bu_hi, bv_lo, bv_hi = b
@@ -479,12 +486,7 @@ def gen_label_scene(
             cam = t.transform(positions)
             if np.any(cam[:, 2] <= 0.5):
                 continue
-            uv = np.column_stack(
-                [
-                    k.fx * cam[:, 0] / cam[:, 2] + k.cx,
-                    k.fy * cam[:, 1] / cam[:, 2] + k.cy,
-                ]
-            )
+            uv = pinhole(k, cam)[0]
             if not (
                 np.all(uv[:, 0] >= image_margin_px)
                 and np.all(uv[:, 0] <= k.width - image_margin_px)
@@ -515,14 +517,7 @@ def gen_label_scene(
                 side = 1 if rng.uniform() < 0.5 else -1
                 exit_u = bbox[1] + 3 if side > 0 else bbox[0] - 3
                 target_v = 0.5 * (bbox[2] + bbox[3])
-                p_cam = np.array(
-                    [
-                        (exit_u - k.cx) / k.fx * z_obj,
-                        (target_v - k.cy) / k.fy * z_obj,
-                        z_obj,
-                    ]
-                )
-                p_radar = t_inv.transform(p_cam)
+                p_radar = _unproject(k, t_inv, exit_u, target_v, z_obj)
                 if np.linalg.norm(p_radar - kept_mean) > 0.78:
                     displaced_ok = False
                     break
@@ -613,14 +608,7 @@ def gen_label_scene(
                 delta = float(rng.uniform(4.0, 8.0))
                 sign = 1.0 if (o["z_obj"] - delta < 2.0 or rng.uniform() < 0.5) else -1.0
                 z_bait = o["z_obj"] + sign * delta
-                p_cam = np.array(
-                    [
-                        (col + 1 - k.cx) / k.fx * z_bait,
-                        (row + 1 - k.cy) / k.fy * z_bait,
-                        z_bait,
-                    ]
-                )
-                p_radar = t_inv.transform(p_cam)
+                p_radar = _unproject(k, t_inv, col + 1, row + 1, z_bait)
                 if np.min(np.linalg.norm(centroids - p_radar, axis=1)) > 2.5:
                     xyz.append(p_radar)
                     velocities.append(float(rng.uniform(-10.0, 10.0)))
@@ -647,10 +635,8 @@ def gen_label_scene(
             )
             if np.min(np.linalg.norm(centroids - pos, axis=1)) < 2.5:
                 continue
-            cam = t.transform(pos)
-            if cam[2] > 1e-6:
-                u = k.fx * cam[0] / cam[2] + k.cx
-                v = k.fy * cam[1] / cam[2] + k.cy
+            (u, v), front = pinhole(k, t.transform(pos))
+            if front[0]:
                 ui = int(math.floor(u + 0.5))
                 vi = int(math.floor(v + 0.5))
                 if 1 <= ui <= k.width and 1 <= vi <= k.height:

@@ -28,6 +28,35 @@ from radcal.reflector import extract_reflector
 from radcal.synth import SceneConfig, default_intrinsics, gen_calibration_scene
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iters", 0),
+            ("max_iters", "5"),
+            ("max_iters", 5.0),
+            ("max_iters", True),
+            ("lambda_init", 0.0),
+            ("lambda_up", -10.0),
+            ("lambda_down", float("nan")),
+            ("lambda_init", "x"),
+            ("cost_rel_tol", -1e-12),
+            ("step_tol", float("nan")),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises((TypeError, ValueError)):
+            SolverConfig(**{field: value})
+
+    def test_zero_tolerances_allowed(self):
+        SolverConfig(cost_rel_tol=0.0, step_tol=0.0, max_iters=1)
+
+    def test_multistart_is_not_a_knob(self):
+        # the paper fixes the multistart to the cube group
+        with pytest.raises(TypeError):
+            SolverConfig(multistart=[np.zeros(6)])
+
+
 def rotation_error_rad(a: Extrinsics, b: Extrinsics) -> float:
     return float(np.linalg.norm(matrix_to_rotvec(a.rotation.T @ b.rotation)))
 

@@ -23,8 +23,9 @@ from radcal.fileio import (
     write_masks,
     write_radar_frame,
 )
-from radcal.geometry import SphericalReturn
+from radcal.geometry import Extrinsics, SphericalReturn
 from radcal.reflector import RadarFrame
+from radcal.synth import default_intrinsics
 
 
 def sha256_tree(directory):
@@ -147,6 +148,76 @@ class TestDeterminism:
             assert run(["autolabel", "--frames", lab_scene, "--masks", lab_scene,
                         "--calibration", out1, "-o", tmp_path / name]) == 0
         assert sha256_tree(tmp_path / "l1") == sha256_tree(tmp_path / "l2")
+
+
+# sha256 of the files `synth --kind calibration --poses 24 --seed 3
+# --pixel-sigma 0.5 --range-sigma 0.02 --angle-sigma 0.003` writes and of
+# `calibrate --holdout 0.25` on them: noisy poses, so the solve's result moves
+# with any bit of the projection, the LM loop or the writers.
+GOLDEN_CALIBRATION = {
+    "calibration.json": "cf4cbbab167cd86c73c3197ee4a8a4601b3eeabca4d39d9d76652748fbab127f",
+    "scene/corners_000.json": "616fc653f0fffdd90030440bad914845ac30060ec630a17dfe331a69a23b266e",
+    "scene/corners_001.json": "f05e436271c061a4f072f8733b5274285b05e4bf2868dcaa6e75f1996ad92b1d",
+    "scene/corners_002.json": "9349f452f2982254e47beb5687d8ee6e871e95caba253914ab8d3add2bf37770",
+    "scene/corners_003.json": "ae3191a98311ab3eece657b7324f2caeb16279a5b70a9af33655abfb292bf385",
+    "scene/corners_004.json": "49cbea5cc30fff44a2cf4c96efdf60723d0d3940181c5b399054053166882660",
+    "scene/corners_005.json": "183816cccc100527e87ed9541c5bd89886caa1847b0abd29e79197666535b3e1",
+    "scene/corners_006.json": "327dedd1d3fca1231ccec8c50f4b096c663178a8c270f7b347f74d6d157e5b6c",
+    "scene/corners_007.json": "ce4aca9024a47467fa10a310fff2ca426855b566aa1aa6577dd60f05f1e71df1",
+    "scene/corners_008.json": "cc785a0377db1c82f5cd7ee9f1711e49cfa4c94fb6ce9f76081a47798ac821df",
+    "scene/corners_009.json": "6fedc2a23d69d8d9d455133d8ef930aff63c0b16c3d406171e4bec56f54e960a",
+    "scene/corners_010.json": "3d0639521d1b9158899b8fae80c27c864ba48e11502e9b21758959639a106631",
+    "scene/corners_011.json": "8654732b3c28c06934b4404112ada90f6c0ec707ae02d70a75a8d98519402a4a",
+    "scene/corners_012.json": "851d04d2e5d3a43d1816883aa8d311bd088a561ec0bc69897a0103a24d142304",
+    "scene/corners_013.json": "e2c0b917c6999bfe1799cc1ce0ae07647bcb748cc2b667a23c0da1c5ad6cf5f4",
+    "scene/corners_014.json": "7c917688cc7741733ba99d47e904b104e66d36e51092850f3ae036120d70a650",
+    "scene/corners_015.json": "6b0399c2d3a0af728cfd38d6fe7910a0fbf5aafc0f018cb135ce1fdd27c01f2f",
+    "scene/corners_016.json": "20f08341b076010bbdcf17a213178e4db129ab43601300d9100049ec7cf28676",
+    "scene/corners_017.json": "651d64da13ac8ec87af0b2e159eea281eed40b6b5a32238233873b9081066f44",
+    "scene/corners_018.json": "755675114d4809ea955b64ad32ddfe772f76f1e898c0db535ef43b53e1e4c472",
+    "scene/corners_019.json": "6807b48204e7c5c139b55ee8ace8ec34e8f946704761f624f580cdeb14c92aaf",
+    "scene/corners_020.json": "5adef12af85175c6df9de1a61bdd2167fb7c7b623afbe00eda655402f5d3dfd6",
+    "scene/corners_021.json": "aaf040b005ecd88af45a59a01d80ef96018b5ee3f2b140c7a1521757a832ba85",
+    "scene/corners_022.json": "b28e42b1a663339140aa865585937843fc6322a341cd6fa7829513ffe889029e",
+    "scene/corners_023.json": "8a1b66cd9437d5aba32f8c3cf4ba88dca35ff9bbf4e5a0f892425bd45384ab13",
+    "scene/ground_truth.json": "fb25ac3c1e98133f3433bdc63fbce1a582a13f3ede7ce93b82e9ec34c8cda2c0",
+    "scene/intrinsics.json": "83b99543b1eb05f98775395b632f6ed73767a92d85f53f0d1f845d3069cabce1",
+    "scene/radar_000.json": "bb524d934770581c323541db23bef66080de8bf13596122acf54c15760f6356d",
+    "scene/radar_001.json": "2d6406f4167e86c97b789076d44e034ad106434a9061191944052722e7918875",
+    "scene/radar_002.json": "c815614d175b539c3a36b8bba063d3051c96be054c59735c06598325fa491b8a",
+    "scene/radar_003.json": "3cee862d17a780e8dd3154f378a7e08c3e80b961dc8ac2105f4a89056f985d7d",
+    "scene/radar_004.json": "a59fc037ec9a4e813203b6875958f8157304f2883ea84085ddbd18ab4b8666e6",
+    "scene/radar_005.json": "d433415cf4d2f62a4bd1fadbb789f6f1458fd7d8bf726d5e68ca35539156b8d4",
+    "scene/radar_006.json": "d5a58b73a733999d05d7981a3764bf36d1b86cfbb80723381e504581b720ed51",
+    "scene/radar_007.json": "de9688808d7d2f270cf8ac30623cc1e205635daf33805d84149ca9fffe103541",
+    "scene/radar_008.json": "707f848fb43d1778847bcbe1cff74c41e7b636653223872b0614e92a90260be4",
+    "scene/radar_009.json": "ba06a3020ec031c3de81bc83bb7e33d0b556e1419424d0e444d37d22d0bb358d",
+    "scene/radar_010.json": "a29b1bf067c50140d8b987cae194a547d31763d6c2bb4b3778d3a24131834776",
+    "scene/radar_011.json": "e8561b1eb90625ce67ffc4fcb19540bcc7697952e649c79bf2e49a81909cd4c9",
+    "scene/radar_012.json": "3fce6260f9514e129a15a1d143d04922d9bd90e0014fab25cfa10e046053b542",
+    "scene/radar_013.json": "9cd7799284815f33c3d21d8118c0866249b38c4b0b6b52235aca01dc1084d6b8",
+    "scene/radar_014.json": "f2e18f641524c3db507b005a525ba819e76db36097cfad573e81c3cb2aad3baf",
+    "scene/radar_015.json": "51a585f6f2cd3449a7eabf8bb08f9a68cc6e6db00a50f6898bd4417a2377a231",
+    "scene/radar_016.json": "f57241bcf22fd60e2b928fc53d3af5ac23488343983cf090b2d57388c93cfaa4",
+    "scene/radar_017.json": "d68988a54336d42f167a601a2e856dd8def8e555779d8583000bc7b86b82e1a1",
+    "scene/radar_018.json": "839d2d5cc369f44de5b1476421ea93e80a2d5c882bbb64f670e040862c90d6c1",
+    "scene/radar_019.json": "be22513570d3a0bd557160e1fecaa6d8788b5ef0e2e6af708dee125fcb6661a6",
+    "scene/radar_020.json": "d4030becf5fb150714475072924a40e191c0f685977965efc2971fd3c025b9f2",
+    "scene/radar_021.json": "175a6917372844bf9250c114e374770e78b04e3054209bb3e61a94cee054a871",
+    "scene/radar_022.json": "ff85ad3c1a703787abc26e0e8d61ed7231ca50e6cb0893608827755ca89dcde1",
+    "scene/radar_023.json": "9d643d03d23487c43292030df6d680f79c1d35050140454cc7fd9576639baf0d",
+}
+
+
+def test_calibration_golden_digests(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "calibration", "--poses", "24", "--seed", "3",
+                "--pixel-sigma", "0.5", "--range-sigma", "0.02", "--angle-sigma", "0.003",
+                "-o", scene]) == 0
+    assert run(["calibrate", "--corners", scene, "--frames", scene,
+                "--intrinsics", scene / "intrinsics.json", "--holdout", "0.25",
+                "-o", tmp_path / "calibration.json"]) == 0
+    assert sha256_tree(tmp_path) == GOLDEN_CALIBRATION
 
 
 # sha256 of the files `synth --kind labeling --seed 8 --frames 2 --fp-rate 0.1
@@ -300,6 +371,99 @@ class TestExitCodes:
         config.write_text(f'{{"{field}": 3}}')
         assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: bad {kind} scene config")
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    @pytest.mark.parametrize("seed", ["1e999", '"x"', "true", "-1"])
+    def test_bad_scene_seed_exit_2(self, tmp_path, capsys, kind, seed):
+        # these ended in a TypeError traceback from numpy's SeedSequence
+        config = tmp_path / "scene.json"
+        config.write_text(f'{{"seed": {seed}}}')
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad {kind} scene config")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    def test_scene_config_not_an_object_exit_2(self, tmp_path, capsys, kind):
+        config = tmp_path / "scene.json"
+        config.write_text("[1]")
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert "must hold an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "autolabel"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "[1]",
+            '"solver"',
+            '{"solver": [1]}',
+            '{"solver": {"max_iters": "5"}}',
+            '{"solver": {"max_iters": 0}}',
+            '{"solver": {"lambda_up": -10}}',
+            '{"solver": {"step_tol": -1}}',
+            '{"solver": {"multistart": [[0, 0, 0, 0, 0, 0]]}}',
+            '{"solver": {"multistart": 3}}',
+        ],
+    )
+    def test_bad_params_file_exit_2(self, tmp_path, capsys, command, params):
+        path = tmp_path / "params.json"
+        path.write_text(params)
+        assert run(self.params_argv(command, tmp_path, path)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["calibrate", "autolabel"])
+    def test_good_params_file_reaches_the_inputs(self, tmp_path, command):
+        # the params are read first: with a good file the missing input is exit 3
+        path = tmp_path / "params.json"
+        path.write_text('{"solver": {"max_iters": 5, "step_tol": 0}}')
+        assert run(self.params_argv(command, tmp_path, path)) == 3
+
+    @staticmethod
+    def params_argv(command, tmp_path, params):
+        missing = tmp_path / "missing.json"
+        if command == "calibrate":
+            inputs = ["--corners", tmp_path, "--frames", tmp_path, "--intrinsics", missing]
+        else:
+            inputs = ["--frames", tmp_path, "--masks", tmp_path, "--calibration", missing]
+        return [command, *inputs, "--params", params, "-o", tmp_path / "out"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
+            '{"fx": 800, "fy": 800, "cx": 960, "cy": 540, "width": 1e999, "height": 1080}',
+            '{"fx": "x", "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
+            '{"fx": -1, "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
+            "[800, 800, 960, 540, 1920, 1080]",
+        ],
+        ids=["missing_fx", "infinite_width", "text_fx", "negative_fx", "list"],
+    )
+    @pytest.mark.parametrize("reader", ["calibrate", "autolabel", "synth"])
+    def test_malformed_intrinsics_exit_code_per_reader(self, tmp_path, capsys, reader, bad):
+        # one intrinsics codec; each reader keeps its own error and exit code
+        out = ["-o", tmp_path / "out"]
+        if reader == "calibrate":
+            path = tmp_path / "intrinsics.json"
+            path.write_text(bad)
+            argv = ["calibrate", "--corners", tmp_path, "--frames", tmp_path,
+                    "--intrinsics", path, *out]
+            code, message = 4, "invalid input: bad intrinsics file"
+        elif reader == "autolabel":
+            path = tmp_path / "calibration.json"
+            fileio.write_calibration(path, Extrinsics.identity(), default_intrinsics(),
+                                     0.0, 0.0, True)
+            doc = json.loads(path.read_text())
+            doc["intrinsics"] = "@"
+            path.write_text(json.dumps(doc).replace('"@"', bad))
+            argv = ["autolabel", "--frames", tmp_path, "--masks", tmp_path,
+                    "--calibration", path, *out]
+            code, message = 4, "invalid input: bad calibration file"
+        else:
+            path = tmp_path / "scene.json"
+            path.write_text('{"intrinsics": ' + bad + "}")
+            argv = ["synth", "--kind", "calibration", "--config", path, *out]
+            code, message = 2, "config error: bad scene intrinsics"
+        assert run(argv) == code
+        assert capsys.readouterr().err.startswith(message)
 
     def test_deeply_nested_labels_eval_exit_4(self, tmp_path, capsys):
         scene = tmp_path / "scene"

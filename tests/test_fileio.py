@@ -458,7 +458,7 @@ def mutated_label_file(draw):
 
 
 class TestLabelFileMutations:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(mutated_label_file())
     def test_single_line_mutation_is_a_schema_error(self, case):
         text, line_no = case

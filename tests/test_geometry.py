@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from radcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
     SphericalReturn,
+    Z_EPS,
     canonicalize_rotvec,
     cart2sph,
     extrinsics_to_pose,
     matrix_to_rotvec,
+    nearest_rotation,
+    pinhole,
     pose_to_extrinsics,
     project,
     project_points,
@@ -183,6 +187,24 @@ class TestExtrinsics:
             assert np.allclose(back, pose, atol=1e-10)
 
 
+class TestNearestRotation:
+    def test_rotation_is_kept(self):
+        rotation = random_rotation(np.random.default_rng(12))
+        assert np.allclose(nearest_rotation(rotation), rotation, atol=1e-12)
+
+    def test_perturbed_matrix_snaps_to_a_rotation(self):
+        rng = np.random.default_rng(13)
+        rotation = random_rotation(rng)
+        snapped = nearest_rotation(rotation + 1e-4 * rng.normal(size=(3, 3)))
+        Extrinsics(snapped, np.zeros(3))  # orthonormal to 1e-9, det +1
+        assert np.allclose(snapped, rotation, atol=1e-3)
+
+    def test_reflection_gets_determinant_plus_one(self):
+        snapped = nearest_rotation(np.diag([1.0, 1.0, -1.0]))
+        assert np.isclose(np.linalg.det(snapped), 1.0)
+        Extrinsics(snapped, np.zeros(3))
+
+
 class TestProjection:
     def test_optical_axis(self):
         with pytest.warns(UserWarning):  # principal point at the corner
@@ -225,6 +247,47 @@ class TestProjection:
                 assert np.allclose(uv[i], project(k, t, pts[i]), atol=1e-12)
             else:
                 assert np.all(np.isnan(uv[i]))
+
+    def test_pinhole_gives_the_bits_of_every_projection(self):
+        k = CameraIntrinsics(700.0, 710.0, 320.0, 240.0, 640, 480)
+        cam = np.random.default_rng(11).normal(size=(4, 5, 3)) * 5
+        uv, front = pinhole(k, cam)
+        assert uv.shape == (4, 5, 2) and front.shape == (4, 5, 1)
+        flat_uv, flat_front = pinhole(k, cam.reshape(-1, 3))
+        assert np.array_equal(flat_uv, uv.reshape(-1, 2))
+        batch_uv, _, in_front = project_points(k, Extrinsics.identity(), cam)
+        assert np.array_equal(in_front, flat_front[:, 0])
+        for c, pixel, batch_pixel, ok in zip(cam.reshape(-1, 3), flat_uv, batch_uv, in_front):
+            assert ok == (c[2] > Z_EPS)
+            if ok:
+                formula = [k.fx * c[0] / c[2] + k.cx, k.fy * c[1] / c[2] + k.cy]
+                assert np.array_equal(pixel, formula)
+                assert np.array_equal(batch_pixel, pixel)
+                assert np.array_equal(project(k, Extrinsics.identity(), c), pixel)
+            else:
+                assert np.all(np.isnan(batch_pixel))
+
+    def test_intrinsics_doc_round_trip(self):
+        k = CameraIntrinsics(700.0, 710.0, 320.5, 240.0, 640, 480)
+        assert dataclasses.asdict(k) == {
+            "fx": 700.0, "fy": 710.0, "cx": 320.5, "cy": 240.0, "width": 640, "height": 480,
+        }
+        assert CameraIntrinsics.from_doc(dataclasses.asdict(k)) == k
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2}, KeyError),
+            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 1e999},
+             OverflowError),
+            ({"fx": "x", "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2}, ValueError),
+            ({"fx": 0.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2}, ValueError),
+            ([1.0, 1.0, 1.0, 1.0, 2, 2], TypeError),
+        ],
+    )
+    def test_intrinsics_from_bad_doc(self, doc, error):
+        with pytest.raises(error):
+            CameraIntrinsics.from_doc(doc)
 
     def test_principal_point_warning(self):
         with pytest.warns(UserWarning):

@@ -44,7 +44,7 @@ NO_QUERIES = np.empty(0, dtype=np.int64)
 
 
 class TestRuns:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(masks_and_queries())
     @example((dense(["....", "...."]), NO_QUERIES))  # empty
     @example((dense(["####", "####"]), NO_QUERIES))  # full
@@ -69,7 +69,7 @@ class TestRuns:
         assert np.array_equal(rle_decode(runs, *mask.shape), mask)
         assert np.array_equal(ref.rle_decode(runs, *mask.shape), mask)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(masks_and_queries())
     def test_file_round_trip_keeps_runs(self, case):
         mask, _ = case
@@ -122,7 +122,7 @@ def reference_outcome(runs, height: int, width: int, path: Path):
 
 
 class TestMalformedRunLists:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(RLE, st.integers(0, 4), st.integers(0, 5))
     @example([0, 5, 7], 4, 5)  # odd length
     @example([0, 0], 4, 5)  # zero length
@@ -159,7 +159,7 @@ class TestMalformedRunLists:
             assert not isinstance(got, str), got
             assert np.array_equal(got, expected)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(RLE, st.integers(0, 4), st.integers(0, 5))
     def test_rle_decode_agrees_with_dense_decoder(self, runs, height, width):
         def outcome(decode):

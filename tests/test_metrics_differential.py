@@ -51,7 +51,7 @@ def fields(report):
     return {name: getattr(report, name) for name in FIELDS}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(label_pairs())
 @example(([], []))
 @example(([None] * 3, [None] * 3))
@@ -77,7 +77,7 @@ def test_label_report_equals_reference(pair):
     assert point_accuracy(p, g) == ref.point_accuracy(pred, gt)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(label_pairs(min_size=1, max_size=12), min_size=1, max_size=4))
 @example([([(1, 1), (1, 1), None], [None] * 3)])
 def test_pooled_report_pools_the_reference_counts(frames):

@@ -238,7 +238,7 @@ def clouds(draw):
 
 
 class TestRadiusSearchProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(clouds())
     @example((np.empty((0, 3)), 0.3, 3))
     @example((np.array([[1.0, 2.0, 3.0]]), 0.3, 1))

@@ -18,6 +18,14 @@ from radcal.synth import (
 )
 
 
+@pytest.mark.parametrize("config", [SceneConfig, LabelSceneConfig])
+@pytest.mark.parametrize("seed", [float("inf"), 1.0, "x", True, None, -1])
+def test_config_rejects_seed_that_is_not_a_non_negative_int(config, seed):
+    # numpy's SeedSequence would reject these only once generation starts
+    with pytest.raises(ValueError, match="seed"):
+        config(seed=seed)
+
+
 class TestCalibrationScene:
     def test_counts_and_determinism(self):
         cfg = SceneConfig(seed=5, pose_count=6)
