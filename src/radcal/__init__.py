@@ -26,13 +26,7 @@ from .calibration import (
     solve_extrinsics,
 )
 from .checkerboard import CheckerboardSpec, CornerSet, checkerboard_center
-from .geometry import (
-    CameraIntrinsics,
-    Extrinsics,
-    SphericalReturn,
-    project,
-    sph2cart,
-)
+from .geometry import CameraIntrinsics, Extrinsics, project, sph2cart
 from .metrics import label_report, match_instances, miou, mre, point_accuracy, rmse
 from .reflector import (
     ClusterParams,

@@ -20,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Extrinsics, project_points, sph2cart
-from .reflector import RadarFrame
+from .geometry import CameraIntrinsics, Extrinsics, project_points
 
 __all__ = [
     "DimensionMismatch",
@@ -29,7 +28,6 @@ __all__ = [
     "InstanceMask",
     "dense_to_runs",
     "runs_to_dense",
-    "PointLabel",
     "Provenance",
     "LabelRecord",
     "LabelColumns",
@@ -81,15 +79,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.velocity)
-
-    @classmethod
-    def from_frame(cls, frame: RadarFrame) -> "PointCloud":
-        """Convert a spherical radar frame to Cartesian points."""
-        return cls(
-            np.array([sph2cart(r) for r in frame.returns]).reshape(-1, 3),
-            [r.velocity_mps for r in frame.returns],
-            [r.rcs_dbsm for r in frame.returns],
-        )
 
 
 def dense_to_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +140,6 @@ class InstanceMask:
         return flat < np.append(self.ends, 0)[pos]
 
 
-# A label is (class_id, instance_id); None means background / clutter.
-PointLabel = tuple[int, int] | None
-
-
 class Provenance(str, Enum):
     """How a point got (or lost) its final label."""
 
@@ -174,7 +159,7 @@ class LabelRecord:
     """Final assignment for one point: label (or None) plus provenance."""
 
     point_index: int
-    label: tuple[int, int] | None
+    label: tuple[int, int] | None  # (class_id, instance_id); None is background
     provenance: Provenance
 
     @property

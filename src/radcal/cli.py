@@ -73,10 +73,14 @@ def _load_config_file(path: str | Path) -> dict:
     return doc
 
 
+_PARAMS_SECTIONS = {"filter", "cluster", "label", "solver", "sync_tolerance_s"}
+
+
 def _params_from_file(path: str | Path | None) -> dict:
     """Parse a params file into dataclass instances with defaults filled in."""
     doc = _load_config_file(path) if path else {}
     try:
+        _reject_unknown(doc, _PARAMS_SECTIONS)
         return {
             "filter": reflector.FilterParams(**doc.get("filter", {})),
             "cluster": reflector.ClusterParams(**doc.get("cluster", {})),
@@ -130,10 +134,19 @@ def _intrinsics_from(doc: dict) -> CameraIntrinsics:
         raise ConfigError(f"bad scene intrinsics: {exc}") from exc
 
 
-def _config_fields(cls, doc: dict, **flags) -> dict:
+def _reject_unknown(doc: dict, known) -> None:
+    unknown = doc.keys() - set(known)
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
+
+
+def _config_fields(cls, doc: dict, also=(), **flags) -> dict:
     """The doc's values for the fields of a config dataclass, with the
-    command-line flags that were given set over them."""
-    values = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+    command-line flags that were given set over them.  A key that is neither
+    a field nor in ``also`` is a ValueError."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    _reject_unknown(doc, [*names, *also])
+    values = {name: doc[name] for name in names if name in doc}
     return {**values, **{name: v for name, v in flags.items() if v is not None}}
 
 
@@ -162,7 +175,8 @@ def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
 def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelSceneConfig:
     try:
         kwargs = _config_fields(
-            synth.LabelSceneConfig, doc, object_count=args.objects, seed=args.seed,
+            synth.LabelSceneConfig, doc, ("intrinsics", "extrinsics"),
+            object_count=args.objects, seed=args.seed,
             false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
         )
         for name in ("points_per_object", "extent_m", "range_m"):

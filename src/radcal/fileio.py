@@ -50,13 +50,12 @@ from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
     CameraIntrinsics,
     Extrinsics,
-    SphericalReturn,
     cart2sph,
     matrix_to_rotvec,
     nearest_rotation,
     sph2cart,
 )
-from .reflector import RadarFrame
+from .reflector import RETURN_DTYPE, RadarFrame
 
 __all__ = [
     "SchemaError",
@@ -213,34 +212,24 @@ def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarr
 # radar frames
 
 
+_CARTESIAN_KEYS = ("x_m", "y_m", "z_m", "v_mps", "rcs_dbsm")
+_SPHERICAL_FIELDS = operator.itemgetter(*RETURN_DTYPE.names)
+_CARTESIAN_FIELDS = operator.itemgetter(*_CARTESIAN_KEYS)
+
+
+def _points_doc(timestamp_s: float, keys: tuple, rows: np.ndarray) -> dict:
+    return {"timestamp_s": timestamp_s, "points": [dict(zip(keys, row)) for row in rows.tolist()]}
+
+
 def _frame_doc(frame: RadarFrame, variant: str) -> dict:
+    ret = frame.returns
     if variant == "spherical":
-        pts = [
-            {
-                "r_m": r.range_m,
-                "az_rad": r.azimuth_rad,
-                "el_rad": r.elevation_rad,
-                "v_mps": r.velocity_mps,
-                "rcs_dbsm": r.rcs_dbsm,
-            }
-            for r in frame.returns
-        ]
-    elif variant == "cartesian":
-        pts = []
-        for r in frame.returns:
-            xyz = sph2cart(r)
-            pts.append(
-                {
-                    "x_m": float(xyz[0]),
-                    "y_m": float(xyz[1]),
-                    "z_m": float(xyz[2]),
-                    "v_mps": r.velocity_mps,
-                    "rcs_dbsm": r.rcs_dbsm,
-                }
-            )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return {"timestamp_s": frame.timestamp_s, "points": pts}
+        return _points_doc(frame.timestamp_s, RETURN_DTYPE.names, ret)
+    if variant == "cartesian":
+        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        rows = np.column_stack((xyz, ret["v_mps"], ret["rcs_dbsm"]))
+        return _points_doc(frame.timestamp_s, _CARTESIAN_KEYS, rows)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def write_radar_frame(
@@ -251,13 +240,8 @@ def write_radar_frame(
 
 def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud) -> None:
     """Cartesian-variant frame straight from a labeling point cloud."""
-    pts = [
-        {"x_m": x, "y_m": y, "z_m": z, "v_mps": v, "rcs_dbsm": rho}
-        for (x, y, z), v, rho in zip(
-            points.xyz.tolist(), points.velocity.tolist(), points.rcs.tolist()
-        )
-    ]
-    write_json(path, {"timestamp_s": timestamp_s, "points": pts})
+    rows = np.column_stack((points.xyz, points.velocity, points.rcs))
+    write_json(path, _points_doc(timestamp_s, _CARTESIAN_KEYS, rows))
 
 
 def write_radar_frames_stream(
@@ -268,12 +252,20 @@ def write_radar_frames_stream(
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _frame_variant(points: list[dict]) -> str:
-    spherical = any("r_m" in p for p in points)
-    cartesian = any("x_m" in p for p in points)
+def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
+    """A frame document's timestamp, whether it is cartesian, and its points
+    as ``(N, 5)`` float rows in the order of that variant's keys."""
+    pts = doc["points"]
+    timestamp = float(doc["timestamp_s"])
+    if not isinstance(pts, list):  # an empty object would read as no points
+        raise TypeError(f"points must be a list, not {type(pts).__name__}")
+    spherical = any("r_m" in p for p in pts)
+    cartesian = any("x_m" in p for p in pts)
     if spherical and cartesian:
         raise SchemaError("frame mixes spherical and cartesian points")
-    return "cartesian" if cartesian else "spherical"
+    fields = _CARTESIAN_FIELDS if cartesian else _SPHERICAL_FIELDS
+    rows = np.fromiter(map(fields, pts), dtype=np.dtype((float, 5)), count=len(pts))
+    return timestamp, cartesian, rows
 
 
 def load_radar_frames(path: str | Path) -> list[RadarFrame]:
@@ -302,52 +294,27 @@ def load_radar_frame(path: str | Path) -> RadarFrame:
 
 def _frame_from_doc(doc: dict, source: str) -> RadarFrame:
     try:
-        pts = doc["points"]
-        timestamp = float(doc["timestamp_s"])
-        returns = []
-        if _frame_variant(pts) == "spherical":
-            for p in pts:
-                returns.append(
-                    SphericalReturn(
-                        float(p["r_m"]),
-                        float(p["az_rad"]),
-                        float(p["el_rad"]),
-                        float(p["v_mps"]),
-                        float(p["rcs_dbsm"]),
-                    )
-                )
-        else:
-            for p in pts:
-                r, az, el = cart2sph(
-                    np.array([float(p["x_m"]), float(p["y_m"]), float(p["z_m"])])
-                )
-                returns.append(
-                    SphericalReturn(r, az, el, float(p["v_mps"]), float(p["rcs_dbsm"]))
-                )
+        timestamp, cartesian, rows = _frame_rows(doc)
+        if cartesian and len(rows):
+            # scalar math, one point at a time: see cart2sph
+            rows[:, :3] = [cart2sph(p) for p in rows[:, :3].tolist()]
+        return RadarFrame(timestamp, rows)
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad radar frame {source}: {exc}") from exc
-    return RadarFrame(timestamp_s=timestamp, returns=tuple(returns))
-
-
-_CARTESIAN_FIELDS = operator.itemgetter("x_m", "y_m", "z_m", "v_mps", "rcs_dbsm")
 
 
 def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
     """Read either coordinate variant into a Cartesian labeling point cloud."""
     doc = _load_json(path)
     try:
-        pts = doc["points"]
-        timestamp = float(doc["timestamp_s"])
-        if _frame_variant(pts) == "cartesian":
-            rows = np.fromiter(
-                map(_CARTESIAN_FIELDS, pts), dtype=np.dtype((float, 5)), count=len(pts)
-            )
+        timestamp, cartesian, rows = _frame_rows(doc)
+        if cartesian:
             points = PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
         else:
-            points = PointCloud.from_frame(_frame_from_doc(doc, str(path)))
+            ret = RadarFrame(timestamp, rows).returns
+            xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+            points = PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"])
     except _BAD_FIELD as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"bad radar frame file {path}: {exc}") from exc
     return timestamp, points
 

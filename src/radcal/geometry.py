@@ -24,7 +24,6 @@ __all__ = [
     "BehindCamera",
     "CameraIntrinsics",
     "Extrinsics",
-    "SphericalReturn",
     "Z_EPS",
     "sph2cart",
     "cart2sph",
@@ -46,43 +45,6 @@ Z_EPS = 1e-6
 
 class BehindCamera(ValueError):
     """Point has non-positive depth in the camera frame; projection undefined."""
-
-
-@dataclass(frozen=True)
-class SphericalReturn:
-    """One raw 4D radar return in spherical coordinates.
-
-    range_m >= 0, azimuth in (-pi, pi], elevation in [-pi/2, pi/2].
-    """
-
-    range_m: float
-    azimuth_rad: float
-    elevation_rad: float
-    velocity_mps: float
-    rcs_dbsm: float
-
-    def __post_init__(self):
-        if not all(
-            math.isfinite(v)
-            for v in (
-                self.range_m,
-                self.azimuth_rad,
-                self.elevation_rad,
-                self.velocity_mps,
-                self.rcs_dbsm,
-            )
-        ):
-            raise ValueError("radar return fields must be finite")
-        if self.range_m < 0:
-            raise ValueError(f"range must be >= 0, got {self.range_m}")
-        if self.azimuth_rad == -math.pi:  # atan2 can emit the closed end
-            object.__setattr__(self, "azimuth_rad", math.pi)
-        if not -math.pi < self.azimuth_rad <= math.pi:
-            raise ValueError(f"azimuth must be in (-pi, pi], got {self.azimuth_rad}")
-        if abs(self.elevation_rad) > math.pi / 2:
-            raise ValueError(
-                f"elevation must be in [-pi/2, pi/2], got {self.elevation_rad}"
-            )
 
 
 @dataclass(frozen=True)
@@ -115,12 +77,6 @@ class CameraIntrinsics:
         TypeError, ValueError or OverflowError, which each reader maps."""
         fx, fy, cx, cy = (float(doc[name]) for name in ("fx", "fy", "cx", "cy"))
         return cls(fx, fy, cx, cy, width=int(doc["width"]), height=int(doc["height"]))
-
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 def _check_rotation(rotation: np.ndarray, tol: float = 1e-9) -> None:
@@ -172,20 +128,21 @@ class Extrinsics:
         return points @ self.rotation.T + self.translation
 
 
-def sph2cart(ret: SphericalReturn) -> np.ndarray:
-    """Spherical radar return to Cartesian position in the radar frame.
+def sph2cart(r, az, el) -> np.ndarray:
+    """Spherical to Cartesian positions in the radar frame, ``(..., 3)`` for
+    scalars or arrays of range, azimuth and elevation.
 
     x = R cos(el) cos(az), y = R cos(el) sin(az), z = R sin(el).
     """
-    r, az, el = ret.range_m, ret.azimuth_rad, ret.elevation_rad
-    ce = math.cos(el)
-    return np.array(
-        [r * ce * math.cos(az), r * ce * math.sin(az), r * math.sin(el)]
-    )
+    ce = np.cos(el)
+    return np.stack([r * ce * np.cos(az), r * ce * np.sin(az), r * np.sin(el)], axis=-1)
 
 
-def cart2sph(p: np.ndarray) -> tuple[float, float, float]:
-    """Cartesian position to (range, azimuth, elevation). Inverse of sph2cart."""
+def cart2sph(p) -> tuple[float, float, float]:
+    """Cartesian position to (range, azimuth, elevation). Inverse of sph2cart.
+
+    Scalar ``math`` on purpose: numpy's vectorized arctan2 and arcsin can
+    differ from it in the last bit, and written frames must not move."""
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     r = math.sqrt(x * x + y * y + z * z)
     az = math.atan2(y, x)

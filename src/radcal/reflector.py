@@ -12,17 +12,19 @@ tie -> smaller mean range; max-RCS tie -> lowest index).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SphericalReturn, sph2cart
+from .geometry import sph2cart
 
 __all__ = [
     "ReflectorNotFound",
     "EmptyAfterFilter",
     "NoClusters",
+    "RETURN_DTYPE",
     "RadarFrame",
     "FilterParams",
     "ClusterParams",
@@ -47,15 +49,54 @@ class NoClusters(ReflectorNotFound):
     """DBSCAN marked every filtered return as noise."""
 
 
-@dataclass(frozen=True)
+# One raw 4D radar return per row, with the spherical frame file's keys as
+# field names: range (m), azimuth and elevation (rad), Doppler velocity (m/s)
+# and RCS (dBsm).
+RETURN_DTYPE = np.dtype(
+    [(name, float) for name in ("r_m", "az_rad", "el_rad", "v_mps", "rcs_dbsm")]
+)
+
+
+@dataclass(frozen=True, eq=False)
 class RadarFrame:
-    """One radar scan: a timestamp and its returns (spherical)."""
+    """One radar scan: a timestamp and its returns, held as an ``(N,)``
+    RETURN_DTYPE array.  Given rows of five numbers ``(r, az, el, v, rcs)``
+    instead, a list of tuples or an ``(N, 5)`` array, it converts them.
+
+    Every field is finite, range >= 0, azimuth in (-pi, pi] (exactly -pi,
+    which atan2 can emit, is stored as pi) and elevation in [-pi/2, pi/2].
+    """
 
     timestamp_s: float
-    returns: tuple[SphericalReturn, ...]
+    returns: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "returns", tuple(self.returns))
+        width = len(RETURN_DTYPE)
+        if getattr(self.returns, "dtype", None) == RETURN_DTYPE:
+            returns = self.returns.reshape(-1).copy()
+        else:
+            rows = np.array(self.returns, dtype=float).reshape(-1, width)
+            returns = rows.view(RETURN_DTYPE).reshape(-1)
+        if not np.isfinite(returns.view((float, width))).all():
+            raise ValueError("radar return fields must be finite")
+        r, az, el = returns["r_m"], returns["az_rad"], returns["el_rad"]
+        az[az == -math.pi] = math.pi
+        for rule, values, bad in (
+            ("range must be >= 0", r, r < 0),
+            ("azimuth must be in (-pi, pi]", az, (az <= -math.pi) | (az > math.pi)),
+            ("elevation must be in [-pi/2, pi/2]", el, np.abs(el) > math.pi / 2),
+        ):
+            if bad.any():
+                raise ValueError(f"{rule}, got {values[bad][0]}")
+        returns.flags.writeable = False
+        object.__setattr__(self, "returns", returns)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RadarFrame)
+            and self.timestamp_s == other.timestamp_s
+            and np.array_equal(self.returns, other.returns)
+        )
 
 
 @dataclass(frozen=True)
@@ -101,24 +142,22 @@ class Cluster:
         return len(self.indices)
 
 
-def filter_returns(
-    frame: RadarFrame, params: FilterParams
-) -> list[SphericalReturn]:
+def filter_returns(frame: RadarFrame, params: FilterParams) -> np.ndarray:
     """Keep returns with r_min <= R <= r_max, |v| < v_th, rcs > rho_min.
 
     Range bounds are inclusive; the Doppler and RCS gates are strict.
     Order is preserved.  Raises EmptyAfterFilter when nothing survives.
     """
-    kept = [
-        r
-        for r in frame.returns
-        if params.r_min <= r.range_m <= params.r_max
-        and abs(r.velocity_mps) < params.v_th
-        and r.rcs_dbsm > params.rho_min
+    ret = frame.returns
+    kept = ret[
+        (params.r_min <= ret["r_m"])
+        & (ret["r_m"] <= params.r_max)
+        & (np.abs(ret["v_mps"]) < params.v_th)
+        & (ret["rcs_dbsm"] > params.rho_min)
     ]
-    if not kept:
+    if not len(kept):
         raise EmptyAfterFilter(
-            f"all {len(frame.returns)} returns at t={frame.timestamp_s} filtered out"
+            f"all {len(ret)} returns at t={frame.timestamp_s} filtered out"
         )
     return kept
 
@@ -256,17 +295,16 @@ def select_corner_cluster(
 
 
 def locate_center(
-    cluster: Cluster, returns: list[SphericalReturn]
+    cluster: Cluster, rcs: np.ndarray, xyz: np.ndarray
 ) -> tuple[int, np.ndarray]:
     """Strongest return in the cluster; ties go to the lowest index.
 
-    Returns ``(index, position)`` where the position comes from sph2cart
-    of the selected return.
+    ``rcs`` and ``xyz`` are indexed like the clustered points.  Returns
+    ``(index, position)``, the position being that point's row of ``xyz``.
     """
-    best_idx = max(
-        cluster.indices, key=lambda i: (returns[i].rcs_dbsm, -i)
-    )
-    return best_idx, sph2cart(returns[best_idx])
+    indices = np.array(cluster.indices)  # ascending: argmax keeps the lowest
+    best_idx = int(indices[np.argmax(np.asarray(rcs)[indices])])
+    return best_idx, xyz[best_idx]
 
 
 def extract_reflector(
@@ -283,13 +321,12 @@ def extract_reflector(
     filter_params = filter_params or FilterParams()
     cluster_params = cluster_params or ClusterParams()
     kept = filter_returns(frame, filter_params)
-    xyz = np.array([sph2cart(r) for r in kept])
+    xyz = sph2cart(kept["r_m"], kept["az_rad"], kept["el_rad"])
     clusters, _ = dbscan(xyz, cluster_params)
     if not clusters:
         raise NoClusters(
             f"all {len(kept)} filtered returns are DBSCAN noise at t={frame.timestamp_s}"
         )
-    rcs = np.array([r.rcs_dbsm for r in kept])
-    corner = select_corner_cluster(clusters, rcs)
-    _, center = locate_center(corner, kept)
+    rcs = kept["rcs_dbsm"]
+    _, center = locate_center(select_corner_cluster(clusters, rcs), rcs, xyz)
     return center

@@ -41,7 +41,6 @@ from .geometry import (
     pinhole,
     rotvec_to_matrix,
     sph2cart,
-    SphericalReturn,
 )
 from .reflector import RadarFrame
 
@@ -173,7 +172,7 @@ def _place_board(
         r = rng.uniform(cfg.range_min_m, cfg.range_max_m)
         az = rng.uniform(-az_half, az_half)
         el = rng.uniform(-el_half, el_half)
-        center = sph2cart(SphericalReturn(r, az, el, 0.0, 0.0))
+        center = sph2cart(r, az, el)
         cam = cfg.extrinsics.transform(center)
         if cam[2] <= 0.5:
             continue
@@ -209,37 +208,32 @@ def _synth_corners(
     return corners
 
 
+# A radar return as a row (r, az, el, v, rcs), the order of RETURN_DTYPE.
+Row = tuple[float, float, float, float, float]
+
+
 def _reflector_blob(
     cfg: SceneConfig, rng: np.random.Generator, center: np.ndarray
-) -> list[SphericalReturn]:
+) -> list[Row]:
     """Apex return exactly at the center with strictly maximal RCS, plus
     4-8 scatter returns within a few centimeters."""
-    r, az, el = cart2sph(center)
-    returns = [
-        SphericalReturn(r, az, el, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(37.0, 40.0)))
-    ]
+    apex = cart2sph(center)
+    rows = [(*apex, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(37.0, 40.0)))]
     n_scatter = int(rng.integers(4, 9))
-    offsets = rng.normal(0.0, 0.03, (n_scatter, 3))
-    for off in offsets:
-        sr, saz, sel = cart2sph(center + off)
-        returns.append(
-            SphericalReturn(
-                sr, saz, sel, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(30.0, 35.0))
-            )
-        )
-    return returns
+    for off in rng.normal(0.0, 0.03, (n_scatter, 3)):
+        scatter = cart2sph(center + off)
+        rows.append((*scatter, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(30.0, 35.0))))
+    return rows
 
 
-def _clutter_returns(
-    cfg: SceneConfig, rng: np.random.Generator
-) -> list[SphericalReturn]:
+def _clutter_returns(cfg: SceneConfig, rng: np.random.Generator) -> list[Row]:
     """Low-RCS clutter everywhere plus a few fast movers that pass the RCS gate."""
     az_half = math.radians(cfg.radar_fov_az_deg) / 2.0
     el_half = math.radians(cfg.radar_fov_el_deg) / 2.0
-    out = []
+    rows = []
     for _ in range(cfg.clutter_per_frame):
-        out.append(
-            SphericalReturn(
+        rows.append(
+            (
                 float(rng.uniform(0.5, 20.0)),
                 float(rng.uniform(-az_half, az_half)),
                 float(rng.uniform(-el_half, el_half)),
@@ -248,8 +242,8 @@ def _clutter_returns(
             )
         )
     for _ in range(cfg.moving_clutter_per_frame):
-        out.append(
-            SphericalReturn(
+        rows.append(
+            (
                 float(rng.uniform(3.5, 14.0)),
                 float(rng.uniform(-az_half, az_half)),
                 float(rng.uniform(-el_half, el_half)),
@@ -257,22 +251,22 @@ def _clutter_returns(
                 float(rng.uniform(10.5, 25.0)),
             )
         )
-    return out
+    return rows
 
 
 def _perturb_returns(
-    cfg: SceneConfig, rng: np.random.Generator, returns: list[SphericalReturn]
-) -> list[SphericalReturn]:
+    cfg: SceneConfig, rng: np.random.Generator, rows: list[Row]
+) -> list[Row]:
     if cfg.range_sigma_m == 0 and cfg.angle_sigma_rad == 0 and cfg.rcs_sigma_dbsm == 0:
-        return returns
+        return rows
     out = []
-    for ret in returns:
-        r = max(0.0, ret.range_m + float(rng.normal(0.0, cfg.range_sigma_m)))
-        az = ret.azimuth_rad + float(rng.normal(0.0, cfg.angle_sigma_rad))
-        el = ret.elevation_rad + float(rng.normal(0.0, cfg.angle_sigma_rad))
+    for r, az, el, v, rcs in rows:
+        r = max(0.0, r + float(rng.normal(0.0, cfg.range_sigma_m)))
+        az = az + float(rng.normal(0.0, cfg.angle_sigma_rad))
+        el = el + float(rng.normal(0.0, cfg.angle_sigma_rad))
         el = min(math.pi / 2, max(-math.pi / 2, el))
-        rcs = ret.rcs_dbsm + float(rng.normal(0.0, cfg.rcs_sigma_dbsm))
-        out.append(SphericalReturn(r, az, el, ret.velocity_mps, rcs))
+        rcs = rcs + float(rng.normal(0.0, cfg.rcs_sigma_dbsm))
+        out.append((r, az, el, v, rcs))
     return out
 
 
@@ -286,11 +280,8 @@ def gen_calibration_scene(cfg: SceneConfig | None = None) -> CalibrationScene:
         center, center_px = _place_board(cfg, rng, margin_px=150.0)
         corners = _synth_corners(cfg, rng, center_px, float(np.linalg.norm(center)))
         has_reflector = pose_id not in cfg.clutter_only_poses
-        returns: list[SphericalReturn] = []
-        if has_reflector:
-            returns.extend(_reflector_blob(cfg, rng, center))
-        returns.extend(_clutter_returns(cfg, rng))
-        returns = _perturb_returns(cfg, rng, returns)
+        rows = _reflector_blob(cfg, rng, center) if has_reflector else []
+        rows = _perturb_returns(cfg, rng, rows + _clutter_returns(cfg, rng))
         t_cam = float(pose_id)
         t_radar = t_cam + float(rng.uniform(-0.01, 0.01))
         poses.append(
@@ -299,7 +290,7 @@ def gen_calibration_scene(cfg: SceneConfig | None = None) -> CalibrationScene:
                 t_camera_s=t_cam,
                 t_radar_s=t_radar,
                 corner_set=CornerSet(corners, spec),
-                radar_frame=RadarFrame(timestamp_s=t_radar, returns=tuple(returns)),
+                radar_frame=RadarFrame(timestamp_s=t_radar, returns=rows),
                 gt_center_radar=center,
                 gt_center_pixel=center_px,
                 has_reflector=has_reflector,
@@ -469,7 +460,7 @@ def gen_label_scene(
             r = rng.uniform(*cfg.range_m)
             az = rng.uniform(-math.radians(25.0), math.radians(25.0))
             el = rng.uniform(-math.radians(8.0), math.radians(8.0))
-            centroid = sph2cart(SphericalReturn(r, az, el, 0.0, 0.0))
+            centroid = sph2cart(r, az, el)
             if any(
                 np.linalg.norm(centroid - o["centroid"]) < min_separation_m
                 for o in objects
@@ -625,13 +616,9 @@ def gen_label_scene(
     for _ in range(cfg.clutter_count):
         for _ in range(500):
             pos = sph2cart(
-                SphericalReturn(
-                    float(rng.uniform(4.0, 35.0)),
-                    float(rng.uniform(-az_half, az_half)),
-                    float(rng.uniform(-el_half, el_half)),
-                    0.0,
-                    0.0,
-                )
+                float(rng.uniform(4.0, 35.0)),
+                float(rng.uniform(-az_half, az_half)),
+                float(rng.uniform(-el_half, el_half)),
             )
             if np.min(np.linalg.norm(centroids - pos, axis=1)) < 2.5:
                 continue

@@ -27,7 +27,6 @@ from radcal.reflector import (
     extract_reflector,
     filter_returns,
 )
-from radcal.geometry import SphericalReturn
 from radcal.synth import (
     LabelSceneConfig,
     SceneConfig,
@@ -315,12 +314,12 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 def test_criterion_9_literal_gate_boundaries():
     # velocity filter strict at v = v_th
-    frame = RadarFrame(0.0, (SphericalReturn(10.0, 0.0, 0.0, 0.5, 20.0),))
+    frame = RadarFrame(0.0, [(10.0, 0.0, 0.0, 0.5, 20.0)])
     from radcal.reflector import EmptyAfterFilter
 
     with pytest.raises(EmptyAfterFilter):
         filter_returns(frame, FilterParams(v_th=0.5))
-    just_below = RadarFrame(0.0, (SphericalReturn(10.0, 0.0, 0.0, 0.5 - 1e-12, 20.0),))
+    just_below = RadarFrame(0.0, [(10.0, 0.0, 0.0, 0.5 - 1e-12, 20.0)])
     assert len(filter_returns(just_below, FilterParams(v_th=0.5))) == 1
 
     # depth gate strict at |dz| = tau_d

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,8 +23,9 @@ from radcal.fileio import (
     write_labels,
     write_masks,
     write_radar_frame,
+    write_radar_frames_stream,
 )
-from radcal.geometry import Extrinsics, SphericalReturn
+from radcal.geometry import Extrinsics
 from radcal.reflector import RadarFrame
 from radcal.synth import default_intrinsics
 
@@ -220,6 +222,72 @@ def test_calibration_golden_digests(tmp_path):
     assert sha256_tree(tmp_path) == GOLDEN_CALIBRATION
 
 
+# sha256 of the GOLDEN_CALIBRATION scene's radar frames rewritten as
+# cartesian-variant files (`frames/`) or as one spherical JSON-lines stream
+# (`frames.jsonl`), and of `calibrate` on them with and without
+# `--holdout 0.25`: the cartesian read goes through the spherical conversion,
+# so these move with any bit of it.
+GOLDEN_CALIBRATION_FORMS = {
+    "cartesian": {
+        "calibration.json": "3976697b36fead466d7f1c206ecd6ef9f940c5296a06457f8ea694e3500e25ab",
+        "calibration_holdout.json": "d376f5c64de98aeb5ee6c70f2d04f2c20d85fa7190a9791bb56b9abe69378f9e",
+        "frames/radar_000.json": "52080b6ea6791186edc2e68022fbc83ed23e62f8fec8bc04f87f80a2ea27482a",
+        "frames/radar_001.json": "839c292076ecb4d8f58ccd49d10bf9f4b4c33b6a48a11e2483d993822a7e65e1",
+        "frames/radar_002.json": "f40b54fcddf9103d9cfb11cfa91cd34e4191c16a2ab09f6bb3fa0fdc6d12acf7",
+        "frames/radar_003.json": "2e887813f357c5d1f3efe9b5fff865b2ae0c6790c8fd54fd0164cf59e3a89354",
+        "frames/radar_004.json": "0b324c409f034678372642f647baba2653e6947da966727e09fd36a2ca2300c7",
+        "frames/radar_005.json": "89a007b1570492e17b849b13cd65098a40fc9d79afdfa0ef188478b091378a1d",
+        "frames/radar_006.json": "ee40344d84d937ca1e9fc21b11ad6bd762418d6e0d26fafc7a9a3551b47d9ca5",
+        "frames/radar_007.json": "58f0249d5e86de0adf81d620be4f677a0feb7934d0def4d60b72ac9074274012",
+        "frames/radar_008.json": "2d635e269f262fc2d1473f767e39bff34d4c9db5dac8d0f7dd641268011aad0c",
+        "frames/radar_009.json": "b6c5a0bd65ef17d16fa81374876ba728ffd3372c86b166f046738c39b74de3de",
+        "frames/radar_010.json": "91965ab4ea18a6f287cae4ae0432eb817d43771bd98951f9004d98f8af71a185",
+        "frames/radar_011.json": "ec00414ad7bea841bd51f94643316494d37f7c5d234a0267c1de78c0556afc4e",
+        "frames/radar_012.json": "5a9f7d6a09a3c967643124310bb37813fc6f392db680355154c3671243c588cb",
+        "frames/radar_013.json": "8e03b02424821b35edbc5cc55d77edb95b802b7157a64e1c62a8225811cc3726",
+        "frames/radar_014.json": "3f7ab38b5d757f8d4a7f65b50afee4a8c1ca18035f0257544ebc0eae9efb6274",
+        "frames/radar_015.json": "dc7d76cb35e3028449227713ba4e1c6aa9e3333cd8f9503e4d81492a269bdd04",
+        "frames/radar_016.json": "6739f2e18572811897a9479370ae791df04fec512d6d8bf59def24fb52162426",
+        "frames/radar_017.json": "a6966addd60e5b7add577090b94307a9d2d58689e6883ee52849479428f69059",
+        "frames/radar_018.json": "e20939d6c5c5548611a0a5f7a57ba7a98d3a68b6b57ef25854c2f3390518eb63",
+        "frames/radar_019.json": "4fb10b83a55977866d40ecf266852a4a21666526b59648c9b8c1c27b05803112",
+        "frames/radar_020.json": "948c88d8898c2a3036c8b79895cedc843b7c5eaf967eb410c16d3f701e25576f",
+        "frames/radar_021.json": "d8c27321fec1dfba337a05c5ed78bb156bd2c4a2d1f95330caa9a337e5eb368d",
+        "frames/radar_022.json": "546fc740b0b74690217b0cb8798df99e28f8eacd5a83d79afb47b70bb0c7a60f",
+        "frames/radar_023.json": "73a0af5a5db9e6d51f3167ded2967e78f5682c0c0b124f99dfa7c63610a0a95d",
+    },
+    "jsonl": {
+        "calibration.json": "83b989d349828405382b4d097965ec9a6ec89ff182537655090b9c3dafae894e",
+        "calibration_holdout.json": "cf4cbbab167cd86c73c3197ee4a8a4601b3eeabca4d39d9d76652748fbab127f",
+        "frames.jsonl": "930de05e5eed1adf4b5842f084381d088dc03cc14132a5f792a054038381dea0",
+    },
+}
+
+
+@pytest.mark.parametrize("form", sorted(GOLDEN_CALIBRATION_FORMS))
+def test_calibration_golden_digests_other_frame_forms(tmp_path, form):
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "calibration", "--poses", "24", "--seed", "3",
+                "--pixel-sigma", "0.5", "--range-sigma", "0.02", "--angle-sigma", "0.003",
+                "-o", scene]) == 0
+    pinned = tmp_path / "pinned"
+    pinned.mkdir()
+    frames = [load_radar_frame(p) for p in sorted(scene.glob("radar_*.json"))]
+    if form == "cartesian":
+        inputs = pinned / "frames"
+        inputs.mkdir()
+        for i, frame in enumerate(frames):
+            write_radar_frame(inputs / f"radar_{i:03d}.json", frame, "cartesian")
+    else:
+        inputs = pinned / "frames.jsonl"
+        write_radar_frames_stream(inputs, frames)
+    for name, holdout in (("calibration.json", "0"), ("calibration_holdout.json", "0.25")):
+        assert run(["calibrate", "--corners", scene, "--frames", inputs,
+                    "--intrinsics", scene / "intrinsics.json", "--holdout", holdout,
+                    "-o", pinned / name]) == 0
+    assert sha256_tree(pinned) == GOLDEN_CALIBRATION_FORMS[form]
+
+
 # sha256 of the files `synth --kind labeling --seed 8 --frames 2 --fp-rate 0.1
 # --fn-rate 0.1` writes and of their `autolabel --stage full` labels, pinned
 # from the scalar labeling path: a change to the generator, the labeling
@@ -382,6 +450,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: bad {kind} scene config")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, doc", [("calibration", '{"pose_cout": 3}'), ("labeling", '{"objcet_count": 2}')]
+    )
+    def test_unknown_scene_config_key_exit_2(self, tmp_path, capsys, kind, doc):
+        # a misspelt key wrote the default scene
+        config = tmp_path / "scene.json"
+        config.write_text(doc)
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        assert "unknown key(s)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    def test_scene_camera_keys_stay_legal(self, tmp_path, kind):
+        # labeling reads intrinsics and extrinsics beside its config fields
+        camera = {
+            "intrinsics": dataclasses.asdict(default_intrinsics()),
+            "extrinsics": {"axis_angle": [1.2, -1.2, 1.2], "translation_m": [0.1, 0.0, 0.0]},
+            "seed": 4,
+        }
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(camera))
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 0
+
     @pytest.mark.parametrize("kind", ["calibration", "labeling"])
     def test_scene_config_not_an_object_exit_2(self, tmp_path, capsys, kind):
         config = tmp_path / "scene.json"
@@ -402,6 +493,7 @@ class TestExitCodes:
             '{"solver": {"step_tol": -1}}',
             '{"solver": {"multistart": [[0, 0, 0, 0, 0, 0]]}}',
             '{"solver": {"multistart": 3}}',
+            '{"solvr": {"max_iters": "x"}}',  # a misspelt section ran the defaults
         ],
     )
     def test_bad_params_file_exit_2(self, tmp_path, capsys, command, params):
@@ -633,8 +725,8 @@ class TestFlags:
         shutil.copytree(workflow / "cal_scene", scene)
         last = scene / "radar_023.json"
         frame = load_radar_frame(last)
-        behind = [SphericalReturn(8.0, 3.10 + 0.01 * i, 0.0, 0.0, 30.0) for i in range(4)]
-        write_radar_frame(last, RadarFrame(frame.timestamp_s, tuple(behind)))
+        behind = [(8.0, 3.10 + 0.01 * i, 0.0, 0.0, 30.0) for i in range(4)]
+        write_radar_frame(last, RadarFrame(frame.timestamp_s, behind))
         out = tmp_path / "c.json"
         assert run(["calibrate", "--corners", scene, "--frames", scene,
                     "--intrinsics", scene / "intrinsics.json",

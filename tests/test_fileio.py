@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from radcal.fileio import (
     write_radar_frame,
     write_radar_points,
 )
-from radcal.geometry import SphericalReturn, sph2cart
+from radcal.geometry import sph2cart
 from radcal.reflector import RadarFrame
 from radcal.synth import default_extrinsics, default_intrinsics
 
@@ -100,10 +101,7 @@ class TestRle:
 
 class TestRadarFrameFiles:
     def frame(self):
-        returns = (
-            SphericalReturn(8.0, 0.1, -0.05, 0.2, 31.5),
-            SphericalReturn(12.5, -0.4, 0.02, -1.0, 7.25),
-        )
+        returns = [(8.0, 0.1, -0.05, 0.2, 31.5), (12.5, -0.4, 0.02, -1.0, 7.25)]
         return RadarFrame(timestamp_s=3.5, returns=returns)
 
     def test_spherical_round_trip(self, tmp_path):
@@ -116,9 +114,10 @@ class TestRadarFrameFiles:
         path = tmp_path / "radar_000.json"
         write_radar_frame(path, self.frame(), variant="cartesian")
         _, points = load_radar_points(path)
-        for ret, xyz, v in zip(self.frame().returns, points.xyz, points.velocity):
-            assert np.allclose(xyz, sph2cart(ret), atol=1e-12)
-            assert v == ret.velocity_mps
+        ret = self.frame().returns
+        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        assert np.allclose(points.xyz, xyz, atol=1e-12)
+        assert np.array_equal(points.velocity, ret["v_mps"])
 
     def test_byte_identical_reserialization(self, tmp_path):
         path_a = tmp_path / "a.json"
@@ -153,7 +152,7 @@ class TestRadarFrameFiles:
     def test_jsonl_stream_round_trip(self, tmp_path):
         from radcal.fileio import load_radar_frames, write_radar_frames_stream
 
-        frames = [self.frame(), RadarFrame(4.5, (SphericalReturn(3.0, 0.0, 0.0, 0.0, 12.0),))]
+        frames = [self.frame(), RadarFrame(4.5, [(3.0, 0.0, 0.0, 0.0, 12.0)])]
         path = tmp_path / "frames.jsonl"
         write_radar_frames_stream(path, frames)
         back = load_radar_frames(path)
@@ -478,6 +477,94 @@ class TestLabelFileMutations:
             code = cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
                              "-o", str(Path(tmp) / "report.json")])
             assert code == cli.EXIT_INVALID
+
+
+# one point of each radar frame variant, and how a mutation may rewrite a frame
+FRAME_POINTS = {
+    "spherical": {"r_m": 8.0, "az_rad": 0.1, "el_rad": -0.05, "v_mps": 0.2, "rcs_dbsm": 31.5},
+    "cartesian": {"x_m": 6.0, "y_m": 1.0, "z_m": 0.5, "v_mps": 0.2, "rcs_dbsm": 31.5},
+}
+NOT_A_POINT_LIST = st.sampled_from([{}, {"r_m": 1.0}, 3, "r_m", None, [[8.0, 0.1]], [3]])
+
+
+@st.composite
+def mutated_radar_frame(draw):
+    """(mutation kind, frame document text) for one mutation of a valid
+    frame of 1-4 points."""
+    kind = draw(st.sampled_from(
+        ["none", "drop", "null", "string", "list", "1e999", "mixed", "points",
+         "elevation", "azimuth"]
+    ))
+    spherical_only = kind in ("elevation", "azimuth")
+    variant = "spherical" if spherical_only else draw(st.sampled_from(sorted(FRAME_POINTS)))
+    points = [dict(FRAME_POINTS[variant]) for _ in range(draw(st.integers(1, 4)))]
+    doc = {"timestamp_s": 1.5, "points": points}
+    i = draw(st.integers(0, len(points) - 1))
+    key = draw(st.sampled_from([*sorted(points[i]), "timestamp_s"]))
+    target = doc if key == "timestamp_s" else points[i]
+    if kind == "drop":
+        del target[key]
+    elif kind in ("null", "string", "list", "1e999"):
+        target[key] = {"null": None, "string": str(target[key]), "list": [target[key]],
+                       "1e999": "BIG"}[kind]
+    elif kind == "mixed":
+        other = "cartesian" if variant == "spherical" else "spherical"
+        points.insert(i, dict(FRAME_POINTS[other]))
+    elif kind == "points":
+        doc["points"] = draw(NOT_A_POINT_LIST)
+    elif kind == "elevation":
+        points[i]["el_rad"] = draw(st.sampled_from([1.5707963267948968, 2.0, -1.6]))
+    elif kind == "azimuth":
+        points[i]["az_rad"] = -math.pi
+    return kind, json.dumps(doc).replace('"BIG"', "1e999")
+
+
+class TestRadarFrameMutations:
+    """Every mutated frame, in either variant, as a .json file or one .jsonl
+    line, is a SchemaError in each reader (exit 4 from calibrate) or a frame
+    that holds the documented ranges; no other exception escapes."""
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            return load(path)
+        except SchemaError:
+            return None
+
+    @settings(max_examples=200)
+    @given(mutated_radar_frame())
+    def test_schema_error_or_valid_frame(self, case):
+        kind, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "radar_000.json").write_text(text)
+            (tmp / "stream.jsonl").write_text(text + "\n")
+            write_intrinsics(tmp / "intrinsics.json", default_intrinsics())
+            frame = self.outcome(load_radar_frame, tmp / "radar_000.json")
+            frames = self.outcome(load_radar_frames, tmp / "stream.jsonl")
+            points = self.outcome(load_radar_points, tmp / "radar_000.json")
+            assert (frames is None) == (frame is None)
+            for frames_arg in (tmp, tmp / "stream.jsonl"):
+                code = cli.main(["calibrate", "--corners", str(tmp), "--frames", str(frames_arg),
+                                 "--intrinsics", str(tmp / "intrinsics.json"),
+                                 "-o", str(tmp / "c.json")])
+                # with no corner files, an accepted frame ends in exit 3
+                assert code == (cli.EXIT_INVALID if frame is None else cli.EXIT_IO)
+        if kind in ("drop", "null", "list", "mixed", "points", "elevation"):
+            assert frame is None and points is None
+        if kind in ("none", "azimuth"):
+            assert frame is not None and points is not None
+        if frame is not None:
+            assert frames == [frame]
+            ret = frame.returns
+            assert np.isfinite(ret.view((float, 5))).all()
+            assert (ret["r_m"] >= 0).all() and (np.abs(ret["el_rad"]) <= math.pi / 2).all()
+            assert ((-math.pi < ret["az_rad"]) & (ret["az_rad"] <= math.pi)).all()
+            if kind == "azimuth":
+                assert math.pi in ret["az_rad"]
+                _, cloud = points
+                xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+                assert np.array_equal(cloud.xyz, xyz)
 
 
 BIG_INT = "1" + "0" * 400  # overflows a float as well as an int64

@@ -8,7 +8,6 @@ from radcal.geometry import (
     BehindCamera,
     CameraIntrinsics,
     Extrinsics,
-    SphericalReturn,
     Z_EPS,
     canonicalize_rotvec,
     cart2sph,
@@ -22,6 +21,7 @@ from radcal.geometry import (
     rotvec_to_matrix,
     sph2cart,
 )
+from radcal.reflector import RadarFrame
 
 
 def random_rotation(rng):
@@ -33,11 +33,11 @@ def random_rotation(rng):
 
 class TestSph2Cart:
     def test_forward_axis(self):
-        p = sph2cart(SphericalReturn(1.0, 0.0, 0.0, 0.0, 0.0))
+        p = sph2cart(1.0, 0.0, 0.0)
         assert np.allclose(p, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_left_axis(self):
-        p = sph2cart(SphericalReturn(2.0, math.pi / 2, 0.0, 0.0, 0.0))
+        p = sph2cart(2.0, math.pi / 2, 0.0)
         assert np.allclose(p, [0.0, 2.0, 0.0], atol=1e-15)
 
     def test_general_direction_independent_trig(self):
@@ -48,7 +48,7 @@ class TestSph2Cart:
             rotvec_to_matrix(np.array([0.0, -el, 0.0])) @ np.array([1.0, 0.0, 0.0])
         )
         expected = r * direction
-        p = sph2cart(SphericalReturn(r, az, el, 0.0, 0.0))
+        p = sph2cart(r, az, el)
         assert np.allclose(p, expected, atol=1e-12)
         assert abs(np.linalg.norm(p) - 5.0) < 1e-12 * 5.0
 
@@ -56,26 +56,35 @@ class TestSph2Cart:
         rng = np.random.default_rng(0)
         for _ in range(200):
             r = rng.uniform(0.0, 100.0)
-            ret = SphericalReturn(
-                r,
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi / 2, math.pi / 2),
-                0.0,
-                0.0,
-            )
-            assert abs(np.linalg.norm(sph2cart(ret)) - r) <= 1e-12 * max(1.0, r)
+            p = sph2cart(r, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2))
+            assert abs(np.linalg.norm(p) - r) <= 1e-12 * max(1.0, r)
 
     def test_cart2sph_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             p = rng.normal(size=3) * 10.0
             r, az, el = cart2sph(p)
-            back = sph2cart(SphericalReturn(r, az, el, 0.0, 0.0))
+            back = sph2cart(r, az, el)
             assert np.allclose(back, p, atol=1e-12)
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            SphericalReturn(-1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="range must be >= 0, got -1.0"):
+            RadarFrame(0.0, [(-1.0, 0.0, 0.0, 0.0, 0.0)])
+
+    def test_arrays_give_the_scalar_bits(self):
+        # the vectorized form against math, row by row, bit for bit
+        rng = np.random.default_rng(3)
+        r = rng.uniform(0.0, 100.0, 1001)
+        az = rng.uniform(-math.pi, math.pi, 1001)
+        el = rng.uniform(-math.pi / 2, math.pi / 2, 1001)
+        p = sph2cart(r, az, el)
+        assert p.shape == (1001, 3)
+        for i in range(0, 1001, 7):
+            ri, ai, ei = float(r[i]), float(az[i]), float(el[i])
+            ce = math.cos(ei)
+            expected = [ri * ce * math.cos(ai), ri * ce * math.sin(ai), ri * math.sin(ei)]
+            assert p[i].tolist() == expected
+            assert sph2cart(ri, ai, ei).tolist() == expected
 
 
 class TestRotationVector:

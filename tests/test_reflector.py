@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radcal.geometry import SphericalReturn, sph2cart
+from radcal.geometry import sph2cart
 from radcal.reflector import (
     Cluster,
     ClusterParams,
@@ -23,11 +23,18 @@ from radcal.reflector import (
 
 
 def frame_of(returns):
-    return RadarFrame(timestamp_s=0.0, returns=tuple(returns))
+    return RadarFrame(timestamp_s=0.0, returns=returns)
 
 
 def ret(r=10.0, az=0.0, el=0.0, v=0.0, rcs=20.0):
-    return SphericalReturn(r, az, el, v, rcs)
+    return (r, az, el, v, rcs)
+
+
+def locate(cluster, returns):
+    """locate_center on the returns' RCS and sph2cart positions."""
+    rows = frame_of(returns).returns
+    xyz = sph2cart(rows["r_m"], rows["az_rad"], rows["el_rad"])
+    return locate_center(cluster, rows["rcs_dbsm"], xyz)
 
 
 def dbscan_reference(points, eps, min_pts):
@@ -75,6 +82,39 @@ def labels_from_result(n, clusters, noise):
     return labels
 
 
+class TestRadarFrame:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((math.nan, 0.0, 0.0, 0.0, 20.0), "finite"),
+            ((10.0, 0.0, 0.0, math.inf, 20.0), "finite"),
+            ((-1.0, 0.0, 0.0, 0.0, 20.0), "range must be >= 0, got -1.0"),
+            ((10.0, -3.2, 0.0, 0.0, 20.0), r"azimuth must be in \(-pi, pi\], got -3.2"),
+            ((10.0, 3.2, 0.0, 0.0, 20.0), "azimuth"),
+            ((10.0, 0.0, 1.6, 0.0, 20.0), r"elevation must be in \[-pi/2, pi/2\], got 1.6"),
+            ((10.0, 0.0, -1.6, 0.0, 20.0), "elevation"),
+        ],
+    )
+    def test_each_rule_checked_on_any_row(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            frame_of([ret(), row, ret()])
+
+    def test_closed_ends_accepted_and_minus_pi_stored_as_pi(self):
+        rows = [ret(r=0.0), ret(az=-math.pi), ret(az=math.pi, el=math.pi / 2), ret(el=-math.pi / 2)]
+        returns = frame_of(rows).returns
+        assert returns["az_rad"].tolist() == [0.0, math.pi, math.pi, 0.0]
+        assert returns["el_rad"].tolist() == [0.0, 0.0, math.pi / 2, -math.pi / 2]
+
+    def test_rows_and_columns_agree(self):
+        rows = [ret(r=5.0, rcs=30.0), ret(r=6.0, v=0.25)]
+        frame = RadarFrame(1.0, rows)
+        assert frame.returns.tolist() == rows
+        assert frame == RadarFrame(1.0, np.array(rows)) == RadarFrame(1.0, frame.returns)
+        assert frame != RadarFrame(2.0, rows)
+        assert not frame.returns.flags.writeable
+        assert len(RadarFrame(1.0, []).returns) == 0
+
+
 class TestFilter:
     def test_table_defaults_keep_static_bright_return(self):
         kept = filter_returns(frame_of([ret(r=10.0, v=0.1, rcs=20.0)]), FilterParams())
@@ -111,11 +151,28 @@ class TestFilter:
         ]
         frame = frame_of(returns)
         kept = filter_returns(frame, FilterParams())
-        assert all(k in returns for k in kept)
-        positions = [returns.index(k) for k in kept]
+        assert all(k in returns for k in kept.tolist())
+        positions = [returns.index(k) for k in kept.tolist()]
         assert positions == sorted(positions)
         again = filter_returns(frame_of(kept), FilterParams())
-        assert again == kept
+        assert np.array_equal(again, kept)
+
+    def test_mask_matches_per_return_rule(self):
+        # values on and beside every bound, against the gates one return at a time
+        params = FilterParams()
+        rows = [
+            ret(r=r, v=v, rcs=rcs)
+            for r in (2.999, 3.0, 9.0, 15.0, 15.001)
+            for v in (-0.5, -0.499, 0.0, 0.499, 0.5)
+            for rcs in (10.0, 10.001)
+        ]
+        expected = [
+            row for row in rows
+            if params.r_min <= row[0] <= params.r_max
+            and abs(row[3]) < params.v_th
+            and row[4] > params.rho_min
+        ]
+        assert filter_returns(frame_of(rows), params).tolist() == expected
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -305,22 +362,25 @@ class TestLocate:
     def test_argmax_rcs(self):
         returns = [ret(rcs=10.0), ret(rcs=25.0), ret(rcs=11.0)]
         cluster = Cluster(indices=(0, 1, 2), centroid=np.zeros(3), mean_range=10.0)
-        idx, center = locate_center(cluster, returns)
+        idx, center = locate(cluster, returns)
         assert idx == 1
-        assert np.allclose(center, sph2cart(returns[1]))
+        assert np.array_equal(center, sph2cart(*returns[1][:3]))
 
     def test_singleton(self):
         returns = [ret(r=7.0, az=0.1, el=-0.05, rcs=33.0)]
         cluster = Cluster(indices=(0,), centroid=np.zeros(3), mean_range=7.0)
-        idx, center = locate_center(cluster, returns)
+        idx, center = locate(cluster, returns)
         assert idx == 0
-        assert np.allclose(center, sph2cart(returns[0]))
+        assert np.array_equal(center, sph2cart(*returns[0][:3]))
 
     def test_tie_goes_to_lowest_index(self):
         returns = [ret(r=5.0, rcs=20.0), ret(r=6.0, rcs=25.0), ret(r=7.0, rcs=25.0)]
         cluster = Cluster(indices=(0, 1, 2), centroid=np.zeros(3), mean_range=6.0)
-        idx, _ = locate_center(cluster, returns)
+        idx, _ = locate(cluster, returns)
         assert idx == 1
+        # only the cluster's members count, in ascending order
+        cluster = Cluster(indices=(0, 2), centroid=np.zeros(3), mean_range=6.0)
+        assert locate(cluster, returns)[0] == 2
 
 
 class TestExtract:
@@ -330,12 +390,12 @@ class TestExtract:
             math.atan2(center[1], center[0]),
             math.asin(center[2] / np.linalg.norm(center)),
         )
-        returns = [SphericalReturn(r, az, el, 0.0, apex_rcs)]
+        returns = [(r, az, el, 0.0, apex_rcs)]
         for _ in range(n - 1):
             p = center + rng.normal(0, 0.03, 3)
             rr = float(np.linalg.norm(p))
             returns.append(
-                SphericalReturn(
+                (
                     rr,
                     math.atan2(p[1], p[0]),
                     math.asin(p[2] / rr),
@@ -347,7 +407,7 @@ class TestExtract:
 
     def clutter(self, rng, n=50, rcs_max=9.5):
         return [
-            SphericalReturn(
+            (
                 float(rng.uniform(0.5, 20)),
                 float(rng.uniform(-1, 1)),
                 float(rng.uniform(-0.4, 0.4)),
@@ -385,7 +445,7 @@ class TestExtract:
         frame = frame_of(
             self.blob(strong, rng, apex_rcs=38.0)
             + [
-                SphericalReturn(
+                (
                     float(np.linalg.norm(p)),
                     math.atan2(p[1], p[0]),
                     math.asin(p[2] / np.linalg.norm(p)),
@@ -405,5 +465,5 @@ class TestExtract:
         baseline = extract_reflector(base_frame)
         for trial in range(5):
             extra = self.clutter(np.random.default_rng(100 + trial), n=80)
-            noisy = frame_of(list(base_frame.returns) + extra)
+            noisy = frame_of(base_frame.returns.tolist() + extra)
             assert np.array_equal(extract_reflector(noisy), baseline)
