@@ -15,6 +15,7 @@ to the lower-id cluster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ __all__ = [
     "PointCloud",
     "InstanceMask",
     "dense_to_runs",
+    "offsets_to_runs",
     "runs_to_dense",
     "Provenance",
     "LabelRecord",
@@ -81,10 +83,14 @@ class PointCloud:
         return len(self.velocity)
 
 
+def offsets_to_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open int64 runs (starts, ends) of ascending flat pixel offsets."""
+    return px[np.diff(px, prepend=-2) != 1], px[np.diff(px, append=-2) != 1] + 1
+
+
 def dense_to_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-open int64 runs (starts, ends) of a bool mask's set pixels, row-major."""
-    px = np.flatnonzero(mask)
-    return px[np.diff(px, prepend=-2) != 1], px[np.diff(px, append=-2) != 1] + 1
+    return offsets_to_runs(np.flatnonzero(mask))
 
 
 def runs_to_dense(starts: np.ndarray, ends: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -156,19 +162,12 @@ _CODE = {p: i for i, p in enumerate(_PROVENANCE)}
 
 @dataclass(frozen=True)
 class LabelRecord:
-    """Final assignment for one point: label (or None) plus provenance."""
+    """One point's label (or None) plus provenance: the per-point view that
+    iterating ``LabelColumns`` gives."""
 
     point_index: int
     label: tuple[int, int] | None  # (class_id, instance_id); None is background
     provenance: Provenance
-
-    @property
-    def class_id(self) -> int | None:
-        return None if self.label is None else self.label[0]
-
-    @property
-    def instance_id(self) -> int | None:
-        return None if self.label is None else self.label[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +186,14 @@ class LabelColumns:
 
     def __len__(self) -> int:
         return len(self.labeled)
+
+    def __iter__(self):
+        """One LabelRecord per point, in point order, with plain Python ints."""
+        columns = (self.labeled, self.class_id, self.instance_id, self.provenance)
+        for i, (labeled, class_id, instance_id, code) in enumerate(
+            zip(*(c.tolist() for c in columns))
+        ):
+            yield LabelRecord(i, (class_id, instance_id) if labeled else None, _PROVENANCE[code])
 
     @classmethod
     def from_labels(cls, labels) -> "LabelColumns":
@@ -248,8 +255,8 @@ class LabelParams:
             self.tau_a,
             self.n_min,
         )
-        if any(v <= 0 for v in values):
-            raise ValueError("all labeling parameters must be positive")
+        if not all(0 < v < math.inf for v in values):  # NaN fails too
+            raise ValueError("all labeling parameters must be positive and finite")
         if self.tau_a > 1.0:
             raise ValueError("tau_a must be in (0, 1]")
 
@@ -459,12 +466,13 @@ def autolabel_frame(
     t: Extrinsics,
     params: LabelParams | None = None,
     stage: str = "full",
-) -> list[LabelRecord]:
+) -> LabelColumns:
     """Label every point of one frame; ``stage`` selects pipeline depth.
 
     ``"coarse"`` stops after projection association, ``"otpf"`` adds the
-    outlier filter, ``"full"`` adds affinity completion.  Each point gets
-    exactly one record, in input order.
+    outlier filter, ``"full"`` adds affinity completion.  The columns hold
+    one row per point, in input order: the class and instance ids of the
+    mask that owns it (0 where it has none) and its provenance.
     """
     if stage not in ("coarse", "otpf", "full"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -503,8 +511,9 @@ def autolabel_frame(
                 owner[idx[iids == iid]] = coarse.cluster_owner[iid]
             provenance[idx] = _CODE[Provenance.RECOVERED]
 
-    labels = coarse.mask_labels
-    return [
-        LabelRecord(i, labels[j], _PROVENANCE[c])
-        for i, (j, c) in enumerate(zip(owner.tolist(), provenance.tolist()))
-    ]
+    # owner -1 reads the appended 0
+    class_id = np.array([m.class_id for m in masks] + [0], dtype=np.int64)
+    instance_id = np.array([m.instance_id for m in masks] + [0], dtype=np.int64)
+    return LabelColumns(
+        class_id[owner], instance_id[owner], owner >= 0, provenance.astype(np.int8)
+    )

@@ -25,7 +25,6 @@ from .geometry import (
     Extrinsics,
     _skew,
     canonicalize_rotvec,
-    extrinsics_to_pose,
     matrix_to_rotvec,
     nearest_rotation,
     pinhole,
@@ -117,11 +116,11 @@ class SolverConfig:
         if type(self.max_iters) is not int or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         for name in ("lambda_init", "lambda_up", "lambda_down"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("cost_rel_tol", "step_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -137,10 +136,6 @@ class CalibrationResult:
     cost: float
     seed_index: int
     cost_history: list[float] = field(default_factory=list)
-
-    @property
-    def pose_vector(self) -> np.ndarray:
-        return extrinsics_to_pose(self.extrinsics)
 
 
 def build_correspondences(

@@ -17,6 +17,7 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -81,14 +82,15 @@ def _params_from_file(path: str | Path | None) -> dict:
     doc = _load_config_file(path) if path else {}
     try:
         _reject_unknown(doc, _PARAMS_SECTIONS)
+        sync_tolerance_s = float(doc.get("sync_tolerance_s", cal.DEFAULT_SYNC_TOLERANCE_S))
+        if not 0 <= sync_tolerance_s < math.inf:  # NaN would turn the sync gate off
+            raise ValueError(f"sync_tolerance_s must be finite and >= 0, got {sync_tolerance_s}")
         return {
             "filter": reflector.FilterParams(**doc.get("filter", {})),
             "cluster": reflector.ClusterParams(**doc.get("cluster", {})),
             "label": al.LabelParams(**doc.get("label", {})),
             "solver": cal.SolverConfig(**doc.get("solver", {})),
-            "sync_tolerance_s": float(
-                doc.get("sync_tolerance_s", cal.DEFAULT_SYNC_TOLERANCE_S)
-            ),
+            "sync_tolerance_s": sync_tolerance_s,
         }
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
@@ -256,15 +258,9 @@ def _write_scene(args, out: Path) -> str:
             intrinsics.height,
             list(scene.masks),
         )
-        records = [
-            al.LabelRecord(
-                i,
-                lbl,
-                al.Provenance.COARSE if lbl is not None else al.Provenance.UNLABELED,
-            )
-            for i, lbl in enumerate(scene.gt_labels)
-        ]
-        fileio.write_labels(gt_dir / f"labels_{frame_idx:03d}.jsonl", records)
+        fileio.write_labels(
+            gt_dir / f"labels_{frame_idx:03d}.jsonl", al.LabelColumns.from_labels(scene.gt_labels)
+        )
         ground_truths.append(scene.ground_truth())
     fileio.write_json(
         out / "ground_truth.json",
@@ -448,9 +444,9 @@ def _label_one(
             f"{mask_path}: mask size {width}x{height} != intrinsics "
             f"{intrinsics.width}x{intrinsics.height}"
         )
-    records = al.autolabel_frame(points, masks, intrinsics, extrinsics, params, stage)
-    fileio.write_labels(out_path, records)
-    return sum(1 for r in records if r.label is not None)
+    labels = al.autolabel_frame(points, masks, intrinsics, extrinsics, params, stage)
+    fileio.write_labels(out_path, labels)
+    return int(labels.labeled.sum())
 
 
 def _cmd_autolabel(args) -> int:

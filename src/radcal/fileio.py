@@ -40,7 +40,6 @@ import numpy as np
 from .autolabel import (
     InstanceMask,
     LabelColumns,
-    LabelRecord,
     PointCloud,
     Provenance,
     dense_to_runs,
@@ -145,6 +144,14 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     write_text(path, canonical_json(obj) + "\n")
+
+
+def _timestamp(doc: dict) -> float:
+    """A document's ``timestamp_s``; a NaN one would pass every sync check."""
+    timestamp = float(doc["timestamp_s"])
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp_s must be finite, got {timestamp}")
+    return timestamp
 
 
 def _load_json(path: str | Path) -> dict:
@@ -256,7 +263,7 @@ def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     """A frame document's timestamp, whether it is cartesian, and its points
     as ``(N, 5)`` float rows in the order of that variant's keys."""
     pts = doc["points"]
-    timestamp = float(doc["timestamp_s"])
+    timestamp = _timestamp(doc)
     if not isinstance(pts, list):  # an empty object would read as no points
         raise TypeError(f"points must be a list, not {type(pts).__name__}")
     spherical = any("r_m" in p for p in pts)
@@ -347,7 +354,7 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
             [[float(c["u_px"]), float(c["v_px"])] for c in doc["corners"]]
         ).reshape(-1, 2)
         pose_id = int(doc["pose_id"])
-        timestamp = float(doc["timestamp_s"])
+        timestamp = _timestamp(doc)
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad corners file {path}: {exc}") from exc
     return pose_id, timestamp, CornerSet(corners, spec)
@@ -455,26 +462,28 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
 # point labels (JSON-lines)
 
 
-def write_labels(path: str | Path, records: list[LabelRecord]) -> None:
-    """One canonical JSON line per record, formatted directly: records that
-    share a label and provenance share every byte but the point index."""
+def write_labels(path: str | Path, labels: LabelColumns) -> None:
+    """One canonical JSON line per point, in point order, formatted directly:
+    points that share a label and provenance share every byte but the index."""
     parts: dict = {}
     lines = []
-    for rec in records:
-        key = (rec.label, rec.provenance)
+    columns = (labels.labeled, labels.class_id, labels.instance_id, labels.provenance)
+    for i, key in enumerate(zip(*(c.tolist() for c in columns))):
         if key not in parts:
+            labeled, class_id, instance_id, code = key
             parts[key] = (
-                f'{{"class_id":{canonical_json(rec.class_id)},'
-                f'"instance_id":{canonical_json(rec.instance_id)},"point_index":',
-                f',"provenance":{canonical_json(rec.provenance.value)}}}',
+                f'{{"class_id":{canonical_json(class_id if labeled else None)},'
+                f'"instance_id":{canonical_json(instance_id if labeled else None)},"point_index":',
+                f',"provenance":{_PROVENANCE_JSON[code]}}}',
             )
         head, tail = parts[key]
-        lines.append(f"{head}{rec.point_index}{tail}")
+        lines.append(f"{head}{i}{tail}")
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 _LABEL_FIELDS = operator.itemgetter("point_index", "class_id", "instance_id", "provenance")
 _PROVENANCE_CODE = {p.value: i for i, p in enumerate(Provenance)}
+_PROVENANCE_JSON = [canonical_json(p.value) for p in Provenance]  # by LabelColumns code
 
 
 def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, np.ndarray]:

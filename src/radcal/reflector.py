@@ -109,10 +109,13 @@ class FilterParams:
     rho_min: float = 10.0
 
     def __post_init__(self):
-        if not (0 <= self.r_min < self.r_max):
-            raise ValueError(f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if self.v_th <= 0:
-            raise ValueError("v_th must be positive")
+        # written so that NaN fails each check
+        if not (0 <= self.r_min < self.r_max < math.inf):
+            raise ValueError(f"need 0 <= r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
+        if not 0 < self.v_th < math.inf:
+            raise ValueError("v_th must be positive and finite")
+        if not math.isfinite(self.rho_min):
+            raise ValueError("rho_min must be finite")
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,9 @@ class ClusterParams:
     min_pts: int = 3
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.min_pts < 1:
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError("eps must be positive and finite")
+        if not 1 <= self.min_pts < math.inf:
             raise ValueError("min_pts must be >= 1")
 
 

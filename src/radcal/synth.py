@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autolabel import InstanceMask, PointCloud
+from .autolabel import InstanceMask, PointCloud, _lookup_pixels, offsets_to_runs
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
     CameraIntrinsics,
@@ -395,29 +395,23 @@ def _render_mask(
     margin: int,
     k: CameraIntrinsics,
 ) -> np.ndarray:
-    """Boolean H x W mask covering the object silhouette."""
+    """Ascending row-major flat pixel offsets of the mask covering the object
+    silhouette, rendered over its bbox window only."""
     u_lo, u_hi, v_lo, v_hi = bbox
-    mask = np.zeros((k.height, k.width), dtype=bool)
-    if shape == "rect" or len(uv) < 3:
-        mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = True
-        return mask
-    # convex hull of the projected points, dilated by the margin
-    try:
+    uu, vv = np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1), indexing="xy")
+    inside = np.ones(uu.shape, dtype=bool)  # the rect: the whole window
+    if shape == "hull" and len(uv) >= 3:
         from scipy.spatial import ConvexHull, QhullError
 
-        hull = ConvexHull(uv)
-    except QhullError:
-        mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = True
-        return mask
-    # half-plane test over the bbox window; equations are a @ x + b <= 0 inside
-    cols = np.arange(u_lo, u_hi + 1, dtype=float)
-    rows = np.arange(v_lo, v_hi + 1, dtype=float)
-    uu, vv = np.meshgrid(cols, rows, indexing="xy")
-    inside = np.ones(uu.shape, dtype=bool)
-    for a, b, c in hull.equations:
-        inside &= a * uu + b * vv + c <= margin
-    mask[v_lo - 1 : v_hi, u_lo - 1 : u_hi] = inside
-    return mask
+        try:
+            equations = ConvexHull(uv).equations
+        except QhullError:  # degenerate points keep the rect
+            equations = ()
+        # the hull of the projected points, dilated by the margin: a half-plane
+        # test over the window; equations are a @ x + b <= 0 inside
+        for a, b, c in equations:
+            inside &= a * uu + b * vv + c <= margin
+    return ((vv - 1) * k.width + uu - 1)[inside]
 
 
 def _unproject(k: CameraIntrinsics, t_inv: Extrinsics, u, v, z: float) -> np.ndarray:
@@ -485,8 +479,7 @@ def gen_label_scene(
                 and np.all(uv[:, 1] <= k.height - image_margin_px * 0.6)
             ):
                 continue
-            ui = np.floor(uv[:, 0] + 0.5).astype(int)
-            vi = np.floor(uv[:, 1] + 0.5).astype(int)
+            ui, vi = _lookup_pixels(uv)
             k_fn = int(round(cfg.false_negative_rate * n_pts))
             n_kept = n_pts - k_fn
             if n_kept < 3:
@@ -516,10 +509,7 @@ def gen_label_scene(
             if not displaced_ok:
                 continue
 
-            if cfg.mask_shape == "hull":
-                mask = _render_mask("hull", uv[:n_kept], bbox, cfg.mask_margin_px, k)
-            else:
-                mask = _render_mask("rect", uv[:n_kept], bbox, cfg.mask_margin_px, k)
+            offsets = _render_mask(cfg.mask_shape, uv[:n_kept], bbox, cfg.mask_margin_px, k)
 
             is_dynamic = rng.uniform() < cfg.dynamic_fraction
             if is_dynamic:
@@ -536,7 +526,7 @@ def gen_label_scene(
                     "positions": positions,
                     "n_kept": n_kept,
                     "bbox": bbox,
-                    "mask": mask,
+                    "offsets": offsets,
                     "velocity": v_obj,
                     "rcs": rcs_obj,
                     "z_obj": z_obj,
@@ -591,11 +581,10 @@ def gen_label_scene(
     centroids = np.array([o["centroid"] for o in objects])
     for o in objects:
         k_fp = int(round(cfg.false_positive_rate * len(o["positions"])))
-        flat = np.flatnonzero(o["mask"]) if k_fp else None
         for _ in range(k_fp):
             for _ in range(200):
-                pick = int(rng.integers(0, len(flat)))
-                row, col = divmod(flat[pick], k.width)
+                pick = int(rng.integers(0, len(o["offsets"])))
+                row, col = divmod(o["offsets"][pick], k.width)
                 delta = float(rng.uniform(4.0, 8.0))
                 sign = 1.0 if (o["z_obj"] - delta < 2.0 or rng.uniform() < 0.5) else -1.0
                 z_bait = o["z_obj"] + sign * delta
@@ -608,9 +597,7 @@ def gen_label_scene(
                     break
 
     # background clutter: never inside a mask, never near an object
-    masks_any = np.zeros((k.height, k.width), dtype=bool)
-    for o in objects:
-        masks_any |= o["mask"]
+    masked = np.sort(np.concatenate([o["offsets"] for o in objects]))
     az_half = math.radians(40.0)
     el_half = math.radians(10.0)
     for _ in range(cfg.clutter_count):
@@ -622,15 +609,18 @@ def gen_label_scene(
             )
             if np.min(np.linalg.norm(centroids - pos, axis=1)) < 2.5:
                 continue
-            (u, v), front = pinhole(k, t.transform(pos))
+            uv, front = pinhole(k, t.transform(pos))
             if front[0]:
-                ui = int(math.floor(u + 0.5))
-                vi = int(math.floor(v + 0.5))
+                # the lookup pixel coarse association will sample
+                (ui,), (vi,) = _lookup_pixels(uv[None])
                 if 1 <= ui <= k.width and 1 <= vi <= k.height:
-                    # stay clear of mask edges by a couple of pixels
+                    # stay clear of mask edges by a couple of pixels: no masked
+                    # offset in any row's [start, end) of the window
                     r0, r1 = max(0, vi - 3), min(k.height, vi + 2)
                     c0, c1 = max(0, ui - 3), min(k.width, ui + 2)
-                    if masks_any[r0:r1, c0:c1].any():
+                    starts = np.arange(r0, r1) * k.width + c0
+                    at = np.searchsorted(masked, np.concatenate((starts, starts + c1 - c0)))
+                    if (at[: r1 - r0] < at[r1 - r0 :]).any():
                         continue
             xyz.append(pos)
             velocities.append(float(rng.uniform(-10.0, 10.0)))
@@ -639,8 +629,9 @@ def gen_label_scene(
             break
 
     masks = tuple(
-        InstanceMask.from_dense(
-            o["mask"], o["class_id"], o["instance_id"], o["confidence"]
+        InstanceMask(
+            *offsets_to_runs(o["offsets"]), k.height, k.width,
+            o["class_id"], o["instance_id"], o["confidence"],
         )
         for o in objects
     )

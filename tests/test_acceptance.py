@@ -191,10 +191,8 @@ def test_criterion_4_lm_gradient_check():
 def test_criterion_5_clean_labeling_soundness():
     k, t = default_intrinsics(), default_extrinsics()
     scene = gen_label_scene(LabelSceneConfig(seed=5), k, t)
-    records = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
-    rep = label_report(
-        LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
-    )
+    labels = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
+    rep = label_report(labels, LabelColumns.from_labels(scene.gt_labels))
     assert rep.pa_percent == 100.0, f"PA {rep.pa_percent}"
     assert rep.miou_percent == 100.0, f"mIoU {rep.miou_percent}"
     report(5, f"PA {rep.pa_percent}, mIoU {rep.miou_percent} on the clean scene")

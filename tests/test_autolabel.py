@@ -285,7 +285,7 @@ class TestAutolabelFrame:
 
     def test_clean_frame_full_pipeline(self):
         points, masks = self.clean_setup()
-        records = autolabel_frame(cloud(*points), masks, K, T, stage="full")
+        records = list(autolabel_frame(cloud(*points), masks, K, T, stage="full"))
         assert [r.label for r in records[:4]] == [(3, 1)] * 4
         assert records[4].label is None
         assert [r.provenance for r in records[:4]] == [Provenance.COARSE] * 4
@@ -300,7 +300,7 @@ class TestAutolabelFrame:
         points, masks = self.clean_setup()
         # add a wrong-depth point projecting inside the mask
         points.append(pt(0.0, 0.0, 16.0, v=2.0, rcs=15.0))
-        records = autolabel_frame(cloud(*points), masks, K, T, stage="otpf")
+        records = list(autolabel_frame(cloud(*points), masks, K, T, stage="otpf"))
         assert records[5].label is None
         assert records[5].provenance == Provenance.FILTERED_OUT
 
@@ -310,7 +310,7 @@ class TestAutolabelFrame:
             pt(0.0, 0.0, 16.0, v=2.0, rcs=15.0),  # would fail the depth gate
         ]
         masks = [rect_mask(45, 55, 45, 55)]
-        records = autolabel_frame(cloud(*points), masks, K, T, LabelParams(n_min=3), "full")
+        records = list(autolabel_frame(cloud(*points), masks, K, T, LabelParams(n_min=3), "full"))
         assert records[0].label == (1, 1)
         assert records[1].label == (1, 1)  # size guard: no filtering below n_min
 
@@ -319,10 +319,10 @@ class TestAutolabelFrame:
         # a point spatially on the object whose projection misses the mask
         points.append(pt(0.45, 0.0, 10.0, v=2.0, rcs=15.0))  # u = 54.5 in mask...
         points[-1] = pt(0.7, 0.0, 10.0, v=2.0, rcs=15.0)  # u = 57: outside mask
-        records = autolabel_frame(cloud(*points), masks, K, T, stage="full")
+        records = list(autolabel_frame(cloud(*points), masks, K, T, stage="full"))
         assert records[5].label == (3, 1)
         assert records[5].provenance == Provenance.RECOVERED
-        coarse = autolabel_frame(cloud(*points), masks, K, T, stage="coarse")
+        coarse = list(autolabel_frame(cloud(*points), masks, K, T, stage="coarse"))
         assert coarse[5].label is None
 
     def test_empty_mask_set_all_unlabeled(self):
@@ -343,7 +343,7 @@ class TestAutolabelFrame:
         points, masks = self.clean_setup()
         a = autolabel_frame(cloud(*points), masks, K, T, stage="full")
         b = autolabel_frame(cloud(*points), masks, K, T, stage="full")
-        assert a == b
+        assert list(a) == list(b)
 
     def test_stage_monotonicity(self):
         points, masks = self.clean_setup()

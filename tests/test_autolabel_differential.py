@@ -52,7 +52,7 @@ def assert_same_records(points, masks, k, t, params=None):
     """Both paths agree at every stage; returns the full-stage records."""
     scalar_points = ref.radar_points(points)
     for stage in STAGES:
-        records = autolabel_frame(points, masks, k, t, params, stage)
+        records = list(autolabel_frame(points, masks, k, t, params, stage))
         expected = ref.autolabel_frame(scalar_points, masks, k, t, params, stage)
         assert records == expected, stage
     return records

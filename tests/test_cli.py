@@ -14,7 +14,7 @@ import pytest
 import radcal
 from radcal import autolabel as al
 from radcal import cli, fileio
-from radcal.autolabel import InstanceMask, LabelRecord, Provenance
+from radcal.autolabel import InstanceMask, LabelColumns
 from radcal.fileio import (
     load_calibration,
     load_labels,
@@ -98,6 +98,17 @@ class TestWorkflow:
         assert report["pa_percent"] == 100.0
         assert report["miou_percent"] == 100.0
         assert (workflow / "report.txt").exists()
+
+    @pytest.mark.parametrize("labels", ["labels_out", "lab_scene/gt_labels"])
+    def test_label_file_round_trips_through_columns(self, workflow, tmp_path, labels):
+        # write_labels(q, load_labels(p)) reproduces p, for predicted and true labels
+        original = workflow / labels / "labels_000.jsonl"
+        columns = load_labels(original)
+        write_labels(tmp_path / "labels.jsonl", columns)
+        assert (tmp_path / "labels.jsonl").read_bytes() == original.read_bytes()
+        # every provenance the file holds takes the same path
+        expected = {0, 1, 2, 3} if labels == "labels_out" else {0, 3}
+        assert set(columns.provenance.tolist()) == expected
 
     def test_console_script_entry_point(self, workflow, tmp_path):
         proc = subprocess.run(
@@ -316,15 +327,63 @@ def test_labeling_golden_digests(tmp_path):
     assert sha256_tree(tmp_path) == GOLDEN_LABELING
 
 
+# The same files for hull masks: `synth --kind labeling --seed 8 --frames 2`
+# with the scene config below, and their `autolabel --stage full` labels.
+HULL_SCENE_CONFIG = {"mask_shape": "hull", "false_positive_rate": 0.1, "false_negative_rate": 0.1}
+GOLDEN_LABELING_HULL = {
+    "labels/labels_000.jsonl": "839459f7fc621272614aef14f7aae8217387c7084d84cfdf19d0e9ad35aefb43",
+    "labels/labels_001.jsonl": "7108533c94a6d9f7521944632775e360de7de348aef0461e8a33a06f2ad939ff",
+    "scene/calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
+    "scene/ground_truth.json": "3f9dbad7da2b71c350c87dcd4e0c9bd7336b007fc9e2504e3bdca31240bcc9b0",
+    "scene/gt_labels/labels_000.jsonl": "46ea6000adf3842f102b7c05ca7158c5f362809b656222c44ede4aeeda2c8ea5",
+    "scene/gt_labels/labels_001.jsonl": "563f1350792060069073698232255239e5b197ca27959340a411e0681c810d01",
+    "scene/masks_000.json": "136c876873659954b6503d919b669093a55179fc6be314729c4236261609127c",
+    "scene/masks_001.json": "2d520f287f85e0aba0142fd4f7b388a127ee9f36384609e35457680fb11ab38d",
+    "scene/radar_000.json": "acf2cad02304beef471bcf883e16a9b6a15cab49047149e5cbcdcf0dfcc13114",
+    "scene/radar_001.json": "2ce4539453e564102624bcbe8c1e35452a481b98e93fa64f151db4d8d148d3b9",
+}
+
+
+def test_labeling_golden_digests_hull_masks(tmp_path):
+    config = tmp_path / "hull.json"
+    config.write_text(json.dumps(HULL_SCENE_CONFIG))
+    out = tmp_path / "out"
+    scene = out / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "8", "--frames", "2",
+                "--config", config, "-o", scene]) == 0
+    assert run(["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json", "--stage", "full",
+                "-o", out / "labels"]) == 0
+    assert sha256_tree(out) == GOLDEN_LABELING_HULL
+
+
 def test_labeling_golden_digests_without_dense_masks(tmp_path, monkeypatch):
-    # masks stay runs from the file to the labels: no dense decode anywhere
+    # masks stay runs from the generator through the file to the labels:
+    # no dense mask is built or decoded anywhere, for either mask shape
     def refuse(*args):
-        raise AssertionError("a dense mask was decoded")
+        raise AssertionError("a dense mask was built or decoded")
 
     monkeypatch.setattr(fileio, "rle_decode", refuse)
     monkeypatch.setattr(al, "runs_to_dense", refuse)
+    monkeypatch.setattr(al, "dense_to_runs", refuse)
     monkeypatch.setattr(InstanceMask, "mask", property(refuse))
-    test_labeling_golden_digests(tmp_path)
+    monkeypatch.setattr(InstanceMask, "from_dense", classmethod(refuse))
+    (tmp_path / "rect").mkdir()
+    (tmp_path / "hull").mkdir()
+    test_labeling_golden_digests(tmp_path / "rect")
+    test_labeling_golden_digests_hull_masks(tmp_path / "hull")
+
+
+def test_synth_allocates_no_image_sized_array(tmp_path):
+    tracemalloc.start()
+    try:
+        assert run(["synth", "--kind", "labeling", "--seed", "8", "--frames", "2",
+                    "-o", tmp_path / "scene"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = default_intrinsics()
+    assert peak < k.width * k.height  # one byte per pixel: a bool mask
 
 
 def test_autolabel_allocates_no_image_sized_array(tmp_path):
@@ -381,13 +440,8 @@ def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir()
     gt.mkdir()
-    write_labels(pred / "labels_000.jsonl", [
-        LabelRecord(0, (1, 1), Provenance.COARSE),
-        LabelRecord(1, (1, 1), Provenance.COARSE),
-        LabelRecord(2, None, Provenance.UNLABELED),
-    ])
-    write_labels(gt / "labels_000.jsonl",
-                 [LabelRecord(i, None, Provenance.UNLABELED) for i in range(3)])
+    write_labels(pred / "labels_000.jsonl", LabelColumns.from_labels([(1, 1), (1, 1), None]))
+    write_labels(gt / "labels_000.jsonl", LabelColumns.from_labels([None] * 3))
     assert run(["eval", "--pred", pred, "--gt", gt, "-o", tmp_path / "report.json"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["per_frame"][0]["miou_percent"] == 0.0
@@ -494,6 +548,23 @@ class TestExitCodes:
             '{"solver": {"multistart": [[0, 0, 0, 0, 0, 0]]}}',
             '{"solver": {"multistart": 3}}',
             '{"solvr": {"max_iters": "x"}}',  # a misspelt section ran the defaults
+            # NaN passed every "<= 0" check: these exited 0, 4, or turned a gate off
+            '{"label": {"tau_d": NaN}}',
+            '{"label": {"n_min": NaN}}',
+            '{"filter": {"v_th": NaN}}',
+            '{"filter": {"rho_min": NaN}}',
+            '{"cluster": {"eps": NaN}}',
+            '{"cluster": {"min_pts": NaN}}',
+            '{"sync_tolerance_s": NaN}',
+            '{"sync_tolerance_s": -1}',
+            '{"sync_tolerance_s": Infinity}',
+            # an infinite kappa_rho gated on inf * 0 = NaN and dropped every point
+            # of a zero-spread cluster; the others failed the config echo, exit 4
+            '{"label": {"kappa_rho": Infinity}}',
+            '{"filter": {"r_max": Infinity}}',
+            '{"filter": {"rho_min": -Infinity}}',
+            '{"cluster": {"eps": Infinity}}',
+            '{"solver": {"step_tol": Infinity}}',
         ],
     )
     def test_bad_params_file_exit_2(self, tmp_path, capsys, command, params):
@@ -507,6 +578,13 @@ class TestExitCodes:
         # the params are read first: with a good file the missing input is exit 3
         path = tmp_path / "params.json"
         path.write_text('{"solver": {"max_iters": 5, "step_tol": 0}}')
+        assert run(self.params_argv(command, tmp_path, path)) == 3
+
+    @pytest.mark.parametrize("command", ["calibrate", "autolabel"])
+    def test_params_at_their_bounds_reach_the_inputs(self, tmp_path, command):
+        # a zero sync tolerance and a negative RCS floor stay legal
+        path = tmp_path / "params.json"
+        path.write_text('{"sync_tolerance_s": 0, "filter": {"rho_min": -5}}')
         assert run(self.params_argv(command, tmp_path, path)) == 3
 
     @staticmethod
@@ -660,6 +738,35 @@ class TestExitCodes:
                     "--calibration", scene / "calibration.json",
                     "-o", tmp_path / "out"]) == 4
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("reader", ["radar_frame", "radar_stream", "radar_points", "corners"])
+    def test_non_finite_timestamp_exit_4(self, tmp_path, capsys, reader, value):
+        # abs(nan) > tol is false: a NaN radar timestamp passed the sync gate
+        kind = "labeling" if reader == "radar_points" else "calibration"
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", kind, "--poses", "6", "--seed", "1", "-o", scene]) == 0
+        prefix = "corners" if reader == "corners" else "radar"
+        path = scene / f"{prefix}_000.json"
+        doc = json.loads(path.read_text())
+        doc["timestamp_s"] = float(value)
+        path.write_text(json.dumps(doc))
+        frames = scene
+        if reader == "radar_stream":
+            frames = tmp_path / "frames.jsonl"
+            frames.write_text("".join(
+                json.dumps(json.loads(p.read_text())) + "\n"
+                for p in sorted(scene.glob("radar_*.json"))
+            ))
+        if kind == "labeling":
+            argv = ["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json"]
+        else:
+            argv = ["calibrate", "--corners", scene, "--frames", frames,
+                    "--intrinsics", scene / "intrinsics.json"]
+        capsys.readouterr()
+        assert run([*argv, "-o", tmp_path / "out"]) == 4
+        assert "timestamp_s must be finite" in capsys.readouterr().err
 
     def test_overfull_labeling_scene_exit_2(self, tmp_path, capsys):
         # 8 objects do not fit the camera view at seed 11

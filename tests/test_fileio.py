@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from radcal import cli, fileio
 
-from radcal.autolabel import InstanceMask, LabelRecord, PointCloud, Provenance
+from radcal.autolabel import InstanceMask, LabelColumns, LabelRecord, PointCloud, Provenance
 from radcal.checkerboard import CheckerboardSpec, CornerSet
 from radcal.fileio import (
     SchemaError,
@@ -303,22 +303,6 @@ class TestCalibrationFiles:
         assert np.allclose(t2.rotation, t.rotation, atol=1e-6)
 
 
-def as_records(columns):
-    """LabelRecords of loaded label columns, to compare with what was written."""
-    provenance = list(Provenance)
-    return [
-        LabelRecord(i, (c, n) if labeled else None, provenance[p])
-        for i, (c, n, labeled, p) in enumerate(
-            zip(
-                columns.class_id.tolist(),
-                columns.instance_id.tolist(),
-                columns.labeled.tolist(),
-                columns.provenance.tolist(),
-            )
-        )
-    ]
-
-
 class TestLabelFiles:
     def records(self):
         return [
@@ -328,40 +312,58 @@ class TestLabelFiles:
             LabelRecord(3, None, Provenance.UNLABELED),
         ]
 
+    def columns(self):
+        """The columns of ``records()``."""
+        return LabelColumns(
+            np.array([1, 0, 2, 0]),
+            np.array([2, 0, 3, 0]),
+            np.array([True, False, True, False]),
+            np.array([0, 1, 2, 3], dtype=np.int8),
+        )
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels_000.jsonl"
-        write_labels(path, self.records())
+        write_labels(path, self.columns())
         back = load_labels(path)
         assert back.class_id.dtype == back.instance_id.dtype == np.int64
         assert back.labeled.tolist() == [True, False, True, False]
         assert back.class_id.tolist() == [1, 0, 2, 0]
         assert back.instance_id.tolist() == [2, 0, 3, 0]
-        assert as_records(back) == self.records()
+        assert list(back) == self.records()
 
     def test_byte_identical_reserialization(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_labels(a, self.records())
-        write_labels(b, as_records(load_labels(a)))
+        write_labels(a, self.columns())
+        write_labels(b, load_labels(a))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_iteration_yields_plain_ints_in_point_order(self):
+        records = list(self.columns())
+        assert records == self.records()
+        for r in records:
+            assert type(r.point_index) is int
+            assert r.label is None or {type(x) for x in r.label} == {int}
 
     def test_incomplete_coverage_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        write_labels(path, [LabelRecord(0, None, Provenance.UNLABELED),
-                            LabelRecord(2, None, Provenance.UNLABELED)])
+        write_labels(path, LabelColumns.from_labels([None] * 3))
+        lines = path.read_text().splitlines()
+        path.write_text(f"{lines[0]}\n{lines[2]}\n")  # point indices 0 and 2
         with pytest.raises(SchemaError):
             load_labels(path)
 
     def test_lines_in_any_order_load_in_point_order(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        write_labels(path, self.records()[::-1])
-        assert as_records(load_labels(path)) == self.records()
+        write_labels(path, self.columns())
+        path.write_text("\n".join(path.read_text().splitlines()[::-1]) + "\n")
+        assert list(load_labels(path)) == self.records()
 
     def test_blank_lines_and_surrounding_whitespace_ignored(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_labels(a, self.records())
+        write_labels(a, self.columns())
         lines = a.read_text().splitlines()
         b.write_text("\n\n" + "\n  \n".join(f" {line}\t" for line in lines) + "\n\n")
-        assert as_records(load_labels(b)) == self.records()
+        assert list(load_labels(b)) == self.records()
 
     def test_lines_with_brackets_parse_one_by_one(self, tmp_path):
         # extra keys are ignored; a bracket keeps the file off the joined parse

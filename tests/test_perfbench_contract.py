@@ -45,5 +45,8 @@ def test_traced_child_counts_every_command(tmp_path):
     counts = traced(tmp_path, "autolabel", "autolabel", "--frames", lab, "--masks", lab,
                     "--calibration", lab / "calibration.json", "-o", tmp_path / "labels")
     assert counts.get("autolabel.points", 0) > 0
+    # the traced child counts provenance by iterating autolabel_frame's result
+    provenances = ("coarse", "filtered_out", "recovered", "unlabeled")
+    assert sum(counts.get(f"autolabel.{p}", 0) for p in provenances) == counts["autolabel.points"]
     traced(tmp_path, "eval", "eval", "--pred", tmp_path / "labels", "--gt", lab / "gt_labels",
            "-o", tmp_path / "report.json")
