@@ -16,7 +16,7 @@ to the lower-id cluster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -143,7 +143,7 @@ class InstanceMask:
         """Whether each row-major flat pixel offset lies in a run."""
         pos = np.searchsorted(self.starts, flat, side="right") - 1
         # pos -1 (before the first run) reads the appended 0: not covered
-        return flat < np.append(self.ends, 0)[pos]
+        return flat < np.concatenate((self.ends, [0]))[pos]
 
 
 class Provenance(str, Enum):
@@ -214,7 +214,8 @@ class LabelColumns:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Summary statistics of one instance cluster.
+    """Summary statistics of one instance cluster, or of several as arrays
+    with one entry per cluster.
 
     Standard deviations are population (divide by n), so a singleton
     cluster has exactly zero spread.
@@ -227,6 +228,10 @@ class ClusterStats:
     std_velocity_mps: float
     centroid: np.ndarray  # (3,) radar frame
     count: int
+
+    def take(self, index) -> "ClusterStats":
+        """Index every field of statistics held as per-cluster arrays."""
+        return ClusterStats(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,8 @@ class CoarseResult:
 
     owner: np.ndarray  # (N,) index of the mask each point took, -1 for none
     mask_labels: list  # per mask (class_id, instance_id), then None for owner -1
-    clusters: dict  # instance_id -> ascending member indices
-    cluster_owner: dict  # instance_id -> index of the mask whose label it carries
+    instance_of: np.ndarray  # (N,) instance id of the point's mask, 0 for none
+    members: np.ndarray  # labeled point indices, stably sorted by instance id
     unassociated: np.ndarray  # ascending indices of the unlabeled points
     depths: np.ndarray  # (N,) camera-frame z (NaN-free; invalid rows unused)
 
@@ -276,6 +281,22 @@ class CoarseResult:
     def labels(self) -> list:
         """Per point: (class_id, instance_id) or None."""
         return [self.mask_labels[j] for j in self.owner.tolist()]
+
+    @property
+    def clusters(self) -> dict:
+        """instance_id -> ascending member indices."""
+        return _split(self.members, self.instance_of[self.members])
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal positive keys begins."""
+    return np.flatnonzero(keys != np.concatenate(([0], keys[:-1])))
+
+
+def _split(members: np.ndarray, keys: np.ndarray) -> dict:
+    """{key: its members} of members grouped by their positive keys."""
+    starts = _starts(keys).tolist()
+    return {int(keys[a]): members[a:b] for a, b in zip(starts, starts[1:] + [len(members)])}
 
 
 def _lookup_pixels(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,18 +347,46 @@ def coarse_associate(
         owner[cand[hit]] = j
         cand, flat = cand[~hit], flat[~hit]
 
-    # Masks that share an instance id share its cluster, which carries the
-    # label of its last member's mask.
+    # One stable sort groups the labeled points by instance id; masks that
+    # share an instance id share its cluster.
     instance_of = np.array([m.instance_id for m in masks] + [0])[owner]
-    clusters = {
-        int(iid): np.flatnonzero(instance_of == iid)
-        for iid in np.unique(instance_of[owner >= 0])
-    }
-    cluster_owner = {iid: int(owner[members[-1]]) for iid, members in clusters.items()}
+    labeled = np.flatnonzero(owner >= 0)
+    members = labeled[np.argsort(instance_of[labeled], kind="stable")]
     mask_labels = [(m.class_id, m.instance_id) for m in masks] + [None]
     return CoarseResult(
-        owner, mask_labels, clusters, cluster_owner, np.flatnonzero(owner < 0), depth
+        owner, mask_labels, instance_of, members, np.flatnonzero(owner < 0), depth
     )
+
+
+def _segment_stats(
+    members: np.ndarray, count: np.ndarray, points: PointCloud, depths: np.ndarray
+) -> ClusterStats:
+    """ClusterStats as arrays, one entry per segment: ``members`` holds
+    segment s as its next ``count[s]`` (> 0) entries.
+
+    The arithmetic is numpy's, bit for bit: ``mean`` and ``std`` sum a 1-D
+    array pairwise, which ``reduceat`` repeats when a -0.0 heads each
+    segment (-0.0 + x is x); ``mean(axis=0)`` adds rows in order, as
+    ``bincount`` does; ``np.median`` averages the middle pair.
+    """
+    starts = np.cumsum(count) - count
+    seg = np.repeat(np.arange(len(count)), count)
+    heads = starts + np.arange(len(count))
+    body = np.arange(len(members)) + seg + 1
+    values = np.column_stack((points.rcs[members], points.velocity[members]))
+    padded = np.full((len(body) + len(heads), 2), -0.0)
+    padded[body] = values
+    mean = np.add.reduceat(padded, heads) / count[:, None]
+    padded[body] = (values - mean[seg]) ** 2
+    std = np.sqrt(np.add.reduceat(padded, heads) / count[:, None])
+    bins = (3 * seg[:, None] + np.arange(3)).ravel()
+    sums = np.bincount(bins, points.xyz[members].ravel(), 3 * len(count))
+    depth = depths[members]
+    depth = depth[np.lexsort((depth, seg))]
+    lo, hi = depth[starts + (count - 1) // 2], depth[starts + count // 2]
+    median = np.where(count % 2 == 1, hi, (lo + hi) / 2)
+    centroid = sums.reshape(-1, 3) / count[:, None]
+    return ClusterStats(median, mean[:, 0], std[:, 0], mean[:, 1], std[:, 1], centroid, count)
 
 
 def cluster_stats(
@@ -349,17 +398,7 @@ def cluster_stats(
     idx = np.asarray(member_indices, dtype=np.intp)
     if not len(idx):
         raise ValueError("cluster must be non-empty")
-    rcs = points.rcs[idx]
-    vel = points.velocity[idx]
-    return ClusterStats(
-        median_depth_m=float(np.median(depths[idx])),
-        mean_rcs_dbsm=float(rcs.mean()),
-        std_rcs_dbsm=float(rcs.std()),
-        mean_velocity_mps=float(vel.mean()),
-        std_velocity_mps=float(vel.std()),
-        centroid=points.xyz[idx].mean(axis=0),
-        count=len(idx),
-    )
+    return _segment_stats(idx, np.array([len(idx)]), points, depths).take(0)
 
 
 # The gates take one value or an array of them.
@@ -381,10 +420,10 @@ def rcs_valid(rcs_dbsm: float | np.ndarray, stats: ClusterStats, params: LabelPa
 def vel_valid(velocity_mps: float | np.ndarray, stats: ClusterStats, params: LabelParams):
     """Velocity gate: static clusters accept everything, dynamic ones gate
     on kappa_v floored standard deviations around the mean."""
-    if abs(stats.mean_velocity_mps) <= params.v_static:
-        return True
-    sigma = max(stats.std_velocity_mps, params.sigma_v_min)
-    return abs(velocity_mps - stats.mean_velocity_mps) <= params.kappa_v * sigma
+    sigma = np.maximum(stats.std_velocity_mps, params.sigma_v_min)
+    return (abs(stats.mean_velocity_mps) <= params.v_static) | (
+        abs(velocity_mps - stats.mean_velocity_mps) <= params.kappa_v * sigma
+    )
 
 
 def filter_cluster(
@@ -396,7 +435,8 @@ def filter_cluster(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep members passing all three gates; return (kept, removed) indices.
 
-    Statistics must have been computed on the unfiltered cluster.
+    ``stats`` holds the cluster's statistics, computed on the unfiltered
+    cluster, or arrays of them with one entry per member.
     """
     idx = np.asarray(member_indices, dtype=np.intp)
     ok = (
@@ -428,22 +468,19 @@ def complete_clusters(
     clusters.  Returns {point index: instance id}.
     """
     order = sorted(iid for iid, members in refined.items() if len(members))
-    cand = np.unique(np.asarray(unassociated, dtype=np.intp))
+    cand = np.flatnonzero(np.bincount(np.asarray(unassociated, dtype=np.intp)))
     if not order or not len(cand):
         return {}
     ids = np.array(order)
-    st = [cluster_stats(refined[iid], points, depths) for iid in order]
-    mean_v = np.array([s.mean_velocity_mps for s in st])
-    mean_rho = np.array([s.mean_rcs_dbsm for s in st])
-    sigma_v = np.maximum([s.std_velocity_mps for s in st], params.sigma_v_min)
-    sigma_rho = np.maximum([s.std_rcs_dbsm for s in st], RCS_AFFINITY_SIGMA_FLOOR)
+    parts = [np.asarray(refined[iid], dtype=np.intp) for iid in order]
+    st = _segment_stats(np.concatenate(parts), np.array([len(p) for p in parts]), points, depths)
+    sigma_v = np.maximum(st.std_velocity_mps, params.sigma_v_min)
+    sigma_rho = np.maximum(st.std_rcs_dbsm, RCS_AFFINITY_SIGMA_FLOOR)
 
     # (candidates, clusters) matrices, clusters in ascending id order
-    d_pos = np.linalg.norm(
-        points.xyz[cand, None, :] - np.array([s.centroid for s in st]), axis=2
-    )
-    d_v = points.velocity[cand, None] - mean_v
-    d_rho = points.rcs[cand, None] - mean_rho
+    d_pos = np.linalg.norm(points.xyz[cand, None, :] - st.centroid, axis=2)
+    d_v = points.velocity[cand, None] - st.mean_velocity_mps
+    d_rho = points.rcs[cand, None] - st.mean_rcs_dbsm
     affinity = np.exp(
         -(d_pos**2) / (2.0 * params.sigma_pos**2)
         - (d_v**2) / (2.0 * sigma_v**2)
@@ -485,30 +522,30 @@ def autolabel_frame(
     if stage != "coarse":
         # Out-of-target point filtering; clusters below n_min pass through
         # and sit out the completion stage as well.
-        refined = {}
-        unassociated = [coarse.unassociated]
+        keys = coarse.instance_of[coarse.members]
+        starts = _starts(keys)
+        count = np.concatenate((starts[1:], [len(keys)])) - starts
+        eligible = count >= params.n_min
+        members = coarse.members[np.repeat(eligible, count)]
+        st = _segment_stats(members, count[eligible], points, coarse.depths)
+        per_member = st.take(np.repeat(np.arange(len(st.count)), st.count))
+        kept, removed = filter_cluster(members, per_member, points, coarse.depths, params)
+        owner[removed] = -1
+        provenance[removed] = _CODE[Provenance.FILTERED_OUT]
         removed_from = np.zeros(len(points), dtype=np.int64)
-        for iid in sorted(coarse.clusters):
-            members = coarse.clusters[iid]
-            if len(members) < params.n_min:
-                continue
-            stats = cluster_stats(members, points, coarse.depths)
-            kept, removed = filter_cluster(members, stats, points, coarse.depths, params)
-            refined[iid] = kept
-            owner[removed] = -1
-            provenance[removed] = _CODE[Provenance.FILTERED_OUT]
-            removed_from[removed] = iid
-            unassociated.append(removed)
+        removed_from[removed] = coarse.instance_of[removed]
 
         if stage == "full":
             recovered = complete_clusters(
-                refined, np.concatenate(unassociated), points, coarse.depths,
-                params, excluded=removed_from,
+                _split(kept, coarse.instance_of[kept]),
+                np.concatenate((coarse.unassociated, removed)), points,
+                coarse.depths, params, excluded=removed_from,
             )
             idx = np.fromiter(recovered.keys(), dtype=np.intp, count=len(recovered))
             iids = np.fromiter(recovered.values(), dtype=np.int64, count=len(recovered))
-            for iid in refined:
-                owner[idx[iids == iid]] = coarse.cluster_owner[iid]
+            # a cluster carries the label of its last coarse member's mask
+            last = coarse.members[keys != np.concatenate((keys[1:], [0]))]
+            owner[idx] = coarse.owner[last[np.searchsorted(coarse.instance_of[last], iids)]]
             provenance[idx] = _CODE[Provenance.RECOVERED]
 
     # owner -1 reads the appended 0

@@ -13,7 +13,6 @@ numeric suffix of ``radar_NNN.json`` is the pose id, matching the
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -428,27 +427,6 @@ def _cmd_calibrate(args) -> int:
 # autolabel
 
 
-def _label_one(
-    frame_path: Path,
-    mask_path: Path,
-    out_path: Path,
-    intrinsics,
-    extrinsics,
-    params,
-    stage: str,
-) -> int:
-    _, points = fileio.load_radar_points(frame_path)
-    width, height, masks = fileio.load_masks(mask_path)
-    if (width, height) != (intrinsics.width, intrinsics.height):
-        raise al.DimensionMismatch(
-            f"{mask_path}: mask size {width}x{height} != intrinsics "
-            f"{intrinsics.width}x{intrinsics.height}"
-        )
-    labels = al.autolabel_frame(points, masks, intrinsics, extrinsics, params, stage)
-    fileio.write_labels(out_path, labels)
-    return int(labels.labeled.sum())
-
-
 def _cmd_autolabel(args) -> int:
     params = _params_from_file(args.params)
     frames_dir = Path(args.frames)
@@ -465,24 +443,20 @@ def _cmd_autolabel(args) -> int:
     if not shared:
         raise FileNotFoundError("no paired radar/mask files found")
 
-    jobs = args.jobs or os.cpu_count() or 1
     labeled = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _label_one,
-                frames[i],
-                masks[i],
-                out / f"labels_{i:03d}.jsonl",
-                intrinsics,
-                extrinsics,
-                params["label"],
-                args.stage,
+    for i in shared:
+        _, points = fileio.load_radar_points(frames[i])
+        width, height, frame_masks = fileio.load_masks(masks[i])
+        if (width, height) != (intrinsics.width, intrinsics.height):
+            raise al.DimensionMismatch(
+                f"{masks[i]}: mask size {width}x{height} != intrinsics "
+                f"{intrinsics.width}x{intrinsics.height}"
             )
-            for i in shared
-        ]
-        for fut in futures:
-            labeled += fut.result()
+        labels = al.autolabel_frame(
+            points, frame_masks, intrinsics, extrinsics, params["label"], args.stage
+        )
+        fileio.write_labels(out / f"labels_{i:03d}.jsonl", labels)
+        labeled += int(labels.labeled.sum())
     print(f"labeled {len(shared)} frame(s), {labeled} points assigned -> {out}")
     return EXIT_OK
 
@@ -609,6 +583,13 @@ def _cmd_eval(args) -> int:
 # entry point
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radcal",
@@ -647,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--stage", choices=("coarse", "otpf", "full"), default="full")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_non_negative_int, help="no effect: frames are labeled in turn")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_autolabel)
 

@@ -145,6 +145,8 @@ def cart2sph(p) -> tuple[float, float, float]:
     differ from it in the last bit, and written frames must not move."""
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     r = math.sqrt(x * x + y * y + z * z)
+    if math.isinf(r):  # the squares overflowed, past about 1e154 m; hypot scales
+        r = math.hypot(x, y, z)
     az = math.atan2(y, x)
     el = math.asin(z / r) if r > 0 else 0.0
     return r, az, el

@@ -129,6 +129,24 @@ class TestClusterStats:
         assert stats.std_velocity_mps == 0.0
         assert stats.count == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 130, 9000])
+    def test_bits_match_numpy_reductions(self, n):
+        # sizes either side of the pairwise-sum block (8), split (128) and
+        # buffer (8192) lengths; members in any order
+        rng = np.random.default_rng(n)
+        points = PointCloud(
+            rng.normal(size=(n, 3)) * 50, rng.normal(size=n) * 3, rng.normal(size=n) * 8 + 10
+        )
+        depths = rng.uniform(1.0, 60.0, n)
+        idx = rng.permutation(n)
+        stats = cluster_stats(idx, points, depths)
+        rcs, vel = points.rcs[idx], points.velocity[idx]
+        assert stats.median_depth_m == np.median(depths[idx])
+        assert (stats.mean_rcs_dbsm, stats.std_rcs_dbsm) == (rcs.mean(), rcs.std())
+        assert (stats.mean_velocity_mps, stats.std_velocity_mps) == (vel.mean(), vel.std())
+        assert stats.centroid.tolist() == points.xyz[idx].mean(axis=0).tolist()
+        assert stats.count == n
+
     def test_matches_streaming_oracle(self):
         rng = np.random.default_rng(0)
         points = cloud(*[

@@ -7,6 +7,8 @@ that sit on the tie-breaks and boundaries.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
 from radcal.autolabel import (
@@ -17,7 +19,7 @@ from radcal.autolabel import (
     autolabel_frame,
     complete_clusters,
 )
-from radcal.geometry import CameraIntrinsics, Extrinsics
+from radcal.geometry import CameraIntrinsics, Extrinsics, project_points
 from radcal.synth import (
     LabelSceneConfig,
     default_extrinsics,
@@ -187,3 +189,79 @@ def test_excluded_changes_the_winner():
     assert ref.complete_clusters(
         refined, [4], ref.radar_points(points), depths, params, excluded={4: 1}
     ) == {4: 2}
+
+
+# Cluster sizes on both sides of numpy's pairwise-summation boundaries:
+# 8 (one unrolled block) and 128 (where the sum splits in two).
+SIZES = st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 130, 131]) | st.integers(1, 140)
+
+
+def exact_factor(distance, scale):
+    """A factor f with f * scale == distance exactly, if one of the floats
+    next to distance / scale has it; None otherwise."""
+    if not (distance > 0 and scale > 0):
+        return None
+    guess = distance / scale
+    for f in (guess, np.nextafter(guess, 0.0), np.nextafter(guess, np.inf)):
+        if f * scale == distance and 0 < f < np.inf:
+            return float(f)
+    return None
+
+
+# A narrow camera: a 25-pixel band is 0.4 m wide at 15 m, so unmasked points
+# sit within r_search of the clusters and compete for completion.
+K_NARROW = CameraIntrinsics(1000.0, 1000.0, 50.0, 50.0, 100, 100)
+
+
+@st.composite
+def boundary_frames(draw):
+    """A frame of one to three band masks over clusters of 1 to 140 points,
+    unmasked points beside them, and thresholds a member sits exactly on.
+
+    Values come from a grid (coarse grids repeat values) or are continuous.
+    Band b covers pixel columns 25 b + 1 .. 25 b + 25; band 3 has no mask.
+    """
+    sizes = [draw(SIZES) for _ in range(draw(st.integers(1, 3)))]
+    bands = np.repeat(np.arange(len(sizes)), sizes)
+    bands = np.append(bands, np.full(draw(st.integers(0, 30)), 3))
+    n = len(bands)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.sampled_from([None, 1 / 64, 0.25, 1.0, 4.0]))
+
+    def values(center, spread):
+        x = center + rng.uniform(-spread, spread, n)
+        return x if grid is None else np.round(x / grid) * grid
+
+    z = np.maximum(values(rng.uniform(5, 30), draw(st.sampled_from([0.0, 1.0, 4.0]))), 1.0)
+    u = 25 * bands + values(13.0, 10.0)  # inside the band, clear of its edges
+    xyz = np.column_stack(((u - 50.0) * z / 1000.0, values(0.0, 40.0) * z / 1000.0, z))
+    v_center = rng.choice([0.0, 0.25, 3.0], size=4)[bands]
+    points = PointCloud(xyz, values(0.0, draw(st.sampled_from([0.0, 0.5, 2.0]))) + v_center,
+                        values(10.0, draw(st.sampled_from([0.0, 1.0, 8.0]))))
+    masks = [
+        rect_mask(25 * b + 1, 25 * b + 25, 1, 100, class_id=b + 1, instance_id=b + 1)
+        for b in range(len(sizes))
+    ]
+
+    # Put one member of one cluster exactly on the pinned gates' thresholds.
+    defaults = LabelParams()
+    members = np.flatnonzero(bands == draw(st.integers(0, len(sizes) - 1)))
+    k = members[draw(st.integers(0, len(members) - 1))]
+    _, depth, _ = project_points(K_NARROW, T, points.xyz)
+    rcs, vel = points.rcs[members], points.velocity[members]
+    sigma_v = max(vel.std(), defaults.sigma_v_min)
+    pins = {
+        "tau_d": exact_factor(abs(depth[k] - np.median(depth[members])), 1.0),
+        "kappa_rho": exact_factor(abs(points.rcs[k] - rcs.mean()), rcs.std()),
+        "kappa_v": exact_factor(abs(points.velocity[k] - vel.mean()), sigma_v),
+    }
+    chosen = draw(st.sets(st.sampled_from(sorted(pins))))
+    params = LabelParams(**{name: pins[name] for name in chosen if pins[name] is not None})
+    return points, masks, params
+
+
+@settings(max_examples=200)
+@given(boundary_frames())
+def test_boundary_frames_match_scalar_reference(frame):
+    points, masks, params = frame
+    assert_same_records(points, masks, K_NARROW, T, params)

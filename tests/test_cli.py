@@ -121,18 +121,38 @@ class TestWorkflow:
         assert "3 poses" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
+def fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this radcal."""
     src = str(Path(radcal.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
     code = (
         "import sys, radcal.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_autolabel_run_loads_no_numpy_ma_or_thread_pool(tmp_path):
+    # numpy 2's bare np.unique imports numpy.ma (about 18 ms); frames are
+    # labeled in a plain loop
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "5", "--frames", "2",
+                "-o", scene]) == 0
+    argv = ["autolabel", "--frames", str(scene), "--masks", str(scene),
+            "--calibration", str(scene / "calibration.json"), "-o", str(tmp_path / "out")]
+    code = (
+        f"import sys, radcal.cli; code = radcal.cli.main({argv!r}); "
+        "print(code, [m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules])"
     )
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).splitlines()[-1] == "0 []"
 
 
 class TestDeterminism:
@@ -156,11 +176,12 @@ class TestDeterminism:
                         "--intrinsics", cal_scene / "intrinsics.json", "-o", out]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+        # --jobs is accepted and has no effect on the labels
         lab_scene = workflow / "lab_scene"
-        for name in ("l1", "l2"):
+        for jobs in ("1", "2"):
             assert run(["autolabel", "--frames", lab_scene, "--masks", lab_scene,
-                        "--calibration", out1, "-o", tmp_path / name]) == 0
-        assert sha256_tree(tmp_path / "l1") == sha256_tree(tmp_path / "l2")
+                        "--calibration", out1, "--jobs", jobs, "-o", tmp_path / jobs]) == 0
+        assert sha256_tree(tmp_path / "1") == sha256_tree(tmp_path / "2")
 
 
 # sha256 of the files `synth --kind calibration --poses 24 --seed 3
@@ -451,6 +472,15 @@ def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
 
 
 class TestExitCodes:
+    def test_negative_jobs_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["autolabel", "--frames", tmp_path, "--masks", tmp_path,
+                 "--calibration", tmp_path / "calibration.json", "--jobs", "-1",
+                 "-o", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "config.toml"
         bad.write_text("not [valid toml")

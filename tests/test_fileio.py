@@ -188,6 +188,17 @@ class TestRadarFrameFiles:
         assert len(points) == 0
         assert points.xyz.shape == (0, 3)
 
+    @pytest.mark.parametrize("x", [1e154, 1e200, -1e300, 1.7e308])
+    def test_readers_agree_on_a_point_past_the_square_overflow(self, tmp_path, x):
+        # x * x overflows past about 1.3e154; the spherical reader must still see range |x|
+        path = tmp_path / "radar_000.json"
+        point = {"x_m": x, "y_m": 3.0, "z_m": -2.0, "v_mps": 0.5, "rcs_dbsm": 1.0}
+        path.write_text(json.dumps({"timestamp_s": 0.0, "points": [point]}))
+        _, points = load_radar_points(path)
+        frame = load_radar_frame(path)
+        assert points.xyz[0].tolist() == [x, 3.0, -2.0]
+        assert frame.returns["r_m"].tolist() == [abs(x)]
+
     def test_radar_points_round_trip(self, tmp_path):
         points = PointCloud(
             np.array([[1.0, 2.0, 3.0], [-4.0, 0.25, 1.0]]), [0.5, -2.0], [12.0, -3.5]
