@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .checkerboard import CheckerboardSpec, CornerSet, checkerboard_center
 from .geometry import CameraIntrinsics, Extrinsics, project, sph2cart
-from .metrics import label_report, match_instances, miou, mre, point_accuracy, rmse
+from .metrics import label_report, pooled_report
 from .reflector import (
     ClusterParams,
     FilterParams,

@@ -271,21 +271,10 @@ class CoarseResult:
     """Output of the projection stage, kept around for the fine stage."""
 
     owner: np.ndarray  # (N,) index of the mask each point took, -1 for none
-    mask_labels: list  # per mask (class_id, instance_id), then None for owner -1
     instance_of: np.ndarray  # (N,) instance id of the point's mask, 0 for none
     members: np.ndarray  # labeled point indices, stably sorted by instance id
     unassociated: np.ndarray  # ascending indices of the unlabeled points
     depths: np.ndarray  # (N,) camera-frame z (NaN-free; invalid rows unused)
-
-    @property
-    def labels(self) -> list:
-        """Per point: (class_id, instance_id) or None."""
-        return [self.mask_labels[j] for j in self.owner.tolist()]
-
-    @property
-    def clusters(self) -> dict:
-        """instance_id -> ascending member indices."""
-        return _split(self.members, self.instance_of[self.members])
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -352,10 +341,7 @@ def coarse_associate(
     instance_of = np.array([m.instance_id for m in masks] + [0])[owner]
     labeled = np.flatnonzero(owner >= 0)
     members = labeled[np.argsort(instance_of[labeled], kind="stable")]
-    mask_labels = [(m.class_id, m.instance_id) for m in masks] + [None]
-    return CoarseResult(
-        owner, mask_labels, instance_of, members, np.flatnonzero(owner < 0), depth
-    )
+    return CoarseResult(owner, instance_of, members, np.flatnonzero(owner < 0), depth)
 
 
 def _segment_stats(

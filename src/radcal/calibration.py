@@ -9,6 +9,9 @@ The solver restarts from the identity plus the 23 remaining rotational
 symmetries of the cube so no coarse mounting orientation needs a DLT-style
 initial guess; the lowest-cost run wins (ties: first seed in the fixed
 order).  Everything is deterministic.
+
+``reprojection_errors`` summarizes residuals as MRE and RMSE in pixels:
+for the solution here, and for held-out poses in ``calibrate --holdout``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "DEFAULT_SYNC_TOLERANCE_S",
     "build_correspondences",
     "reprojection_residual",
+    "reprojection_errors",
     "cube_rotation_seeds",
     "solve_extrinsics",
 ]
@@ -135,7 +139,6 @@ class CalibrationResult:
     converged: bool
     cost: float
     seed_index: int
-    cost_history: list[float] = field(default_factory=list)
 
 
 def build_correspondences(
@@ -197,6 +200,13 @@ def reprojection_residual(
     Raises BehindCamera when the radar point has non-positive depth under t.
     """
     return corr.image_center - project(k, t, corr.radar_center)
+
+
+def reprojection_errors(residuals: np.ndarray) -> tuple[float, float]:
+    """(MRE, RMSE) in pixels of (K, 2) residuals: the mean and the root mean
+    square of the per-pose norms.  RMSE >= MRE."""
+    norms = np.linalg.norm(residuals, axis=1)
+    return float(norms.mean()), float(np.sqrt((norms**2).mean()))
 
 
 def cube_rotation_seeds() -> list[np.ndarray]:
@@ -289,23 +299,13 @@ def _linearize(
     return res.ravel(), (d_res @ d_cam).reshape(-1, 6)
 
 
-def _jacobian(
-    pose: np.ndarray,
-    k: CameraIntrinsics,
-    observed: np.ndarray,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Closed-form Jacobian of the residual vector, (2K, 6)."""
-    return _linearize(pose, k, observed, points)[1]
-
-
 def _run_lm(
     seed: np.ndarray,
     k: CameraIntrinsics,
     observed: np.ndarray,
     points: np.ndarray,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
+) -> tuple[np.ndarray, float, int, bool]:
     """One LM descent from one seed.
 
     One iteration is one damped trial step: accepted steps shrink lambda,
@@ -315,7 +315,6 @@ def _run_lm(
     pose = seed.copy()
     pose[:3] = canonicalize_rotvec(pose[:3])
     cost = float(np.sum(_residual_vector(pose, k, observed, points) ** 2))
-    history = [cost]
     lam = cfg.lambda_init
     converged = False
     iterations = 0
@@ -345,7 +344,6 @@ def _run_lm(
         if trial_cost < cost:
             rel_drop = (cost - trial_cost) / max(cost, 1e-300)
             pose, cost = trial, trial_cost
-            history.append(cost)
             lam /= cfg.lambda_down
             jac = None
             if rel_drop <= cfg.cost_rel_tol:
@@ -356,7 +354,7 @@ def _run_lm(
             if lam > 1e15:
                 converged = True  # damping saturated: no improving direction left
                 break
-    return pose, cost, iterations, converged, history
+    return pose, cost, iterations, converged
 
 
 def solve_extrinsics(
@@ -387,14 +385,12 @@ def solve_extrinsics(
 
     best = None
     for seed_index, seed in enumerate(cube_rotation_seeds()):
-        pose, cost, iterations, converged, history = _run_lm(
-            seed, k, observed, points, cfg
-        )
-        if best is None or cost < best[1]:
-            best = (pose, cost, iterations, converged, history, seed_index)
-    pose, cost, iterations, converged, history, seed_index = best
+        run = _run_lm(seed, k, observed, points, cfg)
+        if best is None or run[1] < best[1]:
+            best = (*run, seed_index)
+    pose, cost, iterations, converged, seed_index = best
 
-    jac = _jacobian(pose, k, observed, points)
+    jac = _linearize(pose, k, observed, points)[1]
     singular_values = np.linalg.svd(jac, compute_uv=False)
     if singular_values[-1] <= RANK_TOLERANCE * max(singular_values[0], 1.0):
         raise DegenerateGeometry(
@@ -407,15 +403,14 @@ def solve_extrinsics(
     extrinsics = Extrinsics(nearest_rotation(rotvec_to_matrix(pose[:3])), pose[3:].copy())
 
     residuals = _residual_vector(pose, k, observed, points).reshape(-1, 2)
-    norms = np.linalg.norm(residuals, axis=1)
+    mre_px, rmse_px = reprojection_errors(residuals)
     return CalibrationResult(
         extrinsics=extrinsics,
         residuals=residuals,
-        mre_px=float(norms.mean()),
-        rmse_px=float(np.sqrt((norms**2).mean())),
+        mre_px=mre_px,
+        rmse_px=rmse_px,
         iterations=iterations,
         converged=converged,
         cost=cost,
         seed_index=seed_index,
-        cost_history=history,
     )

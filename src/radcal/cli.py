@@ -387,10 +387,10 @@ def _cmd_calibrate(args) -> int:
             held_res.append(r)
             per_pose.append(_pose_entry(c, r, "holdout"))
         if held_res:
-            held_norms = np.linalg.norm(np.array(held_res), axis=1)
+            held_mre, held_rmse = cal.reprojection_errors(np.array(held_res))
             line += (
-                f"; holdout MRE {held_norms.mean():.6g} px RMSE "
-                f"{np.sqrt((held_norms**2).mean()):.6g} px over {len(held_res)} poses"
+                f"; holdout MRE {held_mre:.6g} px RMSE {held_rmse:.6g} px "
+                f"over {len(held_res)} poses"
             )
         if behind:
             line += f"; holdout pose(s) behind the camera: {behind}"
@@ -477,6 +477,9 @@ def _cmd_eval(args) -> int:
     shared = sorted(pred_files.keys() & gt_files.keys())
     if not shared:
         raise FileNotFoundError("no frame indices shared between pred and gt")
+    missing = sorted(gt_files.keys() - pred_files.keys())
+    if missing:
+        print(f"warning: no prediction for ground-truth frame(s) {missing}", file=sys.stderr)
 
     per_frame = []
     preds = {}
@@ -590,6 +593,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radcal",
@@ -618,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="directory of radar_*.json")
     p.add_argument("--intrinsics", required=True)
     p.add_argument("--params", default=None, help="TOML or JSON parameter file")
-    p.add_argument("--holdout", type=float, default=0.0)
+    p.add_argument("--holdout", type=_fraction, default=0.0, help="held-out pose fraction")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -653,10 +663,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, synth.FovInfeasible) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # FileNotFoundError and NotADirectoryError too
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (

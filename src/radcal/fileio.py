@@ -42,8 +42,6 @@ from .autolabel import (
     LabelColumns,
     PointCloud,
     Provenance,
-    dense_to_runs,
-    runs_to_dense,
 )
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
@@ -61,8 +59,6 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_text",
-    "rle_encode",
-    "rle_decode",
     "write_radar_frame",
     "write_radar_points",
     "write_radar_frames_stream",
@@ -168,16 +164,6 @@ def _load_json(path: str | Path) -> dict:
 
 def _run_list(starts: np.ndarray, ends: np.ndarray) -> list[int]:
     return np.column_stack((starts, ends - starts)).ravel().tolist()
-
-
-def rle_encode(mask: np.ndarray) -> list[int]:
-    """Boolean mask to a flat [start, length, ...] run list over row-major order."""
-    return _run_list(*dense_to_runs(np.asarray(mask, dtype=bool)))
-
-
-def rle_decode(runs: list[int], height: int, width: int) -> np.ndarray:
-    """Inverse of rle_encode; validates ordering and bounds."""
-    return runs_to_dense(*_rle_runs(runs, height, width), height, width)
 
 
 def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +433,7 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
     err = np.abs(rotation.T @ rotation - np.eye(3)).max()
-    if err > 1e-6:
+    if not err <= 1e-6:  # NaN fails too
         raise SchemaError(
             f"calibration rotation is not orthonormal (deviation {err:.3e})"
         )

@@ -30,8 +30,6 @@ __all__ = [
     "rotvec_to_matrix",
     "matrix_to_rotvec",
     "canonicalize_rotvec",
-    "pose_to_extrinsics",
-    "extrinsics_to_pose",
     "nearest_rotation",
     "pinhole",
     "project",
@@ -59,8 +57,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):  # NaN fails too
+            raise ValueError(f"focal lengths must be positive and finite: {self.fx}, {self.fy}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError(f"principal point must be finite: ({self.cx}, {self.cy})")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
@@ -81,7 +81,7 @@ class CameraIntrinsics:
 
 def _check_rotation(rotation: np.ndarray, tol: float = 1e-9) -> None:
     err = np.abs(rotation.T @ rotation - np.eye(3)).max()
-    if err >= tol:
+    if not err < tol:  # NaN fails too
         raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")
     if np.linalg.det(rotation) < 0:
         raise ValueError("rotation has determinant -1 (reflection)")
@@ -104,17 +104,6 @@ class Extrinsics:
             raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
-
-    @classmethod
-    def identity(cls) -> "Extrinsics":
-        return cls(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def inverse(self) -> "Extrinsics":
         rt = self.rotation.T
@@ -232,17 +221,6 @@ def canonicalize_rotvec(rotvec: np.ndarray) -> np.ndarray:
         wrapped -= 2.0 * math.pi
     # wrapped in (-pi, pi]; same axis, scaled (sign flip when negative)
     return rotvec * (wrapped / theta)
-
-
-def pose_to_extrinsics(pose: np.ndarray) -> Extrinsics:
-    """6-vector (rx, ry, rz, tx, ty, tz) to an Extrinsics transform."""
-    pose = np.asarray(pose, dtype=float).reshape(6)
-    return Extrinsics(rotvec_to_matrix(pose[:3]), pose[3:].copy())
-
-
-def extrinsics_to_pose(t: Extrinsics) -> np.ndarray:
-    """Extrinsics to the 6-vector (rotation vector, translation)."""
-    return np.concatenate([matrix_to_rotvec(t.rotation), t.translation])
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Quality metrics: reprojection errors and point-label agreement.
+"""Point-label agreement: point accuracy and mean instance IoU.
 
-MRE and RMSE summarize calibration residuals in pixels.  Point accuracy
-(PA) and mean instance IoU (mIoU) compare predicted point labels against
-ground truth, both given as ``LabelColumns``; predicted and true instances
-are first matched one-to-one greedily by descending point-set IoU (same
-class, IoU > 0), so metric values do not depend on the arbitrary numeric
-instance ids.
+Point accuracy (PA) and mean instance IoU (mIoU) compare predicted point
+labels against ground truth, both given as ``LabelColumns``; predicted and
+true instances are first matched one-to-one greedily by descending
+point-set IoU (same class, IoU > 0; ties broken by instance keys), so
+metric values do not depend on the arbitrary numeric instance ids.
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ __all__ = [
     "LengthMismatch",
     "InstanceMatch",
     "MetricReport",
-    "mre",
-    "rmse",
-    "match_instances",
-    "point_accuracy",
-    "miou",
     "label_report",
     "pooled_report",
 ]
@@ -37,22 +31,6 @@ class EmptyInput(ValueError):
 
 class LengthMismatch(ValueError):
     """Predicted and ground-truth label lists have different lengths."""
-
-
-def mre(residuals: np.ndarray) -> float:
-    """Mean Euclidean norm of (du, dv) residuals, pixels."""
-    residuals = np.asarray(residuals, dtype=float).reshape(-1, 2)
-    if len(residuals) == 0:
-        raise EmptyInput("no residuals")
-    return float(np.linalg.norm(residuals, axis=1).mean())
-
-
-def rmse(residuals: np.ndarray) -> float:
-    """Root mean squared residual norm, pixels.  Always >= MRE."""
-    residuals = np.asarray(residuals, dtype=float).reshape(-1, 2)
-    if len(residuals) == 0:
-        raise EmptyInput("no residuals")
-    return float(np.sqrt((np.linalg.norm(residuals, axis=1) ** 2).mean()))
 
 
 @dataclass(frozen=True)
@@ -127,75 +105,20 @@ def _evaluate(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
     )
 
 
-def match_instances(pred: LabelColumns, gt: LabelColumns) -> list[InstanceMatch]:
-    """Greedy one-to-one matching of predicted to true instances.
-
-    Candidate pairs need equal class and point-set IoU > 0; pairs are taken
-    in descending IoU (ties broken by instance keys), each instance used at
-    most once.
-    """
-    return _evaluate(pred, gt).per_instance_iou
-
-
-def point_accuracy(pred: LabelColumns, gt: LabelColumns) -> tuple[float, float]:
-    """Percent of points labeled consistently with ground truth.
-
-    Returns ``(pa_all, pa_foreground)``: the first over all points
-    (headline), the second over points with a non-None true label only
-    (100.0 when there are none).
-    """
-    report = label_report(pred, gt)
-    return report.pa_percent, report.pa_foreground_percent
-
-
-def miou(pred: LabelColumns, gt: LabelColumns) -> float:
-    """Mean IoU (percent) over matched instance pairs.
-
-    0 when instances exist on either side but none matched; 100 when both
-    sides contain no instances at all (labelings vacuously identical).
-    """
-    return _evaluate(pred, gt).miou_percent
-
-
 @dataclass
 class MetricReport:
-    """Combined quality report; calibration fields are None for label-only runs."""
+    """PA and mIoU of one frame, or of frames pooled, with their counts."""
 
     pa_percent: float
     pa_foreground_percent: float
     miou_percent: float
     n_matched: int
     per_instance_iou: list[InstanceMatch] = field(default_factory=list)
-    mre_px: float | None = None
-    rmse_px: float | None = None
     n_points: int = 0
     n_correct: int = 0
     n_foreground: int = 0
     n_correct_foreground: int = 0
     n_predicted: int = 0  # points with a predicted label
-
-    def to_dict(self) -> dict:
-        out = {
-            "pa_percent": self.pa_percent,
-            "pa_foreground_percent": self.pa_foreground_percent,
-            "miou_percent": self.miou_percent,
-            "n_matched": self.n_matched,
-            "per_instance_iou": [
-                {
-                    "pred_class_id": m.pred[0],
-                    "pred_instance_id": m.pred[1],
-                    "gt_class_id": m.gt[0],
-                    "gt_instance_id": m.gt[1],
-                    "iou": m.iou,
-                }
-                for m in self.per_instance_iou
-            ],
-        }
-        if self.mre_px is not None:
-            out["mre_px"] = self.mre_px
-        if self.rmse_px is not None:
-            out["rmse_px"] = self.rmse_px
-        return out
 
 
 def _percent(part: int, whole: int) -> float:
@@ -231,7 +154,9 @@ def _report(
 
 
 def label_report(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
-    """Match instances once and assemble PA / mIoU for one aligned label set."""
+    """Match instances once and assemble PA / mIoU for one aligned label set.
+    ``pa_foreground_percent`` counts only points with a true label (100.0
+    when there are none)."""
     if len(pred) == 0 and len(gt) == 0:
         raise EmptyInput("no points to evaluate")
     return _evaluate(pred, gt)

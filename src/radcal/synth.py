@@ -111,8 +111,8 @@ class SceneConfig:
         if self.pose_count < 1:
             raise ValueError("pose_count must be >= 1")
         for name in ("pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

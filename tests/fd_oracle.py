@@ -1,5 +1,5 @@
 """Central-difference Jacobian of the calibration residual, the oracle for
-the closed-form ``radcal.calibration._jacobian``."""
+the closed-form one from ``radcal.calibration._linearize``."""
 
 from __future__ import annotations
 

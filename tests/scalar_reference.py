@@ -341,7 +341,7 @@ def autolabel_frame(
 
 
 def rle_decode(runs: list[int], height: int, width: int) -> np.ndarray:
-    """Inverse of rle_encode; validates ordering and bounds."""
+    """Dense mask of a [start, length, ...] list; validates ordering and bounds."""
     if len(runs) % 2 != 0:
         raise SchemaError("RLE list must hold (start, length) pairs")
     flat = np.zeros(height * width, dtype=bool)

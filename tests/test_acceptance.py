@@ -12,13 +12,14 @@ from fd_oracle import central_difference_jacobian
 from radcal import cli
 from radcal.autolabel import LabelColumns, LabelParams, autolabel_frame
 from radcal.calibration import (
-    _jacobian,
+    _linearize,
     build_correspondences,
+    reprojection_errors,
     solve_extrinsics,
 )
 from radcal.checkerboard import checkerboard_center
-from radcal.geometry import extrinsics_to_pose, matrix_to_rotvec
-from radcal.metrics import label_report, miou, mre, rmse
+from radcal.geometry import matrix_to_rotvec
+from radcal.metrics import label_report
 from radcal.reflector import (
     ClusterParams,
     FilterParams,
@@ -169,14 +170,15 @@ def test_criterion_4_lm_gradient_check():
     observed = np.array([c.image_center for c in corrs.correspondences])
     points = np.array([c.radar_center for c in corrs.correspondences])
     k = scene.config.intrinsics
-    base = extrinsics_to_pose(scene.config.extrinsics)
+    gt = scene.config.extrinsics
+    base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
         pose = base + np.concatenate(
             [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
         )
-        analytic = _jacobian(pose, k, observed, points)
+        analytic = _linearize(pose, k, observed, points)[1]
         numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
         rel = float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric))
         worst = max(worst, rel)
@@ -262,14 +264,14 @@ def test_criterion_6_ablation_direction():
 
 
 def test_criterion_7_metric_unit_truths():
-    assert mre([(3.0, 4.0)]) == 5.0
-    assert rmse([(3.0, 4.0)]) == 5.0
-    residuals = [(0.0, 0.0), (6.0, 8.0)]
-    assert mre(residuals) == 5.0
-    assert np.isclose(rmse(residuals), np.sqrt(50.0))
+    assert reprojection_errors(np.array([(3.0, 4.0)])) == (5.0, 5.0)
+    mre, rmse = reprojection_errors(np.array([(0.0, 0.0), (6.0, 8.0)]))
+    assert mre == 5.0
+    assert np.isclose(rmse, np.sqrt(50.0))
     gt = [(1, 1)] * 4 + [None]
     pred = [(1, 1)] * 3 + [None, None]
-    assert miou(LabelColumns.from_labels(pred), LabelColumns.from_labels(gt)) == 75.0
+    scores = label_report(LabelColumns.from_labels(pred), LabelColumns.from_labels(gt))
+    assert scores.miou_percent == 75.0
     report(7, "MRE/RMSE unit cases and the 3-of-4 IoU case hold exactly")
 
 

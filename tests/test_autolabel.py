@@ -23,7 +23,7 @@ from radcal.geometry import CameraIntrinsics, Extrinsics
 
 # identity extrinsics: camera frame == point frame, depth == z
 K = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-T = Extrinsics.identity()
+T = Extrinsics(np.eye(3), np.zeros(3))
 
 
 def pt(x, y, z, v=0.0, rcs=10.0):
@@ -61,8 +61,9 @@ class TestCoarseAssociate:
         # point at (0, 0, 10) projects to pixel (50, 50)
         masks = [rect_mask(40, 60, 40, 60, class_id=2, instance_id=2, confidence=0.9)]
         result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
-        assert result.labels == [(2, 2)]
-        assert {i: m.tolist() for i, m in result.clusters.items()} == {2: [0]}
+        assert result.owner.tolist() == [0]
+        assert result.instance_of.tolist() == [2]
+        assert result.members.tolist() == [0]
         assert result.unassociated.tolist() == []
 
     def test_overlap_resolved_by_confidence(self):
@@ -71,7 +72,8 @@ class TestCoarseAssociate:
             rect_mask(45, 65, 45, 65, class_id=2, instance_id=2, confidence=0.95),
         ]
         result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
-        assert result.labels == [(2, 2)]
+        assert result.owner.tolist() == [1]
+        assert result.instance_of.tolist() == [2]
 
     def test_confidence_tie_goes_to_lower_instance_id(self):
         masks = [
@@ -79,26 +81,27 @@ class TestCoarseAssociate:
             rect_mask(40, 60, 40, 60, class_id=2, instance_id=3, confidence=0.9),
         ]
         result = coarse_associate(cloud(pt(0, 0, 10)), masks, K, T)
-        assert result.labels == [(2, 3)]
+        assert result.owner.tolist() == [1]
+        assert result.instance_of.tolist() == [3]
 
     def test_out_of_bounds_unassociated(self):
         # u = 100 * 5.15/10 + 50 = 101.5 = W + 1.5: outside
         masks = [rect_mask(1, 100, 1, 100)]
         result = coarse_associate(cloud(pt(5.15, 0, 10)), masks, K, T)
-        assert result.labels == [None]
+        assert result.owner.tolist() == [-1]
         assert result.unassociated.tolist() == [0]
 
     def test_behind_camera_unassociated(self):
         masks = [rect_mask(1, 100, 1, 100)]
         result = coarse_associate(cloud(pt(0, 0, -5)), masks, K, T)
-        assert result.labels == [None]
+        assert result.owner.tolist() == [-1]
         assert result.unassociated.tolist() == [0]
 
     def test_pixel_membership_uses_rounding(self):
         # u = 100 * -0.304/10 + 50 = 46.96 -> lookup pixel 47
         masks = [rect_mask(47, 47, 50, 50)]
         result = coarse_associate(cloud(pt(-0.304, 0, 10)), masks, K, T)
-        assert result.labels == [(1, 1)]
+        assert result.owner.tolist() == [0]
 
     def test_boundary_pixels_valid(self):
         # u exactly 1 and exactly W are valid per the inclusive bounds
@@ -108,7 +111,7 @@ class TestCoarseAssociate:
         left = pt(-49.0, 0, 10)  # u = 10 * (-49/10) + 50 = 1.0
         right = pt(50.0, 0, 10)  # u = 100.0
         result = coarse_associate(cloud(left, right), masks, k10, T)
-        assert result.labels == [(1, 1), (1, 1)]
+        assert result.owner.tolist() == [0, 0]
 
     def test_dimension_mismatch(self):
         bad = InstanceMask.from_dense(np.zeros((50, 50), dtype=bool), 1, 1, 0.9)
@@ -384,11 +387,11 @@ class TestAutolabelFrame:
         ]
         points = [pt(0, 0, 10)]
         base = coarse_associate(cloud(*points), masks, K, T)
-        assert base.labels == [(1, 1)]
+        assert base.owner.tolist() == [0]
         for bumped in (0.8, 0.95, 1.0):
             masks2 = [
                 InstanceMask.from_dense(masks[0].mask, 1, 1, bumped),
                 masks[1],
             ]
             result = coarse_associate(cloud(*points), masks2, K, T)
-            assert result.labels == [(1, 1)]
+            assert result.owner.tolist() == [0]

@@ -80,7 +80,7 @@ def test_seeded_frames_match_scalar_reference(name):
 # Hand-built frames: identity extrinsics, so the camera depth is z and a
 # point (x, y, z) looks up pixel (100 x / z + 50, 100 y / z + 50).
 K = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-T = Extrinsics.identity()
+T = Extrinsics(np.eye(3), np.zeros(3))
 
 
 def cloud(*rows):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fd_oracle import central_difference_jacobian
+from radcal import calibration
 from radcal.calibration import (
     BEHIND_CAMERA_RESIDUAL,
     Correspondence,
@@ -9,7 +10,7 @@ from radcal.calibration import (
     DegenerateGeometry,
     SolverConfig,
     TooFewPoses,
-    _jacobian,
+    _linearize,
     _residual_vector,
     _run_lm,
     build_correspondences,
@@ -124,7 +125,7 @@ class TestResidual:
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 200, 200)
         # identity transform projects (103, 96, 1) to exactly (103, 96)
         corr = Correspondence(0, np.array([100.0, 100.0]), np.array([103.0, 96.0, 1.0]))
-        res = reprojection_residual(k, Extrinsics.identity(), corr)
+        res = reprojection_residual(k, Extrinsics(np.eye(3), np.zeros(3)), corr)
         assert np.allclose(res, [-3.0, 4.0])
         assert np.isclose(res @ res, 25.0)
 
@@ -134,9 +135,8 @@ class TestResidual:
         corrs = scene_correspondences(scene)
         observed = np.array([c.image_center for c in corrs.correspondences])
         points = np.array([c.radar_center for c in corrs.correspondences])
-        from radcal.geometry import extrinsics_to_pose
-
-        gt_pose = extrinsics_to_pose(scene.config.extrinsics)
+        gt = scene.config.extrinsics
+        gt_pose = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
         rng = np.random.default_rng(3)
         for _ in range(10):
             direction = rng.normal(size=6)
@@ -184,14 +184,13 @@ class TestJacobian:
         observed = np.array([c.image_center for c in corrs.correspondences])
         points = np.array([c.radar_center for c in corrs.correspondences])
         rng = np.random.default_rng(5)
-        from radcal.geometry import extrinsics_to_pose
-
-        base = extrinsics_to_pose(scene.config.extrinsics)
+        gt = scene.config.extrinsics
+        base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
         for _ in range(50):
             pose = base + np.concatenate(
                 [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
             )
-            analytic = _jacobian(pose, k, observed, points)
+            analytic = _linearize(pose, k, observed, points)[1]
             numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-4, rel
@@ -205,7 +204,7 @@ class TestJacobian:
         observed = rng.uniform(0.0, 1000.0, (8, 2))
         axis = np.array([0.6, -0.48, 0.64])
         pose = np.concatenate([angle * axis, [0.1, -0.2, 0.3]])
-        analytic = _jacobian(pose, k, observed, points)
+        analytic = _linearize(pose, k, observed, points)[1]
         numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
         assert np.linalg.norm(analytic - numeric) < 1e-6 * np.linalg.norm(numeric)
 
@@ -213,7 +212,7 @@ class TestJacobian:
         k = default_intrinsics()
         points = np.array([[0.5, 0.2, 5.0], [0.0, 0.0, -5.0]])
         observed = np.zeros((2, 2))
-        jac = _jacobian(np.zeros(6), k, observed, points)
+        jac = _linearize(np.zeros(6), k, observed, points)[1]
         numeric = central_difference_jacobian(np.zeros(6), k, observed, points)
         assert np.all(jac[2:] == 0.0)
         assert np.allclose(jac[:2], numeric[:2], rtol=1e-6, atol=1e-6)
@@ -231,13 +230,13 @@ class TestSolve:
             if not np.all(_residual_vector(seed, k, observed, points) == BEHIND_CAMERA_RESIDUAL):
                 continue
             infeasible.append(index)
-            pose, cost, iterations, converged, history = _run_lm(
+            pose, cost, iterations, converged = _run_lm(
                 seed, k, observed, points, SolverConfig()
             )
             assert converged is False
             assert iterations == 1
             assert np.array_equal(pose, seed)
-            assert history == [cost]
+            assert cost == float(np.sum(_residual_vector(seed, k, observed, points) ** 2))
         assert len(infeasible) == 4
         result = solve_extrinsics(corrs, k)
         assert result.converged
@@ -292,13 +291,29 @@ class TestSolve:
         with pytest.raises(DegenerateGeometry):
             solve_extrinsics(corrs, k)
 
-    def test_accepted_steps_strictly_decrease_cost(self):
+    def test_accepted_steps_strictly_decrease_cost(self, monkeypatch):
+        # LM linearizes at the seed and again after each accepted step, so
+        # the costs at its linearization points are the accepted costs
         scene = gen_calibration_scene(SceneConfig(seed=8, pixel_sigma_px=0.5))
         corrs = scene_correspondences(scene)
-        result = solve_extrinsics(corrs, scene.config.intrinsics)
-        history = result.cost_history
-        assert len(history) >= 2
-        assert all(b < a for a, b in zip(history, history[1:]))
+        k = scene.config.intrinsics
+        observed = np.array([c.image_center for c in corrs.correspondences])
+        points = np.array([c.radar_center for c in corrs.correspondences])
+        costs = []
+
+        def recording(*args):
+            residual, jac = _linearize(*args)
+            costs.append(float(np.sum(residual**2)))
+            return residual, jac
+
+        monkeypatch.setattr(calibration, "_linearize", recording)
+        longest = 0
+        for seed in cube_rotation_seeds():
+            costs.clear()
+            _run_lm(seed, k, observed, points, SolverConfig())
+            assert all(b < a for a, b in zip(costs, costs[1:])), costs
+            longest = max(longest, len(costs))
+        assert longest >= 2
 
     def test_permutation_invariance_bit_identical(self):
         scene = gen_calibration_scene(SceneConfig(seed=9, pose_count=10))

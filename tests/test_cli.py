@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -384,7 +385,6 @@ def test_labeling_golden_digests_without_dense_masks(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense mask was built or decoded")
 
-    monkeypatch.setattr(fileio, "rle_decode", refuse)
     monkeypatch.setattr(al, "runs_to_dense", refuse)
     monkeypatch.setattr(al, "dense_to_runs", refuse)
     monkeypatch.setattr(InstanceMask, "mask", property(refuse))
@@ -471,6 +471,26 @@ def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
     assert table[-1].split()[:4] == ["all", "33.33", "100.00", "0.00"]
 
 
+def test_eval_names_ground_truth_frames_without_prediction(tmp_path, capsys):
+    # autolabel stops at a bad frame and leaves the frames before it; eval
+    # used to score those in silence, as if the run were whole
+    scene, labels = tmp_path / "scene", tmp_path / "labels"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "6", "-o", scene]) == 0
+    (scene / "radar_004.json").write_text("{}")
+    assert run(["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json", "-o", labels]) == 4
+    assert sorted(p.name for p in labels.iterdir())[-1] == "labels_003.jsonl"
+    capsys.readouterr()
+    assert run(["eval", "--pred", labels, "--gt", scene / "gt_labels",
+                "-o", tmp_path / "report.json"]) == 0
+    assert capsys.readouterr().err == "warning: no prediction for ground-truth frame(s) [4, 5]\n"
+    assert json.loads((tmp_path / "report.json").read_text())["n_frames"] == 4
+    # with every frame predicted, nothing is printed to stderr
+    assert run(["eval", "--pred", scene / "gt_labels", "--gt", scene / "gt_labels",
+                "-o", tmp_path / "self.json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestExitCodes:
     def test_negative_jobs_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -480,6 +500,55 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--jobs: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("holdout", ["inf", "1.5", "-0.5", "nan", "1"])
+    def test_holdout_outside_unit_interval_exit_2(self, tmp_path, capsys, holdout):
+        # inf ended in an OverflowError traceback, 1.5 held out poses as 0.5
+        # would, -0.5 was ignored, and nan failed only after the whole solve
+        with pytest.raises(SystemExit) as exc:
+            run(["calibrate", "--corners", tmp_path, "--frames", tmp_path,
+                 "--intrinsics", tmp_path / "intrinsics.json", "--holdout", holdout,
+                 "-o", tmp_path / "c.json"])
+        assert exc.value.code == 2
+        assert "--holdout: must be in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--pixel-sigma", "--range-sigma", "--angle-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_flag_exit_2(self, tmp_path, capsys, flag, value):
+        # a NaN range sigma clamped every range to 0, a NaN pixel sigma
+        # skipped the noise, and both exited 0
+        assert run(["synth", "--kind", "calibration", "--poses", "3", flag, value,
+                    "-o", tmp_path / "out"]) == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_noise_in_scene_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "scene.json"
+        config.write_text('{"rcs_sigma_dbsm": NaN}')
+        assert run(["synth", "--kind", "calibration", "--config", config,
+                    "-o", tmp_path / "out"]) == 2
+        assert "rcs_sigma_dbsm must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["rotation", "translation", "fx", "cy"])
+    def test_non_finite_calibration_file_exit_4(self, tmp_path, capsys, field):
+        # NaN passed both orthonormality checks and every intrinsics check,
+        # and autolabel then exited 0 with no point assigned
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        path = scene / "calibration.json"
+        doc = json.loads(path.read_text())
+        if field == "rotation":
+            doc["rotation_row_major"][4] = math.nan
+        elif field == "translation":
+            doc["translation_m"][0] = math.nan
+        else:
+            doc["intrinsics"][field] = math.nan
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", path, "-o", tmp_path / "out"]) == 4
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "config.toml"
@@ -634,8 +703,11 @@ class TestExitCodes:
             '{"fx": "x", "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
             '{"fx": -1, "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
             "[800, 800, 960, 540, 1920, 1080]",
+            '{"fx": NaN, "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
+            '{"fx": 800, "fy": 800, "cx": Infinity, "cy": 540, "width": 1920, "height": 1080}',
         ],
-        ids=["missing_fx", "infinite_width", "text_fx", "negative_fx", "list"],
+        ids=["missing_fx", "infinite_width", "text_fx", "negative_fx", "list", "nan_fx",
+             "infinite_cx"],
     )
     @pytest.mark.parametrize("reader", ["calibrate", "autolabel", "synth"])
     def test_malformed_intrinsics_exit_code_per_reader(self, tmp_path, capsys, reader, bad):
@@ -649,7 +721,7 @@ class TestExitCodes:
             code, message = 4, "invalid input: bad intrinsics file"
         elif reader == "autolabel":
             path = tmp_path / "calibration.json"
-            fileio.write_calibration(path, Extrinsics.identity(), default_intrinsics(),
+            fileio.write_calibration(path, Extrinsics(np.eye(3), np.zeros(3)), default_intrinsics(),
                                      0.0, 0.0, True)
             doc = json.loads(path.read_text())
             doc["intrinsics"] = "@"

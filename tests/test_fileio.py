@@ -23,8 +23,6 @@ from radcal.fileio import (
     load_radar_frame,
     load_radar_frames,
     load_radar_points,
-    rle_decode,
-    rle_encode,
     write_calibration,
     write_corners,
     write_intrinsics,
@@ -67,36 +65,46 @@ class TestCanonicalJson:
 
 
 class TestRle:
-    def test_round_trip_random(self):
+    @staticmethod
+    def round_trip(path, mask):
+        """The run list ``write_masks`` stores for a dense mask, and the mask
+        ``load_masks`` reads back, decoded."""
+        height, width = mask.shape
+        write_masks(path, width, height, [InstanceMask.from_dense(mask, 1, 1, 0.5)])
+        (back,) = load_masks(path)[2]
+        return json.loads(path.read_text())["instances"][0]["rle"], back.mask
+
+    def test_round_trip_random(self, tmp_path):
         rng = np.random.default_rng(0)
         for _ in range(20):
             mask = rng.uniform(size=(13, 17)) < 0.3
-            runs = rle_encode(mask)
-            assert np.array_equal(rle_decode(runs, 13, 17), mask)
+            _, back = self.round_trip(tmp_path / "masks_000.json", mask)
+            assert np.array_equal(back, mask)
 
-    def test_empty_mask(self):
-        assert rle_encode(np.zeros((4, 4), dtype=bool)) == []
-        assert not rle_decode([], 4, 4).any()
+    def test_empty_mask(self, tmp_path):
+        runs, back = self.round_trip(tmp_path / "masks_000.json", np.zeros((4, 4), dtype=bool))
+        assert runs == []
+        assert not back.any()
 
-    def test_full_mask(self):
-        mask = np.ones((3, 5), dtype=bool)
-        assert rle_encode(mask) == [0, 15]
+    def test_full_mask(self, tmp_path):
+        runs, _ = self.round_trip(tmp_path / "masks_000.json", np.ones((3, 5), dtype=bool))
+        assert runs == [0, 15]
 
     def test_overlapping_runs_rejected(self):
         with pytest.raises(SchemaError):
-            rle_decode([0, 5, 3, 2], 4, 4)
+            fileio._rle_runs([0, 5, 3, 2], 4, 4)
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(SchemaError):
-            rle_decode([14, 5], 4, 4)
+            fileio._rle_runs([14, 5], 4, 4)
 
     def test_odd_length_rejected(self):
         with pytest.raises(SchemaError):
-            rle_decode([0, 5, 7], 4, 4)
+            fileio._rle_runs([0, 5, 7], 4, 4)
 
     def test_zero_length_run_rejected(self):
         with pytest.raises(SchemaError):
-            rle_decode([0, 0], 4, 4)
+            fileio._rle_runs([0, 0], 4, 4)
 
 
 class TestRadarFrameFiles:

@@ -15,13 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from radcal.autolabel import InstanceMask
+from radcal.autolabel import InstanceMask, runs_to_dense
 from radcal.fileio import (
     _BAD_FIELD,
     SchemaError,
+    _rle_runs,
+    _run_list,
     load_masks,
-    rle_decode,
-    rle_encode,
     write_masks,
 )
 
@@ -64,9 +64,8 @@ class TestRuns:
         assert np.array_equal(m.covers(every), mask.ravel())
         assert np.array_equal(m.covers(every[::-1]), mask.ravel()[::-1])
         assert np.array_equal(m.covers(queries), mask.ravel()[queries])
-        runs = rle_encode(mask)
-        assert runs == np.column_stack((m.starts, m.ends - m.starts)).ravel().tolist()
-        assert np.array_equal(rle_decode(runs, *mask.shape), mask)
+        runs = _run_list(m.starts, m.ends)  # the file's [start, length, ...] list
+        assert np.array_equal(runs_to_dense(*_rle_runs(runs, *mask.shape), *mask.shape), mask)
         assert np.array_equal(ref.rle_decode(runs, *mask.shape), mask)
 
     @settings(max_examples=50)
@@ -164,11 +163,13 @@ class TestMalformedRunLists:
     def test_rle_decode_agrees_with_dense_decoder(self, runs, height, width):
         def outcome(decode):
             try:
-                return decode(runs, height, width)
+                return decode()
             except _BAD_FIELD as exc:
                 return type(exc), str(exc)
 
-        expected, got = outcome(ref.rle_decode), outcome(rle_decode)
+        expected = outcome(lambda: ref.rle_decode(runs, height, width))
+        # the raw run validation, then a decode of the runs it accepted
+        got = outcome(lambda: runs_to_dense(*_rle_runs(runs, height, width), height, width))
         if isinstance(expected, tuple):
             assert got == expected
         else:

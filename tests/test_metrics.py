@@ -5,56 +5,45 @@ import numpy as np
 import pytest
 
 from radcal.autolabel import LabelColumns
-from radcal.metrics import (
-    EmptyInput,
-    LengthMismatch,
-    label_report,
-    match_instances,
-    miou,
-    mre,
-    point_accuracy,
-    rmse,
-)
+from radcal.calibration import reprojection_errors
+from radcal.metrics import EmptyInput, LengthMismatch, label_report
 
 columns = LabelColumns.from_labels
 
 
 class TestResidualMetrics:
+    """MRE and RMSE of calibration residuals (``reprojection_errors``)."""
+
     def test_three_four_five(self):
-        assert mre([(3.0, 4.0)]) == 5.0
-        assert rmse([(3.0, 4.0)]) == 5.0
+        assert reprojection_errors(np.array([(3.0, 4.0)])) == (5.0, 5.0)
 
     def test_zero_residuals(self):
-        assert mre([(0.0, 0.0), (0.0, 0.0)]) == 0.0
+        assert reprojection_errors(np.zeros((2, 2)))[0] == 0.0
 
     def test_jensen_gap(self):
-        residuals = [(0.0, 0.0), (6.0, 8.0)]
-        assert mre(residuals) == 5.0
-        assert np.isclose(rmse(residuals), math.sqrt(50.0))
-        assert rmse(residuals) > mre(residuals)
+        mre, rmse = reprojection_errors(np.array([(0.0, 0.0), (6.0, 8.0)]))
+        assert mre == 5.0
+        assert np.isclose(rmse, math.sqrt(50.0))
+        assert rmse > mre
 
     def test_random_residuals_match_summation_oracle(self):
         rng = np.random.default_rng(0)
         residuals = rng.normal(size=(24, 2)) * 3.0
         norms = [math.hypot(du, dv) for du, dv in residuals]
-        assert abs(mre(residuals) - math.fsum(norms) / 24) < 1e-12
-        assert abs(rmse(residuals) - math.sqrt(math.fsum(n * n for n in norms) / 24)) < 1e-12
+        mre, rmse = reprojection_errors(residuals)
+        assert abs(mre - math.fsum(norms) / 24) < 1e-12
+        assert abs(rmse - math.sqrt(math.fsum(n * n for n in norms) / 24)) < 1e-12
 
     def test_mre_at_most_rmse_property(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             residuals = rng.normal(size=(int(rng.integers(1, 40)), 2)) * 10
-            assert mre(residuals) <= rmse(residuals) + 1e-12
+            mre, rmse = reprojection_errors(residuals)
+            assert mre <= rmse + 1e-12
 
     def test_equal_norms_give_equality(self):
-        residuals = [(3.0, 4.0), (5.0, 0.0), (0.0, -5.0)]
-        assert np.isclose(mre(residuals), rmse(residuals))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            mre([])
-        with pytest.raises(EmptyInput):
-            rmse([])
+        mre, rmse = reprojection_errors(np.array([(3.0, 4.0), (5.0, 0.0), (0.0, -5.0)]))
+        assert np.isclose(mre, rmse)
 
 
 def optimal_matching_total(pred, gt):
@@ -91,14 +80,14 @@ def optimal_matching_total(pred, gt):
 class TestMatching:
     def test_identical_partitions_match_perfectly(self):
         labels = [(1, 1)] * 4 + [(1, 2)] * 3 + [None] * 3
-        matches = match_instances(columns(labels), columns(labels))
+        matches = label_report(columns(labels), columns(labels)).per_instance_iou
         assert len(matches) == 2
         assert all(m.iou == 1.0 for m in matches)
 
     def test_split_instance_greedy(self):
         gt = [(1, 1)] * 6 + [None] * 2
         pred = [(1, 10)] * 4 + [(1, 20)] * 2 + [None] * 2
-        matches = match_instances(columns(pred), columns(gt))
+        matches = label_report(columns(pred), columns(gt)).per_instance_iou
         assert len(matches) == 1
         assert matches[0].pred == (1, 10)  # larger-overlap half wins
         assert np.isclose(matches[0].iou, 4 / 6)
@@ -106,7 +95,7 @@ class TestMatching:
     def test_class_mismatch_blocks_match(self):
         gt = [(1, 1)] * 4
         pred = [(2, 1)] * 4
-        assert match_instances(columns(pred), columns(gt)) == []
+        assert label_report(columns(pred), columns(gt)).per_instance_iou == []
 
     def test_greedy_close_to_exhaustive_optimum(self):
         rng = np.random.default_rng(2)
@@ -121,7 +110,7 @@ class TestMatching:
                         out.append((int(rng.integers(1, 3)), int(rng.integers(1, 4))))
                 return out
             pred, gt = random_labels(), random_labels()
-            matches = match_instances(columns(pred), columns(gt))
+            matches = label_report(columns(pred), columns(gt)).per_instance_iou
             greedy_total = sum(m.iou for m in matches)
             optimal = optimal_matching_total(pred, gt)
             max_step = max((m.iou for m in matches), default=0.0)
@@ -130,22 +119,22 @@ class TestMatching:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            match_instances(columns([None]), columns([None, None]))
+            label_report(columns([None]), columns([None, None]))
 
 
 class TestPointAccuracy:
     def test_perfect(self):
         labels = [(1, 1)] * 5 + [None] * 5
-        pa_all, pa_fg = point_accuracy(columns(labels), columns(labels))
-        assert pa_all == 100.0
-        assert pa_fg == 100.0
+        report = label_report(columns(labels), columns(labels))
+        assert report.pa_percent == 100.0
+        assert report.pa_foreground_percent == 100.0
 
     def test_eight_of_ten(self):
         gt = [(1, 1)] * 10
         pred = [(1, 1)] * 8 + [None, None]
-        pa_all, pa_fg = point_accuracy(columns(pred), columns(gt))
-        assert pa_all == 80.0
-        assert pa_fg == 80.0
+        report = label_report(columns(pred), columns(gt))
+        assert report.pa_percent == 80.0
+        assert report.pa_foreground_percent == 80.0
 
     def test_three_of_fifty_corrupted(self):
         gt = [(1, 1)] * 25 + [(2, 2)] * 20 + [None] * 5
@@ -153,34 +142,32 @@ class TestPointAccuracy:
         pred[0] = None
         pred[30] = None
         pred[46] = (1, 1)
-        pa_all, _ = point_accuracy(columns(pred), columns(gt))
-        assert pa_all == 94.0
+        assert label_report(columns(pred), columns(gt)).pa_percent == 94.0
 
     def test_id_renaming_is_free(self):
         gt = [(1, 1)] * 5 + [(1, 2)] * 5
         pred = [(1, 42)] * 5 + [(1, 7)] * 5
-        pa_all, pa_fg = point_accuracy(columns(pred), columns(gt))
-        assert pa_all == 100.0
+        assert label_report(columns(pred), columns(gt)).pa_percent == 100.0
 
     def test_background_only(self):
-        pa_all, pa_fg = point_accuracy(columns([None] * 4), columns([None] * 4))
-        assert pa_all == 100.0
-        assert pa_fg == 100.0  # vacuous foreground
+        report = label_report(columns([None] * 4), columns([None] * 4))
+        assert report.pa_percent == 100.0
+        assert report.pa_foreground_percent == 100.0  # vacuous foreground
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            point_accuracy(columns([]), columns([]))
+            label_report(columns([]), columns([]))
 
 
 class TestMiou:
     def test_identical(self):
         labels = [(1, 1)] * 4 + [(2, 5)] * 6
-        assert miou(columns(labels), columns(labels)) == 100.0
+        assert label_report(columns(labels), columns(labels)).miou_percent == 100.0
 
     def test_three_of_four(self):
         gt = [(1, 1)] * 4 + [None]
         pred = [(1, 1)] * 3 + [None, None]
-        assert miou(columns(pred), columns(gt)) == 75.0
+        assert label_report(columns(pred), columns(gt)).miou_percent == 75.0
 
     def test_multi_instance_hand_enumerated(self):
         gt = [(1, 1)] * 4 + [(1, 2)] * 4 + [(2, 3)] * 2
@@ -190,15 +177,15 @@ class TestMiou:
             + [(2, 7), None]               # 1/2 overlap with gt 3
         )
         expected = 100.0 * (3 / 4 + 1.0 + 1 / 2) / 3
-        assert np.isclose(miou(columns(pred), columns(gt)), expected)
+        assert np.isclose(label_report(columns(pred), columns(gt)).miou_percent, expected)
 
     def test_no_matches_zero(self):
         gt = [(1, 1)] * 4
         pred = [None] * 4
-        assert miou(columns(pred), columns(gt)) == 0.0
+        assert label_report(columns(pred), columns(gt)).miou_percent == 0.0
 
     def test_no_instances_at_all_vacuous_hundred(self):
-        assert miou(columns([None] * 3), columns([None] * 3)) == 100.0
+        assert label_report(columns([None] * 3), columns([None] * 3)).miou_percent == 100.0
 
     def test_pa_hundred_implies_miou_hundred(self):
         rng = np.random.default_rng(3)
@@ -210,9 +197,9 @@ class TestMiou:
                 else (int(rng.integers(1, 3)), int(rng.integers(1, 5)))
                 for _ in range(n)
             ]
-            pa_all, _ = point_accuracy(columns(labels), columns(labels))
-            assert pa_all == 100.0
-            assert miou(columns(labels), columns(labels)) == 100.0
+            report = label_report(columns(labels), columns(labels))
+            assert report.pa_percent == 100.0
+            assert report.miou_percent == 100.0
 
     def test_consistent_relabeling_invariance(self):
         rng = np.random.default_rng(4)
@@ -224,8 +211,7 @@ class TestMiou:
             None if rng.uniform() < 0.3 else (int(rng.integers(1, 3)), int(rng.integers(1, 5)))
             for _ in range(40)
         ]
-        base_pa, _ = point_accuracy(columns(pred), columns(gt))
-        base_miou = miou(columns(pred), columns(gt))
+        base = label_report(columns(pred), columns(gt))
         remap = {}
         renamed = []
         for lbl in pred:
@@ -234,9 +220,9 @@ class TestMiou:
             else:
                 remap.setdefault(lbl, (lbl[0], 100 + len(remap)))
                 renamed.append(remap[lbl])
-        pa, _ = point_accuracy(columns(renamed), columns(gt))
-        assert pa == base_pa
-        assert miou(columns(renamed), columns(gt)) == base_miou
+        report = label_report(columns(renamed), columns(gt))
+        assert report.pa_percent == base.pa_percent
+        assert report.miou_percent == base.miou_percent
 
 
 class TestLabelReport:
@@ -247,5 +233,4 @@ class TestLabelReport:
         assert report.n_matched == 1
         assert np.isclose(report.miou_percent, 75.0)
         assert report.pa_percent == 80.0
-        d = report.to_dict()
-        assert d["per_instance_iou"][0]["gt_instance_id"] == 1
+        assert report.per_instance_iou[0].gt == (1, 1)

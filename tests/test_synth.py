@@ -26,6 +26,16 @@ def test_config_rejects_seed_that_is_not_a_non_negative_int(config, seed):
         config(seed=seed)
 
 
+@pytest.mark.parametrize(
+    "name", ["pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_scene_config_rejects_noise_that_is_not_finite_and_non_negative(name, value):
+    # a NaN sigma passed the old sigma < 0 check
+    with pytest.raises(ValueError, match=name):
+        SceneConfig(**{name: value})
+
+
 class TestCalibrationScene:
     def test_counts_and_determinism(self):
         cfg = SceneConfig(seed=5, pose_count=6)
@@ -83,7 +93,7 @@ class TestCalibrationScene:
     def test_fov_infeasible(self):
         # identity extrinsics: camera optical axis points up in the radar
         # frame, so low-elevation boards are never in front of the camera
-        cfg = SceneConfig(seed=9, pose_count=1, extrinsics=Extrinsics.identity())
+        cfg = SceneConfig(seed=9, pose_count=1, extrinsics=Extrinsics(np.eye(3), np.zeros(3)))
         with pytest.raises(FovInfeasible):
             gen_calibration_scene(cfg)
 
