@@ -20,19 +20,20 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
     CameraIntrinsics,
     Extrinsics,
+    _pinhole,
+    _rodrigues,
     _skew,
     canonicalize_rotvec,
     matrix_to_rotvec,
     nearest_rotation,
-    pinhole,
     project,
-    rotvec_to_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,6 +64,7 @@ BEHIND_CAMERA_RESIDUAL = 1e4
 # considered rank-deficient.
 RANK_TOLERANCE = 1e-10
 
+_EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 
 
@@ -70,7 +72,7 @@ class TooFewPoses(ValueError):
     """Fewer than 3 valid correspondences; the 6-DOF problem is underdetermined."""
 
 
-class DegenerateGeometry(RuntimeError):
+class DegenerateGeometry(ValueError):
     """Jacobian is rank-deficient at the solution (collinear / coincident poses)."""
 
 
@@ -234,15 +236,75 @@ def cube_rotation_seeds() -> list[np.ndarray]:
     return identity + rest
 
 
-def _residuals(
-    k: CameraIntrinsics, observed: np.ndarray, cam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(K, 2) residuals of camera-frame points and the (K, 1) depth guard.
+class _PoseState(NamedTuple):
+    """What the cost and the Jacobian at one pose share."""
 
-    Behind-camera rows get the constant penalty.
-    """
-    projected, front = pinhole(k, cam)
-    return np.where(front, observed - projected, BEHIND_CAMERA_RESIDUAL), front
+    rotation: np.ndarray  # (3, 3)
+    rotated: np.ndarray  # (K, 3) radar points, rotated
+    cam: np.ndarray  # (K, 3) camera-frame points
+    residual: np.ndarray  # (2K,) stacked; rows behind the camera hold the penalty
+    front: np.ndarray  # (K, 1) depth guard
+
+
+class _Problem:
+    """One LM problem's fixed data: the observed pixels, the radar points,
+    the intrinsics as ``[fx, fy]`` and ``[cx, cy]``, and Jacobian buffers
+    whose constant entries are set once (the identity block of
+    d(cam)/d(t), the zeros of d(residual)/d(cam))."""
+
+    def __init__(self, k: CameraIntrinsics, observed: np.ndarray, points: np.ndarray):
+        self.observed = observed
+        self.points = points
+        self.fx, self.fy = k.fx, k.fy
+        self.focal = np.array([k.fx, k.fy])
+        self.center = np.array([k.cx, k.cy])
+        self.d_cam = np.empty((len(points), 3, 6))
+        self.d_cam[:, :, 3:] = _EYE3
+        self.d_res = np.zeros((len(points), 2, 3))
+
+    def state(self, pose: np.ndarray) -> _PoseState:
+        """The residuals at ``pose`` and what its Jacobian reuses of them.
+        Behind-camera rows get the constant penalty."""
+        rotation = _rodrigues(pose[:3])
+        rotated = self.points @ rotation.T
+        cam = rotated + pose[3:]
+        projected, front = _pinhole(self.focal, self.center, cam)
+        residual = np.where(front, self.observed - projected, BEHIND_CAMERA_RESIDUAL)
+        return _PoseState(rotation, rotated, cam, residual.ravel(), front)
+
+    def jacobian(self, pose: np.ndarray, state: _PoseState) -> np.ndarray:
+        """The closed-form (2K, 6) Jacobian of the residuals at ``pose``.
+
+        The rotation part uses d(R p)/d(omega) = -R [p]x J, with
+        J = (omega omega^T + (R^T - I)[omega]x) / |omega|^2 (Gallego & Yezzi;
+        Sola et al., arXiv:1812.01537), rewritten as -[R p]x (R J).  Near
+        omega = 0, J is I - [omega]x / 2 to first order.  Rows of points
+        behind the camera are 0: the derivative of the constant penalty.
+        """
+        rotation, rotated, cam, _, front = state
+        omega = pose[:3]
+        inv_z = np.divide(1.0, cam[:, 2], out=np.zeros(len(cam)), where=front[:, 0])
+        skew = _skew(omega)
+        theta2 = float(omega @ omega)
+        if theta2 < 1e-10:
+            right = _EYE3 - 0.5 * skew
+        else:
+            right = (omega[:, None] * omega + (rotation.T - _EYE3) @ skew) / theta2
+        # d(cam)/d(omega): column i is (R J)[:, i] x (R p); d(cam)/d(t) = I
+        b = rotation @ right
+        d_cam = self.d_cam
+        x, y, z = rotated.T[:, :, None]
+        d_cam[:, 0, :3] = z * b[1] - y * b[2]
+        d_cam[:, 1, :3] = x * b[2] - z * b[0]
+        d_cam[:, 2, :3] = y * b[0] - x * b[1]
+        # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind
+        d_res = self.d_res
+        inv_z2 = inv_z**2
+        d_res[:, 0, 0] = -self.fx * inv_z
+        d_res[:, 1, 1] = -self.fy * inv_z
+        d_res[:, 0, 2] = self.fx * cam[:, 0] * inv_z2
+        d_res[:, 1, 2] = self.fy * cam[:, 1] * inv_z2
+        return (d_res @ d_cam).reshape(-1, 6)
 
 
 def _residual_vector(
@@ -252,8 +314,7 @@ def _residual_vector(
     points: np.ndarray,
 ) -> np.ndarray:
     """Stacked (2K,) residuals; behind-camera poses get the constant penalty."""
-    rotation = rotvec_to_matrix(pose[:3])
-    return _residuals(k, observed, points @ rotation.T + pose[3:])[0].ravel()
+    return _Problem(k, observed, points).state(pose).residual
 
 
 def _linearize(
@@ -262,41 +323,10 @@ def _linearize(
     observed: np.ndarray,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector (2K,) and its closed-form Jacobian (2K, 6) at one pose.
-
-    The rotation part uses d(R p)/d(omega) = -R [p]x J, with
-    J = (omega omega^T + (R^T - I)[omega]x) / |omega|^2 (Gallego & Yezzi;
-    Sola et al., arXiv:1812.01537), rewritten as -[R p]x (R J).  Near
-    omega = 0, J is I - [omega]x / 2 to first order.  Rows of points behind
-    the camera are 0: the derivative of the constant penalty.
-    """
-    omega = pose[:3]
-    rotation = rotvec_to_matrix(omega)
-    rotated = points @ rotation.T
-    cam = rotated + pose[3:]
-    res, front = _residuals(k, observed, cam)
-    inv_z = np.divide(1.0, cam[:, 2], out=np.zeros(len(cam)), where=front[:, 0])
-    skew = _skew(omega)
-    theta2 = float(omega @ omega)
-    if theta2 < 1e-10:
-        right = np.eye(3) - 0.5 * skew
-    else:
-        right = (np.outer(omega, omega) + (rotation.T - np.eye(3)) @ skew) / theta2
-    # d(cam)/d(omega): column i is (R J)[:, i] x (R p); d(cam)/d(t) = I
-    b = rotation @ right
-    d_cam = np.empty((len(points), 3, 6))
-    x, y, z = rotated.T[:, :, None]
-    d_cam[:, 0, :3] = z * b[1] - y * b[2]
-    d_cam[:, 1, :3] = x * b[2] - z * b[0]
-    d_cam[:, 2, :3] = y * b[0] - x * b[1]
-    d_cam[:, :, 3:] = np.eye(3)
-    # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind
-    d_res = np.zeros((len(points), 2, 3))
-    d_res[:, 0, 0] = -k.fx * inv_z
-    d_res[:, 1, 1] = -k.fy * inv_z
-    d_res[:, 0, 2] = k.fx * cam[:, 0] * inv_z**2
-    d_res[:, 1, 2] = k.fy * cam[:, 1] * inv_z**2
-    return res.ravel(), (d_res @ d_cam).reshape(-1, 6)
+    """Residual vector (2K,) and its closed-form Jacobian (2K, 6) at one pose."""
+    problem = _Problem(k, observed, points)
+    state = problem.state(pose)
+    return state.residual, problem.jacobian(pose, state)
 
 
 def _run_lm(
@@ -310,24 +340,27 @@ def _run_lm(
 
     One iteration is one damped trial step: accepted steps shrink lambda,
     rejected ones grow it.  Terminates on relative cost change, step norm,
-    or the iteration budget.
+    or the iteration budget.  An accepted trial's state is kept, so the
+    next linearization builds only the Jacobian from it.
     """
+    problem = _Problem(k, observed, points)
     pose = seed.copy()
     pose[:3] = canonicalize_rotvec(pose[:3])
-    cost = float(np.sum(_residual_vector(pose, k, observed, points) ** 2))
+    state = problem.state(pose)
+    cost = float(np.sum(state.residual**2))
     lam = cfg.lambda_init
     converged = False
     iterations = 0
     jac = None
     for iterations in range(1, cfg.max_iters + 1):
         if jac is None:
-            residual, jac = _linearize(pose, k, observed, points)
+            jac = problem.jacobian(pose, state)
             if not jac.any():
                 # every point is behind the camera: the penalty is flat, so
                 # the zero gradient marks no minimum
                 break
             jtj = jac.T @ jac
-            gradient = jac.T @ residual
+            gradient = jac.T @ state.residual
         try:
             # Gauss-Newton normal equations, damped: (J^T J + lam I) d = -J^T r
             delta = np.linalg.solve(jtj + lam * _EYE6, -gradient)
@@ -340,10 +373,11 @@ def _run_lm(
             break
         trial = pose + delta
         trial[:3] = canonicalize_rotvec(trial[:3])
-        trial_cost = float(np.sum(_residual_vector(trial, k, observed, points) ** 2))
+        trial_state = problem.state(trial)
+        trial_cost = float(np.sum(trial_state.residual**2))
         if trial_cost < cost:
             rel_drop = (cost - trial_cost) / max(cost, 1e-300)
-            pose, cost = trial, trial_cost
+            pose, cost, state = trial, trial_cost, trial_state
             lam /= cfg.lambda_down
             jac = None
             if rel_drop <= cfg.cost_rel_tol:
@@ -390,8 +424,9 @@ def solve_extrinsics(
             best = (*run, seed_index)
     pose, cost, iterations, converged, seed_index = best
 
-    jac = _linearize(pose, k, observed, points)[1]
-    singular_values = np.linalg.svd(jac, compute_uv=False)
+    problem = _Problem(k, observed, points)
+    state = problem.state(pose)
+    singular_values = np.linalg.svd(problem.jacobian(pose, state), compute_uv=False)
     if singular_values[-1] <= RANK_TOLERANCE * max(singular_values[0], 1.0):
         raise DegenerateGeometry(
             "Jacobian is rank-deficient at the solution "
@@ -400,9 +435,9 @@ def solve_extrinsics(
 
     # Rodrigues output is orthonormal to machine precision; the SVD snap
     # guards against accumulated drift before the Extrinsics invariant check.
-    extrinsics = Extrinsics(nearest_rotation(rotvec_to_matrix(pose[:3])), pose[3:].copy())
+    extrinsics = Extrinsics(nearest_rotation(state.rotation), pose[3:].copy())
 
-    residuals = _residual_vector(pose, k, observed, points).reshape(-1, 2)
+    residuals = state.residual.reshape(-1, 2)
     mre_px, rmse_px = reprojection_errors(residuals)
     return CalibrationResult(
         extrinsics=extrinsics,

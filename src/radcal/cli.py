@@ -8,6 +8,9 @@ verbosity.
 Radar frame files carry no pose id of their own; within a directory the
 numeric suffix of ``radar_NNN.json`` is the pose id, matching the
 ``pose_id`` field of the corner files.
+
+Each command imports the modules it runs inside its handler, so a
+``calibrate`` process loads no labeling, metrics or scene-generation code.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autolabel as al
-from . import calibration as cal
-from . import fileio, metrics, reflector, synth
+from . import fileio
 from .checkerboard import checkerboard_center
 from .geometry import (
     BehindCamera,
@@ -73,24 +74,42 @@ def _load_config_file(path: str | Path) -> dict:
     return doc
 
 
-_PARAMS_SECTIONS = {"filter", "cluster", "label", "solver", "sync_tolerance_s"}
+# params file section -> its dataclass, which the package imports on first
+# access; sync_tolerance_s is a bare number
+_PARAMS_SECTIONS = {
+    "filter": "FilterParams",
+    "cluster": "ClusterParams",
+    "label": "LabelParams",
+    "solver": "SolverConfig",
+}
 
 
-def _params_from_file(path: str | Path | None) -> dict:
-    """Parse a params file into dataclass instances with defaults filled in."""
+def _params_from_file(path: str | Path | None, needed: set[str]) -> dict:
+    """Parse a params file into dataclass instances with defaults filled in.
+
+    Builds the ``needed`` sections and every section the file holds, so a
+    bad value is exit 2 whichever command reads the file, while a command
+    imports no module for a section it neither needs nor was given.
+    """
     doc = _load_config_file(path) if path else {}
+    wanted = needed | doc.keys()
+    params = {}
     try:
-        _reject_unknown(doc, _PARAMS_SECTIONS)
-        sync_tolerance_s = float(doc.get("sync_tolerance_s", cal.DEFAULT_SYNC_TOLERANCE_S))
-        if not 0 <= sync_tolerance_s < math.inf:  # NaN would turn the sync gate off
-            raise ValueError(f"sync_tolerance_s must be finite and >= 0, got {sync_tolerance_s}")
-        return {
-            "filter": reflector.FilterParams(**doc.get("filter", {})),
-            "cluster": reflector.ClusterParams(**doc.get("cluster", {})),
-            "label": al.LabelParams(**doc.get("label", {})),
-            "solver": cal.SolverConfig(**doc.get("solver", {})),
-            "sync_tolerance_s": sync_tolerance_s,
-        }
+        _reject_unknown(doc, [*_PARAMS_SECTIONS, "sync_tolerance_s"])
+        if "sync_tolerance_s" in wanted:
+            from .calibration import DEFAULT_SYNC_TOLERANCE_S
+
+            sync_tolerance_s = float(doc.get("sync_tolerance_s", DEFAULT_SYNC_TOLERANCE_S))
+            if not 0 <= sync_tolerance_s < math.inf:  # NaN would turn the sync gate off
+                raise ValueError(
+                    f"sync_tolerance_s must be finite and >= 0, got {sync_tolerance_s}"
+                )
+            params["sync_tolerance_s"] = sync_tolerance_s
+        package = sys.modules[__package__]
+        for name, cls in _PARAMS_SECTIONS.items():
+            if name in wanted:
+                params[name] = getattr(package, cls)(**doc.get(name, {}))
+        return params
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
@@ -152,6 +171,8 @@ def _config_fields(cls, doc: dict, also=(), **flags) -> dict:
 
 
 def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
+    from . import synth
+
     try:
         kwargs = _config_fields(
             synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
@@ -174,6 +195,8 @@ def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
 
 
 def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelSceneConfig:
+    from . import synth
+
     try:
         kwargs = _config_fields(
             synth.LabelSceneConfig, doc, ("intrinsics", "extrinsics"),
@@ -193,6 +216,8 @@ def _cmd_synth(args) -> int:
     """Generate into a staging directory inside the output directory and
     move the files into place once every frame is written, so a failed run
     leaves the output directory as it found it."""
+    from .synth import FovInfeasible
+
     out = Path(args.out)
     created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -205,10 +230,12 @@ def _cmd_synth(args) -> int:
                 target.mkdir(exist_ok=True)
             else:
                 os.replace(path, target)
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(stage, ignore_errors=True)
         for directory in created:
             directory.rmdir()
+        if isinstance(exc, FovInfeasible):  # the scene config asks for the impossible
+            raise ConfigError(str(exc)) from exc
         raise
     shutil.rmtree(stage)
     print(f"{summary} -> {out}")
@@ -217,6 +244,9 @@ def _cmd_synth(args) -> int:
 
 def _write_scene(args, out: Path) -> str:
     """Write the requested scene's files into ``out``; returns a summary."""
+    from . import synth
+    from .autolabel import LabelColumns
+
     doc = _load_config_file(args.config) if args.config else {}
     if args.kind == "calibration":
         cfg = _scene_config_from(doc, args)
@@ -258,7 +288,7 @@ def _write_scene(args, out: Path) -> str:
             list(scene.masks),
         )
         fileio.write_labels(
-            gt_dir / f"labels_{frame_idx:03d}.jsonl", al.LabelColumns.from_labels(scene.gt_labels)
+            gt_dir / f"labels_{frame_idx:03d}.jsonl", LabelColumns.from_labels(scene.gt_labels)
         )
         ground_truths.append(scene.ground_truth())
     fileio.write_json(
@@ -307,7 +337,10 @@ def _pose_entry(corr, residual, split: str) -> dict:
 
 
 def _cmd_calibrate(args) -> int:
-    params = _params_from_file(args.params)
+    from . import calibration as cal
+    from . import reflector
+
+    params = _params_from_file(args.params, {"filter", "cluster", "solver", "sync_tolerance_s"})
     corners_dir = Path(args.corners)
     if not corners_dir.is_dir():
         raise FileNotFoundError(f"missing corners directory: {corners_dir}")
@@ -428,7 +461,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_autolabel(args) -> int:
-    params = _params_from_file(args.params)
+    from . import autolabel as al
+
+    params = _params_from_file(args.params, {"label"})
     frames_dir = Path(args.frames)
     masks_dir = Path(args.masks)
     if not frames_dir.is_dir() or not masks_dir.is_dir():
@@ -466,6 +501,9 @@ def _cmd_autolabel(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import metrics
+    from .autolabel import Provenance
+
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
@@ -480,6 +518,9 @@ def _cmd_eval(args) -> int:
     missing = sorted(gt_files.keys() - pred_files.keys())
     if missing:
         print(f"warning: no prediction for ground-truth frame(s) {missing}", file=sys.stderr)
+    unscored = sorted(pred_files.keys() - gt_files.keys())
+    if unscored:
+        print(f"warning: no ground truth for predicted frame(s) {unscored}", file=sys.stderr)
 
     per_frame = []
     preds = {}
@@ -551,7 +592,7 @@ def _cmd_eval(args) -> int:
         overlay_dir.mkdir(parents=True, exist_ok=True)
         extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
-        provenance = [p.value for p in al.Provenance]  # indexed by LabelColumns codes
+        provenance = [p.value for p in Provenance]  # indexed by LabelColumns codes
         for i in shared:
             if i not in frame_files:
                 continue
@@ -660,21 +701,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, synth.FovInfeasible) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # FileNotFoundError and NotADirectoryError too
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        fileio.SchemaError,
-        cal.TooFewPoses,
-        cal.DegenerateGeometry,
-        al.DimensionMismatch,
-        metrics.LengthMismatch,
-        metrics.EmptyInput,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # SchemaError and every other input error subclass it
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

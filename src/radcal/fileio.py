@@ -34,15 +34,10 @@ import operator
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autolabel import (
-    InstanceMask,
-    LabelColumns,
-    PointCloud,
-    Provenance,
-)
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
     CameraIntrinsics,
@@ -53,6 +48,11 @@ from .geometry import (
     sph2cart,
 )
 from .reflector import RETURN_DTYPE, RadarFrame
+
+if TYPE_CHECKING:
+    # the labeling readers import these where they run, so reading a
+    # calibration input loads no labeling code
+    from .autolabel import InstanceMask, LabelColumns, PointCloud
 
 __all__ = [
     "SchemaError",
@@ -298,6 +298,8 @@ def _frame_from_doc(doc: dict, source: str) -> RadarFrame:
 
 def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
     """Read either coordinate variant into a Cartesian labeling point cloud."""
+    from .autolabel import PointCloud
+
     doc = _load_json(path)
     try:
         timestamp, cartesian, rows = _frame_rows(doc)
@@ -369,6 +371,8 @@ def write_masks(path: str | Path, width: int, height: int, masks: list[InstanceM
 
 
 def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
+    from .autolabel import InstanceMask
+
     doc = _load_json(path)
     try:
         width, height = int(doc["width"]), int(doc["height"])
@@ -432,7 +436,9 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
         intrinsics = CameraIntrinsics.from_doc(doc["intrinsics"])
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
-    err = np.abs(rotation.T @ rotation - np.eye(3)).max()
+    err = math.nan  # a non-finite entry would warn in the product below
+    if np.isfinite(rotation).all():
+        err = np.abs(rotation.T @ rotation - np.eye(3)).max()
     if not err <= 1e-6:  # NaN fails too
         raise SchemaError(
             f"calibration rotation is not orthonormal (deviation {err:.3e})"
@@ -451,6 +457,9 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
 def write_labels(path: str | Path, labels: LabelColumns) -> None:
     """One canonical JSON line per point, in point order, formatted directly:
     points that share a label and provenance share every byte but the index."""
+    from .autolabel import _PROVENANCE
+
+    provenance_json = [canonical_json(p.value) for p in _PROVENANCE]  # by code
     parts: dict = {}
     lines = []
     columns = (labels.labeled, labels.class_id, labels.instance_id, labels.provenance)
@@ -460,7 +469,7 @@ def write_labels(path: str | Path, labels: LabelColumns) -> None:
             parts[key] = (
                 f'{{"class_id":{canonical_json(class_id if labeled else None)},'
                 f'"instance_id":{canonical_json(instance_id if labeled else None)},"point_index":',
-                f',"provenance":{_PROVENANCE_JSON[code]}}}',
+                f',"provenance":{provenance_json[code]}}}',
             )
         head, tail = parts[key]
         lines.append(f"{head}{i}{tail}")
@@ -468,8 +477,6 @@ def write_labels(path: str | Path, labels: LabelColumns) -> None:
 
 
 _LABEL_FIELDS = operator.itemgetter("point_index", "class_id", "instance_id", "provenance")
-_PROVENANCE_CODE = {p.value: i for i, p in enumerate(Provenance)}
-_PROVENANCE_JSON = [canonical_json(p.value) for p in Provenance]  # by LabelColumns code
 
 
 def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +496,8 @@ def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, n
 
 def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
     """Point indices and label columns of parsed label lines, in line order."""
+    from .autolabel import _PROVENANCE, LabelColumns
+
     index, class_id, instance_id, provenance = list(zip(*map(_LABEL_FIELDS, docs))) or [()] * 4
     point_index, _ = _int_column(index, "point_index", nullable=False)
     class_id, class_null = _int_column(class_id, "class_id", nullable=True)
@@ -498,10 +507,11 @@ def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
     instance_id[unlabeled] = 0
     if set(map(type, provenance)) - {str}:
         raise TypeError("provenance must be a string")
-    unknown = set(provenance) - _PROVENANCE_CODE.keys()
+    code_of = {p.value: i for i, p in enumerate(_PROVENANCE)}
+    unknown = set(provenance) - code_of.keys()
     if unknown:
         raise ValueError(f"unknown provenance {min(unknown)!r}")
-    codes = np.fromiter(map(_PROVENANCE_CODE.get, provenance), dtype=np.int8, count=len(docs))
+    codes = np.fromiter(map(code_of.get, provenance), dtype=np.int8, count=len(docs))
     return point_index, LabelColumns(class_id, instance_id, ~unlabeled, codes)
 
 
@@ -543,6 +553,8 @@ def load_labels(path: str | Path) -> LabelColumns:
     point with either null is unlabeled) and a known ``provenance``; the
     indices cover 0..N-1 exactly once.
     """
+    from .autolabel import LabelColumns
+
     with open(path) as fh:
         text = fh.read()
     point_index, columns = _parse_labels(path, text.split("\n"))

@@ -40,6 +40,8 @@ __all__ = [
 # or below this are treated as behind the camera.
 Z_EPS = 1e-6
 
+_EYE3 = np.eye(3)
+
 
 class BehindCamera(ValueError):
     """Point has non-positive depth in the camera frame; projection undefined."""
@@ -80,7 +82,9 @@ class CameraIntrinsics:
 
 
 def _check_rotation(rotation: np.ndarray, tol: float = 1e-9) -> None:
-    err = np.abs(rotation.T @ rotation - np.eye(3)).max()
+    err = math.nan  # a non-finite entry would warn in the product below
+    if np.isfinite(rotation).all():
+        err = np.abs(rotation.T @ rotation - _EYE3).max()
     if not err < tol:  # NaN fails too
         raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")
     if np.linalg.det(rotation) < 0:
@@ -152,7 +156,11 @@ def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
 
     Rodrigues formula with series-expanded coefficients near zero angle.
     """
-    rotvec = np.asarray(rotvec, dtype=float).reshape(3)
+    return _rodrigues(np.asarray(rotvec, dtype=float).reshape(3))
+
+
+def _rodrigues(rotvec: np.ndarray) -> np.ndarray:
+    """``rotvec_to_matrix`` of a float64 (3,) array, taken as it is."""
     theta2 = float(rotvec @ rotvec)
     theta = math.sqrt(theta2)
     if theta < 1e-8:
@@ -163,7 +171,7 @@ def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     k = _skew(rotvec)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
@@ -213,7 +221,7 @@ def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
 def canonicalize_rotvec(rotvec: np.ndarray) -> np.ndarray:
     """Wrap a rotation vector to the canonical representative with norm <= pi."""
     rotvec = np.asarray(rotvec, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(rotvec))
+    theta = math.sqrt(float(rotvec.dot(rotvec)))  # np.linalg.norm's arithmetic
     if theta <= math.pi:
         return rotvec.copy()
     wrapped = math.fmod(theta, 2.0 * math.pi)
@@ -237,10 +245,15 @@ def pinhole(k: CameraIntrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The pinhole model: pixels ``(..., 2)`` of camera-frame points ``(..., 3)``
     and the depth guard ``(..., 1)``, depth > Z_EPS.  Points failing the guard
     are divided by 1 instead; each caller decides what their pixels become."""
+    return _pinhole(np.array([k.fx, k.fy]), np.array([k.cx, k.cy]), cam)
+
+
+def _pinhole(focal: np.ndarray, center: np.ndarray, cam: np.ndarray):
+    """``pinhole`` with the intrinsics as ``[fx, fy]`` and ``[cx, cy]``."""
     z = cam[..., 2:]
     front = z > Z_EPS
     zs = np.where(front, z, 1.0)
-    return np.array([k.fx, k.fy]) * cam[..., :2] / zs + np.array([k.cx, k.cy]), front
+    return focal * cam[..., :2] / zs + center, front
 
 
 def project(k: CameraIntrinsics, t: Extrinsics, point: np.ndarray) -> np.ndarray:

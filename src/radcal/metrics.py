@@ -10,10 +10,12 @@ metric values do not depend on the arbitrary numeric instance ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autolabel import LabelColumns
+if TYPE_CHECKING:
+    from .autolabel import LabelColumns
 
 __all__ = [
     "EmptyInput",

@@ -293,20 +293,23 @@ class TestSolve:
 
     def test_accepted_steps_strictly_decrease_cost(self, monkeypatch):
         # LM linearizes at the seed and again after each accepted step, so
-        # the costs at its linearization points are the accepted costs
+        # the costs at its linearization points are the accepted costs; it
+        # builds each Jacobian from the state the accepted trial computed
         scene = gen_calibration_scene(SceneConfig(seed=8, pixel_sigma_px=0.5))
         corrs = scene_correspondences(scene)
         k = scene.config.intrinsics
         observed = np.array([c.image_center for c in corrs.correspondences])
         points = np.array([c.radar_center for c in corrs.correspondences])
         costs = []
+        jacobian = calibration._Problem.jacobian
 
-        def recording(*args):
-            residual, jac = _linearize(*args)
+        def recording(problem, pose, state):
+            residual = _residual_vector(pose, k, observed, points)
+            assert np.array_equal(state.residual, residual)  # the state is the pose's
             costs.append(float(np.sum(residual**2)))
-            return residual, jac
+            return jacobian(problem, pose, state)
 
-        monkeypatch.setattr(calibration, "_linearize", recording)
+        monkeypatch.setattr(calibration._Problem, "jacobian", recording)
         longest = 0
         for seed in cube_rotation_seeds():
             costs.clear()

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,51 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert fresh_python(code).strip() == "[]"
+
+
+def test_import_radcal_loads_no_submodule():
+    code = "import sys, radcal; print(sorted(m for m in sys.modules if m.startswith('radcal')))"
+    assert fresh_python(code).strip() == "['radcal']"
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """argv for one run of each of calibrate, autolabel and eval."""
+    root = tmp_path_factory.mktemp("commands")
+    cal_scene, lab_scene = root / "cal_scene", root / "lab_scene"
+    assert run(["synth", "--kind", "calibration", "--poses", "6", "--seed", "3",
+                "-o", cal_scene]) == 0
+    assert run(["synth", "--kind", "labeling", "--seed", "4", "-o", lab_scene]) == 0
+    labels = root / "labels"
+    argv = {
+        "calibrate": ["calibrate", "--corners", cal_scene, "--frames", cal_scene,
+                      "--intrinsics", cal_scene / "intrinsics.json", "-o", root / "cal.json"],
+        "autolabel": ["autolabel", "--frames", lab_scene, "--masks", lab_scene,
+                      "--calibration", lab_scene / "calibration.json", "-o", labels],
+        "eval": ["eval", "--pred", labels, "--gt", lab_scene / "gt_labels",
+                 "-o", root / "report.json"],
+    }
+    assert run(argv["autolabel"]) == 0
+    return {command: [str(a) for a in args] for command, args in argv.items()}
+
+
+# the radcal modules each command loads: calibrate no labeling, metrics or
+# scene-generation code, and no labeling command the calibration solver
+COMMAND_MODULES = {
+    "calibrate": ["calibration", "checkerboard", "cli", "fileio", "geometry", "reflector"],
+    "autolabel": ["autolabel", "checkerboard", "cli", "fileio", "geometry", "reflector"],
+    "eval": ["autolabel", "checkerboard", "cli", "fileio", "geometry", "metrics", "reflector"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(command_inputs, command):
+    code = (
+        f"import sys, radcal.cli; code = radcal.cli.main({command_inputs[command]!r}); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('radcal.')))"
+    )
+    expected = [f"radcal.{name}" for name in COMMAND_MODULES[command]]
+    assert fresh_python(code).splitlines()[-1] == f"0 {expected}"
 
 
 def test_autolabel_run_loads_no_numpy_ma_or_thread_pool(tmp_path):
@@ -484,11 +530,33 @@ def test_eval_names_ground_truth_frames_without_prediction(tmp_path, capsys):
     assert run(["eval", "--pred", labels, "--gt", scene / "gt_labels",
                 "-o", tmp_path / "report.json"]) == 0
     assert capsys.readouterr().err == "warning: no prediction for ground-truth frame(s) [4, 5]\n"
+
     assert json.loads((tmp_path / "report.json").read_text())["n_frames"] == 4
     # with every frame predicted, nothing is printed to stderr
     assert run(["eval", "--pred", scene / "gt_labels", "--gt", scene / "gt_labels",
                 "-o", tmp_path / "self.json"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_eval_names_predicted_frames_without_ground_truth(tmp_path, capsys):
+    # a stray labels_009.jsonl in --pred was skipped in silence
+    scene, labels = tmp_path / "scene", tmp_path / "labels"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "-o", scene]) == 0
+    assert run(["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json", "-o", labels]) == 0
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "stray").mkdir()
+    capsys.readouterr()
+    argv = ["eval", "--pred", labels, "--gt", scene / "gt_labels"]
+    assert run([*argv, "-o", tmp_path / "clean" / "report.json"]) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    shutil.copy(labels / "labels_000.jsonl", labels / "labels_009.jsonl")
+    assert run([*argv, "-o", tmp_path / "stray" / "report.json"]) == 0
+    stray = capsys.readouterr()
+    assert stray.err == "warning: no ground truth for predicted frame(s) [9]\n"
+    assert stray.out == clean.out
+    assert sha256_tree(tmp_path / "stray") == sha256_tree(tmp_path / "clean")
 
 
 class TestExitCodes:
@@ -549,6 +617,51 @@ class TestExitCodes:
         assert run(["autolabel", "--frames", scene, "--masks", scene,
                     "--calibration", path, "-o", tmp_path / "out"]) == 4
         assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_infinite_calibration_rotation_exit_4_without_warning(self, tmp_path, capsys):
+        # the orthonormality check multiplied the rotation before checking it
+        # was finite, so numpy warned on stderr ahead of the one error line
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        path = scene / "calibration.json"
+        doc = json.loads(path.read_text())
+        doc["rotation_row_major"][4] = math.inf
+        path.write_text(json.dumps(doc))  # writes Infinity
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["autolabel", "--frames", scene, "--masks", scene,
+                        "--calibration", path, "-o", tmp_path / "out"]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    def test_fov_infeasible_scene_exit_2(self, tmp_path, capsys):
+        # identity extrinsics point the camera up, away from every board
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(
+            {"extrinsics": {"rotation_row_major": np.eye(3).ravel().tolist(),
+                            "translation_m": [0, 0, 0]}}
+        ))
+        out = tmp_path / "out"
+        assert run(["synth", "--kind", "calibration", "--poses", "1", "--seed", "9",
+                    "--config", config, "-o", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: no board placement")
+        assert not out.exists()
+
+    def test_degenerate_geometry_exit_4(self, tmp_path, capsys):
+        # every pose's radar frame holds pose 0's returns: one radar center
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "calibration", "--poses", "6", "--seed", "3",
+                    "-o", scene]) == 0
+        points = json.loads((scene / "radar_000.json").read_text())["points"]
+        for path in scene.glob("radar_*.json"):
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({**doc, "points": points}))
+        capsys.readouterr()
+        assert run(["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json", "-o", tmp_path / "cal.json"]) == 4
+        assert capsys.readouterr().err.startswith("invalid input: Jacobian is rank-deficient")
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "config.toml"

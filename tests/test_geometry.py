@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,14 @@ class TestExtrinsics:
         rotation[1, 1] = value
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="orthonormal"):
             Extrinsics(rotation, np.zeros(3))
+
+    def test_non_finite_rotation_rejected_without_warning(self):
+        rotation = np.eye(3)
+        rotation[0, 2] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            with pytest.raises(ValueError, match="orthonormal"):
+                Extrinsics(rotation, np.zeros(3))
 
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
