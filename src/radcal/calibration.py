@@ -8,7 +8,11 @@ vector (rotation vector + translation) with Levenberg-Marquardt.
 The solver restarts from the identity plus the 23 remaining rotational
 symmetries of the cube so no coarse mounting orientation needs a DLT-style
 initial guess; the lowest-cost run wins (ties: first seed in the fixed
-order).  Everything is deterministic.
+order; a NaN cost never wins).  The 24 descents run as one stack of
+(24, 2K, 6) Jacobians in which each seed keeps its own damping, accepts or
+rejects its own steps and stops on its own.  Every stacked numpy call
+keeps each row's bits, so each seed ends exactly where a descent from it
+alone would.  Everything is deterministic.
 
 ``reprojection_errors`` summarizes residuals as MRE and RMSE in pixels:
 for the solution here, and for held-out poses in ``calibrate --holdout``.
@@ -29,7 +33,6 @@ from .geometry import (
     Extrinsics,
     _pinhole,
     _rodrigues,
-    _skew,
     canonicalize_rotvec,
     matrix_to_rotvec,
     nearest_rotation,
@@ -237,43 +240,49 @@ def cube_rotation_seeds() -> list[np.ndarray]:
 
 
 class _PoseState(NamedTuple):
-    """What the cost and the Jacobian at one pose share."""
+    """What the cost and the Jacobian at a stack of S poses share."""
 
-    rotation: np.ndarray  # (3, 3)
-    rotated: np.ndarray  # (K, 3) radar points, rotated
-    cam: np.ndarray  # (K, 3) camera-frame points
-    residual: np.ndarray  # (2K,) stacked; rows behind the camera hold the penalty
-    front: np.ndarray  # (K, 1) depth guard
+    rotation: np.ndarray  # (S, 3, 3)
+    skew: np.ndarray  # (S, 3, 3) cross-product matrices of the rotation vectors
+    theta2: np.ndarray  # (S, 1, 1) squared rotation angles
+    rotated: np.ndarray  # (S, K, 3) radar points, rotated
+    cam: np.ndarray  # (S, K, 3) camera-frame points
+    residual: np.ndarray  # (S, 2K); rows behind the camera hold the penalty
+    front: np.ndarray  # (S, K, 1) depth guard
 
 
 class _Problem:
     """One LM problem's fixed data: the observed pixels, the radar points,
-    the intrinsics as ``[fx, fy]`` and ``[cx, cy]``, and Jacobian buffers
-    whose constant entries are set once (the identity block of
-    d(cam)/d(t), the zeros of d(residual)/d(cam))."""
+    the intrinsics as ``[fx, fy]`` and ``[cx, cy]``, and Jacobian buffers,
+    sized for the tallest stack so far, whose constant entries are set once
+    (the identity block of d(cam)/d(t), the zeros of d(residual)/d(cam)).
+
+    Its methods take a stack of S poses (S, 6).  Every stacked operation
+    keeps each row's bits: elementwise arithmetic, row sums, and ``@`` and
+    ``np.linalg.solve``, which run the one-pose BLAS / LAPACK call per slice.
+    """
 
     def __init__(self, k: CameraIntrinsics, observed: np.ndarray, points: np.ndarray):
         self.observed = observed
         self.points = points
-        self.fx, self.fy = k.fx, k.fy
         self.focal = np.array([k.fx, k.fy])
         self.center = np.array([k.cx, k.cy])
-        self.d_cam = np.empty((len(points), 3, 6))
-        self.d_cam[:, :, 3:] = _EYE3
-        self.d_res = np.zeros((len(points), 2, 3))
+        self.d_cam = self.d_res = np.empty(0)
 
-    def state(self, pose: np.ndarray) -> _PoseState:
-        """The residuals at ``pose`` and what its Jacobian reuses of them.
+    def state(self, poses: np.ndarray) -> _PoseState:
+        """The residuals at each pose and what its Jacobian reuses of them.
         Behind-camera rows get the constant penalty."""
-        rotation = _rodrigues(pose[:3])
-        rotated = self.points @ rotation.T
-        cam = rotated + pose[3:]
+        rotation, skew, theta2 = _rodrigues(poses[:, :3])
+        rotated = self.points @ rotation.transpose(0, 2, 1)
+        cam = rotated + poses[:, None, 3:]
         projected, front = _pinhole(self.focal, self.center, cam)
         residual = np.where(front, self.observed - projected, BEHIND_CAMERA_RESIDUAL)
-        return _PoseState(rotation, rotated, cam, residual.ravel(), front)
+        return _PoseState(
+            rotation, skew, theta2, rotated, cam, residual.reshape(len(poses), -1), front
+        )
 
-    def jacobian(self, pose: np.ndarray, state: _PoseState) -> np.ndarray:
-        """The closed-form (2K, 6) Jacobian of the residuals at ``pose``.
+    def jacobian(self, poses: np.ndarray, state: _PoseState) -> np.ndarray:
+        """The closed-form (S, 2K, 6) Jacobians of the residuals at the poses.
 
         The rotation part uses d(R p)/d(omega) = -R [p]x J, with
         J = (omega omega^T + (R^T - I)[omega]x) / |omega|^2 (Gallego & Yezzi;
@@ -281,30 +290,36 @@ class _Problem:
         omega = 0, J is I - [omega]x / 2 to first order.  Rows of points
         behind the camera are 0: the derivative of the constant penalty.
         """
-        rotation, rotated, cam, _, front = state
-        omega = pose[:3]
-        inv_z = np.divide(1.0, cam[:, 2], out=np.zeros(len(cam)), where=front[:, 0])
-        skew = _skew(omega)
-        theta2 = float(omega @ omega)
-        if theta2 < 1e-10:
-            right = _EYE3 - 0.5 * skew
-        else:
-            right = (omega[:, None] * omega + (rotation.T - _EYE3) @ skew) / theta2
-        # d(cam)/d(omega): column i is (R J)[:, i] x (R p); d(cam)/d(t) = I
+        rotation, skew, theta2, rotated, cam, _, front = state
+        count, k = cam.shape[:2]
+        if len(self.d_cam) < count:
+            self.d_cam = np.empty((count, k, 3, 6))
+            self.d_cam[..., 3:] = _EYE3
+            self.d_res = np.zeros((count, k, 2, 3))
+        d_cam, d_res = self.d_cam[:count], self.d_res[:count]
+        omega = poses[:, :3]
+        near = theta2 < 1e-10
+        right = (
+            omega[:, :, None] * omega[:, None, :] + (rotation.transpose(0, 2, 1) - _EYE3) @ skew
+        ) / np.where(near, 1.0, theta2)
+        if near.any():
+            right = np.where(near, _EYE3 - 0.5 * skew, right)
+        # d(cam)/d(omega): column i is (R J)[:, i] x (R p), each entry
+        # p[i + 2] b[i + 1] - p[i + 1] b[i + 2] (indices mod 3) for b = R J;
+        # d(cam)/d(t) = I
         b = rotation @ right
-        d_cam = self.d_cam
-        x, y, z = rotated.T[:, :, None]
-        d_cam[:, 0, :3] = z * b[1] - y * b[2]
-        d_cam[:, 1, :3] = x * b[2] - z * b[0]
-        d_cam[:, 2, :3] = y * b[0] - x * b[1]
-        # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind
-        d_res = self.d_res
-        inv_z2 = inv_z**2
-        d_res[:, 0, 0] = -self.fx * inv_z
-        d_res[:, 1, 1] = -self.fy * inv_z
-        d_res[:, 0, 2] = self.fx * cam[:, 0] * inv_z2
-        d_res[:, 1, 2] = self.fy * cam[:, 1] * inv_z2
-        return (d_res @ d_cam).reshape(-1, 6)
+        b = np.concatenate((b, b[:, :2]), axis=1)[:, None]
+        p = np.concatenate((rotated, rotated[..., :2]), axis=2)[..., None]
+        np.subtract(
+            p[..., 2:, :] * b[..., 1:4, :], p[..., 1:4, :] * b[..., 2:, :], out=d_cam[..., :3]
+        )
+        # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind.
+        # Row-major, (0, 0) and (1, 1) are entries 0 and 4, column 2 is 2 and 5
+        inv_z = np.divide(1.0, cam[..., 2:], out=np.zeros(front.shape), where=front)
+        entries = d_res.reshape(count, k, 6)
+        np.multiply(-self.focal, inv_z, out=entries[..., ::4])
+        np.multiply(self.focal * cam[..., :2], inv_z**2, out=entries[..., 2::3])
+        return (d_res @ d_cam).reshape(count, -1, 6)
 
 
 def _residual_vector(
@@ -314,7 +329,7 @@ def _residual_vector(
     points: np.ndarray,
 ) -> np.ndarray:
     """Stacked (2K,) residuals; behind-camera poses get the constant penalty."""
-    return _Problem(k, observed, points).state(pose).residual
+    return _Problem(k, observed, points).state(pose[None]).residual[0]
 
 
 def _linearize(
@@ -325,70 +340,131 @@ def _linearize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vector (2K,) and its closed-form Jacobian (2K, 6) at one pose."""
     problem = _Problem(k, observed, points)
-    state = problem.state(pose)
-    return state.residual, problem.jacobian(pose, state)
+    state = problem.state(pose[None])
+    return state.residual[0], problem.jacobian(pose[None], state)[0]
+
+
+class _Descents(NamedTuple):
+    """The outcome of one stacked LM descent, one row per seed."""
+
+    poses: np.ndarray  # (S, 6)
+    costs: np.ndarray  # (S,)
+    iterations: int  # summed over the seeds
+    seed_iterations: np.ndarray  # (S,) int
+    converged: np.ndarray  # (S,) bool
+
+
+def _normal_equations(
+    problem: _Problem, poses: np.ndarray, state: _PoseState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J^T J (S, 6, 6) and -J^T r (S, 6, 1) at each pose, and which poses'
+    Jacobians are all zero: every point behind the camera, where the
+    penalty is flat and the zero gradient marks no minimum."""
+    jac = problem.jacobian(poses, state)
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, -(jac_t @ state.residual[:, :, None]), ~jac.any(axis=(1, 2))
+
+
+def _solve_rows(damped: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's damped system solved on its own, for a stack in which some
+    are singular: those get a zero step and are flagged."""
+    delta = np.zeros(rhs.shape)
+    singular = np.zeros(len(rhs), dtype=bool)
+    for row, (a, b) in enumerate(zip(damped, rhs)):
+        try:
+            delta[row] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            singular[row] = True
+    return delta, singular
 
 
 def _run_lm(
-    seed: np.ndarray,
+    seeds: np.ndarray,
     k: CameraIntrinsics,
     observed: np.ndarray,
     points: np.ndarray,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, float, int, bool]:
-    """One LM descent from one seed.
+) -> _Descents:
+    """One LM descent from each seed (S, 6), run as one stack.
 
-    One iteration is one damped trial step: accepted steps shrink lambda,
-    rejected ones grow it.  Terminates on relative cost change, step norm,
-    or the iteration budget.  An accepted trial's state is kept, so the
-    next linearization builds only the Jacobian from it.
+    Per seed, one iteration is one damped trial step: accepted steps shrink
+    its lambda, rejected ones grow it.  A seed stops on relative cost
+    change, step norm, saturated damping, a flat linearization (every point
+    behind the camera) or the iteration budget, and leaves the stack; the
+    others go on.  An accepted trial is linearized from the state its cost
+    was computed with.  Each row ends with the bits of a descent run from
+    that seed alone.
     """
     problem = _Problem(k, observed, points)
-    pose = seed.copy()
-    pose[:3] = canonicalize_rotvec(pose[:3])
-    state = problem.state(pose)
-    cost = float(np.sum(state.residual**2))
-    lam = cfg.lambda_init
-    converged = False
-    iterations = 0
-    jac = None
-    for iterations in range(1, cfg.max_iters + 1):
-        if jac is None:
-            jac = problem.jacobian(pose, state)
-            if not jac.any():
-                # every point is behind the camera: the penalty is flat, so
-                # the zero gradient marks no minimum
-                break
-            jtj = jac.T @ jac
-            gradient = jac.T @ state.residual
+    poses = np.array(seeds, dtype=float)
+    poses[:, :3] = canonicalize_rotvec(poses[:, :3])
+    state = problem.state(poses)
+    costs = (state.residual**2).sum(axis=1)
+    jtj, descent, flat = _normal_equations(problem, poses, state)
+    count = len(poses)
+    out = _Descents(
+        np.empty((count, 6)), np.empty(count), 0,
+        np.empty(count, dtype=np.int64), np.empty(count, dtype=bool),
+    )
+    live = np.arange(count)  # the seed of each row still descending
+    lam = np.full(count, cfg.lambda_init)
+    for iteration in range(1, cfg.max_iters + 1):
+        # rows linearized flat stop unconverged; they, and singular rows
+        # below, take no step
+        flat = flat if flat.any() else None
+        blocked = flat
+        # Gauss-Newton normal equations, damped: (J^T J + lam I) d = -J^T r
+        damped = jtj + lam[:, None, None] * _EYE6
         try:
-            # Gauss-Newton normal equations, damped: (J^T J + lam I) d = -J^T r
-            delta = np.linalg.solve(jtj + lam * _EYE6, -gradient)
+            delta = np.linalg.solve(damped, descent)
         except np.linalg.LinAlgError:
-            lam *= cfg.lambda_up
-            continue
-        step_norm = math.sqrt(float(delta @ delta))
-        if step_norm <= cfg.step_tol:
-            converged = True
-            break
-        trial = pose + delta
-        trial[:3] = canonicalize_rotvec(trial[:3])
+            delta, singular = _solve_rows(damped, descent)
+            blocked = singular if flat is None else flat | singular
+        small = np.sqrt(delta.transpose(0, 2, 1) @ delta)[:, 0, 0] <= cfg.step_tol
+        trial = poses + delta[:, :, 0]
+        trial[:, :3] = canonicalize_rotvec(trial[:, :3])
         trial_state = problem.state(trial)
-        trial_cost = float(np.sum(trial_state.residual**2))
-        if trial_cost < cost:
-            rel_drop = (cost - trial_cost) / max(cost, 1e-300)
-            pose, cost, state = trial, trial_cost, trial_state
-            lam /= cfg.lambda_down
-            jac = None
-            if rel_drop <= cfg.cost_rel_tol:
-                converged = True
-                break
+        trial_costs = (trial_state.residual**2).sum(axis=1)
+        better = (trial_costs < costs) & ~small
+        if blocked is not None:
+            better &= ~blocked
+        # a rejected step grows lambda, and so does a singular system
+        lam = np.where(better, lam / cfg.lambda_down, lam * cfg.lambda_up)
+        rel_drop = (costs - trial_costs) / np.maximum(costs, 1e-300)
+        # a rejected step that saturates the damping has no improving
+        # direction left
+        converged = small | np.where(better, rel_drop <= cfg.cost_rel_tol, lam > 1e15)
+        if blocked is not None:
+            converged &= ~blocked
+        done = converged if flat is None else converged | flat
+        if better.all():
+            poses, costs = trial, trial_costs
+            jtj, descent, flat = _normal_equations(problem, trial, trial_state)
+        elif better.any():
+            poses = np.where(better[:, None], trial, poses)
+            costs = np.where(better, trial_costs, costs)
+            moved = _PoseState(*(a[better] for a in trial_state))
+            flat = np.zeros(len(live), dtype=bool)
+            jtj[better], descent[better], flat[better] = _normal_equations(
+                problem, trial[better], moved
+            )
         else:
-            lam *= cfg.lambda_up
-            if lam > 1e15:
-                converged = True  # damping saturated: no improving direction left
+            flat = np.zeros(len(live), dtype=bool)
+        if iteration == cfg.max_iters:
+            done = np.ones(len(live), dtype=bool)
+        if done.any():
+            seeds_done = live[done]
+            out.poses[seeds_done] = poses[done]
+            out.costs[seeds_done] = costs[done]
+            out.seed_iterations[seeds_done] = iteration
+            out.converged[seeds_done] = converged[done]
+            keep = ~done
+            if not keep.any():
                 break
-    return pose, cost, iterations, converged
+            live, poses, costs, lam, jtj, descent, flat = (
+                a[keep] for a in (live, poses, costs, lam, jtj, descent, flat)
+            )
+    return out._replace(iterations=int(out.seed_iterations.sum()))
 
 
 def solve_extrinsics(
@@ -417,16 +493,18 @@ def solve_extrinsics(
     observed = np.array([c.image_center for c in ordered])
     points = np.array([c.radar_center for c in ordered])
 
-    best = None
-    for seed_index, seed in enumerate(cube_rotation_seeds()):
-        run = _run_lm(seed, k, observed, points, cfg)
-        if best is None or run[1] < best[1]:
-            best = (*run, seed_index)
-    pose, cost, iterations, converged, seed_index = best
+    runs = _run_lm(np.array(cube_rotation_seeds()), k, observed, points, cfg)
+    # the first seed wins a tie, and a NaN cost never wins
+    costs = runs.costs.tolist()
+    seed_index = 0
+    for index, cost in enumerate(costs):
+        if cost < costs[seed_index]:
+            seed_index = index
+    pose = runs.poses[seed_index : seed_index + 1]
 
     problem = _Problem(k, observed, points)
     state = problem.state(pose)
-    singular_values = np.linalg.svd(problem.jacobian(pose, state), compute_uv=False)
+    singular_values = np.linalg.svd(problem.jacobian(pose, state)[0], compute_uv=False)
     if singular_values[-1] <= RANK_TOLERANCE * max(singular_values[0], 1.0):
         raise DegenerateGeometry(
             "Jacobian is rank-deficient at the solution "
@@ -435,17 +513,17 @@ def solve_extrinsics(
 
     # Rodrigues output is orthonormal to machine precision; the SVD snap
     # guards against accumulated drift before the Extrinsics invariant check.
-    extrinsics = Extrinsics(nearest_rotation(state.rotation), pose[3:].copy())
+    extrinsics = Extrinsics(nearest_rotation(state.rotation[0]), pose[0, 3:].copy())
 
-    residuals = state.residual.reshape(-1, 2)
+    residuals = state.residual[0].reshape(-1, 2)
     mre_px, rmse_px = reprojection_errors(residuals)
     return CalibrationResult(
         extrinsics=extrinsics,
         residuals=residuals,
         mre_px=mre_px,
         rmse_px=rmse_px,
-        iterations=iterations,
-        converged=converged,
-        cost=cost,
+        iterations=int(runs.seed_iterations[seed_index]),
+        converged=bool(runs.converged[seed_index]),
+        cost=costs[seed_index],
         seed_index=seed_index,
     )

@@ -114,6 +114,15 @@ def _params_from_file(path: str | Path | None, needed: set[str]) -> dict:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
 
+def _output_path(out: str) -> Path:
+    """The ``-o`` path of a command that writes one file, checked before any
+    work: a missing directory fails at once instead of after the job."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
+    return path
+
+
 def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
     """(index, path) for files named <prefix>_<number>.<ext>, sorted by index.
 
@@ -340,6 +349,7 @@ def _cmd_calibrate(args) -> int:
     from . import calibration as cal
     from . import reflector
 
+    out = _output_path(args.out)
     params = _params_from_file(args.params, {"filter", "cluster", "solver", "sync_tolerance_s"})
     corners_dir = Path(args.corners)
     if not corners_dir.is_dir():
@@ -440,7 +450,7 @@ def _cmd_calibrate(args) -> int:
         "skipped_no_reflector": skipped,
     }
     fileio.write_calibration(
-        Path(args.out),
+        out,
         result.extrinsics,
         intrinsics,
         mre_px=result.mre_px,
@@ -504,6 +514,7 @@ def _cmd_eval(args) -> int:
     from . import metrics
     from .autolabel import Provenance
 
+    out = _output_path(args.out)
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
@@ -565,7 +576,7 @@ def _cmd_eval(args) -> int:
             for m in r.per_instance_iou
         ],
     }
-    fileio.write_json(Path(args.out), report_doc)
+    fileio.write_json(out, report_doc)
 
     rows = [("frame", "PA%", "PA-fg%", "mIoU%", "matched", "points")]
     for name, r in [*per_frame, ("all", pooled)]:
@@ -584,11 +595,11 @@ def _cmd_eval(args) -> int:
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
     ]
     table = "\n".join(table_lines)
-    fileio.write_text(Path(args.out).with_suffix(".txt"), table + "\n")
+    fileio.write_text(out.with_suffix(".txt"), table + "\n")
     print(table)
 
     if args.overlay_frames and args.overlay_calibration:
-        overlay_dir = Path(args.overlay_dir or (Path(args.out).parent / "overlay"))
+        overlay_dir = Path(args.overlay_dir or (out.parent / "overlay"))
         overlay_dir.mkdir(parents=True, exist_ok=True)
         extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))

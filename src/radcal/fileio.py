@@ -125,9 +125,13 @@ def canonical_json(obj) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.  An
+    error making the temp file names ``path``, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -140,6 +144,16 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     write_text(path, canonical_json(obj) + "\n")
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer field that fits int64, as it is; a float, a string or a
+    bool is a TypeError rather than a number truncated or coerced into one."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {type(value).__name__}")
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError(f"{name} {value} does not fit a 64-bit integer")
+    return value
 
 
 def _timestamp(doc: dict) -> float:
@@ -337,11 +351,12 @@ def write_corners(
 def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
     doc = _load_json(path)
     try:
-        spec = CheckerboardSpec(int(doc["checkerboard"]["nx"]), int(doc["checkerboard"]["ny"]))
+        board = doc["checkerboard"]
+        spec = CheckerboardSpec(_json_int(board["nx"], "nx"), _json_int(board["ny"], "ny"))
         corners = np.array(
             [[float(c["u_px"]), float(c["v_px"])] for c in doc["corners"]]
         ).reshape(-1, 2)
-        pose_id = int(doc["pose_id"])
+        pose_id = _json_int(doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad corners file {path}: {exc}") from exc
@@ -375,7 +390,7 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
 
     doc = _load_json(path)
     try:
-        width, height = int(doc["width"]), int(doc["height"])
+        width, height = _json_int(doc["width"], "width"), _json_int(doc["height"], "height")
         if min(width, height) < 0:
             raise ValueError(f"negative mask size {width}x{height}")
         masks = []
@@ -385,8 +400,8 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                     *_rle_runs(inst["rle"], height, width),
                     height=height,
                     width=width,
-                    class_id=int(inst["class_id"]),
-                    instance_id=int(inst["instance_id"]),
+                    class_id=_json_int(inst["class_id"], "class_id"),
+                    instance_id=_json_int(inst["instance_id"], "instance_id"),
                     confidence=float(inst["confidence"]),
                 )
             )

@@ -145,10 +145,16 @@ def cart2sph(p) -> tuple[float, float, float]:
     return r, az, el
 
 
+_SKEW_PLUS = np.array([7, 2, 3])  # flat (2, 1), (0, 2), (1, 0) take v0, v1, v2
+_SKEW_MINUS = np.array([5, 6, 1])  # flat (1, 2), (2, 0), (0, 1) take -v0, -v1, -v2
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    """The cross-product matrices (S, 3, 3) of a stack of 3-vectors (S, 3)."""
+    k = np.zeros((len(v), 9))
+    k[:, _SKEW_PLUS] = v
+    k[:, _SKEW_MINUS] = -v
+    return k.reshape(-1, 3, 3)
 
 
 def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
@@ -156,22 +162,29 @@ def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
 
     Rodrigues formula with series-expanded coefficients near zero angle.
     """
-    return _rodrigues(np.asarray(rotvec, dtype=float).reshape(3))
+    return _rodrigues(np.asarray(rotvec, dtype=float).reshape(1, 3))[0][0]
 
 
-def _rodrigues(rotvec: np.ndarray) -> np.ndarray:
-    """``rotvec_to_matrix`` of a float64 (3,) array, taken as it is."""
-    theta2 = float(rotvec @ rotvec)
+def _rodrigues_coefficients(theta2: float) -> tuple[float, float]:
+    """sin(t) / t and (1 - cos t) / t^2 of t^2, by Taylor expansion near 0."""
     theta = math.sqrt(theta2)
     if theta < 1e-8:
-        # sin(t)/t and (1-cos t)/t^2 by Taylor expansion
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    k = _skew(rotvec)
-    return _EYE3 + a * k + b * (k @ k)
+        return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    return math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+
+
+def _rodrigues(rotvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rotvec_to_matrix`` of each row of a float64 (S, 3) array, with what
+    it is built from: the rows' cross-product matrices (S, 3, 3) and squared
+    norms (S, 1, 1).
+
+    Each row's arithmetic is the one-vector formula's: the squared norm is
+    one BLAS dot per row, and the coefficients come from ``math`` per row.
+    """
+    theta2 = rotvecs[:, None, :] @ rotvecs[:, :, None]
+    ab = np.array(list(map(_rodrigues_coefficients, theta2.ravel().tolist())))
+    k = _skew(rotvecs)
+    return _EYE3 + ab[:, :1, None] * k + ab[:, 1:, None] * (k @ k), k, theta2
 
 
 def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
@@ -219,16 +232,22 @@ def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
 
 
 def canonicalize_rotvec(rotvec: np.ndarray) -> np.ndarray:
-    """Wrap a rotation vector to the canonical representative with norm <= pi."""
-    rotvec = np.asarray(rotvec, dtype=float).reshape(3)
-    theta = math.sqrt(float(rotvec.dot(rotvec)))  # np.linalg.norm's arithmetic
-    if theta <= math.pi:
-        return rotvec.copy()
-    wrapped = math.fmod(theta, 2.0 * math.pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    # wrapped in (-pi, pi]; same axis, scaled (sign flip when negative)
-    return rotvec * (wrapped / theta)
+    """Wrap a rotation vector (3,), or each row of a stack (S, 3), to the
+    canonical representative with norm <= pi."""
+    rotvec = np.asarray(rotvec, dtype=float)
+    rows = rotvec.reshape(-1, 3)
+    # np.linalg.norm's arithmetic: one BLAS dot per row
+    theta = np.sqrt(rows[:, None, :] @ rows[:, :, None]).ravel()
+    inside = theta <= math.pi  # NaN is not
+    wrapped = rows.copy()
+    if not inside.all():
+        for i in np.flatnonzero(~inside).tolist():
+            angle = math.fmod(theta[i], 2.0 * math.pi)
+            if angle > math.pi:
+                angle -= 2.0 * math.pi
+            # angle in (-pi, pi]; same axis, scaled (sign flip when negative)
+            wrapped[i] = rows[i] * (angle / theta[i])
+    return wrapped.reshape(rotvec.shape)
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

@@ -226,12 +226,15 @@ class TestSolve:
         observed = np.array([c.image_center for c in corrs.correspondences])
         points = np.array([c.radar_center for c in corrs.correspondences])
         infeasible = []
-        for index, seed in enumerate(cube_rotation_seeds()):
+        seeds = cube_rotation_seeds()
+        runs = _run_lm(np.array(seeds), k, observed, points, SolverConfig())
+        for index, seed in enumerate(seeds):
             if not np.all(_residual_vector(seed, k, observed, points) == BEHIND_CAMERA_RESIDUAL):
                 continue
             infeasible.append(index)
-            pose, cost, iterations, converged = _run_lm(
-                seed, k, observed, points, SolverConfig()
+            pose, cost, iterations, converged = (
+                runs.poses[index], float(runs.costs[index]),
+                int(runs.seed_iterations[index]), bool(runs.converged[index]),
             )
             assert converged is False
             assert iterations == 1
@@ -294,7 +297,9 @@ class TestSolve:
     def test_accepted_steps_strictly_decrease_cost(self, monkeypatch):
         # LM linearizes at the seed and again after each accepted step, so
         # the costs at its linearization points are the accepted costs; it
-        # builds each Jacobian from the state the accepted trial computed
+        # builds each Jacobian from the state the accepted trial computed.
+        # Run from one seed, every linearized row is that seed's; the stack
+        # of all seeds linearizes at the same points
         scene = gen_calibration_scene(SceneConfig(seed=8, pixel_sigma_px=0.5))
         corrs = scene_correspondences(scene)
         k = scene.config.intrinsics
@@ -303,20 +308,49 @@ class TestSolve:
         costs = []
         jacobian = calibration._Problem.jacobian
 
-        def recording(problem, pose, state):
-            residual = _residual_vector(pose, k, observed, points)
-            assert np.array_equal(state.residual, residual)  # the state is the pose's
-            costs.append(float(np.sum(residual**2)))
-            return jacobian(problem, pose, state)
+        def recording(problem, poses, state):
+            for pose, state_residual in zip(poses, state.residual):
+                residual = _residual_vector(pose, k, observed, points)
+                assert np.array_equal(state_residual, residual)  # the state is the pose's
+                costs.append(float(np.sum(residual**2)))
+            return jacobian(problem, poses, state)
 
         monkeypatch.setattr(calibration._Problem, "jacobian", recording)
         longest = 0
-        for seed in cube_rotation_seeds():
+        every_seed = []
+        seeds = np.array(cube_rotation_seeds())
+        for seed in seeds:
             costs.clear()
-            _run_lm(seed, k, observed, points, SolverConfig())
+            _run_lm(seed[None], k, observed, points, SolverConfig())
             assert all(b < a for a, b in zip(costs, costs[1:])), costs
             longest = max(longest, len(costs))
+            every_seed += costs
         assert longest >= 2
+        costs.clear()
+        _run_lm(seeds, k, observed, points, SolverConfig())
+        assert sorted(costs) == sorted(every_seed)
+
+    def test_winner_is_first_strict_minimum_never_nan(self, monkeypatch):
+        # the multistart keeps the first seed of the lowest cost: a later
+        # seed that ties it does not win, and a NaN cost never does
+        scene = gen_calibration_scene(SceneConfig(seed=7, pixel_sigma_px=0.5))
+        corrs = scene_correspondences(scene)
+        k = scene.config.intrinsics
+        base = solve_extrinsics(corrs, k)
+        run_lm = calibration._run_lm
+
+        def tie_then_nan(*args):
+            runs = run_lm(*args)
+            costs = runs.costs.copy()
+            later = [i for i in range(len(costs)) if i > base.seed_index]
+            costs[later[0]] = costs[base.seed_index]
+            costs[later[1]] = np.nan
+            return runs._replace(costs=costs)
+
+        monkeypatch.setattr(calibration, "_run_lm", tie_then_nan)
+        result = solve_extrinsics(corrs, k)
+        assert result.seed_index == base.seed_index
+        assert result.cost == base.cost
 
     def test_permutation_invariance_bit_identical(self):
         scene = gen_calibration_scene(SceneConfig(seed=9, pose_count=10))

@@ -861,6 +861,37 @@ class TestExitCodes:
                     "-o", tmp_path / "r.json"]) == 4
         assert "labels_000.jsonl:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_output_into_missing_directory_exit_3_before_any_work(
+        self, workflow, tmp_path, capsys, monkeypatch, command
+    ):
+        # the job used to run to the end, then fail on the temp file's name
+        out = tmp_path / "nodir" / "out.json"
+        loader = {"calibrate": "load_corners", "eval": "load_labels"}[command]
+        calls = []
+        load = getattr(fileio, loader)
+        monkeypatch.setattr(fileio, loader, lambda *args: calls.append(args) or load(*args))
+        if command == "calibrate":
+            scene = workflow / "cal_scene"
+            argv = ["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json"]
+        else:
+            argv = ["eval", "--pred", workflow / "labels_out",
+                    "--gt", workflow / "lab_scene" / "gt_labels"]
+        assert run([*argv, "-o", out]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert calls == []
+        assert f"cannot write {out}: no directory {out.parent}" in err
+        assert ".tmp" not in err
+        assert not out.parent.exists()
+
+    def test_write_error_names_the_output_not_the_temp_file(self, tmp_path):
+        out = tmp_path / "nodir" / "out.json"
+        with pytest.raises(FileNotFoundError) as info:
+            fileio.write_json(out, {})
+        assert f"cannot write {out}" in str(info.value)
+        assert ".tmp" not in str(info.value)
+
     def test_missing_calibration_exit_3(self, tmp_path):
         scene = tmp_path / "scene"
         assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -586,6 +588,183 @@ class TestRadarFrameMutations:
                 _, cloud = points
                 xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
                 assert np.array_equal(cloud.xyz, xyz)
+
+
+# a value a JSON integer field must refuse rather than truncate or coerce
+NOT_AN_INT = st.sampled_from(
+    [0.7, 6.9, 1.9, 3.0, "0", "3", "1920", True, False, None, [3], {"n": 3}, 2**63, -(2**63) - 1]
+)
+NOT_A_FLOAT = st.sampled_from([None, [1.5], {"u": 1.5}])
+
+
+def corners_doc():
+    return {
+        "pose_id": 0,
+        "timestamp_s": 0.0,
+        "checkerboard": {"nx": 3, "ny": 3},
+        "corners": [{"u_px": 900.0 + 10 * i, "v_px": 500.0 + 10 * j}
+                    for j in range(2) for i in range(2)],
+    }
+
+
+@st.composite
+def mutated_corners(draw):
+    """(kind, corners document text) for one mutation that makes a valid
+    corners document invalid."""
+    doc = corners_doc()
+    corner = doc["corners"][draw(st.integers(0, 3))]
+    kind = draw(st.sampled_from(
+        ["int", "drop", "float", "corners", "checkerboard", "timestamp"]
+    ))
+    if kind == "int":
+        field = draw(st.sampled_from(["pose_id", "nx", "ny"]))
+        (doc if field == "pose_id" else doc["checkerboard"])[field] = draw(NOT_AN_INT)
+    elif kind == "drop":
+        target, key = draw(st.sampled_from([
+            (doc, "pose_id"), (doc, "timestamp_s"), (doc, "checkerboard"), (doc, "corners"),
+            (doc["checkerboard"], "nx"), (doc["checkerboard"], "ny"),
+            (corner, "u_px"), (corner, "v_px"),
+        ]))
+        del target[key]
+    elif kind == "float":
+        corner[draw(st.sampled_from(["u_px", "v_px"]))] = draw(NOT_A_FLOAT)
+    elif kind == "corners":
+        doc["corners"] = draw(st.sampled_from([None, 3, "corners", {"u_px": 1.0}]))
+    elif kind == "checkerboard":
+        doc["checkerboard"] = draw(st.sampled_from([None, [3, 3], "3x3", 3]))
+    else:
+        doc["timestamp_s"] = draw(st.sampled_from([None, [0.0], "NON_FINITE"]))
+    return kind, json.dumps(doc).replace('"NON_FINITE"', draw(NON_FINITE))
+
+
+class TestCornersFileMutations:
+    """A mutated corners file ends ``calibrate`` in exit 4 naming the file;
+    an integer field given as a float, a string or a bool is refused, not
+    truncated."""
+
+    def test_valid_document_reaches_the_radar_inputs(self, tmp_path):
+        (tmp_path / "corners_000.json").write_text(json.dumps(corners_doc()))
+        write_intrinsics(tmp_path / "intrinsics.json", default_intrinsics())
+        # the corners are read; with no radar files the run ends in exit 3
+        assert cli.main(["calibrate", "--corners", str(tmp_path), "--frames", str(tmp_path),
+                         "--intrinsics", str(tmp_path / "intrinsics.json"),
+                         "-o", str(tmp_path / "c.json")]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("field, value", [("pose_id", 0.7), ("pose_id", "0"),
+                                              ("pose_id", False), ("nx", 6.9)])
+    def test_integer_field_not_truncated(self, tmp_path, field, value):
+        doc = corners_doc()
+        (doc if field == "pose_id" else doc["checkerboard"])[field] = value
+        path = tmp_path / "corners.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"{field} must be a JSON integer"):
+            load_corners(path)
+
+    @settings(max_examples=120)
+    @given(mutated_corners())
+    def test_mutation_exit_4_naming_the_file(self, case):
+        _, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "corners_000.json"
+            path.write_text(text)
+            write_intrinsics(tmp / "intrinsics.json", default_intrinsics())
+            with pytest.raises(SchemaError, match="bad corners file"):
+                load_corners(path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["calibrate", "--corners", str(tmp), "--frames", str(tmp),
+                                 "--intrinsics", str(tmp / "intrinsics.json"),
+                                 "-o", str(tmp / "c.json")])
+            assert code == cli.EXIT_INVALID
+            assert str(path) in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def label_scene(tmp_path_factory):
+    scene = tmp_path_factory.mktemp("label_scene")
+    assert cli.main(["synth", "--kind", "labeling", "--seed", "2", "-o", str(scene)]) == 0
+    return scene
+
+
+def masks_doc():
+    k = default_intrinsics()
+    return {
+        "width": k.width,
+        "height": k.height,
+        "instances": [
+            {"instance_id": 1, "class_id": 2, "confidence": 0.9, "rle": [0, 5, 1000, 40]},
+            {"instance_id": 2, "class_id": 1, "confidence": 0.8, "rle": [5000, 7]},
+        ],
+    }
+
+
+@st.composite
+def mutated_masks(draw):
+    """(kind, masks document text) for one mutation that makes a valid
+    masks document invalid."""
+    doc = masks_doc()
+    inst = doc["instances"][draw(st.integers(0, 1))]
+    kind = draw(st.sampled_from(["int", "drop", "confidence", "instances", "rle"]))
+    if kind == "int":
+        field = draw(st.sampled_from(["width", "height", "class_id", "instance_id"]))
+        (doc if field in ("width", "height") else inst)[field] = draw(NOT_AN_INT)
+    elif kind == "drop":
+        target, key = draw(st.sampled_from([
+            (doc, "width"), (doc, "height"), (doc, "instances"), (inst, "instance_id"),
+            (inst, "class_id"), (inst, "confidence"), (inst, "rle"),
+        ]))
+        del target[key]
+    elif kind == "confidence":
+        inst["confidence"] = draw(NOT_A_FLOAT)
+    elif kind == "instances":
+        doc["instances"] = draw(st.sampled_from([None, 3, "masks", {"rle": [0, 1]}]))
+    else:
+        inst["rle"] = draw(st.sampled_from([[0], [0, 0], [5, 1, 0, 1], [0, "x"], None, "0 1"]))
+    return kind, json.dumps(doc)
+
+
+class TestMasksFileMutations:
+    """A mutated masks file ends ``autolabel`` in exit 4; a bad field other
+    than the run list is named with the file.  An integer field given as a
+    float, a string or a bool is refused, not truncated."""
+
+    @staticmethod
+    def autolabel(scene, masks_text, out):
+        frames = out / "in"
+        frames.mkdir()
+        (frames / "radar_000.json").write_bytes((scene / "radar_000.json").read_bytes())
+        (frames / "masks_000.json").write_text(masks_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["autolabel", "--frames", str(frames), "--masks", str(frames),
+                             "--calibration", str(scene / "calibration.json"),
+                             "-o", str(out / "labels")])
+        return code, err.getvalue(), frames / "masks_000.json"
+
+    def test_valid_document_labels(self, label_scene, tmp_path):
+        code, _, _ = self.autolabel(label_scene, json.dumps(masks_doc()), tmp_path)
+        assert code == cli.EXIT_OK
+
+    @pytest.mark.parametrize("field, value", [("class_id", 1.9), ("width", "1920"),
+                                              ("instance_id", True), ("class_id", 2**70)])
+    def test_integer_field_not_truncated(self, tmp_path, field, value):
+        doc = masks_doc()
+        (doc if field == "width" else doc["instances"][0])[field] = value
+        path = tmp_path / "masks.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"bad mask file {path}: {field} "):
+            load_masks(path)
+
+    @settings(max_examples=120)
+    @given(mutated_masks())
+    def test_mutation_exit_4(self, label_scene, case):
+        kind, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, path = self.autolabel(label_scene, text, Path(tmp))
+        assert code == cli.EXIT_INVALID
+        if kind != "rle":  # run-list messages name the run, not the file
+            assert str(path) in err
 
 
 BIG_INT = "1" + "0" * 400  # overflows a float as well as an int64

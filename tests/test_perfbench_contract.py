@@ -12,7 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import lm_reference
 import radcal
+from radcal import calibration, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CHILD = ROOT / "perfbench" / "traced_child.py"
@@ -32,6 +36,32 @@ def traced(tmp_path, name, *args):
     return json.loads(trace.read_text())["counts"]
 
 
+def reference_iterations(tmp_path, *args):
+    """Iterations of the 24 one-seed reference descents, summed, on the
+    correspondences an in-process ``calibrate`` solves."""
+    solved = []
+    solve = calibration.solve_extrinsics
+
+    def capturing(correspondences, k, cfg=None):
+        solved.append((correspondences, k, cfg))
+        return solve(correspondences, k, cfg)
+
+    calibration.solve_extrinsics = capturing
+    try:
+        code = cli.main(["calibrate", *map(str, args), "-o", str(tmp_path / "in-process.json")])
+    finally:
+        calibration.solve_extrinsics = solve
+    assert code == cli.EXIT_OK and len(solved) == 1
+    correspondences, k, cfg = solved[0]
+    ordered = sorted(correspondences.correspondences, key=lambda c: c.pose_id)
+    observed = np.array([c.image_center for c in ordered])
+    points = np.array([c.radar_center for c in ordered])
+    return sum(
+        lm_reference._run_lm(seed, k, observed, points, cfg)[2]
+        for seed in calibration.cube_rotation_seeds()
+    )
+
+
 def test_traced_child_counts_every_command(tmp_path):
     cal, lab = tmp_path / "cal", tmp_path / "lab"
     traced(tmp_path, "synth-cal", "synth", "--kind", "calibration", "--poses", "6",
@@ -40,6 +70,12 @@ def test_traced_child_counts_every_command(tmp_path):
                     "--intrinsics", cal / "intrinsics.json", "-o", tmp_path / "c.json")
     for key in ("reflector.returns_in", "reflector.clusters", "calibration.iterations"):
         assert counts.get(key, 0) > 0, key
+    # the traced child adds _run_lm's result[2] per call: one stacked descent
+    # per solve, whose index 2 is the iterations summed over the 24 seeds
+    assert counts["calibration.lm_runs"] == 1
+    assert counts["calibration.iterations"] == reference_iterations(
+        tmp_path, "--corners", cal, "--frames", cal, "--intrinsics", cal / "intrinsics.json"
+    )
     traced(tmp_path, "synth-lab", "synth", "--kind", "labeling", "--frames", "2",
            "--seed", "7", "-o", lab)
     counts = traced(tmp_path, "autolabel", "autolabel", "--frames", lab, "--masks", lab,
