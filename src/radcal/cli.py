@@ -22,9 +22,7 @@ import logging
 import math
 import os
 import re
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -114,15 +112,6 @@ def _params_from_file(path: str | Path | None, needed: set[str]) -> dict:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
 
-def _output_path(out: str) -> Path:
-    """The ``-o`` path of a command that writes one file, checked before any
-    work: a missing directory fails at once instead of after the job."""
-    path = Path(out)
-    if not path.parent.is_dir():
-        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
-    return path
-
-
 def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
     """(index, path) for files named <prefix>_<number>.<ext>, sorted by index.
 
@@ -158,7 +147,7 @@ def _extrinsics_from(doc: dict) -> Extrinsics:
 
 def _intrinsics_from(doc: dict) -> CameraIntrinsics:
     try:
-        return CameraIntrinsics.from_doc(doc)
+        return fileio._intrinsics(doc)
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad scene intrinsics: {exc}") from exc
 
@@ -221,37 +210,17 @@ def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelScen
         raise ConfigError(f"bad labeling scene config: {exc}") from exc
 
 
-def _cmd_synth(args) -> int:
-    """Generate into a staging directory inside the output directory and
-    move the files into place once every frame is written, so a failed run
-    leaves the output directory as it found it."""
+def _cmd_synth(args, outputs: fileio.Outputs) -> int:
     from .synth import FovInfeasible
 
-    out = Path(args.out)
-    created = [p for p in (out, *out.parents) if not p.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".synth-", dir=out))
     try:
-        summary = _write_scene(args, stage)
-        for path in sorted(stage.rglob("*")):
-            target = out / path.relative_to(stage)
-            if path.is_dir():
-                target.mkdir(exist_ok=True)
-            else:
-                os.replace(path, target)
-    except BaseException as exc:
-        shutil.rmtree(stage, ignore_errors=True)
-        for directory in created:
-            directory.rmdir()
-        if isinstance(exc, FovInfeasible):  # the scene config asks for the impossible
-            raise ConfigError(str(exc)) from exc
-        raise
-    shutil.rmtree(stage)
-    print(f"{summary} -> {out}")
+        print(_write_scene(args, outputs, outputs.mkdir(args.out)))
+    except FovInfeasible as exc:  # the scene config asks for the impossible
+        raise ConfigError(str(exc)) from exc
     return EXIT_OK
 
 
-def _write_scene(args, out: Path) -> str:
+def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     """Write the requested scene's files into ``out``; returns a summary."""
     from . import synth
     from .autolabel import LabelColumns
@@ -262,21 +231,20 @@ def _write_scene(args, out: Path) -> str:
         scene = synth.gen_calibration_scene(cfg)
         for pose in scene.poses:
             fileio.write_corners(
-                out / f"corners_{pose.pose_id:03d}.json",
+                outputs.file(out / f"corners_{pose.pose_id:03d}.json"),
                 pose.pose_id,
                 pose.t_camera_s,
                 pose.corner_set,
             )
             fileio.write_radar_frame(
-                out / f"radar_{pose.pose_id:03d}.json", pose.radar_frame
+                outputs.file(out / f"radar_{pose.pose_id:03d}.json"), pose.radar_frame
             )
-        fileio.write_intrinsics(out / "intrinsics.json", cfg.intrinsics)
-        fileio.write_json(out / "ground_truth.json", scene.ground_truth())
-        return f"calibration scene: {len(scene.poses)} poses, seed {cfg.seed}"
+        fileio.write_intrinsics(outputs.file(out / "intrinsics.json"), cfg.intrinsics)
+        fileio.write_json(outputs.file(out / "ground_truth.json"), scene.ground_truth())
+        return f"calibration scene: {len(scene.poses)} poses, seed {cfg.seed} -> {out}"
 
     # labeling scene(s)
-    gt_dir = out / "gt_labels"
-    gt_dir.mkdir()
+    gt_dir = outputs.mkdir(out / "gt_labels")
     intrinsics = (
         _intrinsics_from(doc["intrinsics"]) if "intrinsics" in doc else synth.default_intrinsics()
     )
@@ -288,24 +256,23 @@ def _write_scene(args, out: Path) -> str:
         cfg = _label_config_from(doc, args, seed_offset=frame_idx)
         scene = synth.gen_label_scene(cfg, intrinsics, extrinsics)
         fileio.write_radar_points(
-            out / f"radar_{frame_idx:03d}.json", scene.timestamp_s, scene.points
+            outputs.file(out / f"radar_{frame_idx:03d}.json"), scene.timestamp_s, scene.points
         )
         fileio.write_masks(
-            out / f"masks_{frame_idx:03d}.json",
+            outputs.file(out / f"masks_{frame_idx:03d}.json"),
             intrinsics.width,
             intrinsics.height,
             list(scene.masks),
         )
-        fileio.write_labels(
-            gt_dir / f"labels_{frame_idx:03d}.jsonl", LabelColumns.from_labels(scene.gt_labels)
-        )
+        labels = LabelColumns.from_labels(scene.gt_labels)
+        fileio.write_labels(outputs.file(gt_dir / f"labels_{frame_idx:03d}.jsonl"), labels)
         ground_truths.append(scene.ground_truth())
     fileio.write_json(
-        out / "ground_truth.json",
+        outputs.file(out / "ground_truth.json"),
         ground_truths[0] if len(ground_truths) == 1 else {"frames": ground_truths},
     )
     fileio.write_calibration(
-        out / "calibration.json",
+        outputs.file(out / "calibration.json"),
         extrinsics,
         intrinsics,
         mre_px=0.0,
@@ -314,7 +281,7 @@ def _write_scene(args, out: Path) -> str:
         config={"source": "synthetic ground truth"},
     )
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    return f"labeling scene: {args.frames} frame(s), seed {seed}"
+    return f"labeling scene: {args.frames} frame(s), seed {seed} -> {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +312,11 @@ def _pose_entry(corr, residual, split: str) -> dict:
     }
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args, outputs: fileio.Outputs) -> int:
     from . import calibration as cal
     from . import reflector
 
-    out = _output_path(args.out)
+    out = outputs.file(args.out)
     params = _params_from_file(args.params, {"filter", "cluster", "solver", "sync_tolerance_s"})
     corners_dir = Path(args.corners)
     if not corners_dir.is_dir():
@@ -470,7 +437,7 @@ def _cmd_calibrate(args) -> int:
 # autolabel
 
 
-def _cmd_autolabel(args) -> int:
+def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
     from . import autolabel as al
 
     params = _params_from_file(args.params, {"label"})
@@ -479,8 +446,7 @@ def _cmd_autolabel(args) -> int:
     if not frames_dir.is_dir() or not masks_dir.is_dir():
         raise FileNotFoundError(f"missing input directory: {frames_dir} / {masks_dir}")
     extrinsics, intrinsics, _ = fileio.load_calibration(args.calibration)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = outputs.mkdir(args.out)
 
     frames = dict(_indexed_files(frames_dir, "radar"))
     masks = dict(_indexed_files(masks_dir, "masks"))
@@ -500,7 +466,7 @@ def _cmd_autolabel(args) -> int:
         labels = al.autolabel_frame(
             points, frame_masks, intrinsics, extrinsics, params["label"], args.stage
         )
-        fileio.write_labels(out / f"labels_{i:03d}.jsonl", labels)
+        fileio.write_labels(outputs.file(out / f"labels_{i:03d}.jsonl"), labels)
         labeled += int(labels.labeled.sum())
     print(f"labeled {len(shared)} frame(s), {labeled} points assigned -> {out}")
     return EXIT_OK
@@ -510,11 +476,12 @@ def _cmd_autolabel(args) -> int:
 # eval
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     from . import metrics
     from .autolabel import Provenance
 
-    out = _output_path(args.out)
+    out = Path(args.out)
+    report_path, table_path = outputs.file(out), outputs.file(out.with_suffix(".txt"))
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
@@ -576,7 +543,7 @@ def _cmd_eval(args) -> int:
             for m in r.per_instance_iou
         ],
     }
-    fileio.write_json(out, report_doc)
+    fileio.write_json(report_path, report_doc)
 
     rows = [("frame", "PA%", "PA-fg%", "mIoU%", "matched", "points")]
     for name, r in [*per_frame, ("all", pooled)]:
@@ -595,12 +562,11 @@ def _cmd_eval(args) -> int:
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
     ]
     table = "\n".join(table_lines)
-    fileio.write_text(out.with_suffix(".txt"), table + "\n")
+    fileio.write_text(table_path, table + "\n")
     print(table)
 
-    if args.overlay_frames and args.overlay_calibration:
-        overlay_dir = Path(args.overlay_dir or (out.parent / "overlay"))
-        overlay_dir.mkdir(parents=True, exist_ok=True)
+    if args.overlay_frames is not None:
+        overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
         extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
         provenance = [p.value for p in Provenance]  # indexed by LabelColumns codes
@@ -629,7 +595,7 @@ def _cmd_eval(args) -> int:
                         "provenance": provenance[code],
                     }
                 )
-            fileio.write_json(overlay_dir / f"overlay_{i:03d}.json", entries)
+            fileio.write_json(outputs.file(overlay_dir / f"overlay_{i:03d}.json"), entries)
         print(f"overlay data -> {overlay_dir}")
     return EXIT_OK
 
@@ -710,8 +676,16 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval":
+        overlay = args.overlay_frames is not None
+        if overlay != (args.overlay_calibration is not None) or (
+            args.overlay_dir is not None and not overlay
+        ):
+            parser.error("eval: --overlay-frames and --overlay-calibration go together, "
+                         "and --overlay-dir needs both")
     try:
-        return args.func(args)
+        with fileio.Outputs() as outputs:
+            return args.func(args, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

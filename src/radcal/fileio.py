@@ -1,10 +1,10 @@
 """File schemas and canonical serialization.
 
 All machine artifacts are JSON (or JSON-lines for labels).  Writing is
-canonical: keys sorted, no whitespace, floats at 17 significant digits,
-written atomically via a temp file.  Reading anything a writer produced
-and re-serializing it yields byte-identical output, which the golden-file
-and determinism tests rely on.
+canonical: keys sorted, no whitespace, floats at 17 significant digits.
+Reading anything a writer produced and re-serializing it yields
+byte-identical output, which the golden-file and determinism tests rely on.
+A command's files reach their targets only if it succeeds (``Outputs``).
 
 Schemas
 -------
@@ -27,6 +27,7 @@ intrinsics    {"fx", "fy", "cx", "cy", "width", "height"}
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -55,13 +56,13 @@ if TYPE_CHECKING:
     from .autolabel import InstanceMask, LabelColumns, PointCloud
 
 __all__ = [
+    "Outputs",
     "SchemaError",
     "canonical_json",
     "write_json",
     "write_text",
     "write_radar_frame",
     "write_radar_points",
-    "write_radar_frames_stream",
     "load_radar_frame",
     "load_radar_frames",
     "load_radar_points",
@@ -86,6 +87,45 @@ class SchemaError(ValueError):
 # type, a bad value, a number too large for its type (1e999 as an int), or
 # JSON nested deeper than the parser recurses.
 _BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+class Outputs(contextlib.AbstractContextManager):
+    """The files one command writes, staged beside their targets; ``file``
+    fails at once on a missing directory.  When the ``with`` block ends
+    without an exception each temp file replaces its target; when it raises
+    each is removed, with every directory ``mkdir`` made.  A command replaces
+    exactly the files it writes and deletes nothing else."""
+
+    def __init__(self):
+        self._made: list[Path] = []  # outermost first
+        self._staged: list[tuple[str, Path]] = []  # (temp path, target)
+
+    def mkdir(self, path: str | Path) -> Path:
+        path = Path(path)
+        for directory in reversed([p for p in (path, *path.parents) if not p.exists()]):
+            directory.mkdir()
+            self._made.append(directory)
+        return path
+
+    def file(self, target: str | Path) -> Path:
+        target = Path(target)
+        if not target.parent.is_dir():
+            raise FileNotFoundError(f"cannot write {target}: no directory {target.parent}")
+        fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
+        os.close(fd)
+        self._staged.append((temp, target))
+        return Path(temp)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            while exc_type is None and self._staged:
+                os.replace(*self._staged[-1])
+                self._staged.pop()
+        finally:
+            for temp, _ in self._staged:  # every one after an exception
+                os.unlink(temp)
+        for directory in reversed(self._made) if exc_type else ():
+            directory.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +165,11 @@ def canonical_json(obj) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename.  An
-    error making the temp file names ``path``, not the temp file."""
-    path = Path(path)
+    """Write ``text`` to ``path``; an error names ``path``."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        Path(path).write_text(text)
     except OSError as exc:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -156,19 +186,53 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_float(value, name: str) -> float:
+    """A JSON number field as a float; a string, a bool or a null is a
+    TypeError rather than a value coerced into a number."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {type(value).__name__}")
+    return float(value)
+
+
+def _float_rows(items: list, keys: tuple) -> np.ndarray:
+    """``(N, len(keys))`` float64 rows of each item's values at ``keys``,
+    read and checked column by column as ``_json_float`` checks one value."""
+    rows = np.empty((len(items), len(keys)))
+    for i, key in enumerate(keys):
+        column = list(map(operator.itemgetter(key), items))
+        wrong = set(map(type, column)) - {int, float}
+        if wrong:
+            raise TypeError(f"{key} must be a JSON number, got {wrong.pop().__name__}")
+        rows[:, i] = column
+    return rows
+
+
+def _intrinsics(doc: dict) -> CameraIntrinsics:
+    """``CameraIntrinsics.from_doc`` of a document whose sizes are JSON
+    integers and whose other fields are JSON numbers."""
+    for name in ("fx", "fy", "cx", "cy"):
+        _json_float(doc[name], name)
+    for name in ("width", "height"):
+        _json_int(doc[name], name)
+    return CameraIntrinsics.from_doc(doc)
+
+
 def _timestamp(doc: dict) -> float:
     """A document's ``timestamp_s``; a NaN one would pass every sync check."""
-    timestamp = float(doc["timestamp_s"])
+    timestamp = _json_float(doc["timestamp_s"], "timestamp_s")
     if not math.isfinite(timestamp):
         raise ValueError(f"timestamp_s must be finite, got {timestamp}")
     return timestamp
 
 
 def _load_json(path: str | Path) -> dict:
+    """A JSON file's document; a syntax error (or bytes that are not UTF-8)
+    and nesting past the parser's recursion limit are SchemaErrors naming
+    the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except RecursionError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -220,8 +284,6 @@ def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarr
 
 
 _CARTESIAN_KEYS = ("x_m", "y_m", "z_m", "v_mps", "rcs_dbsm")
-_SPHERICAL_FIELDS = operator.itemgetter(*RETURN_DTYPE.names)
-_CARTESIAN_FIELDS = operator.itemgetter(*_CARTESIAN_KEYS)
 
 
 def _points_doc(timestamp_s: float, keys: tuple, rows: np.ndarray) -> dict:
@@ -251,14 +313,6 @@ def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud)
     write_json(path, _points_doc(timestamp_s, _CARTESIAN_KEYS, rows))
 
 
-def write_radar_frames_stream(
-    path: str | Path, frames: list[RadarFrame], variant: str = "spherical"
-) -> None:
-    """One frame per line (JSON-lines); line order is the pose order."""
-    lines = [canonical_json(_frame_doc(frame, variant)) for frame in frames]
-    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     """A frame document's timestamp, whether it is cartesian, and its points
     as ``(N, 5)`` float rows in the order of that variant's keys."""
@@ -270,8 +324,7 @@ def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     cartesian = any("x_m" in p for p in pts)
     if spherical and cartesian:
         raise SchemaError("frame mixes spherical and cartesian points")
-    fields = _CARTESIAN_FIELDS if cartesian else _SPHERICAL_FIELDS
-    rows = np.fromiter(map(fields, pts), dtype=np.dtype((float, 5)), count=len(pts))
+    rows = _float_rows(pts, _CARTESIAN_KEYS if cartesian else RETURN_DTYPE.names)
     return timestamp, cartesian, rows
 
 
@@ -353,9 +406,7 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
     try:
         board = doc["checkerboard"]
         spec = CheckerboardSpec(_json_int(board["nx"], "nx"), _json_int(board["ny"], "ny"))
-        corners = np.array(
-            [[float(c["u_px"]), float(c["v_px"])] for c in doc["corners"]]
-        ).reshape(-1, 2)
+        corners = _float_rows(doc["corners"], ("u_px", "v_px"))
         pose_id = _json_int(doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
     except _BAD_FIELD as exc:
@@ -402,7 +453,7 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                     width=width,
                     class_id=_json_int(inst["class_id"], "class_id"),
                     instance_id=_json_int(inst["instance_id"], "instance_id"),
-                    confidence=float(inst["confidence"]),
+                    confidence=_json_float(inst["confidence"], "confidence"),
                 )
             )
     except _BAD_FIELD as exc:
@@ -446,9 +497,11 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
     """Read a calibration file; re-verifies rotation orthonormality (1e-6)."""
     doc = _load_json(path)
     try:
-        rotation = np.array([float(x) for x in doc["rotation_row_major"]]).reshape(3, 3)
-        translation = np.array([float(x) for x in doc["translation_m"]])
-        intrinsics = CameraIntrinsics.from_doc(doc["intrinsics"])
+        rotation = np.array(
+            [_json_float(x, "rotation_row_major") for x in doc["rotation_row_major"]]
+        ).reshape(3, 3)
+        translation = np.array([_json_float(x, "translation_m") for x in doc["translation_m"]])
+        intrinsics = _intrinsics(doc["intrinsics"])
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
     err = math.nan  # a non-finite entry would warn in the product below
@@ -595,6 +648,6 @@ def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:
     doc = _load_json(path)
     try:
-        return CameraIntrinsics.from_doc(doc)
+        return _intrinsics(doc)
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad intrinsics file {path}: {exc}") from exc

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import radcal
+from frame_stream import write_radar_frames_stream
 from radcal import autolabel as al
 from radcal import cli, fileio
 from radcal.autolabel import InstanceMask, LabelColumns
@@ -25,7 +26,6 @@ from radcal.fileio import (
     write_labels,
     write_masks,
     write_radar_frame,
-    write_radar_frames_stream,
 )
 from radcal.geometry import Extrinsics
 from radcal.reflector import RadarFrame
@@ -518,14 +518,14 @@ def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
 
 
 def test_eval_names_ground_truth_frames_without_prediction(tmp_path, capsys):
-    # autolabel stops at a bad frame and leaves the frames before it; eval
-    # used to score those in silence, as if the run were whole
+    # a labels directory that lacks frames of the ground truth; eval used to
+    # score the rest in silence, as if the run were whole
     scene, labels = tmp_path / "scene", tmp_path / "labels"
     assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "6", "-o", scene]) == 0
-    (scene / "radar_004.json").write_text("{}")
     assert run(["autolabel", "--frames", scene, "--masks", scene,
-                "--calibration", scene / "calibration.json", "-o", labels]) == 4
-    assert sorted(p.name for p in labels.iterdir())[-1] == "labels_003.jsonl"
+                "--calibration", scene / "calibration.json", "-o", labels]) == 0
+    (labels / "labels_004.jsonl").unlink()
+    (labels / "labels_005.jsonl").unlink()
     capsys.readouterr()
     assert run(["eval", "--pred", labels, "--gt", scene / "gt_labels",
                 "-o", tmp_path / "report.json"]) == 0
@@ -536,6 +536,83 @@ def test_eval_names_ground_truth_frames_without_prediction(tmp_path, capsys):
     assert run(["eval", "--pred", scene / "gt_labels", "--gt", scene / "gt_labels",
                 "-o", tmp_path / "self.json"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_failed_autolabel_leaves_its_output_as_found(tmp_path):
+    # a truncated frame 4 of 6 used to leave labels_000-003, which eval then
+    # scored as a whole run
+    scene, old = tmp_path / "scene", tmp_path / "old"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "6", "-o", scene]) == 0
+    argv = ["autolabel", "--frames", scene, "--masks", scene,
+            "--calibration", scene / "calibration.json", "-o"]
+    assert run([*argv, old]) == 0
+    before = sha256_tree(old)
+    radar = scene / "radar_004.json"
+    radar.write_text(radar.read_text()[:200])
+    assert run([*argv, tmp_path / "new" / "labels"]) == 4
+    assert not (tmp_path / "new").exists()
+    assert run([*argv, old]) == 4
+    assert sha256_tree(old) == before
+
+
+def test_command_replaces_only_the_files_it_writes(tmp_path, capsys):
+    # a 2-frame run into the labels of an earlier 3-frame run replaces
+    # labels_000-001 and leaves the stale labels_002, which eval names
+    def autolabel(scene, out):
+        return run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json", "-o", out])
+
+    big, small = tmp_path / "big", tmp_path / "small"
+    labels, fresh = tmp_path / "labels", tmp_path / "fresh"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "3", "-o", big]) == 0
+    assert run(["synth", "--kind", "labeling", "--seed", "4", "--frames", "2", "-o", small]) == 0
+    assert autolabel(big, labels) == 0
+    earlier = sha256_tree(labels)
+    assert autolabel(small, labels) == 0
+    assert autolabel(small, fresh) == 0
+    now = sha256_tree(labels)
+    assert now == {**sha256_tree(fresh), "labels_002.jsonl": earlier["labels_002.jsonl"]}
+    assert now["labels_000.jsonl"] != earlier["labels_000.jsonl"]
+    capsys.readouterr()
+    assert run(["eval", "--pred", labels, "--gt", small / "gt_labels",
+                "-o", tmp_path / "report.json"]) == 0
+    assert capsys.readouterr().err == "warning: no ground truth for predicted frame(s) [2]\n"
+
+
+@pytest.mark.parametrize("fault, code", [("missing_calibration", 3), ("truncated_frame", 4)])
+def test_failed_eval_overlay_writes_nothing(workflow, tmp_path, fault, code):
+    # the report and table used to be written before the overlay failed
+    frames, out = tmp_path / "frames", tmp_path / "out"
+    frames.mkdir()
+    out.mkdir()
+    radar = (workflow / "lab_scene" / "radar_000.json").read_text()
+    calibration = workflow / "calibration.json"
+    if fault == "missing_calibration":
+        calibration = tmp_path / "missing.json"
+    else:
+        radar = radar[:200]
+    (frames / "radar_000.json").write_text(radar)
+    assert run(["eval", "--pred", workflow / "labels_out",
+                "--gt", workflow / "lab_scene" / "gt_labels",
+                "--overlay-frames", frames, "--overlay-calibration", calibration,
+                "-o", out / "report.json"]) == code
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--overlay-frames", "F"], ["--overlay-calibration", "C"], ["--overlay-dir", "D"],
+     ["--overlay-frames", "F", "--overlay-dir", "D"]],
+    ids=["frames", "calibration", "dir", "frames_and_dir"],
+)
+def test_eval_overlay_flags_all_or_none_exit_2(workflow, tmp_path, capsys, flags):
+    # either overlay flag alone used to be exit 0 with no overlay written
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--pred", workflow / "labels_out",
+             "--gt", workflow / "lab_scene" / "gt_labels", *flags, "-o", tmp_path / "r.json"])
+    assert exc.value.code == 2
+    assert "--overlay-frames and --overlay-calibration go together" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_names_predicted_frames_without_ground_truth(tmp_path, capsys):
@@ -1044,6 +1121,68 @@ class TestExitCodes:
             "radar_000.json", "radar_001.json", "radar_002.json",
         ]
 
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("calibration", "intrinsics.json"), ("calibration", "corners_000.json"),
+         ("calibration", "radar_000.json"), ("labeling", "radar_000.json"),
+         ("labeling", "masks_000.json"), ("labeling", "calibration.json")],
+    )
+    def test_truncated_json_exit_4_naming_the_file(self, tmp_path, capsys, kind, name):
+        # the message was the parser's alone, as "Expecting value: line 1 column 8"
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", kind, "--poses", "3", "--seed", "1", "-o", scene]) == 0
+        path = scene / name
+        path.write_text(path.read_text()[:7])
+        capsys.readouterr()
+        assert run([*self.scene_argv(kind, scene), "-o", tmp_path / "out"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: ")
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def scene_argv(kind, scene):
+        if kind == "calibration":
+            return ["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json"]
+        return ["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json"]
+
+    WRONG_NUMBER_TYPE = [
+        ("calibration", "corners_000.json", ["corners", 0, "u_px"], str, "u_px"),
+        ("calibration", "radar_000.json", ["timestamp_s"], str, "timestamp_s"),
+        ("calibration", "radar_000.json", ["points", 0, "rcs_dbsm"], str, "rcs_dbsm"),
+        ("calibration", "intrinsics.json", ["fx"], "800", "fx"),
+        ("calibration", "intrinsics.json", ["width"], 1920.7, "width"),
+        ("labeling", "radar_000.json", ["points", 0, "x_m"], bool, "x_m"),
+        ("labeling", "masks_000.json", ["instances", 0, "confidence"], str, "confidence"),
+        ("labeling", "calibration.json", ["rotation_row_major", 0], str, "rotation_row_major"),
+        ("labeling", "calibration.json", ["translation_m", 2], str, "translation_m"),
+        ("labeling", "calibration.json", ["intrinsics", "height"], 1080.0, "height"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, name, keys, value, message", WRONG_NUMBER_TYPE,
+        ids=[f"{kind}-{message}" for kind, _, _, _, message in WRONG_NUMBER_TYPE],
+    )
+    def test_number_field_of_the_wrong_json_type_exit_4(
+        self, tmp_path, capsys, kind, name, keys, value, message
+    ):
+        # each was read with float() or int(): "800" as 800, 1920.7 as 1920
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", kind, "--poses", "3", "--seed", "1", "-o", scene]) == 0
+        path = scene / name
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([*self.scene_argv(kind, scene), "-o", tmp_path / "out"]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"{message} must be a JSON" in err
+
     def test_not_converged_exit_5_still_writes(self, tmp_path, workflow):
         scene = workflow / "cal_scene"
         params = tmp_path / "params.toml"
@@ -1173,8 +1312,6 @@ class TestFlags:
         assert np.allclose(doc["translation_m"], [0.05, 0.0, 0.0], atol=1e-6)
 
     def test_calibrate_from_jsonl_stream(self, workflow, tmp_path):
-        from radcal.fileio import load_radar_frame, write_radar_frames_stream
-
         cal_scene = workflow / "cal_scene"
         frames = [load_radar_frame(p) for p in sorted(cal_scene.glob("radar_*.json"))]
         stream = tmp_path / "frames.jsonl"

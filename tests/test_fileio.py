@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frame_stream import write_radar_frames_stream
 from radcal import cli, fileio
 
 from radcal.autolabel import InstanceMask, LabelColumns, LabelRecord, PointCloud, Provenance
@@ -160,8 +161,6 @@ class TestRadarFrameFiles:
             load_radar_frame(path)
 
     def test_jsonl_stream_round_trip(self, tmp_path):
-        from radcal.fileio import load_radar_frames, write_radar_frames_stream
-
         frames = [self.frame(), RadarFrame(4.5, [(3.0, 0.0, 0.0, 0.0, 12.0)])]
         path = tmp_path / "frames.jsonl"
         write_radar_frames_stream(path, frames)
@@ -573,7 +572,7 @@ class TestRadarFrameMutations:
                                  "-o", str(tmp / "c.json")])
                 # with no corner files, an accepted frame ends in exit 3
                 assert code == (cli.EXIT_INVALID if frame is None else cli.EXIT_IO)
-        if kind in ("drop", "null", "list", "mixed", "points", "elevation"):
+        if kind in ("drop", "null", "string", "list", "mixed", "points", "elevation"):
             assert frame is None and points is None
         if kind in ("none", "azimuth"):
             assert frame is not None and points is not None
@@ -594,7 +593,7 @@ class TestRadarFrameMutations:
 NOT_AN_INT = st.sampled_from(
     [0.7, 6.9, 1.9, 3.0, "0", "3", "1920", True, False, None, [3], {"n": 3}, 2**63, -(2**63) - 1]
 )
-NOT_A_FLOAT = st.sampled_from([None, [1.5], {"u": 1.5}])
+NOT_A_FLOAT = st.sampled_from([None, [1.5], {"u": 1.5}, "1.5", True])
 
 
 def corners_doc():
@@ -855,6 +854,47 @@ class TestDeeplyNestedJson:
         path.write_text(DEEP + "\n")
         with pytest.raises(SchemaError, match="frames.jsonl:1"):
             load_radar_frames(path)
+
+
+class TestOutputs:
+    def test_files_replace_their_targets_when_the_block_ends(self, tmp_path):
+        (tmp_path / "kept.json").write_text("old\n")
+        with fileio.Outputs() as outputs:
+            out = outputs.mkdir(tmp_path / "a" / "b")
+            write_json(outputs.file(out / "x.json"), {"a": 1})
+            write_json(outputs.file(tmp_path / "kept.json"), [])
+            assert [p.suffix for p in out.iterdir()] == [".tmp"]
+            assert (tmp_path / "kept.json").read_text() == "old\n"
+        assert [p.name for p in out.iterdir()] == ["x.json"]
+        assert (out / "x.json").read_text() == '{"a":1}\n'
+        assert (tmp_path / "kept.json").read_text() == "[]\n"
+
+    def test_exception_removes_temp_files_and_made_directories(self, tmp_path):
+        (tmp_path / "kept.json").write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with fileio.Outputs() as outputs:
+                out = outputs.mkdir(tmp_path / "a" / "b")
+                outputs.mkdir(tmp_path)
+                write_json(outputs.file(out / "x.json"), {})
+                write_json(outputs.file(tmp_path / "kept.json"), {})
+                outputs.file(tmp_path / "never_written.json")
+                raise RuntimeError
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+        assert (tmp_path / "kept.json").read_text() == "old\n"
+
+    def test_failed_move_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with fileio.Outputs() as outputs:
+                write_json(outputs.file(tmp_path / "dir"), {})
+                write_json(outputs.file(tmp_path / "x.json"), {})
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "x.json"]
+
+    def test_missing_directory_fails_before_a_temp_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no directory"):
+            with fileio.Outputs() as outputs:
+                outputs.file(tmp_path / "nodir" / "x.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
