@@ -563,7 +563,7 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     ]
     table = "\n".join(table_lines)
     fileio.write_text(table_path, table + "\n")
-    print(table)
+    summary = [table]  # printed once every output is staged
 
     if args.overlay_frames is not None:
         overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
@@ -596,7 +596,8 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
                     }
                 )
             fileio.write_json(outputs.file(overlay_dir / f"overlay_{i:03d}.json"), entries)
-        print(f"overlay data -> {overlay_dir}")
+        summary.append(f"overlay data -> {overlay_dir}")
+    print("\n".join(summary))
     return EXIT_OK
 
 

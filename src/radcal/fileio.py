@@ -99,6 +99,9 @@ class Outputs(contextlib.AbstractContextManager):
     def __init__(self):
         self._made: list[Path] = []  # outermost first
         self._staged: list[tuple[str, Path]] = []  # (temp path, target)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        self._mode = 0o666 & ~umask  # a plain write's mode; mkstemp's is 0600
 
     def mkdir(self, path: str | Path) -> Path:
         path = Path(path)
@@ -114,6 +117,7 @@ class Outputs(contextlib.AbstractContextManager):
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
         os.close(fd)
         self._staged.append((temp, target))
+        os.chmod(temp, self._mode)
         return Path(temp)
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -140,28 +144,43 @@ def _format_float(x: float) -> str:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, compact, 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            items.append(json.dumps(key, ensure_ascii=True) + ":" + canonical_json(obj[key]))
-        return "{" + ",".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    heads: dict = {}  # per dict key, its encoding and the colon, made once
+
+    def encode(obj) -> str:
+        kind = type(obj)  # the common exact types first
+        if kind is float:
+            return _format_float(obj)
+        if kind is int:
+            return str(obj)
+        if kind is str:
+            return json.dumps(obj, ensure_ascii=True)
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _format_float(float(obj))
+        if isinstance(obj, str):
+            return json.dumps(obj, ensure_ascii=True)
+        if isinstance(obj, np.ndarray):
+            return encode(obj.tolist())
+        if isinstance(obj, (list, tuple)):
+            return "[" + ",".join(map(encode, obj)) + "]"
+        if isinstance(obj, dict):
+            items = []
+            for key in sorted(obj):
+                head = heads.get(key)
+                if head is None:
+                    if not isinstance(key, str):
+                        raise TypeError(f"JSON keys must be strings, got {key!r}")
+                    head = heads[key] = json.dumps(key, ensure_ascii=True) + ":"
+                items.append(head + encode(obj[key]))
+            return "{" + ",".join(items) + "}"
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    return encode(obj)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -225,6 +244,23 @@ def _timestamp(doc: dict) -> float:
     return timestamp
 
 
+def _read_lines(path: str | Path, what: str) -> list[str]:
+    """A text file's lines, split at newlines as ``open`` splits them; bytes
+    that are not UTF-8 are a SchemaError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        for line_no, line in enumerate(data.splitlines(), 1):
+            try:
+                line.decode()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"bad {what} {path}:{line_no}: {exc}") from exc
+        raise
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _load_json(path: str | Path) -> dict:
     """A JSON file's document; a syntax error (or bytes that are not UTF-8)
     and nesting past the parser's recursion limit are SchemaErrors naming
@@ -286,31 +322,40 @@ def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarr
 _CARTESIAN_KEYS = ("x_m", "y_m", "z_m", "v_mps", "rcs_dbsm")
 
 
-def _points_doc(timestamp_s: float, keys: tuple, rows: np.ndarray) -> dict:
-    return {"timestamp_s": timestamp_s, "points": [dict(zip(keys, row)) for row in rows.tolist()]}
-
-
-def _frame_doc(frame: RadarFrame, variant: str) -> dict:
-    ret = frame.returns
-    if variant == "spherical":
-        return _points_doc(frame.timestamp_s, RETURN_DTYPE.names, ret)
-    if variant == "cartesian":
-        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
-        rows = np.column_stack((xyz, ret["v_mps"], ret["rcs_dbsm"]))
-        return _points_doc(frame.timestamp_s, _CARTESIAN_KEYS, rows)
-    raise ValueError(f"unknown variant {variant!r}")
+def _points_json(timestamp_s: float, keys: tuple, rows: np.ndarray) -> str:
+    """``canonical_json`` of ``{"timestamp_s": timestamp_s, "points":
+    [dict(zip(keys, row)) for row in rows]}``, formatted directly: every
+    point is one template filled with its values at 17 digits."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rows = np.asarray(rows, dtype=float)[:, order]
+    bad = ~np.isfinite(rows)
+    if bad.any():  # the first one in writing order, as canonical_json raises
+        _format_float(float(rows.flat[bad.argmax()]))
+    row = "{" + ",".join(f'"{keys[i]}":%.17g' for i in order) + "}"
+    points = ",".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+    return f'{{"points":[{points}],"timestamp_s":{canonical_json(timestamp_s)}}}'
 
 
 def write_radar_frame(
     path: str | Path, frame: RadarFrame, variant: str = "spherical"
 ) -> None:
-    write_json(path, _frame_doc(frame, variant))
+    ret = frame.returns
+    if variant == "spherical":
+        keys = RETURN_DTYPE.names
+        rows = np.column_stack([ret[key] for key in keys])
+    elif variant == "cartesian":
+        keys = _CARTESIAN_KEYS
+        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        rows = np.column_stack((xyz, ret["v_mps"], ret["rcs_dbsm"]))
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    write_text(path, _points_json(frame.timestamp_s, keys, rows) + "\n")
 
 
 def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud) -> None:
     """Cartesian-variant frame straight from a labeling point cloud."""
     rows = np.column_stack((points.xyz, points.velocity, points.rcs))
-    write_json(path, _points_doc(timestamp_s, _CARTESIAN_KEYS, rows))
+    write_text(path, _points_json(timestamp_s, _CARTESIAN_KEYS, rows) + "\n")
 
 
 def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
@@ -334,16 +379,15 @@ def load_radar_frames(path: str | Path) -> list[RadarFrame]:
     if path.suffix.lower() != ".jsonl":
         return [load_radar_frame(path)]
     frames = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise SchemaError(f"bad frame stream {path}:{line_no + 1}: {exc}") from exc
-            frames.append(_frame_from_doc(doc, f"{path}:{line_no + 1}"))
+    for line_no, line in enumerate(_read_lines(path, "frame stream"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaError(f"bad frame stream {path}:{line_no}: {exc}") from exc
+        frames.append(_frame_from_doc(doc, f"{path}:{line_no}"))
     return frames
 
 
@@ -623,9 +667,7 @@ def load_labels(path: str | Path) -> LabelColumns:
     """
     from .autolabel import LabelColumns
 
-    with open(path) as fh:
-        text = fh.read()
-    point_index, columns = _parse_labels(path, text.split("\n"))
+    point_index, columns = _parse_labels(path, _read_lines(path, "labels file"))
     order = np.argsort(point_index, kind="stable")
     if not np.array_equal(point_index[order], np.arange(len(order))):
         raise SchemaError(f"labels file {path} does not cover point indices exactly once")

@@ -26,6 +26,7 @@ identical scenes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -34,6 +35,7 @@ import numpy as np
 from .autolabel import InstanceMask, PointCloud, _lookup_pixels, offsets_to_runs
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
+    Z_EPS,
     CameraIntrinsics,
     Extrinsics,
     cart2sph,
@@ -431,6 +433,109 @@ def _bboxes_disjoint(a, b, gap: int) -> bool:
     )
 
 
+CLUTTER_TRIES = 500  # candidates per clutter point before it is given up
+
+
+def _uniform(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``rng.uniform(lo, hi)`` from ``rng.random()`` draws: numpy computes
+    it as ``lo + (hi - lo) * random()``, bit for bit."""
+    return lo + (hi - lo) * draws
+
+
+def _clutter_positions(drawn: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Candidate clutter positions ``(N, 3)`` whose range, azimuth and
+    elevation are the draws at stream offsets ``at``, ``at + 1``, ``at + 2``."""
+    az_half = math.radians(40.0)
+    el_half = math.radians(10.0)
+    return sph2cart(
+        _uniform(drawn[at], 4.0, 35.0),
+        _uniform(drawn[at + 1], -az_half, az_half),
+        _uniform(drawn[at + 2], -el_half, el_half),
+    )
+
+
+def _clutter_clear(
+    pos: np.ndarray, centroids: np.ndarray, masked: np.ndarray, k: CameraIntrinsics, t: Extrinsics
+) -> np.ndarray:
+    """Whether each candidate ``(N, 3)`` may be clutter: 2.5 m or more from
+    every object centroid and, if its lookup pixel is in the image, no
+    masked offset in the 5 x 5 window around it (clipped to the image)."""
+    clear = np.linalg.norm(centroids - pos[:, None], axis=2).min(axis=1) >= 2.5
+    # P @ R.T can differ from one point's R @ p in the last bit.  A candidate
+    # whose depth or lookup pixel is that close to a decision boundary is
+    # transformed one point at a time, so every decision is the per-point one.
+    cam = t.transform(pos)
+    slack = 1e-13 * (np.abs(pos) @ np.abs(t.rotation).T + np.abs(t.translation))
+    z, dz = cam[:, 2:], slack[:, 2:]
+    unsure = np.abs(z - Z_EPS) <= dz
+    front = z > Z_EPS + dz
+    zs = np.where(front, z - dz, 1.0)
+    uv = pinhole(k, cam)[0] + 0.5
+    # |x'/z' - x/z| <= (|dx| + |x / z| dz) / (z - dz), plus the rounding of uv
+    bound = np.array([k.fx, k.fy]) * (slack[:, :2] + np.abs(cam[:, :2]) / zs * dz) / zs
+    near = np.abs(uv - np.round(uv)) <= bound + 1e-12 * (1.0 + np.abs(uv))
+    unsure = (unsure | (front & near)).any(axis=1)
+    if unsure.any():
+        cam[unsure] = [t.transform(p) for p in pos[unsure]]
+
+    uv, front = pinhole(k, cam)
+    ui, vi = _lookup_pixels(uv)
+    inside = front[:, 0] & (ui >= 1) & (ui <= k.width) & (vi >= 1) & (vi <= k.height)
+    ui, vi = ui[inside, None], vi[inside, None]
+    rows = vi - 3 + np.arange(5)
+    c0, c1 = np.maximum(ui - 3, 0), np.minimum(ui + 2, k.width)
+    starts = rows * k.width + c0
+    hit = np.searchsorted(masked, starts) < np.searchsorted(masked, starts + c1 - c0)
+    clear[inside] &= ~(hit & (rows >= 0) & (rows < k.height)).any(axis=1)
+    return clear
+
+
+def _clutter(
+    rng: np.random.Generator,
+    count: int,
+    centroids: np.ndarray,
+    masked: np.ndarray,
+    k: CameraIntrinsics,
+    t: Extrinsics,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, velocities and RCS of up to ``count`` clutter points.
+
+    Per point, candidates of three ``uniform`` draws (range, azimuth,
+    elevation) until one is clear, then two more (velocity, RCS); a point
+    is given up after ``CLUTTER_TRIES`` candidates.  A block of draws is
+    taken at once and the candidate at every offset decided in one pass,
+    then the walk steps through the stream as the per-candidate loop did:
+    3 draws on a rejection, 5 on an acceptance.  ``rng`` ends where that
+    loop left it, and every value has its bits.
+    """
+    ahead = copy.deepcopy(rng)  # draws past the end of the walk
+    drawn = np.empty(0)
+    clear: list[bool] = []  # per stream offset: is its candidate clear
+    taken = []  # stream offsets of the accepted candidates
+    at = point = tries = 0
+    while point < count:
+        if at + 5 > len(drawn):  # block size is bounded by the clutter count
+            drawn = np.concatenate((drawn, ahead.random(5 * (count - point) + 192)))
+            offsets = np.arange(len(clear), len(drawn) - 2)
+            clear += _clutter_clear(
+                _clutter_positions(drawn, offsets), centroids, masked, k, t
+            ).tolist()
+        if clear[at]:
+            taken.append(at)
+            at, point, tries = at + 5, point + 1, 0
+        else:
+            at, tries = at + 3, tries + 1
+            if tries == CLUTTER_TRIES:
+                point, tries = point + 1, 0
+    rng.random(at)  # what the walk used; leaves the buffered 32-bit half as it was
+    taken = np.array(taken, dtype=int)
+    return (
+        _clutter_positions(drawn, taken).reshape(-1, 3),
+        _uniform(drawn[taken + 3], -10.0, 10.0),
+        _uniform(drawn[taken + 4], -5.0, 30.0),
+    )
+
+
 def gen_label_scene(
     cfg: LabelSceneConfig | None = None,
     k: CameraIntrinsics | None = None,
@@ -598,35 +703,10 @@ def gen_label_scene(
 
     # background clutter: never inside a mask, never near an object
     masked = np.sort(np.concatenate([o["offsets"] for o in objects]))
-    az_half = math.radians(40.0)
-    el_half = math.radians(10.0)
-    for _ in range(cfg.clutter_count):
-        for _ in range(500):
-            pos = sph2cart(
-                float(rng.uniform(4.0, 35.0)),
-                float(rng.uniform(-az_half, az_half)),
-                float(rng.uniform(-el_half, el_half)),
-            )
-            if np.min(np.linalg.norm(centroids - pos, axis=1)) < 2.5:
-                continue
-            uv, front = pinhole(k, t.transform(pos))
-            if front[0]:
-                # the lookup pixel coarse association will sample
-                (ui,), (vi,) = _lookup_pixels(uv[None])
-                if 1 <= ui <= k.width and 1 <= vi <= k.height:
-                    # stay clear of mask edges by a couple of pixels: no masked
-                    # offset in any row's [start, end) of the window
-                    r0, r1 = max(0, vi - 3), min(k.height, vi + 2)
-                    c0, c1 = max(0, ui - 3), min(k.width, ui + 2)
-                    starts = np.arange(r0, r1) * k.width + c0
-                    at = np.searchsorted(masked, np.concatenate((starts, starts + c1 - c0)))
-                    if (at[: r1 - r0] < at[r1 - r0 :]).any():
-                        continue
-            xyz.append(pos)
-            velocities.append(float(rng.uniform(-10.0, 10.0)))
-            rcs.append(float(rng.uniform(-5.0, 30.0)))
-            gt_labels.append(None)
-            break
+    clutter_xyz, clutter_velocity, clutter_rcs = _clutter(
+        rng, cfg.clutter_count, centroids, masked, k, t
+    )
+    gt_labels += [None] * len(clutter_velocity)
 
     masks = tuple(
         InstanceMask(
@@ -637,7 +717,11 @@ def gen_label_scene(
     )
     return LabelScene(
         config=cfg,
-        points=PointCloud(np.array(xyz).reshape(-1, 3), velocities, rcs),
+        points=PointCloud(
+            np.concatenate((np.array(xyz).reshape(-1, 3), clutter_xyz)),
+            np.concatenate((velocities, clutter_velocity)),
+            np.concatenate((rcs, clutter_rcs)),
+        ),
         masks=masks,
         gt_labels=tuple(gt_labels),
         objects=tuple(scene_objects),

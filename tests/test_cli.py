@@ -441,6 +441,35 @@ def test_labeling_golden_digests_without_dense_masks(tmp_path, monkeypatch):
     test_labeling_golden_digests_hull_masks(tmp_path / "hull")
 
 
+# The files of one dense frame, `synth --kind labeling --seed 7 --frames 1`
+# with the benchmark's label-dense scene config: 20 objects of 150-250
+# points and 2,000 clutter points, where the golden scenes above draw 30.
+DENSE_SCENE_CONFIG = {
+    "object_count": 20,
+    "points_per_object": [150, 250],
+    "range_m": [6.0, 60.0],
+    "clutter_count": 2000,
+    "false_positive_rate": 0.1,
+    "false_negative_rate": 0.1,
+}
+GOLDEN_LABELING_DENSE = {
+    "calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
+    "ground_truth.json": "acfbc51ba5d9b5bc472daed4aa10e60471f3e866d05d9ed4809a1ce95f11d19a",
+    "gt_labels/labels_000.jsonl": "762e60bb8d2d6d2d5e08a05418eec1c674502bace05e16fd136a13ca50350327",
+    "masks_000.json": "ca2b41dcb49f468a8e00a6785b296ed57140037d6eabdc25ecbc0f4e6084eee4",
+    "radar_000.json": "31dc73baecd9c3d8e91a497957a1810dcf983daf179b36412b9d53e83991d072",
+}
+
+
+def test_labeling_golden_digests_dense_scene(tmp_path):
+    config = tmp_path / "dense.json"
+    config.write_text(json.dumps(DENSE_SCENE_CONFIG))
+    scene = tmp_path / "scene"
+    assert run(["synth", "--kind", "labeling", "--seed", "7", "--frames", "1",
+                "--config", config, "-o", scene]) == 0
+    assert sha256_tree(scene) == GOLDEN_LABELING_DENSE
+
+
 def test_synth_allocates_no_image_sized_array(tmp_path):
     tracemalloc.start()
     try:
@@ -597,6 +626,46 @@ def test_failed_eval_overlay_writes_nothing(workflow, tmp_path, fault, code):
                 "--overlay-frames", frames, "--overlay-calibration", calibration,
                 "-o", out / "report.json"]) == code
     assert list(out.iterdir()) == []
+
+
+def test_failed_eval_overlay_prints_no_table(workflow, tmp_path, capsys):
+    # the table used to be printed before the overlay inputs were read
+    capsys.readouterr()
+    assert run(["eval", "--pred", workflow / "labels_out",
+                "--gt", workflow / "lab_scene" / "gt_labels",
+                "--overlay-frames", workflow / "lab_scene",
+                "--overlay-calibration", tmp_path / "nope.json",
+                "-o", tmp_path / "report.json"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_names_a_labels_file_that_is_not_utf8(workflow, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    shutil.copytree(workflow / "labels_out", pred)
+    bad = pred / "labels_000.jsonl"
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    capsys.readouterr()
+    assert run(["eval", "--pred", pred, "--gt", workflow / "lab_scene" / "gt_labels",
+                "-o", tmp_path / "report.json"]) == 4
+    assert capsys.readouterr().err.startswith(f"invalid input: bad labels file {bad}:1: 'utf-8'")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_a_plain_write_gives(tmp_path, umask, mode):
+    # every staged file used to be 0600 whatever the umask
+    old = os.umask(umask)
+    try:
+        assert run(["synth", "--kind", "labeling", "--seed", "3", "-o", tmp_path / "lab"]) == 0
+        assert run(["synth", "--kind", "calibration", "--poses", "6", "--seed", "3",
+                    "-o", tmp_path / "cal"]) == 0
+        assert run(["calibrate", "--corners", tmp_path / "cal", "--frames", tmp_path / "cal",
+                    "--intrinsics", tmp_path / "cal" / "intrinsics.json",
+                    "-o", tmp_path / "calibration.json"]) == 0
+    finally:
+        os.umask(old)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 20  # 5 labeling, 14 calibration, 1 calibrate
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(mode)}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -856,6 +858,43 @@ class TestDeeplyNestedJson:
             load_radar_frames(path)
 
 
+class TestUndecodableText:
+    """Bytes that are not UTF-8 are a SchemaError naming the file and line."""
+
+    def test_labels(self, tmp_path):
+        path = tmp_path / "labels_000.jsonl"
+        write_labels(path, TestLabelFiles().columns())
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(SchemaError, match=r"bad labels file .*labels_000.jsonl:1: 'utf-8'"):
+            load_labels(path)
+
+    def test_labels_names_the_line(self, tmp_path):
+        path = tmp_path / "labels_000.jsonl"
+        write_labels(path, TestLabelFiles().columns())
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"recovered", b"recov\xe9red")
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(SchemaError, match=r"labels_000.jsonl:3: 'utf-8'"):
+            load_labels(path)
+
+    def test_radar_frame_stream(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        frame = RadarFrame(0.0, [(5.0, 0.1, 0.0, 1.0, 10.0)])
+        write_radar_frames_stream(path, [frame, frame])
+        first, second = path.read_bytes().splitlines()
+        path.write_bytes(first + b"\n" + second.replace(b"{", b"{\xff", 1) + b"\n")
+        with pytest.raises(SchemaError, match=r"bad frame stream .*frames.jsonl:2: 'utf-8'"):
+            load_radar_frames(path)
+
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        # at \n, \r\n and a lone \r
+        path = tmp_path / "labels_000.jsonl"
+        write_labels(path, TestLabelFiles().columns())
+        lines = path.read_text().splitlines()
+        path.write_text("\r\n".join(lines[:2]) + "\r" + "\n".join(lines[2:]), newline="")
+        assert load_labels(path).class_id.tolist() == [1, 0, 2, 0]
+
+
 class TestOutputs:
     def test_files_replace_their_targets_when_the_block_ends(self, tmp_path):
         (tmp_path / "kept.json").write_text("old\n")
@@ -889,6 +928,17 @@ class TestOutputs:
                 write_json(outputs.file(tmp_path / "dir"), {})
                 write_json(outputs.file(tmp_path / "x.json"), {})
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "x.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_files_get_the_mode_a_plain_write_gives(self, tmp_path, umask, mode):
+        # mkstemp makes every temp file 0600, and the rename keeps that
+        old = os.umask(umask)
+        try:
+            with fileio.Outputs() as outputs:
+                write_json(outputs.file(tmp_path / "x.json"), {})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "x.json").stat().st_mode) == mode
 
     def test_missing_directory_fails_before_a_temp_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no directory"):
