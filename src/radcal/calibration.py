@@ -366,10 +366,15 @@ def _normal_equations(
 
 
 def _solve_rows(damped: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's damped system solved on its own, for a stack in which some
-    are singular: those get a zero step and are flagged."""
-    delta = np.zeros(rhs.shape)
+    """The damped systems solved in one stacked call and which were
+    singular.  When some are, each row is solved on its own and the
+    singular ones get a zero step."""
     singular = np.zeros(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(damped, rhs), singular
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.zeros(rhs.shape)
     for row, (a, b) in enumerate(zip(damped, rhs)):
         try:
             delta[row] = np.linalg.solve(a, b)
@@ -409,49 +414,33 @@ def _run_lm(
     live = np.arange(count)  # the seed of each row still descending
     lam = np.full(count, cfg.lambda_init)
     for iteration in range(1, cfg.max_iters + 1):
-        # rows linearized flat stop unconverged; they, and singular rows
-        # below, take no step
-        flat = flat if flat.any() else None
-        blocked = flat
         # Gauss-Newton normal equations, damped: (J^T J + lam I) d = -J^T r
-        damped = jtj + lam[:, None, None] * _EYE6
-        try:
-            delta = np.linalg.solve(damped, descent)
-        except np.linalg.LinAlgError:
-            delta, singular = _solve_rows(damped, descent)
-            blocked = singular if flat is None else flat | singular
+        delta, singular = _solve_rows(jtj + lam[:, None, None] * _EYE6, descent)
+        # rows linearized flat stop unconverged; they and singular rows take
+        # no step
+        blocked = flat | singular
         small = np.sqrt(delta.transpose(0, 2, 1) @ delta)[:, 0, 0] <= cfg.step_tol
         trial = poses + delta[:, :, 0]
         trial[:, :3] = canonicalize_rotvec(trial[:, :3])
         trial_state = problem.state(trial)
         trial_costs = (trial_state.residual**2).sum(axis=1)
-        better = (trial_costs < costs) & ~small
-        if blocked is not None:
-            better &= ~blocked
+        better = (trial_costs < costs) & ~small & ~blocked
         # a rejected step grows lambda, and so does a singular system
         lam = np.where(better, lam / cfg.lambda_down, lam * cfg.lambda_up)
         rel_drop = (costs - trial_costs) / np.maximum(costs, 1e-300)
         # a rejected step that saturates the damping has no improving
         # direction left
         converged = small | np.where(better, rel_drop <= cfg.cost_rel_tol, lam > 1e15)
-        if blocked is not None:
-            converged &= ~blocked
-        done = converged if flat is None else converged | flat
-        if better.all():
-            poses, costs = trial, trial_costs
-            jtj, descent, flat = _normal_equations(problem, trial, trial_state)
-        elif better.any():
-            poses = np.where(better[:, None], trial, poses)
-            costs = np.where(better, trial_costs, costs)
+        converged &= ~blocked
+        done = converged | flat | (iteration == cfg.max_iters)
+        poses = np.where(better[:, None], trial, poses)
+        costs = np.where(better, trial_costs, costs)
+        flat = np.zeros(len(live), dtype=bool)
+        if better.any():
             moved = _PoseState(*(a[better] for a in trial_state))
-            flat = np.zeros(len(live), dtype=bool)
             jtj[better], descent[better], flat[better] = _normal_equations(
                 problem, trial[better], moved
             )
-        else:
-            flat = np.zeros(len(live), dtype=bool)
-        if iteration == cfg.max_iters:
-            done = np.ones(len(live), dtype=bool)
         if done.any():
             seeds_done = live[done]
             out.poses[seeds_done] = poses[done]

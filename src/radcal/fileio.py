@@ -283,21 +283,19 @@ def _run_list(starts: np.ndarray, ends: np.ndarray) -> list[int]:
 def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Validated (starts, ends) of a [start, length, ...] list, not decoded.
 
-    Each run in turn: int(start), int(length), length >= 1, sorted and
-    disjoint, inside height * width; the first failure raises.
+    A JSON array of integers in whole pairs, then each run in turn:
+    length >= 1, sorted and disjoint, inside height * width; the first
+    failure raises.
     """
+    if type(runs) is not list:
+        raise TypeError(f"RLE must be a JSON array, got {type(runs).__name__}")
+    if set(map(type, runs)) - {int}:  # a bool, a float or a string too
+        bad = next(value for value in runs if type(value) is not int)
+        raise TypeError(f"RLE entries must be JSON integers, got {bad!r}")
     if len(runs) % 2 != 0:
         raise SchemaError("RLE list must hold (start, length) pairs")
-    values, error = [], None
-    for i in range(len(runs)):  # indexing, so a JSON object is rejected
-        try:
-            values.append(int(runs[i]))
-        except _BAD_FIELD as exc:
-            error = exc
-            break
-    pairs = values[: len(values) // 2 * 2]
     # clipped into int64; no check's outcome moves, as valid runs end by H * W
-    flat = np.clip(np.array(pairs, dtype=object), -(2**61), 2**61).astype(np.int64)
+    flat = np.clip(np.array(runs, dtype=object), -(2**61), 2**61).astype(np.int64)
     starts, lengths = flat[0::2], flat[1::2]
     ends = starts + lengths
     short = lengths < 1
@@ -306,12 +304,10 @@ def _rle_runs(runs: list, height: int, width: int) -> tuple[np.ndarray, np.ndarr
     if bad.any():
         i = int(bad.argmax())
         if short[i]:
-            raise SchemaError(f"RLE run length must be >= 1, got {pairs[2 * i + 1]}")
+            raise SchemaError(f"RLE run length must be >= 1, got {runs[2 * i + 1]}")
         if unsorted[i]:
             raise SchemaError("RLE runs must be sorted and non-overlapping")
         raise SchemaError("RLE run exceeds the mask size")
-    if error is not None:
-        raise error
     return starts, ends
 
 
@@ -336,20 +332,11 @@ def _points_json(timestamp_s: float, keys: tuple, rows: np.ndarray) -> str:
     return f'{{"points":[{points}],"timestamp_s":{canonical_json(timestamp_s)}}}'
 
 
-def write_radar_frame(
-    path: str | Path, frame: RadarFrame, variant: str = "spherical"
-) -> None:
+def write_radar_frame(path: str | Path, frame: RadarFrame) -> None:
+    """Spherical-variant frame of a calibration radar scan."""
     ret = frame.returns
-    if variant == "spherical":
-        keys = RETURN_DTYPE.names
-        rows = np.column_stack([ret[key] for key in keys])
-    elif variant == "cartesian":
-        keys = _CARTESIAN_KEYS
-        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
-        rows = np.column_stack((xyz, ret["v_mps"], ret["rcs_dbsm"]))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    write_text(path, _points_json(frame.timestamp_s, keys, rows) + "\n")
+    rows = np.column_stack([ret[key] for key in RETURN_DTYPE.names])
+    write_text(path, _points_json(frame.timestamp_s, RETURN_DTYPE.names, rows) + "\n")
 
 
 def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,8 @@ __all__ = [
     "RadarFrame",
     "FilterParams",
     "ClusterParams",
-    "Cluster",
     "filter_returns",
     "dbscan",
-    "select_corner_cluster",
-    "locate_center",
     "extract_reflector",
 ]
 
@@ -130,19 +127,6 @@ class ClusterParams:
             raise ValueError("eps must be positive and finite")
         if not 1 <= self.min_pts < math.inf:
             raise ValueError("min_pts must be >= 1")
-
-
-@dataclass
-class Cluster:
-    """One DBSCAN cluster: member indices plus cached summary statistics."""
-
-    indices: tuple[int, ...]
-    centroid: np.ndarray = field(repr=False)
-    mean_range: float
-    mean_rcs: float | None = None
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def filter_returns(frame: RadarFrame, params: FilterParams) -> np.ndarray:
@@ -245,69 +229,21 @@ def _dbscan_labels(
 
 def dbscan(
     points: np.ndarray, params: ClusterParams
-) -> tuple[list[Cluster], list[int]]:
+) -> tuple[list[np.ndarray], list[int]]:
     """Cluster 3D points with DBSCAN (Euclidean metric).
 
-    Returns ``(clusters, noise_indices)``.  Every point lands in exactly
-    one cluster or in the noise list; each cluster contains at least one
-    core point (a point with >= min_pts neighbors within eps, itself
-    included).
+    Returns ``(clusters, noise_indices)``: each cluster is the ascending
+    array of its members' indices, in the order the clusters were seeded.
+    Every point lands in exactly one cluster or in the noise list; each
+    cluster contains at least one core point (a point with >= min_pts
+    neighbors within eps, itself included).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(points)
-    if n == 0:
-        return [], []
     labels, n_clusters = _dbscan_labels(
         *_radius_neighbors(points, params.eps), params.min_pts
     )
-    clusters = []
-    for cid in range(n_clusters):
-        idx = np.flatnonzero(labels == cid)
-        members = points[idx]
-        clusters.append(
-            Cluster(
-                indices=tuple(int(i) for i in idx),
-                centroid=members.mean(axis=0),
-                mean_range=float(np.linalg.norm(members, axis=1).mean()),
-            )
-        )
-    noise = [int(i) for i in np.flatnonzero(labels == -1)]
-    return clusters, noise
-
-
-def select_corner_cluster(
-    clusters: list[Cluster], rcs: np.ndarray
-) -> Cluster:
-    """Pick the cluster with maximum mean RCS; ties go to smaller mean range.
-
-    ``rcs`` holds the per-point RCS, indexed like the clustered points.
-    """
-    if not clusters:
-        raise NoClusters("no clusters to select from")
-    rcs = np.asarray(rcs, dtype=float)
-    best = None
-    for cluster in clusters:
-        cluster.mean_rcs = float(rcs[list(cluster.indices)].mean())
-        if (
-            best is None
-            or cluster.mean_rcs > best.mean_rcs
-            or (cluster.mean_rcs == best.mean_rcs and cluster.mean_range < best.mean_range)
-        ):
-            best = cluster
-    return best
-
-
-def locate_center(
-    cluster: Cluster, rcs: np.ndarray, xyz: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Strongest return in the cluster; ties go to the lowest index.
-
-    ``rcs`` and ``xyz`` are indexed like the clustered points.  Returns
-    ``(index, position)``, the position being that point's row of ``xyz``.
-    """
-    indices = np.array(cluster.indices)  # ascending: argmax keeps the lowest
-    best_idx = int(indices[np.argmax(np.asarray(rcs)[indices])])
-    return best_idx, xyz[best_idx]
+    clusters = [np.flatnonzero(labels == cid) for cid in range(n_clusters)]
+    return clusters, np.flatnonzero(labels == -1).tolist()
 
 
 def extract_reflector(
@@ -317,9 +253,12 @@ def extract_reflector(
 ) -> np.ndarray:
     """Full per-frame extraction: filter, cluster, select, localize.
 
-    Returns the reflector center in the radar frame.  Raises
-    ReflectorNotFound (EmptyAfterFilter / NoClusters) when the frame holds
-    no usable reflector; callers log and skip the pose.
+    The cluster with the highest mean RCS wins, a tie going to the smaller
+    mean range and then to the cluster seeded first; the reflector center
+    is its strongest return, a tie going to the lowest index.  Returns that
+    center in the radar frame.  Raises ReflectorNotFound (EmptyAfterFilter /
+    NoClusters) when the frame holds no usable reflector; callers log and
+    skip the pose.
     """
     filter_params = filter_params or FilterParams()
     cluster_params = cluster_params or ClusterParams()
@@ -331,5 +270,5 @@ def extract_reflector(
             f"all {len(kept)} filtered returns are DBSCAN noise at t={frame.timestamp_s}"
         )
     rcs = kept["rcs_dbsm"]
-    _, center = locate_center(select_corner_cluster(clusters, rcs), rcs, xyz)
-    return center
+    best = min(clusters, key=lambda c: (-rcs[c].mean(), np.linalg.norm(xyz[c], axis=1).mean()))
+    return xyz[best[np.argmax(rcs[best])]]

@@ -341,13 +341,19 @@ def autolabel_frame(
 
 
 def rle_decode(runs: list[int], height: int, width: int) -> np.ndarray:
-    """Dense mask of a [start, length, ...] list; validates ordering and bounds."""
+    """Dense mask of a [start, length, ...] list of JSON integers; validates
+    the entries, ordering and bounds."""
+    if type(runs) is not list:
+        raise TypeError(f"RLE must be a JSON array, got {type(runs).__name__}")
+    for value in runs:
+        if type(value) is not int:
+            raise TypeError(f"RLE entries must be JSON integers, got {value!r}")
     if len(runs) % 2 != 0:
         raise SchemaError("RLE list must hold (start, length) pairs")
     flat = np.zeros(height * width, dtype=bool)
     prev_end = 0
     for i in range(0, len(runs), 2):
-        start, length = int(runs[i]), int(runs[i + 1])
+        start, length = runs[i], runs[i + 1]
         if length < 1:
             raise SchemaError(f"RLE run length must be >= 1, got {length}")
         if start < prev_end:

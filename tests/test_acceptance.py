@@ -145,7 +145,7 @@ def test_criterion_3_dbscan_oracle_equivalence():
         clusters, noise = dbscan(points, ClusterParams(eps=eps, min_pts=min_pts))
         ours = np.full(n, -1, dtype=int)
         for cid, cluster in enumerate(clusters):
-            ours[list(cluster.indices)] = cid
+            ours[cluster] = cid
         assert sorted(noise) == sorted(np.flatnonzero(ours == -1).tolist())
         reference = _dbscan_reference(points, eps, min_pts)
         assert _signature(ours) == _signature(reference), (

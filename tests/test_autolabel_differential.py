@@ -5,6 +5,8 @@ frames of the benchmark's sparse and dense shapes, and on hand-built frames
 that sit on the tie-breaks and boundaries.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,3 +267,35 @@ def boundary_frames(draw):
 def test_boundary_frames_match_scalar_reference(frame):
     points, masks, params = frame
     assert_same_records(points, masks, K_NARROW, T, params)
+
+
+# Each gate only widens as one of these grows: the cluster statistics are
+# taken before filtering, so no member's test depends on another's outcome.
+WIDENING = ("tau_d", "kappa_rho", "kappa_v", "v_static", "sigma_v_min", "n_min")
+FILTERED_OUT = list(Provenance).index(Provenance.FILTERED_OUT)
+
+
+def filtered_out(points, masks, params):
+    labels = autolabel_frame(points, masks, K_NARROW, T, params, stage="otpf")
+    return set(np.flatnonzero(labels.provenance == FILTERED_OUT).tolist())
+
+
+@settings(max_examples=300)
+@given(boundary_frames(), st.sampled_from([1.0, 0.1]), st.sampled_from(WIDENING),
+       st.sampled_from([None, 1.5, 4.0, 100.0]))
+def test_filtered_out_never_grows_as_a_gate_widens(frame, tight, name, factor):
+    """From the frame's thresholds, or all of them times 0.1 so that every
+    gate bites, one parameter grows: ``factor`` None takes it to the next
+    float (n_min: one more).  The frames put a member exactly on the gates'
+    thresholds."""
+    points, masks, params = frame
+    params = dataclasses.replace(
+        params, **{name: getattr(params, name) * tight for name in WIDENING[:-1]}
+    )
+    value = getattr(params, name)
+    if name == "n_min":
+        grown = value + (1 if factor is None else int(factor))
+    else:
+        grown = float(np.nextafter(value, np.inf)) if factor is None else value * factor
+    wider = dataclasses.replace(params, **{name: grown})
+    assert filtered_out(points, masks, wider) <= filtered_out(points, masks, params)

@@ -17,7 +17,7 @@ import radcal
 from frame_stream import write_radar_frames_stream
 from radcal import autolabel as al
 from radcal import cli, fileio
-from radcal.autolabel import InstanceMask, LabelColumns
+from radcal.autolabel import InstanceMask, LabelColumns, PointCloud
 from radcal.fileio import (
     load_calibration,
     load_labels,
@@ -26,8 +26,9 @@ from radcal.fileio import (
     write_labels,
     write_masks,
     write_radar_frame,
+    write_radar_points,
 )
-from radcal.geometry import Extrinsics
+from radcal.geometry import Extrinsics, sph2cart
 from radcal.reflector import RadarFrame
 from radcal.synth import default_intrinsics
 
@@ -356,7 +357,10 @@ def test_calibration_golden_digests_other_frame_forms(tmp_path, form):
         inputs = pinned / "frames"
         inputs.mkdir()
         for i, frame in enumerate(frames):
-            write_radar_frame(inputs / f"radar_{i:03d}.json", frame, "cartesian")
+            ret = frame.returns
+            xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+            write_radar_points(inputs / f"radar_{i:03d}.json", frame.timestamp_s,
+                               PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"]))
     else:
         inputs = pinned / "frames.jsonl"
         write_radar_frames_stream(inputs, frames)

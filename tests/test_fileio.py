@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -119,16 +120,16 @@ class TestRadarFrameFiles:
 
     def test_spherical_round_trip(self, tmp_path):
         path = tmp_path / "radar_000.json"
-        write_radar_frame(path, self.frame(), variant="spherical")
+        write_radar_frame(path, self.frame())
         back = load_radar_frame(path)
         assert back == self.frame()
 
     def test_cartesian_round_trip_positions(self, tmp_path):
         path = tmp_path / "radar_000.json"
-        write_radar_frame(path, self.frame(), variant="cartesian")
-        _, points = load_radar_points(path)
         ret = self.frame().returns
         xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        write_radar_points(path, 3.5, PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"]))
+        _, points = load_radar_points(path)
         assert np.allclose(points.xyz, xyz, atol=1e-12)
         assert np.array_equal(points.velocity, ret["v_mps"])
 
@@ -766,6 +767,145 @@ class TestMasksFileMutations:
         assert code == cli.EXIT_INVALID
         if kind != "rle":  # run-list messages name the run, not the file
             assert str(path) in err
+
+    @pytest.mark.parametrize("rle", [[0, "1"], [2, 1.5], [0, 2, True, 1], [0.0, 2], "0 1", {}])
+    def test_run_list_not_json_integers_exit_4(self, label_scene, tmp_path, rle):
+        doc = masks_doc()
+        doc["instances"][1]["rle"] = rle
+        code, err, path = self.autolabel(label_scene, json.dumps(doc), tmp_path)
+        assert code == cli.EXIT_INVALID
+        assert f"bad mask file {path}: RLE " in err
+
+
+def intrinsics_doc():
+    return dataclasses.asdict(default_intrinsics())
+
+
+def mutate_intrinsics(draw, doc):
+    """One mutation that makes a valid intrinsics document invalid; returns
+    the text a JSON number may be spliced into, or None."""
+    kind = draw(st.sampled_from(["int", "float", "drop", "value", "non_finite"]))
+    if kind == "int":
+        doc[draw(st.sampled_from(["width", "height"]))] = draw(NOT_AN_INT)
+    elif kind == "float":
+        doc[draw(st.sampled_from(["fx", "fy", "cx", "cy"]))] = draw(NOT_A_FLOAT)
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "value":
+        name, value = draw(st.sampled_from(
+            [("fx", 0.0), ("fy", -500.0), ("width", 0), ("height", -1080)]
+        ))
+        doc[name] = value
+    else:
+        doc[draw(st.sampled_from(["fx", "fy", "cx", "cy"]))] = "NON_FINITE"
+        return draw(NON_FINITE)
+    return None
+
+
+@st.composite
+def mutated_intrinsics(draw):
+    """Intrinsics document text with one mutation that makes it invalid."""
+    doc = intrinsics_doc()
+    if draw(st.booleans()):
+        return json.dumps(draw(st.sampled_from([None, [], "intrinsics", 3, [doc]])))
+    raw = mutate_intrinsics(draw, doc)
+    return json.dumps(doc).replace('"NON_FINITE"', raw or "")
+
+
+def calibration_doc():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calibration.json"
+        write_calibration(path, default_extrinsics(), default_intrinsics(), 1.0, 1.5, True)
+        return json.loads(path.read_text())
+
+
+@st.composite
+def mutated_calibration(draw):
+    """Calibration document text with one mutation that makes it invalid."""
+    doc = calibration_doc()
+    raw = None
+    kind = draw(st.sampled_from(
+        ["float", "drop", "length", "container", "rotation", "non_finite", "intrinsics"]
+    ))
+    vector = draw(st.sampled_from(["rotation_row_major", "translation_m"]))
+    if kind == "float":
+        doc[vector][draw(st.integers(0, len(doc[vector]) - 1))] = draw(NOT_A_FLOAT)
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(["rotation_row_major", "translation_m", "intrinsics"]))]
+    elif kind == "length":
+        doc[vector] = doc[vector][: draw(st.integers(0, len(doc[vector]) - 1))] or doc[vector] * 2
+    elif kind == "container":
+        doc[vector] = draw(st.sampled_from([None, 3, "R", {"0": 1.0}, [doc[vector]]]))
+    elif kind == "rotation":
+        # scaled, a reflection, or rounded past the 1e-6 tolerance
+        rotation = np.array(doc["rotation_row_major"])
+        doc["rotation_row_major"] = draw(st.sampled_from(
+            [(2.0 * rotation).tolist(), (-rotation).tolist(), np.round(rotation, 3).tolist()]
+        ))
+    elif kind == "non_finite":
+        doc[vector][draw(st.integers(0, len(doc[vector]) - 1))] = "NON_FINITE"
+        raw = draw(NON_FINITE)
+    elif draw(st.booleans()):
+        doc["intrinsics"] = draw(st.sampled_from([None, [], "k", 3]))
+    else:
+        raw = mutate_intrinsics(draw, doc["intrinsics"])
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(st.sampled_from([None, [], "calibration", [doc]]))
+    return json.dumps(doc).replace('"NON_FINITE"', raw or "")
+
+
+class TestCalibrationFileMutations:
+    """A mutated calibration file ends ``autolabel`` in exit 4, never in a
+    traceback."""
+
+    @staticmethod
+    def autolabel(tmp, text):
+        path = tmp / "calibration.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            # empty input directories: a calibration that loads ends in exit 3
+            code = cli.main(["autolabel", "--frames", str(tmp), "--masks", str(tmp),
+                             "--calibration", str(path), "-o", str(tmp / "labels")])
+        return code, err.getvalue()
+
+    def test_valid_document_reaches_the_frame_inputs(self, tmp_path):
+        code, err = self.autolabel(tmp_path, json.dumps(calibration_doc()))
+        assert code == cli.EXIT_IO, err
+
+    @settings(max_examples=150)
+    @given(mutated_calibration())
+    def test_mutation_exit_4(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = self.autolabel(Path(tmp), text)
+        assert code == cli.EXIT_INVALID, err
+
+
+class TestIntrinsicsFileMutations:
+    """A mutated intrinsics file ends ``calibrate`` in exit 4, never in a
+    traceback."""
+
+    @staticmethod
+    def calibrate(tmp, text):
+        path = tmp / "intrinsics.json"
+        path.write_text(text)
+        (tmp / "corners").mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["calibrate", "--corners", str(tmp / "corners"), "--frames",
+                             str(tmp), "--intrinsics", str(path), "-o", str(tmp / "c.json")])
+        return code, err.getvalue()
+
+    def test_valid_document_reaches_the_corner_inputs(self, tmp_path):
+        code, err = self.calibrate(tmp_path, json.dumps(intrinsics_doc()))
+        assert code == cli.EXIT_IO, err
+
+    @settings(max_examples=150)
+    @given(mutated_intrinsics())
+    def test_mutation_exit_4(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = self.calibrate(Path(tmp), text)
+        assert code == cli.EXIT_INVALID, err
 
 
 BIG_INT = "1" + "0" * 400  # overflows a float as well as an int64

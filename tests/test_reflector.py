@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from radcal.geometry import sph2cart
 from radcal.reflector import (
-    Cluster,
     ClusterParams,
     EmptyAfterFilter,
     FilterParams,
@@ -16,8 +15,6 @@ from radcal.reflector import (
     dbscan,
     extract_reflector,
     filter_returns,
-    locate_center,
-    select_corner_cluster,
     _radius_neighbors,
 )
 
@@ -28,13 +25,6 @@ def frame_of(returns):
 
 def ret(r=10.0, az=0.0, el=0.0, v=0.0, rcs=20.0):
     return (r, az, el, v, rcs)
-
-
-def locate(cluster, returns):
-    """locate_center on the returns' RCS and sph2cart positions."""
-    rows = frame_of(returns).returns
-    xyz = sph2cart(rows["r_m"], rows["az_rad"], rows["el_rad"])
-    return locate_center(cluster, rows["rcs_dbsm"], xyz)
 
 
 def dbscan_reference(points, eps, min_pts):
@@ -76,8 +66,7 @@ def partition_signature(labels):
 def labels_from_result(n, clusters, noise):
     labels = np.full(n, -1, dtype=int)
     for cid, cluster in enumerate(clusters):
-        for i in cluster.indices:
-            labels[i] = cid
+        labels[cluster] = cid
     assert sorted(noise) == sorted(np.flatnonzero(labels == -1))
     return labels
 
@@ -224,13 +213,12 @@ class TestDbscan:
         points = rng.uniform(0.0, 2.0, (120, 3))
         params = ClusterParams(eps=0.4, min_pts=4)
         clusters, noise = dbscan(points, params)
-        seen = sorted(i for c in clusters for i in c.indices) + sorted(noise)
+        seen = sorted(i for c in clusters for i in c) + sorted(noise)
         assert sorted(seen) == list(range(120))
         # every cluster contains at least one core point
         for cluster in clusters:
-            members = points[list(cluster.indices)]
             has_core = False
-            for i in cluster.indices:
+            for i in cluster:
                 n_neigh = int(
                     (np.linalg.norm(points - points[i], axis=1) <= params.eps).sum()
                 )
@@ -253,16 +241,6 @@ class TestDbscan:
             mapped = {frozenset(int(perm[i]) for i in group) for group in sig2}
             mapped_noise = {int(perm[i]) for i in noise2}
             assert mapped == base_sig[0] and mapped_noise == base_sig[1]
-
-    def test_cluster_caches(self):
-        points = np.array(
-            [[1.0, 0.0, 0.0], [1.1, 0.0, 0.0], [1.05, 0.1, 0.0]]
-        )
-        clusters, _ = dbscan(points, ClusterParams(eps=0.5, min_pts=2))
-        assert len(clusters) == 1
-        c = clusters[0]
-        assert np.allclose(c.centroid, points.mean(axis=0))
-        assert np.isclose(c.mean_range, np.linalg.norm(points, axis=1).mean())
 
 
 @st.composite
@@ -315,72 +293,75 @@ class TestRadiusSearchProperties:
     def test_pair_at_exactly_eps_is_a_neighbor(self):
         points = np.array([[0.25, 0.5, 0.0], [0.25, 0.5, 0.75]])
         clusters, noise = dbscan(points, ClusterParams(eps=0.75, min_pts=2))
-        assert [c.indices for c in clusters] == [(0, 1)] and noise == []
+        assert [c.tolist() for c in clusters] == [[0, 1]] and noise == []
         points[1, 2] = np.nextafter(0.75, 1.0)
         clusters, noise = dbscan(points, ClusterParams(eps=0.75, min_pts=2))
         assert clusters == [] and noise == [0, 1]
 
 
+def position(row):
+    """The radar-frame position of a ret() row."""
+    return sph2cart(*row[:3])
+
+
+# Every return of a singleton-cluster frame is its own cluster.
+SINGLETONS = ClusterParams(eps=0.3, min_pts=1)
+
+
 class TestSelection:
-    def make_cluster(self, indices, points):
-        members = points[list(indices)]
-        return Cluster(
-            indices=tuple(indices),
-            centroid=members.mean(axis=0),
-            mean_range=float(np.linalg.norm(members, axis=1).mean()),
-        )
+    """extract_reflector's choice of cluster: highest mean RCS, then
+    smaller mean range, then the cluster seeded first."""
 
     def test_argmax_mean_rcs(self):
-        points = np.arange(9, dtype=float).reshape(3, 3) + 1.0
-        clusters = [
-            self.make_cluster([0], points),
-            self.make_cluster([1], points),
-            self.make_cluster([2], points),
-        ]
-        rcs = np.array([12.0, 30.0, 8.0])
-        assert select_corner_cluster(clusters, rcs) is clusters[1]
+        returns = [ret(az=-0.3, rcs=12.0), ret(az=0.0, rcs=30.0), ret(az=0.3, rcs=18.0)]
+        center = extract_reflector(frame_of(returns), cluster_params=SINGLETONS)
+        assert np.array_equal(center, position(returns[1]))
 
     def test_single_cluster(self):
-        points = np.ones((1, 3))
-        clusters = [self.make_cluster([0], points)]
-        assert select_corner_cluster(clusters, np.array([5.0])) is clusters[0]
+        returns = [ret(r=7.0, az=0.1, rcs=15.0)]
+        center = extract_reflector(frame_of(returns), cluster_params=SINGLETONS)
+        assert np.array_equal(center, position(returns[0]))
 
     def test_tie_breaks_to_smaller_mean_range(self):
-        points = np.array([[10.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        far = self.make_cluster([0], points)
-        near = self.make_cluster([1], points)
-        rcs = np.array([20.0, 20.0])
-        assert select_corner_cluster([far, near], rcs) is near
-        assert select_corner_cluster([near, far], rcs) is near
+        far, near = ret(r=10.0, rcs=20.0), ret(r=4.0, rcs=20.0)
+        for returns in ([far, near], [near, far]):
+            center = extract_reflector(frame_of(returns), cluster_params=SINGLETONS)
+            assert np.array_equal(center, position(near))
+
+    def test_full_tie_goes_to_first_cluster(self):
+        # mirrored azimuths: the same mean RCS and, bit for bit, the same range
+        left, right = ret(az=0.2, rcs=20.0), ret(az=-0.2, rcs=20.0)
+        for returns in ([left, right], [right, left]):
+            center = extract_reflector(frame_of(returns), cluster_params=SINGLETONS)
+            assert np.array_equal(center, position(returns[0]))
 
     def test_no_clusters(self):
+        returns = [ret(r=5.0, az=0.0), ret(r=10.0, az=0.5)]
         with pytest.raises(NoClusters):
-            select_corner_cluster([], np.array([]))
+            extract_reflector(frame_of(returns))
 
 
 class TestLocate:
+    """extract_reflector's center: the winning cluster's strongest return."""
+
     def test_argmax_rcs(self):
-        returns = [ret(rcs=10.0), ret(rcs=25.0), ret(rcs=11.0)]
-        cluster = Cluster(indices=(0, 1, 2), centroid=np.zeros(3), mean_range=10.0)
-        idx, center = locate(cluster, returns)
-        assert idx == 1
-        assert np.array_equal(center, sph2cart(*returns[1][:3]))
+        returns = [ret(r=5.0, rcs=12.0), ret(r=5.1, rcs=25.0), ret(r=5.2, rcs=13.0)]
+        assert np.array_equal(extract_reflector(frame_of(returns)), position(returns[1]))
 
     def test_singleton(self):
         returns = [ret(r=7.0, az=0.1, el=-0.05, rcs=33.0)]
-        cluster = Cluster(indices=(0,), centroid=np.zeros(3), mean_range=7.0)
-        idx, center = locate(cluster, returns)
-        assert idx == 0
-        assert np.array_equal(center, sph2cart(*returns[0][:3]))
+        center = extract_reflector(frame_of(returns), cluster_params=SINGLETONS)
+        assert np.array_equal(center, position(returns[0]))
 
     def test_tie_goes_to_lowest_index(self):
-        returns = [ret(r=5.0, rcs=20.0), ret(r=6.0, rcs=25.0), ret(r=7.0, rcs=25.0)]
-        cluster = Cluster(indices=(0, 1, 2), centroid=np.zeros(3), mean_range=6.0)
-        idx, _ = locate(cluster, returns)
-        assert idx == 1
-        # only the cluster's members count, in ascending order
-        cluster = Cluster(indices=(0, 2), centroid=np.zeros(3), mean_range=6.0)
-        assert locate(cluster, returns)[0] == 2
+        returns = [ret(r=5.0, rcs=20.0), ret(r=5.1, rcs=25.0), ret(r=5.2, rcs=25.0)]
+        assert np.array_equal(extract_reflector(frame_of(returns)), position(returns[1]))
+
+    def test_only_members_count(self):
+        # the strongest return, 1, is DBSCAN noise beyond eps of the cluster
+        returns = [ret(r=5.0, rcs=20.0), ret(r=12.0, rcs=40.0),
+                   ret(r=5.1, rcs=24.0), ret(r=5.2, rcs=24.0)]
+        assert np.array_equal(extract_reflector(frame_of(returns)), position(returns[2]))
 
 
 class TestExtract:

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 import synth_reference
 from radcal import synth
-from radcal.fileio import _CARTESIAN_KEYS, _points_json, canonical_json, write_radar_frame
+from radcal.autolabel import PointCloud
+from radcal.fileio import (
+    _CARTESIAN_KEYS,
+    _points_json,
+    canonical_json,
+    write_radar_frame,
+    write_radar_points,
+)
 from radcal.geometry import Z_EPS, Extrinsics
 from radcal.reflector import RETURN_DTYPE, RadarFrame
 from radcal.synth import LabelSceneConfig, default_extrinsics, default_intrinsics
@@ -217,13 +224,15 @@ def test_write_radar_frame_is_canonical_json_of_the_frame_document(tmp_path, var
     rows = np.column_stack((rng.uniform(0.5, 30.0, 40), rng.uniform(-1.0, 1.0, (40, 2)),
                             rng.uniform(-3.0, 3.0, 40), rng.uniform(-5.0, 30.0, 40)))
     frame = RadarFrame(12.25, rows)
-    write_radar_frame(tmp_path / "frame.json", frame, variant)
     ret = frame.returns
     if variant == "spherical":
+        write_radar_frame(tmp_path / "frame.json", frame)
         keys, rows = RETURN_DTYPE.names, np.array(ret.tolist())
     else:
         keys = _CARTESIAN_KEYS
         xyz = synth.sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        points = PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"])
+        write_radar_points(tmp_path / "frame.json", frame.timestamp_s, points)
         rows = np.column_stack((xyz, ret["v_mps"], ret["rcs_dbsm"]))
     text = (tmp_path / "frame.json").read_text()
     assert text == points_doc_json(12.25, keys, rows) + "\n"
