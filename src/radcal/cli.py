@@ -23,19 +23,14 @@ import math
 import os
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .checkerboard import checkerboard_center
-from .geometry import (
-    BehindCamera,
-    CameraIntrinsics,
-    Extrinsics,
-    project_points,
-    rotvec_to_matrix,
-)
+from .geometry import BehindCamera, CameraIntrinsics, Extrinsics, project_points
 
 logger = logging.getLogger("radcal")
 
@@ -72,8 +67,66 @@ def _load_config_file(path: str | Path) -> dict:
     return doc
 
 
+# JSON kinds a config field of each scalar type takes
+_JSON_KINDS = {
+    int: ("a JSON integer", {int}),
+    float: ("a JSON number", {int, float}),
+    str: ("a JSON string", {str}),
+}
+
+
+def _json_value(kind, value):
+    """A config value read as the field type ``kind``: a JSON integer (not a
+    bool) for ``int``, a number for ``float``, an array of the tuple's
+    length (any, for ``tuple[int, ...]``), or an object read by the
+    dataclass's codec (``_config`` for a params section)."""
+    if dataclasses.is_dataclass(kind):
+        if type(value) is not dict:
+            raise TypeError(f"must be a JSON object, got {type(value).__name__}")
+        if kind is CameraIntrinsics:
+            return fileio._intrinsics(value)
+        return Extrinsics.from_doc(value) if kind is Extrinsics else _config(kind, value)
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise TypeError(f"must be a JSON array, got {type(value).__name__}")
+        kinds = typing.get_args(kind)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"must hold {len(kinds)} entries, got {len(value)}")
+        return tuple(map(_json_value, kinds, value))
+    what, types = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise TypeError(f"must be {what}, got {type(value).__name__}")
+    # an integer past the float range fails here, not in scene generation
+    return float(value) if kind is float else value
+
+
+def _fields(kinds: dict, doc: dict) -> dict:
+    """Each key of ``doc`` read as its type in ``kinds``; an unknown key or a
+    bad value is a ValueError naming the key."""
+    unknown = doc.keys() - kinds.keys()
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
+    values = {}
+    for name, value in doc.items():
+        try:
+            values[name] = _json_value(kinds[name], value)
+        except fileio._BAD_FIELD as exc:
+            missing = "missing key " if isinstance(exc, KeyError) else ""
+            raise ValueError(f"{name}: {missing}{exc}") from exc
+    return values
+
+
+def _config(cls, doc: dict, **flags):
+    """The config dataclass ``cls`` of a parsed document, with the flags that
+    were given set over it; each error (a ValueError) names its field."""
+    values = _fields(typing.get_type_hints(cls), doc)
+    return cls(**{**values, **{name: v for name, v in flags.items() if v is not None}})
+
+
 # params file section -> its dataclass, which the package imports on first
-# access; sync_tolerance_s is a bare number
+# access
 _PARAMS_SECTIONS = {
     "filter": "FilterParams",
     "cluster": "ClusterParams",
@@ -90,23 +143,22 @@ def _params_from_file(path: str | Path | None, needed: set[str]) -> dict:
     imports no module for a section it neither needs nor was given.
     """
     doc = _load_config_file(path) if path else {}
+    package = sys.modules[__package__]
     wanted = needed | doc.keys()
-    params = {}
+    sections = {
+        name: getattr(package, cls) for name, cls in _PARAMS_SECTIONS.items() if name in wanted
+    }
     try:
-        _reject_unknown(doc, [*_PARAMS_SECTIONS, "sync_tolerance_s"])
-        if "sync_tolerance_s" in wanted:
+        params = _fields({**sections, "sync_tolerance_s": float}, doc)
+        params.update({name: cls() for name, cls in sections.items() if name not in params})
+        if "sync_tolerance_s" in params:
+            tolerance = params["sync_tolerance_s"]
+            if not 0 <= tolerance < math.inf:  # NaN would turn the sync gate off
+                raise ValueError(f"sync_tolerance_s must be finite and >= 0, got {tolerance}")
+        elif "sync_tolerance_s" in needed:
             from .calibration import DEFAULT_SYNC_TOLERANCE_S
 
-            sync_tolerance_s = float(doc.get("sync_tolerance_s", DEFAULT_SYNC_TOLERANCE_S))
-            if not 0 <= sync_tolerance_s < math.inf:  # NaN would turn the sync gate off
-                raise ValueError(
-                    f"sync_tolerance_s must be finite and >= 0, got {sync_tolerance_s}"
-                )
-            params["sync_tolerance_s"] = sync_tolerance_s
-        package = sys.modules[__package__]
-        for name, cls in _PARAMS_SECTIONS.items():
-            if name in wanted:
-                params[name] = getattr(package, cls)(**doc.get(name, {}))
+            params["sync_tolerance_s"] = DEFAULT_SYNC_TOLERANCE_S
         return params
     except fileio._BAD_FIELD as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
@@ -134,82 +186,6 @@ def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
 # synth
 
 
-def _extrinsics_from(doc: dict) -> Extrinsics:
-    try:
-        if "rotation_row_major" in doc:
-            rotation = np.array(doc["rotation_row_major"], dtype=float).reshape(3, 3)
-        else:
-            rotation = rotvec_to_matrix(np.array(doc["axis_angle"], dtype=float))
-        return Extrinsics(rotation, np.array(doc["translation_m"], dtype=float))
-    except fileio._BAD_FIELD as exc:
-        raise ConfigError(f"bad scene extrinsics: {exc}") from exc
-
-
-def _intrinsics_from(doc: dict) -> CameraIntrinsics:
-    try:
-        return fileio._intrinsics(doc)
-    except fileio._BAD_FIELD as exc:
-        raise ConfigError(f"bad scene intrinsics: {exc}") from exc
-
-
-def _reject_unknown(doc: dict, known) -> None:
-    unknown = doc.keys() - set(known)
-    if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)}")
-
-
-def _config_fields(cls, doc: dict, also=(), **flags) -> dict:
-    """The doc's values for the fields of a config dataclass, with the
-    command-line flags that were given set over them.  A key that is neither
-    a field nor in ``also`` is a ValueError."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    _reject_unknown(doc, [*names, *also])
-    values = {name: doc[name] for name in names if name in doc}
-    return {**values, **{name: v for name, v in flags.items() if v is not None}}
-
-
-def _scene_config_from(doc: dict, args) -> synth.SceneConfig:
-    from . import synth
-
-    try:
-        kwargs = _config_fields(
-            synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
-            pixel_sigma_px=args.pixel_sigma, range_sigma_m=args.range_sigma,
-            angle_sigma_rad=args.angle_sigma,
-        )
-        if "clutter_only_poses" in doc:
-            kwargs["clutter_only_poses"] = tuple(doc["clutter_only_poses"])
-        if "extrinsics" in doc:
-            kwargs["extrinsics"] = _extrinsics_from(doc["extrinsics"])
-        if "intrinsics" in doc:
-            kwargs["intrinsics"] = _intrinsics_from(doc["intrinsics"])
-        if args.clutter_only:
-            kwargs["clutter_only_poses"] = tuple(
-                int(x) for x in args.clutter_only.split(",")
-            )
-        return synth.SceneConfig(**kwargs)
-    except fileio._BAD_FIELD as exc:
-        raise ConfigError(f"bad calibration scene config: {exc}") from exc
-
-
-def _label_config_from(doc: dict, args, seed_offset: int = 0) -> synth.LabelSceneConfig:
-    from . import synth
-
-    try:
-        kwargs = _config_fields(
-            synth.LabelSceneConfig, doc, ("intrinsics", "extrinsics"),
-            object_count=args.objects, seed=args.seed,
-            false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
-        )
-        for name in ("points_per_object", "extent_m", "range_m"):
-            if name in doc:
-                kwargs[name] = tuple(doc[name])
-        cfg = synth.LabelSceneConfig(**kwargs)
-        return dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
-    except fileio._BAD_FIELD as exc:
-        raise ConfigError(f"bad labeling scene config: {exc}") from exc
-
-
 def _cmd_synth(args, outputs: fileio.Outputs) -> int:
     from .synth import FovInfeasible
 
@@ -226,8 +202,25 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     from .autolabel import LabelColumns
 
     doc = _load_config_file(args.config) if args.config else {}
+    try:
+        if args.kind == "calibration":
+            cfg = _config(
+                synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
+                pixel_sigma_px=args.pixel_sigma, range_sigma_m=args.range_sigma,
+                angle_sigma_rad=args.angle_sigma,
+                clutter_only_poses=tuple(int(x) for x in args.clutter_only.split(","))
+                if args.clutter_only else None,
+            )
+        else:
+            cfg = _config(
+                synth.LabelSceneConfig, doc, object_count=args.objects, seed=args.seed,
+                false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
+            )
+    except fileio._BAD_FIELD as exc:
+        source = f" {args.config}" if args.config else ""
+        raise ConfigError(f"bad {args.kind} scene config{source}: {exc}") from exc
+
     if args.kind == "calibration":
-        cfg = _scene_config_from(doc, args)
         scene = synth.gen_calibration_scene(cfg)
         for pose in scene.poses:
             fileio.write_corners(
@@ -245,23 +238,16 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
 
     # labeling scene(s)
     gt_dir = outputs.mkdir(out / "gt_labels")
-    intrinsics = (
-        _intrinsics_from(doc["intrinsics"]) if "intrinsics" in doc else synth.default_intrinsics()
-    )
-    extrinsics = (
-        _extrinsics_from(doc["extrinsics"]) if "extrinsics" in doc else synth.default_extrinsics()
-    )
     ground_truths = []
     for frame_idx in range(args.frames):
-        cfg = _label_config_from(doc, args, seed_offset=frame_idx)
-        scene = synth.gen_label_scene(cfg, intrinsics, extrinsics)
+        scene = synth.gen_label_scene(dataclasses.replace(cfg, seed=cfg.seed + frame_idx))
         fileio.write_radar_points(
             outputs.file(out / f"radar_{frame_idx:03d}.json"), scene.timestamp_s, scene.points
         )
         fileio.write_masks(
             outputs.file(out / f"masks_{frame_idx:03d}.json"),
-            intrinsics.width,
-            intrinsics.height,
+            cfg.intrinsics.width,
+            cfg.intrinsics.height,
             list(scene.masks),
         )
         labels = LabelColumns.from_labels(scene.gt_labels)
@@ -273,15 +259,14 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     )
     fileio.write_calibration(
         outputs.file(out / "calibration.json"),
-        extrinsics,
-        intrinsics,
+        cfg.extrinsics,
+        cfg.intrinsics,
         mre_px=0.0,
         rmse_px=0.0,
         converged=True,
         config={"source": "synthetic ground truth"},
     )
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    return f"labeling scene: {args.frames} frame(s), seed {seed} -> {out}"
+    return f"labeling scene: {args.frames} frame(s), seed {cfg.seed} -> {out}"
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .checkerboard import CheckerboardSpec, CornerSet
-from .geometry import (
-    CameraIntrinsics,
-    Extrinsics,
-    cart2sph,
-    matrix_to_rotvec,
-    nearest_rotation,
-    sph2cart,
-)
+from .geometry import CameraIntrinsics, Extrinsics, cart2sph, sph2cart
 from .reflector import RETURN_DTYPE, RadarFrame
 
 if TYPE_CHECKING:
@@ -511,9 +504,7 @@ def write_calibration(
     write_json(
         path,
         {
-            "rotation_row_major": [float(x) for x in extrinsics.rotation.ravel()],
-            "axis_angle": [float(x) for x in matrix_to_rotvec(extrinsics.rotation)],
-            "translation_m": [float(x) for x in extrinsics.translation],
+            **extrinsics.to_doc(),
             "intrinsics": dataclasses.asdict(intrinsics),
             "mre_px": mre_px,
             "rmse_px": rmse_px,
@@ -525,28 +516,13 @@ def write_calibration(
 
 
 def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, dict]:
-    """Read a calibration file; re-verifies rotation orthonormality (1e-6)."""
+    """Read a calibration file: its extrinsics through ``Extrinsics.from_doc``
+    (rotation orthonormal within 1e-6), its intrinsics and the document."""
     doc = _load_json(path)
     try:
-        rotation = np.array(
-            [_json_float(x, "rotation_row_major") for x in doc["rotation_row_major"]]
-        ).reshape(3, 3)
-        translation = np.array([_json_float(x, "translation_m") for x in doc["translation_m"]])
-        intrinsics = _intrinsics(doc["intrinsics"])
+        return Extrinsics.from_doc(doc), _intrinsics(doc["intrinsics"]), doc
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
-    err = math.nan  # a non-finite entry would warn in the product below
-    if np.isfinite(rotation).all():
-        err = np.abs(rotation.T @ rotation - np.eye(3)).max()
-    if not err <= 1e-6:  # NaN fails too
-        raise SchemaError(
-            f"calibration rotation is not orthonormal (deviation {err:.3e})"
-        )
-    if err >= 1e-9:
-        # rounded external matrix: snap to the nearest rotation; exact
-        # writer output is used untouched so round-trips stay byte-identical
-        rotation = nearest_rotation(rotation)
-    return Extrinsics(rotation, translation), intrinsics, doc
 
 
 # ---------------------------------------------------------------------------

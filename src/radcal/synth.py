@@ -39,7 +39,6 @@ from .geometry import (
     CameraIntrinsics,
     Extrinsics,
     cart2sph,
-    matrix_to_rotvec,
     pinhole,
     rotvec_to_matrix,
     sph2cart,
@@ -112,6 +111,18 @@ class SceneConfig:
         _check_seed(self.seed)
         if self.pose_count < 1:
             raise ValueError("pose_count must be >= 1")
+        low, high = self.range_min_m, self.range_max_m
+        if not -math.inf < low <= high < math.inf:  # NaN fails too
+            raise ValueError(f"need finite range_min_m <= range_max_m, got {low}, {high}")
+        if min(self.board_nx, self.board_ny) < 2:
+            raise ValueError(
+                f"board_nx and board_ny must be >= 2, got {self.board_nx}x{self.board_ny}"
+            )
+        if not 0 < self.board_square_m < math.inf:
+            raise ValueError("board_square_m must be positive and finite")
+        for name in ("clutter_per_frame", "moving_clutter_per_frame"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -138,13 +149,10 @@ class CalibrationScene:
 
     def ground_truth(self) -> dict:
         cfg = self.config
-        t = cfg.extrinsics
         return {
             "kind": "calibration",
             "seed": cfg.seed,
-            "rotation_row_major": [float(x) for x in t.rotation.ravel()],
-            "axis_angle": [float(x) for x in matrix_to_rotvec(t.rotation)],
-            "translation_m": [float(x) for x in t.translation],
+            **cfg.extrinsics.to_doc(),
             "intrinsics": asdict(cfg.intrinsics),
             "poses": [
                 {
@@ -307,7 +315,7 @@ def gen_calibration_scene(cfg: SceneConfig | None = None) -> CalibrationScene:
 
 @dataclass(frozen=True)
 class LabelSceneConfig:
-    """Labeling-scene knobs; corruption rates default to zero (clean scene)."""
+    """Labeling-scene knobs and camera; corruption rates default to zero."""
 
     object_count: int = 5
     points_per_object: tuple[int, int] = (8, 16)
@@ -323,8 +331,20 @@ class LabelSceneConfig:
     mask_shape: str = "rect"  # "rect" or "hull"
     mask_margin_px: int = 4
     seed: int = 0
+    intrinsics: CameraIntrinsics = field(default_factory=default_intrinsics)
+    extrinsics: Extrinsics = field(default_factory=default_extrinsics)
 
     def __post_init__(self):
+        for name in ("points_per_object", "extent_m", "range_m"):
+            low, high = getattr(self, name)
+            if not -math.inf < low <= high < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must hold finite low <= high, got [{low}, {high}]")
+        if min(self.points_per_object[0], self.extent_m[0]) < 0:
+            raise ValueError("points_per_object and extent_m must be >= 0")
+        if self.class_count < 1:
+            raise ValueError("class_count must be >= 1")
+        if self.clutter_count < 0:
+            raise ValueError("clutter_count must be >= 0")
         if not 0.0 <= self.false_positive_rate <= 1.0:
             raise ValueError("false_positive_rate must be in [0, 1]")
         if not 0.0 <= self.false_negative_rate <= 1.0:
@@ -536,15 +556,10 @@ def _clutter(
     )
 
 
-def gen_label_scene(
-    cfg: LabelSceneConfig | None = None,
-    k: CameraIntrinsics | None = None,
-    t: Extrinsics | None = None,
-) -> LabelScene:
+def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
     """Generate one labeling frame: points, instance masks, true labels."""
     cfg = cfg or LabelSceneConfig()
-    k = k or default_intrinsics()
-    t = t or default_extrinsics()
+    k, t = cfg.intrinsics, cfg.extrinsics
     rng = np.random.default_rng(cfg.seed)
     t_inv = t.inverse()
 

@@ -192,7 +192,7 @@ def test_criterion_4_lm_gradient_check():
 
 def test_criterion_5_clean_labeling_soundness():
     k, t = default_intrinsics(), default_extrinsics()
-    scene = gen_label_scene(LabelSceneConfig(seed=5), k, t)
+    scene = gen_label_scene(LabelSceneConfig(seed=5))
     labels = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
     rep = label_report(labels, LabelColumns.from_labels(scene.gt_labels))
     assert rep.pa_percent == 100.0, f"PA {rep.pa_percent}"
@@ -211,9 +211,7 @@ def test_criterion_6_ablation_direction():
                 seed=2000 + seed,
                 false_positive_rate=0.1,
                 false_negative_rate=0.1,
-            ),
-            k,
-            t,
+            )
         )
         gt = list(scene.gt_labels)
         stage_labels = {}

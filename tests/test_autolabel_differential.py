@@ -72,7 +72,7 @@ def test_seeded_frames_match_scalar_reference(name):
     k, t = default_intrinsics(), default_extrinsics()
     provenances = set()
     for seed in seeds:
-        scene = gen_label_scene(LabelSceneConfig(seed=seed, **config), k, t)
+        scene = gen_label_scene(LabelSceneConfig(seed=seed, **config))
         records = assert_same_records(scene.points, list(scene.masks), k, t)
         provenances |= {r.provenance for r in records}
     # every stage had something to do

@@ -1,17 +1,22 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radcal
 from frame_stream import write_radar_frames_stream
@@ -30,7 +35,7 @@ from radcal.fileio import (
 )
 from radcal.geometry import Extrinsics, sph2cart
 from radcal.reflector import RadarFrame
-from radcal.synth import default_intrinsics
+from radcal.synth import LabelSceneConfig, SceneConfig, default_intrinsics
 
 
 def sha256_tree(directory):
@@ -786,6 +791,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["short_translation", "reflected_rotation", "scaled_rotation", "nan_translation"],
+    )
+    def test_bad_calibration_file_exit_4_naming_the_file(self, tmp_path, capsys, fault):
+        # these were exit 4 with a message that did not name the file: "cannot
+        # reshape array of size 2 into shape (3,)", a determinant or
+        # orthonormality complaint, and "translation must be finite"
+        path = tmp_path / "calibration.json"
+        fileio.write_calibration(path, Extrinsics(np.eye(3), np.zeros(3)), default_intrinsics(),
+                                 0.0, 0.0, True)
+        doc = json.loads(path.read_text())
+        rotation = np.array(doc["rotation_row_major"])
+        if fault == "short_translation":
+            doc["translation_m"] = [0.0, 0.0]
+        elif fault == "reflected_rotation":
+            doc["rotation_row_major"] = (-rotation).tolist()
+        elif fault == "scaled_rotation":
+            doc["rotation_row_major"] = (1.01 * rotation).tolist()
+        else:
+            doc["translation_m"][1] = math.nan
+        path.write_text(json.dumps(doc))
+        assert run(["autolabel", "--frames", tmp_path, "--masks", tmp_path,
+                    "--calibration", path, "-o", tmp_path / "out"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: bad calibration file {path}: ")
+        assert err.count("\n") == 1
+
     def test_fov_infeasible_scene_exit_2(self, tmp_path, capsys):
         # identity extrinsics point the camera up, away from every board
         config = tmp_path / "scene.json"
@@ -837,7 +870,8 @@ class TestExitCodes:
         config = tmp_path / "scene.json"
         config.write_text('{"intrinsics": {' + ", ".join([*fields, bad]) + "}}")
         assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err.startswith("config error: bad scene intrinsics")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad {kind} scene config {config}: intrinsics: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["calibration", "labeling"])
@@ -845,7 +879,8 @@ class TestExitCodes:
         config = tmp_path / "scene.json"
         config.write_text('{"extrinsics": {"axis_angle": [0, 0], "translation_m": [0, 0, 0]}}')
         assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err.startswith("config error: bad scene extrinsics")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad {kind} scene config {config}: extrinsics: ")
 
     @pytest.mark.parametrize("kind", ["calibration", "labeling"])
     def test_bad_scene_config_value_exit_2(self, tmp_path, capsys, kind):
@@ -949,6 +984,56 @@ class TestExitCodes:
         path.write_text('{"sync_tolerance_s": 0, "filter": {"rho_min": -5}}')
         assert run(self.params_argv(command, tmp_path, path)) == 3
 
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            # range checks: exit 4 from inside generation, or accepted
+            ("labeling", {"range_m": [20, 6]}, "range_m"),
+            ("labeling", {"class_count": 0}, "class_count"),
+            ("calibration", {"board_nx": 1}, "board_nx"),
+            ("calibration", {"range_min_m": 12, "range_max_m": 5}, "range_min_m"),
+            ("labeling", {"clutter_count": -3}, "clutter_count"),
+            ("calibration", {"clutter_per_frame": -1}, "clutter_per_frame"),
+            ("calibration", {"board_square_m": -0.1}, "board_square_m"),
+            # JSON kinds: these were exit 1, a traceback
+            ("labeling", {"points_per_object": "ab"}, "points_per_object"),
+            ("labeling", {"points_per_object": [8]}, "points_per_object"),
+            ("labeling", {"mask_margin_px": "x"}, "mask_margin_px"),
+            ("labeling", {"dynamic_fraction": "x"}, "dynamic_fraction"),
+            ("calibration", {"board_nx": "6"}, "board_nx"),
+            ("calibration", {"range_min_m": "5"}, "range_min_m"),
+            ("calibration", {"center_offset_px": "1"}, "center_offset_px"),
+            ("calibration", {"range_max_m": 10**400}, "range_max_m"),  # past the float range
+            # JSON kinds: these were accepted, coerced or truncated
+            ("labeling", {"points_per_object": [8.5, 16]}, "points_per_object"),
+            ("calibration", {"clutter_only_poses": "ab"}, "clutter_only_poses"),
+            ("calibration", {"extrinsics": {"axis_angle": ["1", 0, 0], "translation_m": [0] * 3}},
+             "extrinsics"),
+            ("labeling", {"extrinsics": {"axis_angle": [0] * 3, "translation_m": [0, True, 0]}},
+             "extrinsics"),
+            ("autolabel", {"label": {"n_min": 2.5}}, "n_min"),
+            ("autolabel", {"label": {"n_min": True}}, "n_min"),
+            ("calibrate", {"cluster": {"min_pts": 1.5}}, "min_pts"),
+            ("calibrate", {"sync_tolerance_s": "0.1"}, "sync_tolerance_s"),
+        ],
+    )
+    def test_config_field_exit_2_naming_file_and_field(
+        self, tmp_path, capsys, command, doc, field
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        if command in ("calibrate", "autolabel"):
+            argv, what = self.params_argv(command, tmp_path, path), "parameter file"
+        else:
+            argv = ["synth", "--kind", command, "--poses", "3", "--objects", "1",
+                    "--config", path, "-o", tmp_path / "out"]
+            what = f"{command} scene config"
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad {what} {path}: ")
+        assert field in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def params_argv(command, tmp_path, params):
         missing = tmp_path / "missing.json"
@@ -996,7 +1081,7 @@ class TestExitCodes:
             path = tmp_path / "scene.json"
             path.write_text('{"intrinsics": ' + bad + "}")
             argv = ["synth", "--kind", "calibration", "--config", path, *out]
-            code, message = 2, "config error: bad scene intrinsics"
+            code, message = 2, f"config error: bad calibration scene config {path}: intrinsics: "
         assert run(argv) == code
         assert capsys.readouterr().err.startswith(message)
 
@@ -1266,6 +1351,110 @@ class TestExitCodes:
                     "-o", out]) == 5
         doc = json.loads(out.read_text())
         assert doc["converged"] is False
+
+
+def wrong_kinds(value) -> list:
+    """Values of another JSON kind than a valid config value, or (for an
+    array) of another length or with an entry of another kind."""
+    if type(value) is int:
+        return ["x", True, 2.5, float(value), None, [value], {"n": value}]
+    if type(value) is float:
+        return ["x", False, None, [value], {"n": value}]
+    if type(value) is str:
+        return ["x", True, 3, None, [value], {"s": value}]
+    if type(value) is list:
+        wrong_length = [value[:-1], value + value[:1]]
+        return ["x", True, 3, None, {"a": value}, *wrong_length, [0.5] * len(value)]
+    return ["x", True, 3, None, [value]]  # an object
+
+
+def config_doc(cls, **values) -> dict:
+    """Every field of a config dataclass as a JSON document."""
+    fields = {**dataclasses.asdict(cls()), **values}
+    if "extrinsics" in fields:
+        fields["extrinsics"] = cls().extrinsics.to_doc()
+    return json.loads(json.dumps(fields))
+
+
+@st.composite
+def mutated_config(draw, doc: dict) -> str:
+    """A config document with one field, or one field of an object field,
+    of the wrong JSON kind."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    name = draw(st.sampled_from(sorted(doc)))
+    if type(doc[name]) is dict and doc[name] and draw(st.booleans()):
+        target, name = doc[name], draw(st.sampled_from(sorted(doc[name])))
+    target[name] = draw(st.sampled_from(wrong_kinds(target[name])))
+    return json.dumps(doc)
+
+
+SCENE_DOCS = {
+    "calibration": config_doc(SceneConfig, pose_count=3),
+    "labeling": config_doc(LabelSceneConfig, object_count=1),
+}
+
+
+def params_doc() -> dict:
+    sections = {"filter": radcal.FilterParams, "cluster": radcal.ClusterParams,
+                "label": radcal.LabelParams, "solver": radcal.SolverConfig}
+    return {"sync_tolerance_s": 0.025,
+            **{name: config_doc(cls) for name, cls in sections.items()}}
+
+
+class TestConfigMutations:
+    """A config document with one field of the wrong JSON kind ends in a
+    ``config error:`` (exit 2) or, where the value is still legal, as a valid
+    document does: ``synth`` in exit 0, and a params file in exit 3 at the
+    missing inputs that follow it.  Never in another exit code or a
+    traceback."""
+
+    @staticmethod
+    def main(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([str(a) for a in argv])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    def test_valid_scene_config_exit_0(self, tmp_path, kind):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(SCENE_DOCS[kind]))
+        code, err = self.main(["synth", "--kind", kind, "--config", path, "-o", tmp_path / "out"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("kind", ["calibration", "labeling"])
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_scene_config_mutation_exit_0_or_2(self, kind, data):
+        text = data.draw(mutated_config(SCENE_DOCS[kind]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scene.json"
+            path.write_text(text)
+            code, err = self.main(["synth", "--kind", kind, "--config", path,
+                                   "-o", Path(tmp) / "out"])
+        assert code in (0, 2), err
+        # a legal value may still leave no room for the scene ("could not fit")
+        assert code == 0 or err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_valid_params_file_reaches_the_inputs(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params_doc()))
+        argv = TestExitCodes.params_argv("calibrate", tmp_path, path)
+        assert self.main(argv)[0] == 3
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_params_file_mutation_exit_2(self, data):
+        # a params file is read first; a legal one reaches the missing inputs
+        text = data.draw(mutated_config(params_doc()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.json"
+            path.write_text(text)
+            command = data.draw(st.sampled_from(["calibrate", "autolabel"]))
+            code, err = self.main(TestExitCodes.params_argv(command, Path(tmp), path))
+        assert code in (2, 3), err
+        assert code == 3 or err.startswith(f"config error: bad parameter file {path}: "), err
 
 
 class TestFlags:

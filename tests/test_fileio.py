@@ -326,6 +326,27 @@ class TestCalibrationFiles:
         assert np.allclose(t2.rotation, t.rotation, atol=1e-6)
 
 
+    def test_axis_angle_read_without_row_major(self, tmp_path):
+        path = tmp_path / "calibration.json"
+        t = default_extrinsics()
+        write_calibration(path, t, default_intrinsics(), 0.0, 0.0, True)
+        doc = json.loads(path.read_text())
+        del doc["rotation_row_major"]
+        path.write_text(json.dumps(doc))
+        t2, _, _ = load_calibration(path)
+        assert np.allclose(t2.rotation, t.rotation, atol=1e-12)
+
+    def test_rounded_reflection_rejected_not_snapped(self, tmp_path):
+        # deviation ~1e-7 once was snapped, which turned it into a rotation
+        path = tmp_path / "calibration.json"
+        write_calibration(path, default_extrinsics(), default_intrinsics(), 0.0, 0.0, True)
+        doc = json.loads(path.read_text())
+        doc["rotation_row_major"] = [round(-x, 7) for x in doc["rotation_row_major"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"bad calibration file {path}: .*reflection"):
+            load_calibration(path)
+
+
 class TestLabelFiles:
     def records(self):
         return [
@@ -830,8 +851,11 @@ def mutated_calibration(draw):
     vector = draw(st.sampled_from(["rotation_row_major", "translation_m"]))
     if kind == "float":
         doc[vector][draw(st.integers(0, len(doc[vector]) - 1))] = draw(NOT_A_FLOAT)
-    elif kind == "drop":
-        del doc[draw(st.sampled_from(["rotation_row_major", "translation_m", "intrinsics"]))]
+    elif kind == "drop":  # without rotation_row_major the rotation is axis_angle
+        for key in draw(st.sampled_from(
+            [("rotation_row_major", "axis_angle"), ("translation_m",), ("intrinsics",)]
+        )):
+            del doc[key]
     elif kind == "length":
         doc[vector] = doc[vector][: draw(st.integers(0, len(doc[vector]) - 1))] or doc[vector] * 2
     elif kind == "container":

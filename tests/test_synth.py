@@ -120,7 +120,7 @@ class TestOracleSoundness:
         assert np.linalg.norm(result.extrinsics.translation - gt.translation) < 1e-5
 
         k, t = default_intrinsics(), result.extrinsics
-        label_scene = gen_label_scene(LabelSceneConfig(seed=12), k, t)
+        label_scene = gen_label_scene(LabelSceneConfig(seed=12, extrinsics=t))
         records = autolabel_frame(
             label_scene.points, list(label_scene.masks), k, t, stage="full"
         )
@@ -147,10 +147,9 @@ class TestLabelScene:
         return out
 
     def test_determinism(self):
-        k, t = default_intrinsics(), default_extrinsics()
         cfg = LabelSceneConfig(seed=13, false_positive_rate=0.1, false_negative_rate=0.1)
-        a = gen_label_scene(cfg, k, t)
-        b = gen_label_scene(cfg, k, t)
+        a = gen_label_scene(cfg)
+        b = gen_label_scene(cfg)
         assert a.gt_labels == b.gt_labels
         assert np.array_equal(a.points.xyz, b.points.xyz)
         assert np.array_equal(a.points.velocity, b.points.velocity)
@@ -160,16 +159,14 @@ class TestLabelScene:
     def test_clean_scene_perfect_on_all_stages(self):
         k, t = default_intrinsics(), default_extrinsics()
         for seed in range(5):
-            scene = gen_label_scene(LabelSceneConfig(seed=seed), k, t)
+            scene = gen_label_scene(LabelSceneConfig(seed=seed))
             for stage, (labels, report) in self.run_stages(scene, k, t).items():
                 assert report.pa_percent == 100.0, (seed, stage)
                 assert report.miou_percent == 100.0, (seed, stage)
 
     def test_fp_corruption_filtered(self):
         k, t = default_intrinsics(), default_extrinsics()
-        scene = gen_label_scene(
-            LabelSceneConfig(seed=14, false_positive_rate=0.15), k, t
-        )
+        scene = gen_label_scene(LabelSceneConfig(seed=14, false_positive_rate=0.15))
         stages = self.run_stages(scene, k, t)
         assert stages["coarse"][1].pa_percent < 100.0
         assert stages["otpf"][1].pa_percent == 100.0
@@ -177,9 +174,7 @@ class TestLabelScene:
 
     def test_fn_corruption_recovered(self):
         k, t = default_intrinsics(), default_extrinsics()
-        scene = gen_label_scene(
-            LabelSceneConfig(seed=15, false_negative_rate=0.15), k, t
-        )
+        scene = gen_label_scene(LabelSceneConfig(seed=15, false_negative_rate=0.15))
         stages = self.run_stages(scene, k, t)
         assert stages["otpf"][1].miou_percent < 100.0
         assert stages["full"][1].miou_percent == 100.0
@@ -188,9 +183,7 @@ class TestLabelScene:
     def test_monotone_label_sets(self):
         k, t = default_intrinsics(), default_extrinsics()
         scene = gen_label_scene(
-            LabelSceneConfig(seed=16, false_positive_rate=0.1, false_negative_rate=0.1),
-            k,
-            t,
+            LabelSceneConfig(seed=16, false_positive_rate=0.1, false_negative_rate=0.1)
         )
         stages = self.run_stages(scene, k, t)
         coarse, otpf, full = (stages[s][0] for s in ("coarse", "otpf", "full"))
@@ -201,7 +194,7 @@ class TestLabelScene:
 
     def test_hull_masks(self):
         k, t = default_intrinsics(), default_extrinsics()
-        scene = gen_label_scene(LabelSceneConfig(seed=17, mask_shape="hull"), k, t)
+        scene = gen_label_scene(LabelSceneConfig(seed=17, mask_shape="hull"))
         records = autolabel_frame(
             scene.points, list(scene.masks), k, t, stage="full"
         )
@@ -222,9 +215,7 @@ class TestLabelScene:
                     rcs_jitter_dbsm=2.0,
                     false_positive_rate=0.1,
                     false_negative_rate=0.1,
-                ),
-                k,
-                t,
+                )
             )
             instances = {(m.class_id, m.instance_id) for m in scene.masks}
             stage_labels = {}
@@ -242,8 +233,7 @@ class TestLabelScene:
                 assert f == o or o is None
 
     def test_gt_labels_reference_real_instances(self):
-        k, t = default_intrinsics(), default_extrinsics()
-        scene = gen_label_scene(LabelSceneConfig(seed=18), k, t)
+        scene = gen_label_scene(LabelSceneConfig(seed=18))
         instances = {(m.class_id, m.instance_id) for m in scene.masks}
         for lbl in scene.gt_labels:
             assert lbl is None or lbl in instances

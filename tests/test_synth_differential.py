@@ -44,7 +44,7 @@ def test_uniform_is_low_plus_span_times_random():
         assert scalar.tobytes() == synth._uniform(draws, lo, hi).tobytes()
 
 
-def scene_with(clutter, cfg, t=None):
+def scene_with(clutter, cfg):
     """The scene ``gen_label_scene`` makes with ``clutter`` as its clutter
     sampler, and the generator's state right after the clutter."""
     states = []
@@ -55,13 +55,13 @@ def scene_with(clutter, cfg, t=None):
         return out
 
     with mock.patch.object(synth, "_clutter", recorded):
-        scene = synth.gen_label_scene(cfg, t=t)
+        scene = synth.gen_label_scene(cfg)
     return scene, states[0]
 
 
-def assert_same_scene(cfg, t=None):
-    scene, state = scene_with(synth._clutter, cfg, t)
-    ref, ref_state = scene_with(synth_reference.clutter, cfg, t)
+def assert_same_scene(cfg):
+    scene, state = scene_with(synth._clutter, cfg)
+    ref, ref_state = scene_with(synth_reference.clutter, cfg)
     assert scene.points.xyz.tobytes() == ref.points.xyz.tobytes()
     assert scene.points.velocity.tobytes() == ref.points.velocity.tobytes()
     assert scene.points.rcs.tobytes() == ref.points.rcs.tobytes()
@@ -117,8 +117,9 @@ def test_clutter_matches_reference_with_jitter_and_a_shifted_camera(seed):
     cfg = LabelSceneConfig(
         object_count=3, range_m=(12.0, 20.0), clutter_count=400, mask_shape="hull",
         velocity_jitter_mps=0.1, rcs_jitter_dbsm=0.5, false_positive_rate=0.2, seed=seed,
+        extrinsics=t,
     )
-    assert_same_scene(cfg, t)
+    assert_same_scene(cfg)
 
 
 def test_clutter_walk_gives_points_up_as_the_reference_does():
