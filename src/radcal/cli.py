@@ -1,9 +1,9 @@
 """Command-line interface: synth, calibrate, autolabel, eval.
 
 Exit codes are a stable contract: 0 ok, 2 bad config/params file, 3 IO or
-missing input, 4 invalid input data, 5 calibration did not converge (the
-output file is still written).  Set RADCAL_LOG=debug|info|warning for
-verbosity.
+missing input (or a frame worker that died), 4 invalid input data, 5
+calibration did not converge (the output file is still written).  Set
+RADCAL_LOG=debug|info|warning for verbosity.
 
 Radar frame files carry no pose id of their own; within a directory the
 numeric suffix of ``radar_NNN.json`` is the pose id, matching the
@@ -11,6 +11,12 @@ numeric suffix of ``radar_NNN.json`` is the pose id, matching the
 
 Each command imports the modules it runs inside its handler, so a
 ``calibrate`` process loads no labeling, metrics or scene-generation code.
+
+``autolabel`` and ``eval`` split their frames into contiguous chunks, one
+per CPU: the process works through the first and a child forked from it
+(after the imports) through each other one.  Outputs, messages and exit
+codes are those of a one-at-a-time run: the first failing frame in frame
+order decides them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import sys
 import typing
@@ -180,6 +187,92 @@ def _indexed_files(directory: Path, prefix: str) -> list[tuple[int, Path]]:
                 raise fileio.SchemaError(f"{out[index]} and {p} both have index {index}")
             out[index] = p
     return sorted(out.items())
+
+
+# ---------------------------------------------------------------------------
+# frame workers
+
+
+def _jobs() -> int:
+    """Frame workers to use: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_worker(fn, chunk: list) -> tuple[int, int]:
+    """Fork a child that sends ``(results, first exception or None)`` of
+    ``fn`` over ``chunk`` back pickled; (its pid, the pipe's read end)."""
+    read, write = os.pipe()
+    sys.stdout.flush()  # or the child's copy of a buffer would print twice
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1  # the result could not be sent
+    try:
+        os.close(read)
+        results, error = [], None
+        try:
+            for item in chunk:
+                results.append(fn(item))
+        except BaseException as exc:  # the parent raises it in item order
+            error = exc
+        with open(write, "wb") as pipe:
+            pickle.dump((results, error), pipe)
+        status = 0
+    finally:
+        os._exit(status)  # no atexit hook, Outputs.__exit__ or buffer flush here
+
+
+def _forked_map(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]``, computed over up to ``jobs`` contiguous
+    chunks of ``items``: this process runs the first chunk, and a child
+    forked from it each other one.
+
+    Raises what the serial loop would, the exception of the first failing
+    item in order (each worker stops at its first), or ChildProcessError
+    (an OSError: exit 3) for a worker that ends by a signal or a nonzero
+    status.  Every child is reaped before this returns or raises.  With one
+    chunk, or without ``os.fork``, everything runs in this process.
+    """
+    jobs = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
+    bounds = [len(items) * k // jobs for k in range(jobs + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    workers: list[tuple[int, int]] = []  # (pid, pipe read end) per forked chunk
+    reaped = 0  # workers[:reaped] have been waited for
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_fork_worker(fn, chunk))
+        results = [fn(item) for item in chunks[0]]
+        for pid, read in workers:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code:
+                how = f"by signal {-code}" if code < 0 else f"with status {code}"
+                raise ChildProcessError(f"a worker process ended {how}")
+            chunk_results, error = pickle.loads(data)  # bytes our own child wrote
+            if error is not None:
+                raise error
+            results += chunk_results
+        return results
+    finally:
+        for k, (pid, read) in enumerate(workers):
+            os.close(read)
+            if k >= reaped:  # its result is not needed now
+                import signal  # here: its import is about 1 ms of every process
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +532,9 @@ def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
     if not shared:
         raise FileNotFoundError("no paired radar/mask files found")
 
-    labeled = 0
-    for i in shared:
+    staged = {i: outputs.file(out / f"labels_{i:03d}.jsonl") for i in shared}
+
+    def label(i: int) -> int:
         _, points = fileio.load_radar_points(frames[i])
         width, height, frame_masks = fileio.load_masks(masks[i])
         if (width, height) != (intrinsics.width, intrinsics.height):
@@ -451,8 +545,10 @@ def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
         labels = al.autolabel_frame(
             points, frame_masks, intrinsics, extrinsics, params["label"], args.stage
         )
-        fileio.write_labels(outputs.file(out / f"labels_{i:03d}.jsonl"), labels)
-        labeled += int(labels.labeled.sum())
+        fileio.write_labels(staged[i], labels)
+        return int(labels.labeled.sum())
+
+    labeled = sum(_forked_map(label, shared, _jobs()))
     print(f"labeled {len(shared)} frame(s), {labeled} points assigned -> {out}")
     return EXIT_OK
 
@@ -485,16 +581,20 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     if unscored:
         print(f"warning: no ground truth for predicted frame(s) {unscored}", file=sys.stderr)
 
-    per_frame = []
-    preds = {}
-    for i in shared:
-        preds[i] = pred = fileio.load_labels(pred_files[i])
+    overlay = args.overlay_frames is not None
+
+    def score(i: int):
+        pred = fileio.load_labels(pred_files[i])
         gt = fileio.load_labels(gt_files[i])
         if len(pred) != len(gt):
             raise metrics.LengthMismatch(
                 f"frame {i}: {len(pred)} predicted vs {len(gt)} true labels"
             )
-        per_frame.append((i, metrics.label_report(pred, gt)))
+        return metrics.label_report(pred, gt), pred if overlay else None
+
+    scored = _forked_map(score, shared, _jobs())
+    per_frame = [(i, report) for i, (report, _) in zip(shared, scored)]
+    preds = {i: pred for i, (_, pred) in zip(shared, scored)}
     pooled = metrics.pooled_report([r for _, r in per_frame])
 
     report_doc = {
@@ -550,7 +650,7 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     fileio.write_text(table_path, table + "\n")
     summary = [table]  # printed once every output is staged
 
-    if args.overlay_frames is not None:
+    if overlay:
         overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
         extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
@@ -642,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--stage", choices=("coarse", "otpf", "full"), default="full")
-    p.add_argument("--jobs", type=_non_negative_int, help="no effect: frames are labeled in turn")
+    p.add_argument("--jobs", type=_non_negative_int, help="no effect: one frame worker per CPU")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_autolabel)
 

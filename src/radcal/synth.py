@@ -120,6 +120,11 @@ class SceneConfig:
             )
         if not 0 < self.board_square_m < math.inf:
             raise ValueError("board_square_m must be positive and finite")
+        # returns are drawn in (-fov/2, fov/2): azimuth must stay in (-pi, pi]
+        # and elevation in [-pi/2, pi/2]
+        for name, most in (("radar_fov_az_deg", 360.0), ("radar_fov_el_deg", 180.0)):
+            if not 0 <= getattr(self, name) <= most:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, {most:g}], got {getattr(self, name)}")
         for name in ("clutter_per_frame", "moving_clutter_per_frame"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -273,6 +278,8 @@ def _perturb_returns(
     for r, az, el, v, rcs in rows:
         r = max(0.0, r + float(rng.normal(0.0, cfg.range_sigma_m)))
         az = az + float(rng.normal(0.0, cfg.angle_sigma_rad))
+        if not -math.pi < az <= math.pi:  # wrapped; an in-range draw keeps its bits
+            az = math.remainder(az, math.tau)
         el = el + float(rng.normal(0.0, cfg.angle_sigma_rad))
         el = min(math.pi / 2, max(-math.pi / 2, el))
         rcs = rcs + float(rng.normal(0.0, cfg.rcs_sigma_dbsm))

@@ -6,9 +6,11 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -195,17 +197,23 @@ def test_command_loads_only_its_modules(command_inputs, command):
 
 def test_autolabel_run_loads_no_numpy_ma_or_thread_pool(tmp_path):
     # numpy 2's bare np.unique imports numpy.ma (about 18 ms); frames are
-    # labeled in a plain loop
+    # labeled and scored in forked workers, which need neither
+    # multiprocessing (its pool alone is about 18 ms) nor concurrent.futures
     scene = tmp_path / "scene"
     assert run(["synth", "--kind", "labeling", "--seed", "5", "--frames", "2",
                 "-o", scene]) == 0
-    argv = ["autolabel", "--frames", str(scene), "--masks", str(scene),
-            "--calibration", str(scene / "calibration.json"), "-o", str(tmp_path / "out")]
-    code = (
-        f"import sys, radcal.cli; code = radcal.cli.main({argv!r}); "
-        "print(code, [m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules])"
-    )
-    assert fresh_python(code).splitlines()[-1] == "0 []"
+    labels = str(tmp_path / "out")
+    for argv in (
+        ["autolabel", "--frames", str(scene), "--masks", str(scene),
+         "--calibration", str(scene / "calibration.json"), "-o", labels],
+        ["eval", "--pred", labels, "--gt", str(scene / "gt_labels"),
+         "-o", str(tmp_path / "report.json")],
+    ):
+        code = (
+            f"import sys, radcal.cli; code = radcal.cli.main({argv!r}); print(code, [m for m "
+            "in ('numpy.ma', 'multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        assert fresh_python(code).splitlines()[-1] == "0 []", argv[0]
 
 
 class TestDeterminism:
@@ -593,6 +601,261 @@ def test_failed_autolabel_leaves_its_output_as_found(tmp_path):
     assert sha256_tree(old) == before
 
 
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, count: int):
+    """Make the frame workers see ``count`` CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process run."""
+    capsys.readouterr()
+    code = run(argv)
+    return (code, *capsys.readouterr())
+
+
+def dangle(path):
+    """Replace ``path`` with a symlink to nothing: listed, but not readable."""
+    path.unlink()
+    path.symlink_to(path.parent / "nowhere.json")
+
+
+def wrong_size_masks(path):
+    small = InstanceMask.from_dense(np.ones((50, 50), dtype=bool), 1, 1, 0.9)
+    write_masks(path, 50, 50, [small])
+
+
+# fault -> (how to put it into a scene frame, the exit code it ends in)
+FRAME_FAULTS = {
+    "malformed_radar": (lambda scene, i: (scene / f"radar_{i:03d}.json").write_text("{"), 4),
+    "wrong_mask_size": (lambda scene, i: wrong_size_masks(scene / f"masks_{i:03d}.json"), 4),
+    "missing_masks": (lambda scene, i: dangle(scene / f"masks_{i:03d}.json"), 3),
+}
+
+
+# (frame, fault) pairs on 4 frames; with two CPUs, frames 0-1 are the
+# parent's chunk and 2-3 the forked worker's
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([(1, fault)] for fault in FRAME_FAULTS),
+        *([(3, fault)] for fault in FRAME_FAULTS),
+        [(1, "missing_masks"), (2, "malformed_radar")],
+        [(0, "wrong_mask_size"), (3, "missing_masks")],
+        [(2, "missing_masks"), (3, "wrong_mask_size")],
+    ],
+    ids=lambda faults: "+".join(f"{fault}@{i}" for i, fault in faults),
+)
+def test_autolabel_first_failing_frame_decides_for_any_cpu_count(
+    tmp_path, capsys, monkeypatch, faults
+):
+    scene, out = tmp_path / "scene", tmp_path / "labels"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", scene]) == 0
+    argv = ["autolabel", "--frames", scene, "--masks", scene,
+            "--calibration", scene / "calibration.json", "-o", out]
+    assert run(argv) == 0
+    before = sha256_tree(out)
+    for i, fault in faults:
+        FRAME_FAULTS[fault][0](scene, i)
+    seen = {}
+    for cpus in (1, 2):  # one worker per CPU
+        use_cpus(monkeypatch, cpus)
+        seen[cpus] = outcome(capsys, argv)
+        assert sha256_tree(out) == before
+    assert seen[2] == seen[1]
+    first, fault = faults[0]
+    code, stdout, stderr = seen[1]
+    assert code == FRAME_FAULTS[fault][1] and stdout == ""
+    assert f"_{first:03d}.json" in stderr and stderr.count("\n") == 1
+    assert_no_child_left()
+
+
+def drop_last_label(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def break_label_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = '{"point_index": 2, "class_id":\n'
+    path.write_text("".join(lines))
+
+
+# fault -> (how to put it into a predicted labels file, the stderr it names
+# frame i by)
+EVAL_FAULTS = {
+    "length_mismatch": (drop_last_label, "frame {}: "),
+    "malformed_line": (break_label_line, "labels_{:03d}.jsonl:3: "),
+}
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([(1, fault)] for fault in EVAL_FAULTS),
+        *([(3, fault)] for fault in EVAL_FAULTS),
+        [(1, "malformed_line"), (2, "length_mismatch")],
+        [(0, "length_mismatch"), (3, "malformed_line")],
+        [(2, "malformed_line"), (3, "length_mismatch")],
+    ],
+    ids=lambda faults: "+".join(f"{fault}@{i}" for i, fault in faults),
+)
+def test_eval_first_failing_frame_decides_for_any_cpu_count(tmp_path, capsys, monkeypatch, faults):
+    scene, pred, out = tmp_path / "scene", tmp_path / "pred", tmp_path / "out"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", scene]) == 0
+    shutil.copytree(scene / "gt_labels", pred)
+    out.mkdir()
+    argv = ["eval", "--pred", pred, "--gt", scene / "gt_labels", "-o", out / "report.json"]
+    assert run(argv) == 0
+    before = sha256_tree(out)
+    for i, fault in faults:
+        EVAL_FAULTS[fault][0](pred / f"labels_{i:03d}.jsonl")
+    seen = {}
+    for cpus in (1, 2):  # one worker per CPU
+        use_cpus(monkeypatch, cpus)
+        seen[cpus] = outcome(capsys, argv)
+        assert sha256_tree(out) == before
+    assert seen[2] == seen[1]
+    first, fault = faults[0]
+    code, stdout, stderr = seen[1]
+    assert code == 4 and stdout == ""
+    assert EVAL_FAULTS[fault][1].format(first) in stderr and stderr.count("\n") == 1
+    assert_no_child_left()
+
+
+def test_autolabel_worker_death_exit_3(tmp_path, capsys, monkeypatch):
+    # a worker killed mid-run is a documented exit, not a traceback or a hang
+    use_cpus(monkeypatch, 2)
+    parent, label_frame = os.getpid(), al.autolabel_frame
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return label_frame(*args)
+
+    scene, out = tmp_path / "scene", tmp_path / "labels"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", scene]) == 0
+    argv = ["autolabel", "--frames", scene, "--masks", scene,
+            "--calibration", scene / "calibration.json", "-o", out]
+    assert run(argv) == 0
+    before = sha256_tree(out)
+    monkeypatch.setattr(al, "autolabel_frame", dying)
+    with deadline(60):
+        code, stdout, stderr = outcome(capsys, argv)
+    assert code == cli.EXIT_IO and stdout == ""
+    assert stderr == "io error: a worker process ended by signal 9\n"
+    assert sha256_tree(out) == before
+    assert_no_child_left()
+
+
+class TestForkedMap:
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_same_results_as_a_loop(self, jobs):
+        for n in range(8):
+            items = [f"item {k}" for k in range(n)]
+            assert cli._forked_map(str.upper, items, jobs) == [x.upper() for x in items]
+        assert_no_child_left()
+
+    def test_first_failing_item_in_order_raises(self):
+        def fn(x):
+            if x in (3, 4, 5):  # the second and third of three chunks fail
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="^item 3$"):
+            cli._forked_map(fn, list(range(6)), 3)
+        assert_no_child_left()
+
+    def test_worker_killed_by_signal_is_an_error(self):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with deadline(60), pytest.raises(ChildProcessError, match="ended by signal 9$"):
+            cli._forked_map(fn, list(range(4)), 2)
+        assert_no_child_left()
+
+    def test_unsendable_result_is_an_error(self):
+        # a worker whose result cannot be pickled ends with status 1
+        with deadline(60), pytest.raises(ChildProcessError, match="with status 1"):
+            cli._forked_map(lambda x: (lambda: x), list(range(4)), 2)
+        assert_no_child_left()
+
+    def test_failing_parent_chunk_stops_the_workers(self):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() == parent:
+                raise KeyError(x)
+            time.sleep(60)
+
+        start = time.monotonic()
+        with deadline(60), pytest.raises(KeyError):
+            cli._forked_map(fn, list(range(4)), 4)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**20),
+    frames=st.integers(1, 6),
+    objects=st.integers(1, 6),
+    cpus=st.integers(1, 4),
+)
+def test_forked_labels_and_reports_byte_identical(seed, frames, objects, cpus):
+    # labels, report.json / report.txt and overlays equal the one-CPU bytes
+    # with up to 4 forked workers (more CPUs than frames at times), and with
+    # os.fork missing, where every frame runs in the parent
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        root = Path(tmp)
+        scene = root / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", seed, "--frames", frames,
+                    "--objects", objects, "--fp-rate", "0.1", "--fn-rate", "0.1",
+                    "-o", scene]) == 0
+
+        def label_and_score(name):
+            labels, report = root / name / "labels", root / name / "report"
+            report.mkdir(parents=True)
+            assert run(["autolabel", "--frames", scene, "--masks", scene,
+                        "--calibration", scene / "calibration.json", "-o", labels]) == 0
+            assert run(["eval", "--pred", labels, "--gt", scene / "gt_labels",
+                        "--overlay-frames", scene,
+                        "--overlay-calibration", scene / "calibration.json",
+                        "--overlay-dir", report / "overlay", "-o", report / "report.json"]) == 0
+            return sha256_tree(root / name)
+
+        use_cpus(patch, 1)
+        serial = label_and_score("serial")
+        assert len(serial) == 2 * frames + 2  # labels and overlays, report.json and .txt
+        use_cpus(patch, cpus)
+        assert label_and_score("forked") == serial
+        patch.delattr(os, "fork")
+        assert label_and_score("no_fork") == serial
+    assert_no_child_left()
+
+
 def test_command_replaces_only_the_files_it_writes(tmp_path, capsys):
     # a 2-frame run into the labels of an earlier 3-frame run replaces
     # labels_000-001 and leaves the stale labels_002, which eval names
@@ -832,6 +1095,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: no board placement")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", [2.5, 40.0])
+    def test_wide_angle_noise_wraps_the_azimuth(self, tmp_path, sigma):
+        # a noisy azimuth past pi was exit 4 from inside generation
+        # ("azimuth must be in (-pi, pi]"); the elevation was clamped
+        config = tmp_path / "noise.json"
+        config.write_text(json.dumps({"angle_sigma_rad": sigma}))
+        out = tmp_path / "out"
+        assert run(["synth", "--kind", "calibration", "--poses", "3", "--config", config,
+                    "-o", out]) == 0
+        az = np.concatenate([load_radar_frame(p).returns["az_rad"]
+                             for p in sorted(out.glob("radar_*.json"))])
+        assert ((-math.pi < az) & (az <= math.pi)).all()
+        assert (np.abs(az) > 2.0).any()  # the noise reached the wrap
+
     def test_degenerate_geometry_exit_4(self, tmp_path, capsys):
         # every pose's radar frame holds pose 0's returns: one radar center
         scene = tmp_path / "scene"
@@ -1015,6 +1292,10 @@ class TestExitCodes:
             ("autolabel", {"label": {"n_min": True}}, "n_min"),
             ("calibrate", {"cluster": {"min_pts": 1.5}}, "min_pts"),
             ("calibrate", {"sync_tolerance_s": "0.1"}, "sync_tolerance_s"),
+            # range checks: field-of-view values were exit 4 from inside generation
+            ("calibration", {"radar_fov_az_deg": -1}, "radar_fov_az_deg"),
+            ("calibration", {"radar_fov_el_deg": 400}, "radar_fov_el_deg"),
+            ("calibration", {"radar_fov_az_deg": math.nan}, "radar_fov_az_deg"),
         ],
     )
     def test_config_field_exit_2_naming_file_and_field(
