@@ -49,14 +49,16 @@ class CornerSet:
             raise ValueError("corner coordinates must be finite")
         object.__setattr__(self, "corners", corners)
 
+    def check_count(self) -> None:
+        """Raise CountMismatch unless there are (nx - 1) * (ny - 1) corners."""
+        if len(self.corners) != self.spec.corner_count:
+            raise CountMismatch(
+                f"got {len(self.corners)} corners, expected {self.spec.corner_count} for a "
+                f"{self.spec.nx}x{self.spec.ny} board"
+            )
+
 
 def checkerboard_center(corner_set: CornerSet) -> np.ndarray:
     """Component-wise mean of all corners: the board center pixel (u, v)."""
-    corners = corner_set.corners
-    expected = corner_set.spec.corner_count
-    if len(corners) != expected:
-        raise CountMismatch(
-            f"got {len(corners)} corners, expected {expected} for a "
-            f"{corner_set.spec.nx}x{corner_set.spec.ny} board"
-        )
-    return corners.mean(axis=0)
+    corner_set.check_count()
+    return corner_set.corners.mean(axis=0)

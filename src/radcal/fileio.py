@@ -433,9 +433,11 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
         corners = _float_rows(doc["corners"], ("u_px", "v_px"))
         pose_id = _json_int(doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
+        corner_set = CornerSet(corners, spec)
+        corner_set.check_count()
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad corners file {path}: {exc}") from exc
-    return pose_id, timestamp, CornerSet(corners, spec)
+    return pose_id, timestamp, corner_set
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +483,6 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                 )
             )
     except _BAD_FIELD as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"bad mask file {path}: {exc}") from exc
     return width, height, masks
 

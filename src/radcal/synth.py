@@ -223,68 +223,50 @@ def _synth_corners(
     return corners
 
 
-# A radar return as a row (r, az, el, v, rcs), the order of RETURN_DTYPE.
-Row = tuple[float, float, float, float, float]
-
-
-def _reflector_blob(
-    cfg: SceneConfig, rng: np.random.Generator, center: np.ndarray
-) -> list[Row]:
+def _reflector_blob(rng: np.random.Generator, center: np.ndarray) -> np.ndarray:
     """Apex return exactly at the center with strictly maximal RCS, plus
-    4-8 scatter returns within a few centimeters."""
-    apex = cart2sph(center)
-    rows = [(*apex, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(37.0, 40.0)))]
-    n_scatter = int(rng.integers(4, 9))
-    for off in rng.normal(0.0, 0.03, (n_scatter, 3)):
-        scatter = cart2sph(center + off)
-        rows.append((*scatter, float(rng.uniform(-0.1, 0.1)), float(rng.uniform(30.0, 35.0))))
-    return rows
+    4-8 scatter returns within a few centimeters; ``(N, 5)`` rows in
+    RETURN_DTYPE order."""
+    apex = [*cart2sph(center), *rng.uniform((-0.1, 37.0), (0.1, 40.0))]
+    offsets = rng.normal(0.0, 0.03, (int(rng.integers(4, 9)), 3))
+    scatter = np.column_stack(
+        ([cart2sph(center + off) for off in offsets],
+         rng.uniform((-0.1, 30.0), (0.1, 35.0), (len(offsets), 2)))
+    )
+    return np.vstack((apex, scatter))
 
 
-def _clutter_returns(cfg: SceneConfig, rng: np.random.Generator) -> list[Row]:
-    """Low-RCS clutter everywhere plus a few fast movers that pass the RCS gate."""
+def _clutter_returns(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
+    """Low-RCS clutter everywhere plus a few fast movers that pass the RCS gate.
+
+    A row's draws are in column order, so one ``uniform`` over ``(N, 5)``
+    draws what N rows of scalar draws did.  Each mover stays one draw at a
+    time: ``choice`` reads a buffered 32-bit half between its draws, and
+    scalar draws are the cheaper ones for a single row."""
     az_half = math.radians(cfg.radar_fov_az_deg) / 2.0
     el_half = math.radians(cfg.radar_fov_el_deg) / 2.0
-    rows = []
-    for _ in range(cfg.clutter_per_frame):
-        rows.append(
-            (
-                float(rng.uniform(0.5, 20.0)),
-                float(rng.uniform(-az_half, az_half)),
-                float(rng.uniform(-el_half, el_half)),
-                float(rng.uniform(-3.0, 3.0)),
-                float(rng.uniform(-5.0, 9.5)),
-            )
-        )
+    rows = [rng.uniform((0.5, -az_half, -el_half, -3.0, -5.0), (20.0, az_half, el_half, 3.0, 9.5),
+                        (cfg.clutter_per_frame, 5))]
     for _ in range(cfg.moving_clutter_per_frame):
-        rows.append(
-            (
-                float(rng.uniform(3.5, 14.0)),
-                float(rng.uniform(-az_half, az_half)),
-                float(rng.uniform(-el_half, el_half)),
-                float(rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 5.0)),
-                float(rng.uniform(10.5, 25.0)),
-            )
-        )
-    return rows
+        rows.append([(rng.uniform(3.5, 14.0), rng.uniform(-az_half, az_half),
+                      rng.uniform(-el_half, el_half),
+                      rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 5.0), rng.uniform(10.5, 25.0))])
+    return np.vstack(rows)
 
 
-def _perturb_returns(
-    cfg: SceneConfig, rng: np.random.Generator, rows: list[Row]
-) -> list[Row]:
-    if cfg.range_sigma_m == 0 and cfg.angle_sigma_rad == 0 and cfg.rcs_sigma_dbsm == 0:
+def _perturb_returns(cfg: SceneConfig, rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """Noisy range, azimuth, elevation and RCS, drawn row by row in that
+    order; ``rows`` is changed in place."""
+    sigmas = (cfg.range_sigma_m, cfg.angle_sigma_rad, cfg.angle_sigma_rad, cfg.rcs_sigma_dbsm)
+    if not any(sigmas):
         return rows
-    out = []
-    for r, az, el, v, rcs in rows:
-        r = max(0.0, r + float(rng.normal(0.0, cfg.range_sigma_m)))
-        az = az + float(rng.normal(0.0, cfg.angle_sigma_rad))
-        if not -math.pi < az <= math.pi:  # wrapped; an in-range draw keeps its bits
-            az = math.remainder(az, math.tau)
-        el = el + float(rng.normal(0.0, cfg.angle_sigma_rad))
-        el = min(math.pi / 2, max(-math.pi / 2, el))
-        rcs = rcs + float(rng.normal(0.0, cfg.rcs_sigma_dbsm))
-        out.append((r, az, el, v, rcs))
-    return out
+    rows[:, [0, 1, 2, 4]] += rng.normal(0.0, sigmas, (len(rows), 4))
+    r, az, el = rows[:, 0], rows[:, 1], rows[:, 2]
+    np.maximum(r, 0.0, out=r)
+    np.clip(el, -math.pi / 2, math.pi / 2, out=el)
+    wrap = (az <= -math.pi) | (az > math.pi)  # an in-range azimuth keeps its bits
+    az[wrap] = [math.remainder(a, math.tau) for a in az[wrap]]
+    return rows
 
 
 def gen_calibration_scene(cfg: SceneConfig | None = None) -> CalibrationScene:
@@ -297,8 +279,8 @@ def gen_calibration_scene(cfg: SceneConfig | None = None) -> CalibrationScene:
         center, center_px = _place_board(cfg, rng, margin_px=150.0)
         corners = _synth_corners(cfg, rng, center_px, float(np.linalg.norm(center)))
         has_reflector = pose_id not in cfg.clutter_only_poses
-        rows = _reflector_blob(cfg, rng, center) if has_reflector else []
-        rows = _perturb_returns(cfg, rng, rows + _clutter_returns(cfg, rng))
+        rows = _reflector_blob(rng, center) if has_reflector else np.empty((0, 5))
+        rows = _perturb_returns(cfg, rng, np.vstack((rows, _clutter_returns(cfg, rng))))
         t_cam = float(pose_id)
         t_radar = t_cam + float(rng.uniform(-0.01, 0.01))
         poses.append(
@@ -365,7 +347,7 @@ class LabelSceneConfig:
 
 @dataclass(frozen=True)
 class SceneObject:
-    """Ground truth for one generated object."""
+    """Ground truth for one generated object, and what placing it fixed."""
 
     instance_id: int
     class_id: int
@@ -374,6 +356,10 @@ class SceneObject:
     velocity_mps: float
     rcs_dbsm: float
     point_indices: tuple[int, ...]  # into the scene point list (incl. displaced)
+    positions: np.ndarray  # (n, 3) radar frame, in point_indices order
+    bbox: tuple[int, int, int, int]  # the mask's, as _mask_bbox gives it
+    mask_offsets: np.ndarray  # ascending flat pixel offsets of the mask
+    depth_m: float  # camera depth of the centroid
 
 
 @dataclass(frozen=True)
@@ -574,18 +560,14 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
     bbox_gap_px = 24
     image_margin_px = 260.0
 
-    objects: list[dict] = []
+    objects: list[SceneObject] = []
     for obj_idx in range(cfg.object_count):
-        placed = False
         for _ in range(2000):
             r = rng.uniform(*cfg.range_m)
             az = rng.uniform(-math.radians(25.0), math.radians(25.0))
             el = rng.uniform(-math.radians(8.0), math.radians(8.0))
             centroid = sph2cart(r, az, el)
-            if any(
-                np.linalg.norm(centroid - o["centroid"]) < min_separation_m
-                for o in objects
-            ):
+            if any(np.linalg.norm(centroid - o.centroid) < min_separation_m for o in objects):
                 continue
             n_pts = int(rng.integers(cfg.points_per_object[0], cfg.points_per_object[1] + 1))
             extent = rng.uniform(*cfg.extent_m)
@@ -612,7 +594,7 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
             if n_kept < 3:
                 continue
             bbox = _mask_bbox(ui[:n_kept], vi[:n_kept], cfg.mask_margin_px, k)
-            if any(not _bboxes_disjoint(bbox, o["bbox"], bbox_gap_px) for o in objects):
+            if any(not _bboxes_disjoint(bbox, o.bbox, bbox_gap_px) for o in objects):
                 continue
 
             # displace the last k_fn points just outside the mask.  The
@@ -636,7 +618,7 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
             if not displaced_ok:
                 continue
 
-            offsets = _render_mask(cfg.mask_shape, uv[:n_kept], bbox, cfg.mask_margin_px, k)
+            mask_offsets = _render_mask(cfg.mask_shape, uv[:n_kept], bbox, cfg.mask_margin_px, k)
 
             is_dynamic = rng.uniform() < cfg.dynamic_fraction
             if is_dynamic:
@@ -644,87 +626,60 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
             else:
                 v_obj = float(rng.uniform(-0.25, 0.25))
             rcs_obj = float(rng.uniform(0.0, 25.0))
+            start = sum(len(o.positions) for o in objects)
             objects.append(
-                {
-                    "instance_id": obj_idx + 1,
-                    "class_id": int(rng.integers(1, cfg.class_count + 1)),
-                    "confidence": float(rng.uniform(0.7, 0.99)),
-                    "centroid": centroid,
-                    "positions": positions,
-                    "n_kept": n_kept,
-                    "bbox": bbox,
-                    "offsets": offsets,
-                    "velocity": v_obj,
-                    "rcs": rcs_obj,
-                    "z_obj": z_obj,
-                }
+                SceneObject(
+                    instance_id=obj_idx + 1,
+                    class_id=int(rng.integers(1, cfg.class_count + 1)),
+                    confidence=float(rng.uniform(0.7, 0.99)),
+                    centroid=centroid,
+                    velocity_mps=v_obj,
+                    rcs_dbsm=rcs_obj,
+                    point_indices=tuple(range(start, start + n_pts)),
+                    positions=positions,
+                    bbox=bbox,
+                    mask_offsets=mask_offsets,
+                    depth_m=z_obj,
+                )
             )
-            placed = True
             break
-        if not placed:
+        else:
             raise FovInfeasible(
                 f"could not fit object {obj_idx + 1} of {cfg.object_count} into "
                 "the camera view after 2000 attempts; use fewer objects"
             )
 
-    # per point: position, velocity, RCS
-    xyz: list[np.ndarray] = []
-    velocities: list[float] = []
-    rcs: list[float] = []
-    gt_labels: list = []
-    scene_objects: list[SceneObject] = []
-    for o in objects:
-        idx_start = len(xyz)
-        n = len(o["positions"])
-        for j in range(n):
-            v = o["velocity"] + (
-                float(rng.normal(0.0, cfg.velocity_jitter_mps))
-                if cfg.velocity_jitter_mps > 0
-                else 0.0
-            )
-            rho = o["rcs"] + (
-                float(rng.normal(0.0, cfg.rcs_jitter_dbsm))
-                if cfg.rcs_jitter_dbsm > 0
-                else 0.0
-            )
-            xyz.append(o["positions"][j])
-            velocities.append(v)
-            rcs.append(rho)
-            gt_labels.append((o["class_id"], o["instance_id"]))
-        scene_objects.append(
-            SceneObject(
-                instance_id=o["instance_id"],
-                class_id=o["class_id"],
-                confidence=o["confidence"],
-                centroid=o["centroid"],
-                velocity_mps=o["velocity"],
-                rcs_dbsm=o["rcs"],
-                point_indices=tuple(range(idx_start, idx_start + n)),
-            )
-        )
+    # per object point: the object's velocity and RCS, plus one normal draw
+    # per jitter that is on, velocity's before RCS's
+    values = np.repeat(
+        [(o.velocity_mps, o.rcs_dbsm) for o in objects], [len(o.positions) for o in objects], axis=0
+    )
+    jitters = np.array([cfg.velocity_jitter_mps, cfg.rcs_jitter_dbsm])
+    on = jitters > 0
+    values[:, on] += rng.normal(0.0, jitters[on], (len(values), np.count_nonzero(on)))
+    xyz, values = [o.positions for o in objects], [values]  # then a row per bait point
+    gt_labels = [(o.class_id, o.instance_id) for o in objects for _ in o.point_indices]
 
     # false-positive bait: inside the mask in the image, far off in depth,
     # so the depth gate is guaranteed to remove what coarse association added
-    centroids = np.array([o["centroid"] for o in objects])
+    centroids = np.array([o.centroid for o in objects])
     for o in objects:
-        k_fp = int(round(cfg.false_positive_rate * len(o["positions"])))
-        for _ in range(k_fp):
+        for _ in range(int(round(cfg.false_positive_rate * len(o.positions)))):
             for _ in range(200):
-                pick = int(rng.integers(0, len(o["offsets"])))
-                row, col = divmod(o["offsets"][pick], k.width)
+                pick = int(rng.integers(0, len(o.mask_offsets)))
+                row, col = divmod(o.mask_offsets[pick], k.width)
                 delta = float(rng.uniform(4.0, 8.0))
-                sign = 1.0 if (o["z_obj"] - delta < 2.0 or rng.uniform() < 0.5) else -1.0
-                z_bait = o["z_obj"] + sign * delta
-                p_radar = _unproject(k, t_inv, col + 1, row + 1, z_bait)
+                sign = 1.0 if (o.depth_m - delta < 2.0 or rng.uniform() < 0.5) else -1.0
+                p_radar = _unproject(k, t_inv, col + 1, row + 1, o.depth_m + sign * delta)
                 if np.min(np.linalg.norm(centroids - p_radar, axis=1)) > 2.5:
                     xyz.append(p_radar)
-                    velocities.append(float(rng.uniform(-10.0, 10.0)))
-                    rcs.append(float(rng.uniform(-5.0, 30.0)))
+                    values.append((rng.uniform(-10.0, 10.0), rng.uniform(-5.0, 30.0)))
                     gt_labels.append(None)
                     break
+    velocity, rcs = np.vstack(values).T
 
     # background clutter: never inside a mask, never near an object
-    masked = np.sort(np.concatenate([o["offsets"] for o in objects]))
+    masked = np.sort(np.concatenate([o.mask_offsets for o in objects]))
     clutter_xyz, clutter_velocity, clutter_rcs = _clutter(
         rng, cfg.clutter_count, centroids, masked, k, t
     )
@@ -732,19 +687,19 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
 
     masks = tuple(
         InstanceMask(
-            *offsets_to_runs(o["offsets"]), k.height, k.width,
-            o["class_id"], o["instance_id"], o["confidence"],
+            *offsets_to_runs(o.mask_offsets), k.height, k.width,
+            o.class_id, o.instance_id, o.confidence,
         )
         for o in objects
     )
     return LabelScene(
         config=cfg,
         points=PointCloud(
-            np.concatenate((np.array(xyz).reshape(-1, 3), clutter_xyz)),
-            np.concatenate((velocities, clutter_velocity)),
+            np.vstack((*xyz, clutter_xyz)),
+            np.concatenate((velocity, clutter_velocity)),
             np.concatenate((rcs, clutter_rcs)),
         ),
         masks=masks,
         gt_labels=tuple(gt_labels),
-        objects=tuple(scene_objects),
+        objects=tuple(objects),
     )

@@ -1578,6 +1578,47 @@ class TestExitCodes:
         assert err.startswith(f"invalid input: {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "runs, message",
+        [([0, 5, 7], "RLE list must hold (start, length) pairs"),
+         ([0, 0], "RLE run length must be >= 1, got 0"),
+         ([30, 5, 0, 5], "RLE runs must be sorted and non-overlapping"),
+         ([1920 * 1080 - 2, 5], "RLE run exceeds the mask size")],
+        ids=["odd_length", "zero_length", "unsorted", "past_the_image"],
+    )
+    def test_bad_run_list_exit_4_naming_the_file(self, tmp_path, capsys, runs, message):
+        # each was "invalid input: <message>" alone, with no file
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "1", "-o", scene]) == 0
+        path = scene / "masks_000.json"
+        doc = json.loads(path.read_text())
+        doc["instances"][0]["rle"] = runs
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([*self.scene_argv("labeling", scene), "-o", tmp_path / "out"]) == 4
+        assert capsys.readouterr().err == f"invalid input: bad mask file {path}: {message}\n"
+
+    @pytest.mark.parametrize("fault", ["0", "34", "36", "nan"])
+    def test_bad_corners_exit_4_naming_the_file(self, tmp_path, capsys, fault):
+        # each was "invalid input: got 0 corners, expected 35 for a 6x8 board"
+        # or "invalid input: corner coordinates must be finite", with no file
+        # and no pose
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "calibration", "--poses", "3", "--seed", "1",
+                    "-o", scene]) == 0
+        path = scene / "corners_001.json"
+        doc = json.loads(path.read_text())
+        if fault == "nan":
+            doc["corners"][3]["u_px"] = math.nan
+            message = "corner coordinates must be finite"
+        else:
+            doc["corners"] = (doc["corners"] * 2)[: int(fault)]
+            message = f"got {fault} corners, expected 35 for a 6x8 board"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([*self.scene_argv("calibration", scene), "-o", tmp_path / "out"]) == 4
+        assert capsys.readouterr().err == f"invalid input: bad corners file {path}: {message}\n"
+
     @staticmethod
     def scene_argv(kind, scene):
         if kind == "calibration":

@@ -1,11 +1,13 @@
-"""The batched clutter sampler against its per-candidate reference, and the
-direct radar-row writer against ``canonical_json``: the same bits.
+"""The array-built scenes and the batched clutter sampler against their
+per-value references, and the direct radar-row writer against
+``canonical_json``: the same bits.
 
-``radcal.synth._clutter`` decides a block of candidates at once and then
-walks the uniform stream as ``synth_reference.clutter`` drew it; every
-scene, and the generator's state after the clutter, must be the one the
-reference gives.  ``fileio._points_json`` formats radar rows from one
-template; its text must be ``canonical_json`` of the frame document.
+``radcal.synth`` builds calibration returns and labeling points as arrays,
+and ``_clutter`` decides a block of candidates at once and then walks the
+uniform stream as ``synth_reference.clutter`` drew it; every scene, and the
+generator's state afterwards, must be the one ``synth_reference`` gives.
+``fileio._points_json`` formats radar rows from one template; its text must
+be ``canonical_json`` of the frame document.
 """
 
 import math
@@ -28,7 +30,12 @@ from radcal.fileio import (
 )
 from radcal.geometry import Z_EPS, Extrinsics
 from radcal.reflector import RETURN_DTYPE, RadarFrame
-from radcal.synth import LabelSceneConfig, default_extrinsics, default_intrinsics
+from radcal.synth import (
+    LabelSceneConfig,
+    SceneConfig,
+    default_extrinsics,
+    default_intrinsics,
+)
 
 
 def test_uniform_is_low_plus_span_times_random():
@@ -42,6 +49,116 @@ def test_uniform_is_low_plus_span_times_random():
         scalar = np.array([rng.uniform(lo, hi) for _ in range(20_000)])
         draws = np.random.default_rng(seed).random(20_000)
         assert scalar.tobytes() == synth._uniform(draws, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_draws_are_the_row_major_scalar_draws(seed):
+    # the scenes draw whole rows with array bounds and scales; a numpy that
+    # broadcasts them in another order must fail here, not move a scene
+    lows = (0.5, -1.0, -0.4, -3.0, -5.0)
+    highs = (20.0, 1.0, 0.4, 3.0, 9.5)
+    sigmas = (0.05, 0.0, 2.5, 1e-300)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref.integers(0, 10)  # a buffered 32-bit half must survive both
+    rng.integers(0, 10)
+    for _ in range(3):
+        uniform = rng.uniform(lows, highs, (50, 5))
+        normal = rng.normal(0.0, sigmas, (50, 4))
+        scalar_uniform = [ref.uniform(lo, hi) for _ in range(50) for lo, hi in zip(lows, highs)]
+        scalar_normal = [ref.normal(0.0, sigma) for _ in range(50) for sigma in sigmas]
+        assert uniform.tobytes() == np.array(scalar_uniform).tobytes()
+        assert normal.tobytes() == np.array(scalar_normal).tobytes()
+        assert rng.integers(0, 10) == ref.integers(0, 10)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def generated(gen, cfg):
+    """What ``gen(cfg)`` makes (or the error it raises), and the state of
+    its one generator afterwards."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording):
+        try:
+            scene = gen(cfg)
+        except synth.FovInfeasible as exc:
+            scene = str(exc)
+    assert len(made) == 1
+    return scene, made[0].bit_generator.state
+
+
+def assert_same_calibration_scene(cfg):
+    scene, state = generated(synth.gen_calibration_scene, cfg)
+    ref, ref_state = generated(synth_reference.calibration_scene, cfg)
+    assert state == ref_state
+    assert scene.ground_truth() == ref.ground_truth()
+    for pose, ref_pose in zip(scene.poses, ref.poses, strict=True):
+        assert pose.radar_frame.returns.tobytes() == ref_pose.radar_frame.returns.tobytes()
+        assert pose.corner_set.corners.tobytes() == ref_pose.corner_set.corners.tobytes()
+        assert pose.gt_center_radar.tobytes() == ref_pose.gt_center_radar.tobytes()
+        assert pose.t_radar_s == ref_pose.t_radar_s
+
+
+def assert_same_label_scene(cfg):
+    scene, state = generated(synth.gen_label_scene, cfg)
+    ref, ref_state = generated(synth_reference.label_scene, cfg)
+    assert state == ref_state
+    if isinstance(ref, str):  # both gave up on the same object
+        assert scene == ref
+        return
+    for name in ("xyz", "velocity", "rcs"):
+        assert getattr(scene.points, name).tobytes() == getattr(ref.points, name).tobytes()
+    assert scene.gt_labels == ref.gt_labels
+    assert scene.ground_truth() == ref.ground_truth()
+    for mask, ref_mask in zip(scene.masks, ref.masks, strict=True):
+        assert (mask.starts.tobytes(), mask.ends.tobytes()) == (
+            ref_mask.starts.tobytes(), ref_mask.ends.tobytes())
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    poses=st.integers(1, 3),
+    range_sigma=st.sampled_from([0.0, 0.05, 1.0]),  # 1 m clamps a near range at 0
+    angle_sigma=st.sampled_from([0.0, 0.01, 2.5, 40.0]),  # 2.5 and 40 wrap the azimuth
+    rcs_sigma=st.sampled_from([0.0, 0.7]),
+    clutter_only=st.sets(st.integers(0, 2)),
+    clutter=st.one_of(st.just(0), st.integers(0, 60)),
+    movers=st.one_of(st.just(0), st.integers(0, 6)),
+)
+def test_calibration_scene_matches_reference_property(
+    seed, poses, range_sigma, angle_sigma, rcs_sigma, clutter_only, clutter, movers
+):
+    assert_same_calibration_scene(SceneConfig(
+        pose_count=poses, range_sigma_m=range_sigma, angle_sigma_rad=angle_sigma,
+        rcs_sigma_dbsm=rcs_sigma, clutter_only_poses=tuple(sorted(clutter_only)),
+        clutter_per_frame=clutter, moving_clutter_per_frame=movers, seed=seed,
+    ))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    objects=st.integers(1, 8),
+    velocity_jitter=st.sampled_from([0.0, 0.1]),
+    rcs_jitter=st.sampled_from([0.0, 0.5]),
+    fp_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    fn_rate=st.sampled_from([0.0, 0.1]),
+    clutter=st.one_of(st.just(0), st.integers(0, 100)),
+    mask_shape=st.sampled_from(["rect", "hull"]),
+)
+def test_label_scene_matches_reference_property(
+    seed, objects, velocity_jitter, rcs_jitter, fp_rate, fn_rate, clutter, mask_shape
+):
+    assert_same_label_scene(LabelSceneConfig(
+        object_count=objects, velocity_jitter_mps=velocity_jitter, rcs_jitter_dbsm=rcs_jitter,
+        false_positive_rate=fp_rate, false_negative_rate=fn_rate, clutter_count=clutter,
+        mask_shape=mask_shape, seed=seed,
+    ))
 
 
 def scene_with(clutter, cfg):
