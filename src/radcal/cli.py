@@ -30,14 +30,13 @@ import os
 import pickle
 import re
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .checkerboard import checkerboard_center
-from .geometry import BehindCamera, CameraIntrinsics, Extrinsics, project_points
+from .geometry import BehindCamera, project_points
 
 logger = logging.getLogger("radcal")
 
@@ -74,64 +73,6 @@ def _load_config_file(path: str | Path) -> dict:
     return doc
 
 
-# JSON kinds a config field of each scalar type takes
-_JSON_KINDS = {
-    int: ("a JSON integer", {int}),
-    float: ("a JSON number", {int, float}),
-    str: ("a JSON string", {str}),
-}
-
-
-def _json_value(kind, value):
-    """A config value read as the field type ``kind``: a JSON integer (not a
-    bool) for ``int``, a number for ``float``, an array of the tuple's
-    length (any, for ``tuple[int, ...]``), or an object read by the
-    dataclass's codec (``_config`` for a params section)."""
-    if dataclasses.is_dataclass(kind):
-        if type(value) is not dict:
-            raise TypeError(f"must be a JSON object, got {type(value).__name__}")
-        if kind is CameraIntrinsics:
-            return fileio._intrinsics(value)
-        return Extrinsics.from_doc(value) if kind is Extrinsics else _config(kind, value)
-    if typing.get_origin(kind) is tuple:
-        if type(value) is not list:
-            raise TypeError(f"must be a JSON array, got {type(value).__name__}")
-        kinds = typing.get_args(kind)
-        if kinds[-1] is Ellipsis:
-            kinds = kinds[:1] * len(value)
-        elif len(value) != len(kinds):
-            raise ValueError(f"must hold {len(kinds)} entries, got {len(value)}")
-        return tuple(map(_json_value, kinds, value))
-    what, types = _JSON_KINDS[kind]
-    if type(value) not in types:
-        raise TypeError(f"must be {what}, got {type(value).__name__}")
-    # an integer past the float range fails here, not in scene generation
-    return float(value) if kind is float else value
-
-
-def _fields(kinds: dict, doc: dict) -> dict:
-    """Each key of ``doc`` read as its type in ``kinds``; an unknown key or a
-    bad value is a ValueError naming the key."""
-    unknown = doc.keys() - kinds.keys()
-    if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)}")
-    values = {}
-    for name, value in doc.items():
-        try:
-            values[name] = _json_value(kinds[name], value)
-        except fileio._BAD_FIELD as exc:
-            missing = "missing key " if isinstance(exc, KeyError) else ""
-            raise ValueError(f"{name}: {missing}{exc}") from exc
-    return values
-
-
-def _config(cls, doc: dict, **flags):
-    """The config dataclass ``cls`` of a parsed document, with the flags that
-    were given set over it; each error (a ValueError) names its field."""
-    values = _fields(typing.get_type_hints(cls), doc)
-    return cls(**{**values, **{name: v for name, v in flags.items() if v is not None}})
-
-
 # params file section -> its dataclass, which the package imports on first
 # access
 _PARAMS_SECTIONS = {
@@ -156,7 +97,7 @@ def _params_from_file(path: str | Path | None, needed: set[str]) -> dict:
         name: getattr(package, cls) for name, cls in _PARAMS_SECTIONS.items() if name in wanted
     }
     try:
-        params = _fields({**sections, "sync_tolerance_s": float}, doc)
+        params = fileio._fields({**sections, "sync_tolerance_s": float}, doc)
         params.update({name: cls() for name, cls in sections.items() if name not in params})
         if "sync_tolerance_s" in params:
             tolerance = params["sync_tolerance_s"]
@@ -286,6 +227,9 @@ def _cmd_synth(args, outputs: fileio.Outputs) -> int:
         print(_write_scene(args, outputs, outputs.mkdir(args.out)))
     except FovInfeasible as exc:  # the scene config asks for the impossible
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # or for more than memory holds
+        source = f" {args.config}" if args.config else ""
+        raise ConfigError(f"bad {args.kind} scene config{source}: out of memory") from exc
     return EXIT_OK
 
 
@@ -297,7 +241,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     doc = _load_config_file(args.config) if args.config else {}
     try:
         if args.kind == "calibration":
-            cfg = _config(
+            cfg = fileio._config(
                 synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
                 pixel_sigma_px=args.pixel_sigma, range_sigma_m=args.range_sigma,
                 angle_sigma_rad=args.angle_sigma,
@@ -305,7 +249,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
                 if args.clutter_only else None,
             )
         else:
-            cfg = _config(
+            cfg = fileio._config(
                 synth.LabelSceneConfig, doc, object_count=args.objects, seed=args.seed,
                 false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
             )

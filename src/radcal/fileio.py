@@ -34,6 +34,7 @@ import math
 import operator
 import os
 import tempfile
+import typing
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -188,50 +189,86 @@ def write_json(path: str | Path, obj) -> None:
     write_text(path, canonical_json(obj) + "\n")
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer field that fits int64, as it is; a float, a string or a
-    bool is a TypeError rather than a number truncated or coerced into one."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {type(value).__name__}")
-    if not -(2**63) <= value < 2**63:
-        raise OverflowError(f"{name} {value} does not fit a 64-bit integer")
-    return value
+# JSON kinds a field of each scalar type takes
+_JSON_KINDS = {
+    int: ("a JSON integer", {int}),
+    float: ("a JSON number", {int, float}),
+    str: ("a JSON string", {str}),
+}
 
 
-def _json_float(value, name: str) -> float:
-    """A JSON number field as a float; a string, a bool or a null is a
-    TypeError rather than a value coerced into a number."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a JSON number, got {type(value).__name__}")
-    return float(value)
+def _json_value(kind, value, name: str):
+    """The field ``name`` of a parsed document read as the type ``kind``: a
+    JSON integer (not a bool) that fits int64, a number (as a float), an
+    array of the tuple's length, or an object read by the dataclass's codec.
+    Each error names the field; no value is coerced or truncated."""
+    if kind in _JSON_KINDS:  # the scalars first: they are the per-mask fields
+        what, types = _JSON_KINDS[kind]
+        if type(value) not in types:
+            raise TypeError(f"{name} must be {what}, got {type(value).__name__}")
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise OverflowError(f"{name} {value} does not fit a 64-bit integer")
+        try:
+            return kind(value)  # a float from an int; the value itself otherwise
+        except OverflowError:
+            raise OverflowError(f"{name} does not fit a float") from None
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise TypeError(f"{name} must be a JSON array, got {type(value).__name__}")
+        kinds = typing.get_args(kind)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{name} must hold {len(kinds)} entries, got {len(value)}")
+        return tuple(_json_value(kinds[i], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if type(value) is not dict:
+        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
+    try:
+        return Extrinsics.from_doc(value) if kind is Extrinsics else _config(kind, value)
+    except _BAD_FIELD as exc:
+        missing = "missing key " if isinstance(exc, KeyError) else ""
+        raise ValueError(f"{name}: {missing}{exc}") from exc
+
+
+def _fields(kinds: dict, doc: dict) -> dict:
+    """Each key of ``doc`` read as its type in ``kinds``; an unknown key or a
+    bad value is an error naming the key."""
+    unknown = doc.keys() - kinds.keys()
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
+    return {name: _json_value(kinds[name], value, name) for name, value in doc.items()}
+
+
+def _config(cls, doc: dict, **flags):
+    """The dataclass ``cls`` of a parsed document, with the flags that were
+    given set over it; each error names its field, a KeyError the field
+    that has no default and no key."""
+    values = _fields(typing.get_type_hints(cls), doc)
+    for f in dataclasses.fields(cls):
+        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**{**values, **{name: v for name, v in flags.items() if v is not None}})
 
 
 def _float_rows(items: list, keys: tuple) -> np.ndarray:
     """``(N, len(keys))`` float64 rows of each item's values at ``keys``,
-    read and checked column by column as ``_json_float`` checks one value."""
+    read and checked column by column as ``_json_value`` checks one number."""
     rows = np.empty((len(items), len(keys)))
     for i, key in enumerate(keys):
         column = list(map(operator.itemgetter(key), items))
         wrong = set(map(type, column)) - {int, float}
         if wrong:
             raise TypeError(f"{key} must be a JSON number, got {wrong.pop().__name__}")
-        rows[:, i] = column
+        try:
+            rows[:, i] = column
+        except OverflowError:
+            raise OverflowError(f"{key} does not fit a float") from None
     return rows
-
-
-def _intrinsics(doc: dict) -> CameraIntrinsics:
-    """``CameraIntrinsics.from_doc`` of a document whose sizes are JSON
-    integers and whose other fields are JSON numbers."""
-    for name in ("fx", "fy", "cx", "cy"):
-        _json_float(doc[name], name)
-    for name in ("width", "height"):
-        _json_int(doc[name], name)
-    return CameraIntrinsics.from_doc(doc)
 
 
 def _timestamp(doc: dict) -> float:
     """A document's ``timestamp_s``; a NaN one would pass every sync check."""
-    timestamp = _json_float(doc["timestamp_s"], "timestamp_s")
+    timestamp = _json_value(float, doc["timestamp_s"], "timestamp_s")
     if not math.isfinite(timestamp):
         raise ValueError(f"timestamp_s must be finite, got {timestamp}")
     return timestamp
@@ -429,9 +466,9 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
     doc = _load_json(path)
     try:
         board = doc["checkerboard"]
-        spec = CheckerboardSpec(_json_int(board["nx"], "nx"), _json_int(board["ny"], "ny"))
+        spec = CheckerboardSpec(*(_json_value(int, board[name], name) for name in ("nx", "ny")))
         corners = _float_rows(doc["corners"], ("u_px", "v_px"))
-        pose_id = _json_int(doc["pose_id"], "pose_id")
+        pose_id = _json_value(int, doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
         corner_set = CornerSet(corners, spec)
         corner_set.check_count()
@@ -467,7 +504,7 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
 
     doc = _load_json(path)
     try:
-        width, height = _json_int(doc["width"], "width"), _json_int(doc["height"], "height")
+        width, height = (_json_value(int, doc[name], name) for name in ("width", "height"))
         if min(width, height) < 0:
             raise ValueError(f"negative mask size {width}x{height}")
         masks = []
@@ -477,9 +514,9 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                     *_rle_runs(inst["rle"], height, width),
                     height=height,
                     width=width,
-                    class_id=_json_int(inst["class_id"], "class_id"),
-                    instance_id=_json_int(inst["instance_id"], "instance_id"),
-                    confidence=_json_float(inst["confidence"], "confidence"),
+                    class_id=_json_value(int, inst["class_id"], "class_id"),
+                    instance_id=_json_value(int, inst["instance_id"], "instance_id"),
+                    confidence=_json_value(float, inst["confidence"], "confidence"),
                 )
             )
     except _BAD_FIELD as exc:
@@ -520,7 +557,8 @@ def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, di
     (rotation orthonormal within 1e-6), its intrinsics and the document."""
     doc = _load_json(path)
     try:
-        return Extrinsics.from_doc(doc), _intrinsics(doc["intrinsics"]), doc
+        extrinsics = Extrinsics.from_doc(doc)
+        return extrinsics, _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics"), doc
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
 
@@ -561,12 +599,16 @@ def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, n
     if wrong:
         kind = "a JSON integer or null" if nullable else "a JSON integer"
         raise TypeError(f"{name} must be {kind}, got {wrong.pop().__name__}")
-    if None not in values:
-        return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
-    column = np.array(values, dtype=object)
-    null = column == None  # noqa: E711 (elementwise on an object array)
-    column[null] = 0
-    return column.astype(np.int64), null
+    try:
+        if None not in values:
+            return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
+        column = np.array(values, dtype=object)
+        null = column == None  # noqa: E711 (elementwise on an object array)
+        column[null] = 0
+        return column.astype(np.int64), null
+    except OverflowError:
+        big = next(v for v in values if v is not None and not -(2**63) <= v < 2**63)
+        raise OverflowError(f"{name} {big} does not fit a 64-bit integer") from None
 
 
 def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
@@ -653,6 +695,6 @@ def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:
     doc = _load_json(path)
     try:
-        return _intrinsics(doc)
+        return _json_value(CameraIntrinsics, doc, "intrinsics")
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad intrinsics file {path}: {exc}") from exc

@@ -72,14 +72,6 @@ class CameraIntrinsics:
                 stacklevel=2,
             )
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CameraIntrinsics":
-        """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` document
-        (``dataclasses.asdict`` writes one).  A bad field raises KeyError,
-        TypeError, ValueError or OverflowError, which each reader maps."""
-        fx, fy, cx, cy = (float(doc[name]) for name in ("fx", "fy", "cx", "cy"))
-        return cls(fx, fy, cx, cy, width=int(doc["width"]), height=int(doc["height"]))
-
 
 def _check_rotation(rotation: np.ndarray, tol: float = 1e-9) -> float:
     """max |R^T R - I| of ``rotation``; a ValueError unless it is <= ``tol``

@@ -241,7 +241,7 @@ def _clutter_returns(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
 
     A row's draws are in column order, so one ``uniform`` over ``(N, 5)``
     draws what N rows of scalar draws did.  Each mover stays one draw at a
-    time: ``choice`` reads a buffered 32-bit half between its draws, and
+    time: ``integers`` reads a buffered 32-bit half between its draws, and
     scalar draws are the cheaper ones for a single row."""
     az_half = math.radians(cfg.radar_fov_az_deg) / 2.0
     el_half = math.radians(cfg.radar_fov_el_deg) / 2.0
@@ -250,7 +250,8 @@ def _clutter_returns(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     for _ in range(cfg.moving_clutter_per_frame):
         rows.append([(rng.uniform(3.5, 14.0), rng.uniform(-az_half, az_half),
                       rng.uniform(-el_half, el_half),
-                      rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 5.0), rng.uniform(10.5, 25.0))])
+                      (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.8, 5.0),
+                      rng.uniform(10.5, 25.0))])
     return np.vstack(rows)
 
 
@@ -622,7 +623,7 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
 
             is_dynamic = rng.uniform() < cfg.dynamic_fraction
             if is_dynamic:
-                v_obj = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 8.0))
+                v_obj = float((-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(1.0, 8.0))
             else:
                 v_obj = float(rng.uniform(-0.25, 0.25))
             rcs_obj = float(rng.uniform(0.0, 25.0))

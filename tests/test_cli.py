@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import typing
 import warnings
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from radcal.fileio import (
     write_radar_frame,
     write_radar_points,
 )
-from radcal.geometry import Extrinsics, sph2cart
+from radcal.geometry import CameraIntrinsics, Extrinsics, sph2cart
 from radcal.reflector import RadarFrame
 from radcal.synth import LabelSceneConfig, SceneConfig, default_intrinsics
 
@@ -1151,6 +1152,25 @@ class TestExitCodes:
         assert err.startswith(f"config error: bad {kind} scene config {config}: intrinsics: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [
+            ("calibration", {"board_nx": 10**14}),
+            ("calibration", {"clutter_per_frame": 10**13}),
+            ("labeling", {"clutter_count": 10**13}),
+        ],
+        ids=["board_nx", "clutter_per_frame", "clutter_count"],
+    )
+    def test_scene_past_memory_exit_2(self, tmp_path, capsys, kind, doc):
+        # each asks for hundreds of TiB, past a 47-bit address space, so the
+        # allocation fails before it begins; it was a MemoryError traceback
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: bad {kind} scene config {config}: out of memory\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["calibration", "labeling"])
     def test_bad_scene_extrinsics_exit_2(self, tmp_path, capsys, kind):
         config = tmp_path / "scene.json"
@@ -1334,9 +1354,11 @@ class TestExitCodes:
             "[800, 800, 960, 540, 1920, 1080]",
             '{"fx": NaN, "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080}',
             '{"fx": 800, "fy": 800, "cx": Infinity, "cy": 540, "width": 1920, "height": 1080}',
+            # a distortion k1 was dropped without a word
+            '{"fx": 800, "fy": 800, "cx": 960, "cy": 540, "width": 1920, "height": 1080, "k1": 0}',
         ],
         ids=["missing_fx", "infinite_width", "text_fx", "negative_fx", "list", "nan_fx",
-             "infinite_cx"],
+             "infinite_cx", "extra_key"],
     )
     @pytest.mark.parametrize("reader", ["calibrate", "autolabel", "synth"])
     def test_malformed_intrinsics_exit_code_per_reader(self, tmp_path, capsys, reader, bad):
@@ -1362,7 +1384,7 @@ class TestExitCodes:
             path = tmp_path / "scene.json"
             path.write_text('{"intrinsics": ' + bad + "}")
             argv = ["synth", "--kind", "calibration", "--config", path, *out]
-            code, message = 2, f"config error: bad calibration scene config {path}: intrinsics: "
+            code, message = 2, f"config error: bad calibration scene config {path}: intrinsics"
         assert run(argv) == code
         assert capsys.readouterr().err.startswith(message)
 
@@ -1717,11 +1739,13 @@ SCENE_DOCS = {
 }
 
 
+PARAMS_SECTIONS = {"filter": radcal.FilterParams, "cluster": radcal.ClusterParams,
+                   "label": radcal.LabelParams, "solver": radcal.SolverConfig}
+
+
 def params_doc() -> dict:
-    sections = {"filter": radcal.FilterParams, "cluster": radcal.ClusterParams,
-                "label": radcal.LabelParams, "solver": radcal.SolverConfig}
     return {"sync_tolerance_s": 0.025,
-            **{name: config_doc(cls) for name, cls in sections.items()}}
+            **{name: config_doc(cls) for name, cls in PARAMS_SECTIONS.items()}}
 
 
 class TestConfigMutations:
@@ -1777,6 +1801,159 @@ class TestConfigMutations:
             code, err = self.main(TestExitCodes.params_argv(command, Path(tmp), path))
         assert code in (2, 3), err
         assert code == 3 or err.startswith(f"config error: bad parameter file {path}: "), err
+
+
+# Every JSON value an int or float field must refuse.  2**63 is a legal
+# float, so a float field gets an integer past the float range instead.
+INT_VALUES = {"true": True, "string": "1", "null": None, "over_int64": 2**63,
+              "under_int64": -(2**63) - 1, "float": 1.0}
+FLOAT_VALUES = {"true": True, "string": "1", "null": None, "over_float": 10**400,
+                "under_float": -(10**400)}
+
+
+def number_fields(cls, named="") -> list:
+    """(key path, kind, the field's name as a message gives it) of each int
+    or float field of a config dataclass: the first entry of a tuple field
+    and each field of a nested ``CameraIntrinsics`` too."""
+    fields = []
+    for name, kind in typing.get_type_hints(cls).items():
+        if kind in (int, float):
+            fields.append(((name,), kind, f"{named}{name}"))
+        elif typing.get_origin(kind) is tuple:
+            fields.append(((name, 0), typing.get_args(kind)[0], f"{named}{name}[0]"))
+        elif kind is CameraIntrinsics:
+            fields += [((name, *path), k, n) for path, k, n in number_fields(kind, f"{name}: ")]
+    return fields
+
+
+INTRINSICS_FIELDS = number_fields(CameraIntrinsics, "intrinsics: ")
+
+# reader -> (its exit code, the start of its message, each number field)
+FIELD_READERS = {
+    "corners": (4, "invalid input: bad corners file", [
+        (("checkerboard", "nx"), int, "nx"), (("checkerboard", "ny"), int, "ny"),
+        (("pose_id",), int, "pose_id"), (("timestamp_s",), float, "timestamp_s"),
+        (("corners", 0, "u_px"), float, "u_px"), (("corners", 0, "v_px"), float, "v_px"),
+    ]),
+    "radar": (4, "invalid input: bad radar frame", [
+        (("timestamp_s",), float, "timestamp_s"), (("points", 0, "r_m"), float, "r_m"),
+    ]),
+    "masks": (4, "invalid input: bad mask file", [
+        (("width",), int, "width"), (("height",), int, "height"),
+        *((("instances", 0, name), int, name) for name in ("class_id", "instance_id")),
+        (("instances", 0, "confidence"), float, "confidence"),
+    ]),
+    "intrinsics": (4, "invalid input: bad intrinsics file", INTRINSICS_FIELDS),
+    "calibration": (4, "invalid input: bad calibration file", [
+        (("intrinsics", *path), kind, named) for path, kind, named in INTRINSICS_FIELDS
+    ]),
+    "calibration_scene": (2, "config error: bad calibration scene config",
+                          number_fields(SceneConfig)),
+    "labeling_scene": (2, "config error: bad labeling scene config",
+                       number_fields(LabelSceneConfig)),
+    "params": (2, "config error: bad parameter file", [
+        ((section, *path), kind, f"{section}: {named}")
+        for section, cls in PARAMS_SECTIONS.items() for path, kind, named in number_fields(cls)
+    ] + [(("sync_tolerance_s",), float, "sync_tolerance_s")]),
+}
+FIELD_ROWS = [
+    pytest.param(reader, path, named, value, id=f"{reader}-{'.'.join(map(str, path))}-{label}")
+    for reader, (_, _, fields) in FIELD_READERS.items()
+    for path, kind, named in fields
+    for label, value in (INT_VALUES if kind is int else FLOAT_VALUES).items()
+]
+
+
+@pytest.fixture(scope="module")
+def field_rule_inputs(tmp_path_factory):
+    """A valid document of each reader, and the labeling scene's radar
+    frame (``lab_radar``), which ``autolabel`` reads beside a masks file."""
+    root = tmp_path_factory.mktemp("field_rule")
+    assert run(["synth", "--kind", "calibration", "--poses", "3", "--seed", "1",
+                "-o", root / "cal"]) == 0
+    assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", root / "lab"]) == 0
+    files = {
+        "corners": root / "cal" / "corners_000.json",
+        "radar": root / "cal" / "radar_000.json",
+        "intrinsics": root / "cal" / "intrinsics.json",
+        "masks": root / "lab" / "masks_000.json",
+        "calibration": root / "lab" / "calibration.json",
+        "lab_radar": root / "lab" / "radar_000.json",
+    }
+    docs = {name: json.loads(path.read_text()) for name, path in files.items()}
+    docs["calibration_scene"] = SCENE_DOCS["calibration"]
+    docs["labeling_scene"] = SCENE_DOCS["labeling"]
+    docs["params"] = params_doc()
+    return docs
+
+
+class TestJsonFieldRule:
+    """Each int or float field of every document refuses a bool, a string,
+    a null, an integer outside int64 (a float field: outside the float
+    range) and, for an int field, a float; the error names the file and the
+    field, in exit 4 for a data file and exit 2 for a config."""
+
+    @staticmethod
+    def argv(reader, tmp: Path, docs: dict) -> tuple[list, Path]:
+        """The command that reads ``docs[reader]`` first of its inputs, each
+        other input valid; with the path the document is written to."""
+        def put(name, doc):
+            path = tmp / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(doc))
+            return path
+
+        if reader in ("corners", "radar", "intrinsics"):
+            paths = {
+                "intrinsics": put("intrinsics.json", docs["intrinsics"]),
+                "corners": put("corners/corners_000.json", docs["corners"]),
+                "radar": put("frames/radar_000.json", docs["radar"]),
+            }
+            return ["calibrate", "--corners", tmp / "corners", "--frames", tmp / "frames",
+                    "--intrinsics", paths["intrinsics"], "-o", tmp / "c.json"], paths[reader]
+        if reader in ("masks", "calibration"):
+            paths = {
+                "calibration": put("calibration.json", docs["calibration"]),
+                "masks": put("masks/masks_000.json", docs["masks"]),
+            }
+            put("frames/radar_000.json", docs["lab_radar"])
+            return ["autolabel", "--frames", tmp / "frames", "--masks", tmp / "masks",
+                    "--calibration", paths["calibration"], "-o", tmp / "labels"], paths[reader]
+        path = put("config.json", docs[reader])
+        if reader == "params":
+            return TestExitCodes.params_argv("calibrate", tmp, path), path
+        kind = reader.split("_")[0]
+        return ["synth", "--kind", kind, "--config", path, "-o", tmp / "out"], path
+
+    @pytest.mark.parametrize("reader", sorted(FIELD_READERS))
+    def test_valid_documents_pass_the_reader(self, tmp_path, capsys, field_rule_inputs, reader):
+        # the table's documents are valid until one field changes: the one
+        # pose of a calibrate run is too few, and a params file reaches the
+        # missing inputs
+        argv, _ = self.argv(reader, tmp_path, field_rule_inputs)
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4) and "bad " not in err, err
+
+    @pytest.mark.parametrize("reader, path, named, value", FIELD_ROWS)
+    def test_field_refuses_the_value(
+        self, tmp_path, capsys, field_rule_inputs, reader, path, named, value
+    ):
+        docs = json.loads(json.dumps(field_rule_inputs))
+        target = docs[reader]
+        for key in path[:-1]:
+            target = target[key]
+        if type(target) is list and path[-1] == len(target):  # an empty tuple field
+            target.append(value)
+        else:
+            target[path[-1]] = value
+        argv, written = self.argv(reader, tmp_path, docs)
+        code, message, _ = FIELD_READERS[reader]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{message} {written}: {named} "), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestFlags:

@@ -38,7 +38,7 @@ from radcal.fileio import (
     write_radar_frame,
     write_radar_points,
 )
-from radcal.geometry import sph2cart
+from radcal.geometry import CameraIntrinsics, sph2cart
 from radcal.reflector import RadarFrame
 from radcal.synth import default_extrinsics, default_intrinsics
 
@@ -448,6 +448,24 @@ class TestLabelFiles:
         path.write_text(json.dumps(doc).replace('"VALUE"', value) + "\n")
         with pytest.raises(SchemaError, match=rf"labels\.jsonl:1: {field} must be a JSON integer"):
             load_labels(path)
+
+
+    @pytest.mark.parametrize("field", ["point_index", "class_id", "instance_id"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("null", [False, True], ids=["ids", "with_null"])
+    def test_id_past_int64_names_its_field(self, tmp_path, field, value, null):
+        # numpy's "Python int too large to convert to C long" named no field
+        doc = {"point_index": 0, "class_id": 1, "instance_id": 1, "provenance": "coarse"}
+        line = json.dumps({**doc, field: value})
+        if null:  # a null id reads the columns through an object array
+            line += "\n" + json.dumps({**doc, "point_index": 1, "class_id": None})
+        path = tmp_path / "labels.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_labels(path)
+        assert str(info.value) == (
+            f"bad labels file {path}:1: {field} {value} does not fit a 64-bit integer"
+        )
 
 
 # one line of a valid labels file, and how a mutation may rewrite it
@@ -993,6 +1011,39 @@ class TestIntrinsicsFiles:
         path.write_text('{"fx": 100.0}')
         with pytest.raises(SchemaError):
             load_intrinsics(path)
+
+    def test_doc_round_trip(self, tmp_path):
+        k = CameraIntrinsics(700.0, 710.0, 320.5, 240.0, 640, 480)
+        assert dataclasses.asdict(k) == {
+            "fx": 700.0, "fy": 710.0, "cx": 320.5, "cy": 240.0, "width": 640, "height": 480,
+        }
+        path = tmp_path / "intrinsics.json"
+        path.write_text(json.dumps(dataclasses.asdict(k)))
+        assert load_intrinsics(path) == k
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2},
+             "intrinsics: missing key 'height'"),
+            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 1e999},
+             "intrinsics: height must be a JSON integer, got float"),
+            ({"fx": "x", "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2},
+             "intrinsics: fx must be a JSON number, got str"),
+            ({"fx": 0.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2},
+             "intrinsics: focal lengths must be positive and finite: 0.0, 1.0"),
+            ([1.0, 1.0, 1.0, 1.0, 2, 2], "intrinsics must be a JSON object, got list"),
+            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2, "k1": 0.1},
+             "intrinsics: unknown key(s) ['k1']"),
+        ],
+        ids=["missing_height", "infinite_height", "text_fx", "zero_fx", "list", "extra_key"],
+    )
+    def test_bad_doc(self, tmp_path, doc, message):
+        path = tmp_path / "intrinsics.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as info:
+            load_intrinsics(path)
+        assert str(info.value) == f"bad intrinsics file {path}: {message}"
 
 
 DEEP = "[" * 100_000

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -342,28 +341,6 @@ class TestProjection:
                 assert np.array_equal(project(k, IDENTITY, c), pixel)
             else:
                 assert np.all(np.isnan(batch_pixel))
-
-    def test_intrinsics_doc_round_trip(self):
-        k = CameraIntrinsics(700.0, 710.0, 320.5, 240.0, 640, 480)
-        assert dataclasses.asdict(k) == {
-            "fx": 700.0, "fy": 710.0, "cx": 320.5, "cy": 240.0, "width": 640, "height": 480,
-        }
-        assert CameraIntrinsics.from_doc(dataclasses.asdict(k)) == k
-
-    @pytest.mark.parametrize(
-        "doc, error",
-        [
-            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2}, KeyError),
-            ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 1e999},
-             OverflowError),
-            ({"fx": "x", "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2}, ValueError),
-            ({"fx": 0.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2}, ValueError),
-            ([1.0, 1.0, 1.0, 1.0, 2, 2], TypeError),
-        ],
-    )
-    def test_intrinsics_from_bad_doc(self, doc, error):
-        with pytest.raises(error):
-            CameraIntrinsics.from_doc(doc)
 
     def test_principal_point_warning(self):
         with pytest.warns(UserWarning):

@@ -72,6 +72,26 @@ def test_array_draws_are_the_row_major_scalar_draws(seed):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_integer_sign_is_the_choice_sign():
+    # synth draws a random sign as (-1.0, 1.0)[rng.integers(0, 2)], where it
+    # drew rng.choice([-1.0, 1.0]); among scalar draws of every kind the
+    # scenes make, each sign and the generator's state must stay the same
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        kinds = np.random.default_rng(1000 + seed).integers(0, 4, 200)
+        for kind in kinds.tolist():
+            if kind == 0:
+                sign = (-1.0, 1.0)[rng.integers(0, 2)]
+                assert sign == ref.choice([-1.0, 1.0]) and type(sign) is float
+            elif kind == 1:
+                assert rng.uniform(1.0, 8.0) == ref.uniform(1.0, 8.0)
+            elif kind == 2:
+                assert rng.normal(0.0, 0.5) == ref.normal(0.0, 0.5)
+            else:
+                assert rng.integers(0, 10) == ref.integers(0, 10)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def generated(gen, cfg):
     """What ``gen(cfg)`` makes (or the error it raises), and the state of
     its one generator afterwards."""
