@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 ok, 2 bad config/params file, 3 IO or
 missing input (or a frame worker that died), 4 invalid input data, 5
-calibration did not converge (the output file is still written).  Set
-RADCAL_LOG=debug|info|warning for verbosity.
+calibration did not converge (the output file is still written), 130
+interrupted (Ctrl-C).  Set RADCAL_LOG=debug|info|warning for verbosity.
 
 Radar frame files carry no pose id of their own; within a directory the
 numeric suffix of ``radar_NNN.json`` is the pose id, matching the
@@ -45,6 +45,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVALID = 4
 EXIT_NOT_CONVERGED = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class ConfigError(Exception):
@@ -725,6 +726,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SchemaError and every other input error subclass it
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except KeyboardInterrupt:  # Outputs has removed what the command staged
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

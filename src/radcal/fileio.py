@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -41,7 +42,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .checkerboard import CheckerboardSpec, CornerSet
-from .geometry import CameraIntrinsics, Extrinsics, cart2sph, sph2cart
+from .geometry import (
+    CameraIntrinsics,
+    Extrinsics,
+    _check_rotation,
+    cart2sph,
+    nearest_rotation,
+    rotvec_to_matrix,
+    sph2cart,
+)
 from .reflector import RETURN_DTYPE, RadarFrame
 
 if TYPE_CHECKING:
@@ -189,45 +198,76 @@ def write_json(path: str | Path, obj) -> None:
     write_text(path, canonical_json(obj) + "\n")
 
 
-# JSON kinds a field of each scalar type takes
+# JSON kinds a value of each type takes: every reader's one field rule
 _JSON_KINDS = {
     int: ("a JSON integer", {int}),
     float: ("a JSON number", {int, float}),
     str: ("a JSON string", {str}),
+    list: ("a JSON array", {list}),
+    dict: ("a JSON object", {dict}),
 }
 
 
 def _json_value(kind, value, name: str):
     """The field ``name`` of a parsed document read as the type ``kind``: a
-    JSON integer (not a bool) that fits int64, a number (as a float), an
-    array of the tuple's length, or an object read by the dataclass's codec.
-    Each error names the field; no value is coerced or truncated."""
-    if kind in _JSON_KINDS:  # the scalars first: they are the per-mask fields
+    JSON integer (not a bool) that fits int64, a number (as a float), a
+    string, array or object, a tuple's array, or a dataclass's object.  Each
+    error names the field; no value is coerced or truncated."""
+    if kind in _JSON_KINDS:  # the plain kinds first: they are the per-mask fields
         what, types = _JSON_KINDS[kind]
         if type(value) not in types:
             raise TypeError(f"{name} must be {what}, got {type(value).__name__}")
         if kind is int and not -(2**63) <= value < 2**63:
             raise OverflowError(f"{name} {value} does not fit a 64-bit integer")
+        if kind is not float:
+            return value
         try:
-            return kind(value)  # a float from an int; the value itself otherwise
+            return float(value)
         except OverflowError:
             raise OverflowError(f"{name} does not fit a float") from None
     if typing.get_origin(kind) is tuple:
-        if type(value) is not list:
-            raise TypeError(f"{name} must be a JSON array, got {type(value).__name__}")
         kinds = typing.get_args(kind)
         if kinds[-1] is Ellipsis:
-            kinds = kinds[:1] * len(value)
-        elif len(value) != len(kinds):
+            kinds = kinds[:1] * len(_json_value(list, value, name))
+        elif len(_json_value(list, value, name)) != len(kinds):
             raise ValueError(f"{name} must hold {len(kinds)} entries, got {len(value)}")
         return tuple(_json_value(kinds[i], v, f"{name}[{i}]") for i, v in enumerate(value))
-    if type(value) is not dict:
-        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
+    _json_value(dict, value, name)
     try:
-        return Extrinsics.from_doc(value) if kind is Extrinsics else _config(kind, value)
+        return _extrinsics(value) if kind is Extrinsics else _config(kind, value)
     except _BAD_FIELD as exc:
         missing = "missing key " if isinstance(exc, KeyError) else ""
         raise ValueError(f"{name}: {missing}{exc}") from exc
+
+
+def _json_column(kind, values, name: str, nullable: bool = False):
+    """The field ``name`` of many rows read as ``_json_value`` reads one, in
+    one type-set check and one array: int64 or float64 for a number (with
+    ``nullable``, nulls as 0 and their mask too), ``values`` otherwise.  For
+    ``dict``, ``values`` is the JSON array ``name`` of rows (``points[2]``)."""
+    if kind is dict:
+        _json_value(list, values, name)
+    types = _JSON_KINDS[kind][1] | ({type(None)} if nullable else set())
+    seen = set(map(type, values))
+    if not seen <= types:
+        i = next(i for i, value in enumerate(values) if type(value) not in types)
+        _json_value(kind, values[i], f"{name}[{i}]" if kind is dict else name)
+    if kind is not int and kind is not float:
+        return values
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        if type(None) not in seen:
+            column = np.array(values, dtype=dtype)
+            return (column, np.zeros(len(column), dtype=bool)) if nullable else column
+        column = np.array(values, dtype=object)
+        null = column == None  # noqa: E711 (elementwise on an object array)
+        column[null] = 0
+        return column.astype(dtype), null
+    except OverflowError:
+        for value in values:  # the first one past the range names the field
+            if value is not None:
+                _json_value(kind, value, name)
+        raise
 
 
 def _fields(kinds: dict, doc: dict) -> dict:
@@ -239,31 +279,55 @@ def _fields(kinds: dict, doc: dict) -> dict:
     return {name: _json_value(kinds[name], value, name) for name, value in doc.items()}
 
 
+@functools.cache
+def _config_kinds(cls) -> tuple[dict, tuple]:
+    """A dataclass's field types and the names of its fields without a
+    default, resolved once per class; callers must not change them."""
+    none = dataclasses.MISSING
+    return typing.get_type_hints(cls), tuple(
+        f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is none
+    )
+
+
 def _config(cls, doc: dict, **flags):
     """The dataclass ``cls`` of a parsed document, with the flags that were
     given set over it; each error names its field, a KeyError the field
     that has no default and no key."""
-    values = _fields(typing.get_type_hints(cls), doc)
-    for f in dataclasses.fields(cls):
-        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
-            raise KeyError(f.name)
+    kinds, required = _config_kinds(cls)
+    values = _fields(kinds, doc)
+    for name in required:
+        if name not in values:
+            raise KeyError(name)
     return cls(**{**values, **{name: v for name, v in flags.items() if v is not None}})
 
 
-def _float_rows(items: list, keys: tuple) -> np.ndarray:
-    """``(N, len(keys))`` float64 rows of each item's values at ``keys``,
-    read and checked column by column as ``_json_value`` checks one number."""
-    rows = np.empty((len(items), len(keys)))
+def _extrinsics(doc: dict) -> Extrinsics:
+    """Extrinsics from a parsed ``rotation_row_major`` (else ``axis_angle``)
+    and ``translation_m``.  The rotation must be orthonormal within 1e-6,
+    det +1; one 1e-9 or more off (rounded) is snapped to the nearest
+    rotation, and one ``Extrinsics.to_doc`` wrote is kept bit for bit."""
+
+    def numbers(name: str, count: int) -> np.ndarray:
+        column = _json_column(float, _json_value(list, doc[name], name), name)
+        if len(column) != count:
+            raise ValueError(f"{name} must hold {count} entries, got {len(column)}")
+        return column
+
+    if "rotation_row_major" in doc:
+        rotation = numbers("rotation_row_major", 9).reshape(3, 3)
+    else:
+        rotation = rotvec_to_matrix(numbers("axis_angle", 3))
+    if _check_rotation(rotation, tol=1e-6) >= 1e-9:
+        rotation = nearest_rotation(rotation)
+    return Extrinsics(rotation, numbers("translation_m", 3))
+
+
+def _float_rows(rows: list, keys: tuple) -> np.ndarray:
+    """``(N, len(keys))`` float64 rows of each row's JSON numbers at ``keys``."""
+    out = np.empty((len(rows), len(keys)))
     for i, key in enumerate(keys):
-        column = list(map(operator.itemgetter(key), items))
-        wrong = set(map(type, column)) - {int, float}
-        if wrong:
-            raise TypeError(f"{key} must be a JSON number, got {wrong.pop().__name__}")
-        try:
-            rows[:, i] = column
-        except OverflowError:
-            raise OverflowError(f"{key} does not fit a float") from None
-    return rows
+        out[:, i] = _json_column(float, list(map(operator.itemgetter(key), rows)), key)
+    return out
 
 
 def _timestamp(doc: dict) -> float:
@@ -291,10 +355,10 @@ def _read_lines(path: str | Path, what: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path):
     """A JSON file's document; a syntax error (or bytes that are not UTF-8)
     and nesting past the parser's recursion limit are SchemaErrors naming
-    the file."""
+    the file.  Each reader checks that the document is an object."""
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -378,10 +442,8 @@ def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud)
 def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     """A frame document's timestamp, whether it is cartesian, and its points
     as ``(N, 5)`` float rows in the order of that variant's keys."""
-    pts = doc["points"]
+    pts = _json_column(dict, _json_value(dict, doc, "the document")["points"], "points")
     timestamp = _timestamp(doc)
-    if not isinstance(pts, list):  # an empty object would read as no points
-        raise TypeError(f"points must be a list, not {type(pts).__name__}")
     spherical = any("r_m" in p for p in pts)
     cartesian = any("x_m" in p for p in pts)
     if spherical and cartesian:
@@ -465,9 +527,10 @@ def write_corners(
 def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
     doc = _load_json(path)
     try:
-        board = doc["checkerboard"]
+        _json_value(dict, doc, "the document")
+        board = _json_value(dict, doc["checkerboard"], "checkerboard")
         spec = CheckerboardSpec(*(_json_value(int, board[name], name) for name in ("nx", "ny")))
-        corners = _float_rows(doc["corners"], ("u_px", "v_px"))
+        corners = _float_rows(_json_column(dict, doc["corners"], "corners"), ("u_px", "v_px"))
         pose_id = _json_value(int, doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
         corner_set = CornerSet(corners, spec)
@@ -504,11 +567,12 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
 
     doc = _load_json(path)
     try:
+        _json_value(dict, doc, "the document")
         width, height = (_json_value(int, doc[name], name) for name in ("width", "height"))
         if min(width, height) < 0:
             raise ValueError(f"negative mask size {width}x{height}")
         masks = []
-        for inst in doc["instances"]:
+        for inst in _json_column(dict, doc["instances"], "instances"):
             masks.append(
                 InstanceMask(
                     *_rle_runs(inst["rle"], height, width),
@@ -553,11 +617,11 @@ def write_calibration(
 
 
 def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, dict]:
-    """Read a calibration file: its extrinsics through ``Extrinsics.from_doc``
-    (rotation orthonormal within 1e-6), its intrinsics and the document."""
+    """Read a calibration file: its extrinsics (rotation orthonormal within
+    1e-6, see ``_extrinsics``), its intrinsics and the document."""
     doc = _load_json(path)
     try:
-        extrinsics = Extrinsics.from_doc(doc)
+        extrinsics = _extrinsics(_json_value(dict, doc, "the document"))
         return extrinsics, _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics"), doc
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad calibration file {path}: {exc}") from exc
@@ -592,38 +656,18 @@ def write_labels(path: str | Path, labels: LabelColumns) -> None:
 _LABEL_FIELDS = operator.itemgetter("point_index", "class_id", "instance_id", "provenance")
 
 
-def _int_column(values: tuple, name: str, nullable: bool) -> tuple[np.ndarray, np.ndarray]:
-    """int64 column of JSON integers (nulls as 0 where allowed) and its null mask."""
-    allowed = {int, type(None)} if nullable else {int}
-    wrong = set(map(type, values)) - allowed
-    if wrong:
-        kind = "a JSON integer or null" if nullable else "a JSON integer"
-        raise TypeError(f"{name} must be {kind}, got {wrong.pop().__name__}")
-    try:
-        if None not in values:
-            return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
-        column = np.array(values, dtype=object)
-        null = column == None  # noqa: E711 (elementwise on an object array)
-        column[null] = 0
-        return column.astype(np.int64), null
-    except OverflowError:
-        big = next(v for v in values if v is not None and not -(2**63) <= v < 2**63)
-        raise OverflowError(f"{name} {big} does not fit a 64-bit integer") from None
-
-
 def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
     """Point indices and label columns of parsed label lines, in line order."""
     from .autolabel import _PROVENANCE, LabelColumns
 
     index, class_id, instance_id, provenance = list(zip(*map(_LABEL_FIELDS, docs))) or [()] * 4
-    point_index, _ = _int_column(index, "point_index", nullable=False)
-    class_id, class_null = _int_column(class_id, "class_id", nullable=True)
-    instance_id, instance_null = _int_column(instance_id, "instance_id", nullable=True)
+    point_index = _json_column(int, index, "point_index")
+    class_id, class_null = _json_column(int, class_id, "class_id", nullable=True)
+    instance_id, instance_null = _json_column(int, instance_id, "instance_id", nullable=True)
     unlabeled = class_null | instance_null
     class_id[unlabeled] = 0
     instance_id[unlabeled] = 0
-    if set(map(type, provenance)) - {str}:
-        raise TypeError("provenance must be a string")
+    _json_column(str, provenance, "provenance")
     code_of = {p.value: i for i, p in enumerate(_PROVENANCE)}
     unknown = set(provenance) - code_of.keys()
     if unknown:
@@ -656,7 +700,7 @@ def _parse_labels(path: str | Path, raw_lines: list[str]) -> tuple[np.ndarray, L
         if not line.strip():
             continue
         try:
-            _label_columns([json.loads(line.strip())])
+            _label_columns([_json_value(dict, json.loads(line.strip()), "the line")])
         except _BAD_FIELD as exc:
             raise SchemaError(f"bad labels file {path}:{line_no}: {exc}") from exc
     return _label_columns([json.loads(line) for line in lines])

@@ -86,17 +86,6 @@ def _check_rotation(rotation: np.ndarray, tol: float = 1e-9) -> float:
     return err
 
 
-def _json_numbers(doc: dict, name: str, count: int) -> np.ndarray:
-    """``doc[name]``, a JSON array of ``count`` JSON numbers, as float64; a
-    string, a bool or a null in it is a TypeError, not a value coerced."""
-    values = doc[name]
-    if type(values) is not list or set(map(type, values)) - {int, float}:
-        raise TypeError(f"{name} must be a JSON array of JSON numbers")
-    if len(values) != count:
-        raise ValueError(f"{name} must hold {count} numbers, got {len(values)}")
-    return np.array(values, dtype=float)
-
-
 @dataclass(frozen=True)
 class Extrinsics:
     """Rigid SE(3) transform mapping radar-frame points into the camera frame."""
@@ -115,23 +104,8 @@ class Extrinsics:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Extrinsics":
-        """Extrinsics from a parsed ``rotation_row_major`` (else ``axis_angle``)
-        and ``translation_m``.  The rotation must be orthonormal within 1e-6,
-        det +1; one 1e-9 or more off (rounded) is snapped to the nearest
-        rotation, and one ``to_doc`` wrote is kept bit for bit.  A bad field
-        raises KeyError, TypeError, ValueError or OverflowError."""
-        if "rotation_row_major" in doc:
-            rotation = _json_numbers(doc, "rotation_row_major", 9).reshape(3, 3)
-        else:
-            rotation = rotvec_to_matrix(_json_numbers(doc, "axis_angle", 3))
-        if _check_rotation(rotation, tol=1e-6) >= 1e-9:
-            rotation = nearest_rotation(rotation)
-        return cls(rotation, _json_numbers(doc, "translation_m", 3))
-
     def to_doc(self) -> dict:
-        """The document ``from_doc`` reads, with both rotation forms."""
+        """The extrinsics document, with both rotation forms (``fileio`` reads it)."""
         return {
             "rotation_row_major": self.rotation.ravel().tolist(),
             "axis_angle": matrix_to_rotvec(self.rotation).tolist(),

@@ -767,6 +767,64 @@ def test_autolabel_worker_death_exit_3(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
+def interrupt_at(monkeypatch, loader: str, name: str):
+    """Make ``fileio.<loader>`` raise KeyboardInterrupt, as Ctrl-C would,
+    when it reads a file called ``name``."""
+    load = getattr(fileio, loader)
+
+    def interrupted(path, *args):
+        if Path(path).name == name:
+            raise KeyboardInterrupt
+        return load(path, *args)
+
+    monkeypatch.setattr(fileio, loader, interrupted)
+
+
+def interrupted_outcome(capsys, argv) -> tuple:
+    """``outcome`` of a run that ``cli.main`` must end itself; an escaping
+    KeyboardInterrupt would stop the whole test session."""
+    try:
+        return outcome(capsys, argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+
+
+def test_calibrate_interrupted_exit_130(tmp_path, capsys, monkeypatch):
+    scene, out = tmp_path / "scene", tmp_path / "c.json"
+    assert run(["synth", "--kind", "calibration", "--poses", "3", "--seed", "1", "-o", scene]) == 0
+    interrupt_at(monkeypatch, "load_corners", "corners_001.json")
+    code, stdout, stderr = interrupted_outcome(capsys, [
+        "calibrate", "--corners", scene, "--frames", scene,
+        "--intrinsics", scene / "intrinsics.json", "-o", out])
+    assert (code, stderr) == (cli.EXIT_INTERRUPTED, "interrupted\n")
+    assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
+
+
+# with two CPUs, frames 0-1 are the parent's chunk and 2-3 the forked worker's
+@pytest.mark.parametrize("frame", [0, 3], ids=["parent_chunk", "worker_chunk"])
+def test_autolabel_interrupted_exit_130(tmp_path, capsys, monkeypatch, frame):
+    use_cpus(monkeypatch, 2)
+    scene, out = tmp_path / "scene", tmp_path / "labels"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", scene]) == 0
+    interrupt_at(monkeypatch, "load_masks", f"masks_{frame:03d}.json")
+    fork, workers = cli._fork_worker, []
+
+    def recorded_fork(*args):
+        pid, read = fork(*args)
+        workers.append(pid)
+        return pid, read
+
+    monkeypatch.setattr(cli, "_fork_worker", recorded_fork)
+    with deadline(60):
+        code, stdout, stderr = interrupted_outcome(capsys, [
+            "autolabel", "--frames", scene, "--masks", scene,
+            "--calibration", scene / "calibration.json", "-o", out])
+    assert (code, stdout, stderr) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
+    assert len(workers) == 1
+    assert_no_child_left()
+
+
 class TestForkedMap:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_same_results_as_a_loop(self, jobs):
@@ -1809,6 +1867,10 @@ INT_VALUES = {"true": True, "string": "1", "null": None, "over_int64": 2**63,
               "under_int64": -(2**63) - 1, "float": 1.0}
 FLOAT_VALUES = {"true": True, "string": "1", "null": None, "over_float": 10**400,
                 "under_float": -(10**400)}
+# a labels file's class and instance ids may be null
+NULLABLE_INT = int | None
+FIELD_VALUES = {int: INT_VALUES, float: FLOAT_VALUES,
+                NULLABLE_INT: {k: v for k, v in INT_VALUES.items() if v is not None}}
 
 
 def number_fields(cls, named="") -> list:
@@ -1828,6 +1890,13 @@ def number_fields(cls, named="") -> list:
 
 INTRINSICS_FIELDS = number_fields(CameraIntrinsics, "intrinsics: ")
 
+
+def extrinsics_fields(*path, named=""):
+    """An entry of each extrinsics array, as ``Extrinsics.to_doc`` writes it."""
+    return [((*path, "rotation_row_major", 4), float, f"{named}rotation_row_major"),
+            ((*path, "translation_m", 0), float, f"{named}translation_m")]
+
+
 # reader -> (its exit code, the start of its message, each number field)
 FIELD_READERS = {
     "corners": (4, "invalid input: bad corners file", [
@@ -1837,6 +1906,7 @@ FIELD_READERS = {
     ]),
     "radar": (4, "invalid input: bad radar frame", [
         (("timestamp_s",), float, "timestamp_s"), (("points", 0, "r_m"), float, "r_m"),
+        (("points", 2, "rcs_dbsm"), float, "rcs_dbsm"),
     ]),
     "masks": (4, "invalid input: bad mask file", [
         (("width",), int, "width"), (("height",), int, "height"),
@@ -1846,28 +1916,37 @@ FIELD_READERS = {
     "intrinsics": (4, "invalid input: bad intrinsics file", INTRINSICS_FIELDS),
     "calibration": (4, "invalid input: bad calibration file", [
         (("intrinsics", *path), kind, named) for path, kind, named in INTRINSICS_FIELDS
-    ]),
+    ] + extrinsics_fields()),
     "calibration_scene": (2, "config error: bad calibration scene config",
-                          number_fields(SceneConfig)),
+                          number_fields(SceneConfig)
+                          + extrinsics_fields("extrinsics", named="extrinsics: ")),
     "labeling_scene": (2, "config error: bad labeling scene config",
-                       number_fields(LabelSceneConfig)),
+                       number_fields(LabelSceneConfig)
+                       + extrinsics_fields("extrinsics", named="extrinsics: ")),
     "params": (2, "config error: bad parameter file", [
         ((section, *path), kind, f"{section}: {named}")
         for section, cls in PARAMS_SECTIONS.items() for path, kind, named in number_fields(cls)
     ] + [(("sync_tolerance_s",), float, "sync_tolerance_s")]),
+    # the first line of a labels file, read by ``eval``
+    "labels": (4, "invalid input: bad labels file", [
+        ((0, "point_index"), int, "point_index"), ((0, "class_id"), NULLABLE_INT, "class_id"),
+        ((0, "instance_id"), NULLABLE_INT, "instance_id"),
+    ]),
 }
 FIELD_ROWS = [
     pytest.param(reader, path, named, value, id=f"{reader}-{'.'.join(map(str, path))}-{label}")
     for reader, (_, _, fields) in FIELD_READERS.items()
     for path, kind, named in fields
-    for label, value in (INT_VALUES if kind is int else FLOAT_VALUES).items()
+    for label, value in FIELD_VALUES[kind].items()
 ]
 
 
 @pytest.fixture(scope="module")
 def field_rule_inputs(tmp_path_factory):
-    """A valid document of each reader, and the labeling scene's radar
-    frame (``lab_radar``), which ``autolabel`` reads beside a masks file."""
+    """A valid document of each reader: the labeling scene's radar frame
+    (``lab_radar``), which ``autolabel`` reads beside a masks file, a frame
+    stream of one calibration frame, and a labels file as a list of lines
+    (``labels``, and ``gt_labels`` that ``eval`` scores it against)."""
     root = tmp_path_factory.mktemp("field_rule")
     assert run(["synth", "--kind", "calibration", "--poses", "3", "--seed", "1",
                 "-o", root / "cal"]) == 0
@@ -1881,6 +1960,10 @@ def field_rule_inputs(tmp_path_factory):
         "lab_radar": root / "lab" / "radar_000.json",
     }
     docs = {name: json.loads(path.read_text()) for name, path in files.items()}
+    docs["radar_stream"] = [docs["radar"]]
+    docs["labels"] = docs["gt_labels"] = [
+        json.loads(line) for line in (root / "lab" / "gt_labels" / "labels_000.jsonl").open()
+    ]
     docs["calibration_scene"] = SCENE_DOCS["calibration"]
     docs["labeling_scene"] = SCENE_DOCS["labeling"]
     docs["params"] = params_doc()
@@ -1894,31 +1977,42 @@ class TestJsonFieldRule:
     field, in exit 4 for a data file and exit 2 for a config."""
 
     @staticmethod
-    def argv(reader, tmp: Path, docs: dict) -> tuple[list, Path]:
+    def argv(reader, tmp: Path, docs: dict) -> tuple[list, str]:
         """The command that reads ``docs[reader]`` first of its inputs, each
-        other input valid; with the path the document is written to."""
+        other input valid; with where its messages place the document: the
+        path it is written to, and the first line of a JSON-lines file."""
         def put(name, doc):
             path = tmp / name
             path.parent.mkdir(exist_ok=True)
-            path.write_text(json.dumps(doc))
-            return path
+            lines = name.endswith(".jsonl")
+            path.write_text("".join(f"{json.dumps(d)}\n" for d in doc) if lines else json.dumps(doc))
+            return f"{path}:1" if lines else path
 
-        if reader in ("corners", "radar", "intrinsics"):
+        if reader in ("corners", "radar", "radar_stream", "intrinsics"):
             paths = {
                 "intrinsics": put("intrinsics.json", docs["intrinsics"]),
                 "corners": put("corners/corners_000.json", docs["corners"]),
-                "radar": put("frames/radar_000.json", docs["radar"]),
             }
-            return ["calibrate", "--corners", tmp / "corners", "--frames", tmp / "frames",
+            frames = tmp / "frames"
+            if reader == "radar_stream":
+                paths[reader] = put("frames.jsonl", docs[reader])
+                frames = tmp / "frames.jsonl"
+            else:
+                paths["radar"] = put("frames/radar_000.json", docs["radar"])
+            return ["calibrate", "--corners", tmp / "corners", "--frames", frames,
                     "--intrinsics", paths["intrinsics"], "-o", tmp / "c.json"], paths[reader]
-        if reader in ("masks", "calibration"):
+        if reader in ("masks", "calibration", "lab_radar"):
             paths = {
                 "calibration": put("calibration.json", docs["calibration"]),
                 "masks": put("masks/masks_000.json", docs["masks"]),
+                "lab_radar": put("frames/radar_000.json", docs["lab_radar"]),
             }
-            put("frames/radar_000.json", docs["lab_radar"])
             return ["autolabel", "--frames", tmp / "frames", "--masks", tmp / "masks",
                     "--calibration", paths["calibration"], "-o", tmp / "labels"], paths[reader]
+        if reader == "labels":
+            put("gt/labels_000.jsonl", docs["gt_labels"])
+            return ["eval", "--pred", tmp / "pred", "--gt", tmp / "gt", "-o", tmp / "report.json"
+                    ], put("pred/labels_000.jsonl", docs[reader])
         path = put("config.json", docs[reader])
         if reader == "params":
             return TestExitCodes.params_argv("calibrate", tmp, path), path
@@ -1954,6 +2048,51 @@ class TestJsonFieldRule:
         assert err.startswith(f"{message} {written}: {named} "), err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    # (reader, the key path of a row, or () for the whole document, the
+    # name the message gives it, and the message's start)
+    NON_OBJECTS = [
+        ("corners", (), "the document", "bad corners file"),
+        ("corners", ("checkerboard",), "checkerboard", "bad corners file"),
+        ("corners", ("corners", 2), "corners[2]", "bad corners file"),
+        ("radar", (), "the document", "bad radar frame"),
+        ("radar", ("points", 2), "points[2]", "bad radar frame"),
+        ("radar_stream", (0,), "the document", "bad radar frame"),
+        ("radar_stream", (0, "points", 2), "points[2]", "bad radar frame"),
+        ("intrinsics", (), "intrinsics", "bad intrinsics file"),
+        ("calibration", (), "the document", "bad calibration file"),
+        ("calibration", ("intrinsics",), "intrinsics", "bad calibration file"),
+        ("lab_radar", (), "the document", "bad radar frame file"),
+        ("lab_radar", ("points", 2), "points[2]", "bad radar frame file"),
+        ("masks", (), "the document", "bad mask file"),
+        ("masks", ("instances", 0), "instances[0]", "bad mask file"),
+        ("labels", (0,), "the line", "bad labels file"),
+    ]
+
+    @pytest.mark.parametrize(
+        "reader, path, named, message", NON_OBJECTS,
+        ids=[f"{reader}-{'.'.join(map(str, path)) or 'document'}"
+             for reader, path, _, _ in NON_OBJECTS],
+    )
+    def test_non_object_is_refused(
+        self, tmp_path, capsys, field_rule_inputs, reader, path, named, message
+    ):
+        # a whole document [1, 2], or 5 for a row or a line: the message
+        # names the file (and the line) and the type it got
+        docs = json.loads(json.dumps(field_rule_inputs))
+        value = 5 if path else [1, 2]
+        if path:
+            target = docs[reader]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            docs[reader] = value
+        argv, written = self.argv(reader, tmp_path, docs)
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        got = type(value).__name__
+        assert err == f"invalid input: {message} {written}: {named} must be a JSON object, got {got}\n"
 
 
 class TestFlags:

@@ -38,7 +38,13 @@ from radcal.fileio import (
     write_radar_frame,
     write_radar_points,
 )
-from radcal.geometry import CameraIntrinsics, sph2cart
+from radcal.geometry import (
+    CameraIntrinsics,
+    Extrinsics,
+    nearest_rotation,
+    rotvec_to_matrix,
+    sph2cart,
+)
 from radcal.reflector import RadarFrame
 from radcal.synth import default_extrinsics, default_intrinsics
 
@@ -345,6 +351,109 @@ class TestCalibrationFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"bad calibration file {path}: .*reflection"):
             load_calibration(path)
+
+
+def random_rotation(rng):
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, math.pi)
+    return rotvec_to_matrix(axis * angle)
+
+
+IDENTITY = Extrinsics(np.eye(3), np.zeros(3))
+
+
+def read_extrinsics(doc):
+    """Extrinsics read as a scene config's ``extrinsics`` object is read."""
+    return fileio._json_value(Extrinsics, doc, "extrinsics")
+
+
+class TestExtrinsicsCodec:
+    """The one extrinsics reader: ``Extrinsics.to_doc`` writes the document,
+    and calibration files and scene configs read it through ``fileio``."""
+
+    def test_round_trip_keeps_every_bit(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            t = Extrinsics(random_rotation(rng), rng.normal(size=3))
+            back = read_extrinsics(json.loads(json.dumps(t.to_doc())))
+            assert back.rotation.tobytes() == t.rotation.tobytes()
+            assert back.translation.tobytes() == t.translation.tobytes()
+
+    def test_axis_angle_without_row_major(self):
+        rotvec = [0.3, -1.2, 0.4]
+        t = read_extrinsics({"axis_angle": rotvec, "translation_m": [1, 2, 3]})
+        assert t.rotation.tobytes() == rotvec_to_matrix(np.array(rotvec)).tobytes()
+        assert t.translation.tolist() == [1.0, 2.0, 3.0]
+
+    def test_row_major_wins_over_axis_angle(self):
+        doc = {**IDENTITY.to_doc(), "axis_angle": [0.0, 0.0, 1.0]}
+        assert np.array_equal(read_extrinsics(doc).rotation, np.eye(3))
+
+    def test_rounded_rotation_snapped_exact_one_kept(self):
+        rotation = random_rotation(np.random.default_rng(22))
+        assert np.abs(rotation.T @ rotation - np.eye(3)).max() < 1e-9
+        doc = {"rotation_row_major": rotation.ravel().tolist(), "translation_m": [0, 0, 0]}
+        assert read_extrinsics(doc).rotation.tobytes() == rotation.tobytes()
+        doc["rotation_row_major"] = np.round(rotation, 7).ravel().tolist()
+        snapped = read_extrinsics(doc).rotation
+        assert np.array_equal(snapped, nearest_rotation(np.round(rotation, 7)))
+        assert np.allclose(snapped, rotation, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"rotation_row_major": np.eye(3).ravel().tolist()[:8]},
+             "rotation_row_major must hold 9 entries, got 8"),
+            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, "1"]},
+             "rotation_row_major must be a JSON number, got str"),
+            ({"rotation_row_major": np.eye(3).tolist()},
+             "rotation_row_major must be a JSON number, got list"),
+            ({"rotation_row_major": (1.01 * np.eye(3)).ravel().tolist()},
+             "rotation is not orthonormal (max deviation 2.010e-02)"),
+            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, -1]},
+             "rotation has determinant -1 (reflection)"),
+            # a rounded reflection is rejected, not snapped to a rotation
+            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, -1.0000001]},
+             "rotation has determinant -1 (reflection)"),
+            ({"translation_m": [0, 0]}, "translation_m must hold 3 entries, got 2"),
+            ({"translation_m": [0, True, 0]}, "translation_m must be a JSON number, got bool"),
+            ({"translation_m": [0, math.nan, 0]}, "translation must be finite"),
+            ({"translation_m": "0 0 0"}, "translation_m must be a JSON array, got str"),
+            ({"axis_angle": [0, 0, 0], "rotation_row_major": None},
+             "rotation_row_major must be a JSON array, got NoneType"),
+            ({"rotation_row_major": [[1, 0, 0], 0, 0, 0, 1, 0, 0, 0, 1]},
+             "rotation_row_major must be a JSON number, got list"),
+            ({"translation_m": [10**400, 0, 0]}, "translation_m does not fit a float"),
+        ],
+        ids=["short_rotation", "text_entry", "nested_rotation", "scaled_rotation",
+             "reflection", "rounded_reflection", "short_translation", "bool_entry",
+             "nan_translation", "text_translation", "null_rotation", "nested_entry",
+             "translation_past_float"],
+    )
+    def test_bad_document_raises(self, change, message):
+        with pytest.raises(ValueError) as info:
+            read_extrinsics({**IDENTITY.to_doc(), **change})
+        assert str(info.value) == f"extrinsics: {message}"
+
+    def test_missing_rotation_is_a_missing_key(self):
+        with pytest.raises(ValueError) as info:
+            read_extrinsics({"translation_m": [0, 0, 0]})
+        assert str(info.value) == "extrinsics: missing key 'axis_angle'"
+
+    def test_calibration_file_reads_the_same_fields(self, tmp_path):
+        # the calibration document holds the extrinsics at its top level
+        path = tmp_path / "calibration.json"
+        write_calibration(path, default_extrinsics(), default_intrinsics(), 0.0, 0.0, True)
+        doc = json.loads(path.read_text())
+        loaded, expected = load_calibration(path)[0], read_extrinsics(doc)
+        assert loaded.rotation.tobytes() == expected.rotation.tobytes()
+        assert loaded.translation.tobytes() == expected.translation.tobytes()
+        doc["translation_m"][1] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as info:
+            load_calibration(path)
+        assert str(info.value) == f"bad calibration file {path}: translation_m does not fit a float"
 
 
 class TestLabelFiles:

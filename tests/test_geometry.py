@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -203,63 +202,6 @@ class TestExtrinsics:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             Extrinsics(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
-
-
-class TestExtrinsicsCodec:
-    def test_round_trip_keeps_every_bit(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            t = Extrinsics(random_rotation(rng), rng.normal(size=3))
-            back = Extrinsics.from_doc(json.loads(json.dumps(t.to_doc())))
-            assert back.rotation.tobytes() == t.rotation.tobytes()
-            assert back.translation.tobytes() == t.translation.tobytes()
-
-    def test_axis_angle_without_row_major(self):
-        rotvec = [0.3, -1.2, 0.4]
-        t = Extrinsics.from_doc({"axis_angle": rotvec, "translation_m": [1, 2, 3]})
-        assert t.rotation.tobytes() == rotvec_to_matrix(np.array(rotvec)).tobytes()
-        assert t.translation.tolist() == [1.0, 2.0, 3.0]
-
-    def test_row_major_wins_over_axis_angle(self):
-        doc = {**IDENTITY.to_doc(), "axis_angle": [0.0, 0.0, 1.0]}
-        assert np.array_equal(Extrinsics.from_doc(doc).rotation, np.eye(3))
-
-    def test_rounded_rotation_snapped_exact_one_kept(self):
-        rotation = random_rotation(np.random.default_rng(22))
-        assert np.abs(rotation.T @ rotation - np.eye(3)).max() < 1e-9
-        doc = {"rotation_row_major": rotation.ravel().tolist(), "translation_m": [0, 0, 0]}
-        assert Extrinsics.from_doc(doc).rotation.tobytes() == rotation.tobytes()
-        doc["rotation_row_major"] = np.round(rotation, 7).ravel().tolist()
-        snapped = Extrinsics.from_doc(doc).rotation
-        assert np.array_equal(snapped, nearest_rotation(np.round(rotation, 7)))
-        assert np.allclose(snapped, rotation, atol=1e-6)
-
-    @pytest.mark.parametrize(
-        "change, error, match",
-        [
-            ({"rotation_row_major": np.eye(3).ravel().tolist()[:8]}, ValueError, "9 numbers"),
-            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, "1"]}, TypeError, "JSON numbers"),
-            ({"rotation_row_major": np.eye(3).tolist()}, TypeError, "JSON numbers"),
-            ({"rotation_row_major": (1.01 * np.eye(3)).ravel().tolist()}, ValueError,
-             "orthonormal"),
-            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, -1]}, ValueError, "reflection"),
-            # a rounded reflection is rejected, not snapped to a rotation
-            ({"rotation_row_major": [1, 0, 0, 0, 1, 0, 0, 0, -1.0000001]}, ValueError,
-             "reflection"),
-            ({"translation_m": [0, 0]}, ValueError, "3 numbers"),
-            ({"translation_m": [0, True, 0]}, TypeError, "JSON numbers"),
-            ({"translation_m": [0, math.nan, 0]}, ValueError, "finite"),
-            ({"translation_m": "0 0 0"}, TypeError, "JSON array"),
-            ({"axis_angle": [0, 0, 0], "rotation_row_major": None}, TypeError, "JSON array"),
-        ],
-    )
-    def test_bad_document_raises(self, change, error, match):
-        with pytest.raises(error, match=match):
-            Extrinsics.from_doc({**IDENTITY.to_doc(), **change})
-
-    def test_missing_rotation_is_a_key_error(self):
-        with pytest.raises(KeyError):
-            Extrinsics.from_doc({"translation_m": [0, 0, 0]})
 
 
 class TestNearestRotation:
