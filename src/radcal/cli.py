@@ -69,9 +69,10 @@ def _load_config_file(path: str | Path) -> dict:
             doc = json.loads(raw.decode())
     except Exception as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold an object, not {type(doc).__name__}")
-    return doc
+    try:
+        return fileio._json_value(dict, doc, str(path))
+    except TypeError as exc:  # a JSON document that is not an object
+        raise ConfigError(str(exc)) from exc
 
 
 # params file section -> its dataclass, which the package imports on first

@@ -283,9 +283,9 @@ def _fields(kinds: dict, doc: dict) -> dict:
 def _config_kinds(cls) -> tuple[dict, tuple]:
     """A dataclass's field types and the names of its fields without a
     default, resolved once per class; callers must not change them."""
-    none = dataclasses.MISSING
+    missing = dataclasses.MISSING
     return typing.get_type_hints(cls), tuple(
-        f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is none
+        f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is missing
     )
 
 
@@ -322,12 +322,12 @@ def _extrinsics(doc: dict) -> Extrinsics:
     return Extrinsics(rotation, numbers("translation_m", 3))
 
 
-def _float_rows(rows: list, keys: tuple) -> np.ndarray:
-    """``(N, len(keys))`` float64 rows of each row's JSON numbers at ``keys``."""
-    out = np.empty((len(rows), len(keys)))
+def _float_rows(items: list, keys: tuple) -> np.ndarray:
+    """``(N, len(keys))`` float64 rows of each item's JSON numbers at ``keys``."""
+    rows = np.empty((len(items), len(keys)))
     for i, key in enumerate(keys):
-        out[:, i] = _json_column(float, list(map(operator.itemgetter(key), rows)), key)
-    return out
+        rows[:, i] = _json_column(float, list(map(operator.itemgetter(key), items)), key)
+    return rows
 
 
 def _timestamp(doc: dict) -> float:

@@ -1284,7 +1284,7 @@ class TestExitCodes:
         config = tmp_path / "scene.json"
         config.write_text("[1]")
         assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
-        assert "must hold an object" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {config} must be a JSON object, got list\n"
 
     @pytest.mark.parametrize("command", ["calibrate", "autolabel"])
     @pytest.mark.parametrize(
