@@ -28,14 +28,13 @@ _EXPORTS = {
     ),
     "calibration": (
         "CalibrationResult",
-        "Correspondence",
         "CorrespondenceSet",
         "SolverConfig",
         "build_correspondences",
         "solve_extrinsics",
     ),
     "checkerboard": ("CheckerboardSpec", "CornerSet", "checkerboard_center"),
-    "geometry": ("CameraIntrinsics", "Extrinsics", "project", "sph2cart"),
+    "geometry": ("CameraIntrinsics", "Extrinsics", "sph2cart"),
     "metrics": ("label_report", "pooled_report"),
     "reflector": (
         "ClusterParams",

@@ -36,7 +36,6 @@ from .geometry import (
     canonicalize_rotvec,
     matrix_to_rotvec,
     nearest_rotation,
-    project,
 )
 
 logger = logging.getLogger(__name__)
@@ -44,13 +43,11 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "TooFewPoses",
     "DegenerateGeometry",
-    "Correspondence",
     "CorrespondenceSet",
     "SolverConfig",
     "CalibrationResult",
     "DEFAULT_SYNC_TOLERANCE_S",
     "build_correspondences",
-    "reprojection_residual",
     "reprojection_errors",
     "cube_rotation_seeds",
     "solve_extrinsics",
@@ -80,34 +77,44 @@ class DegenerateGeometry(ValueError):
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """One pose: checkerboard center pixel paired with the radar reflector center."""
-
-    pose_id: int
-    image_center: np.ndarray  # (2,) pixels
-    radar_center: np.ndarray  # (3,) meters, radar frame
-    t_camera_s: float = 0.0
-    t_radar_s: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "image_center", np.asarray(self.image_center, dtype=float).reshape(2)
-        )
-        object.__setattr__(
-            self, "radar_center", np.asarray(self.radar_center, dtype=float).reshape(3)
-        )
-
-
-@dataclass(frozen=True)
 class CorrespondenceSet:
-    """Valid correspondences plus the poses dropped while pairing."""
+    """The paired poses as columns, in ascending pose id, plus the poses
+    dropped while pairing.
 
-    correspondences: tuple[Correspondence, ...]
+    The columns are sorted once, here: a solve reads them in this order,
+    so its float summation, and the whole solve, is invariant to the order
+    the poses were given in.
+    """
+
+    pose_id: np.ndarray  # (K,) int64, ascending and unique
+    image_center: np.ndarray  # (K, 2) checkerboard center pixels
+    radar_center: np.ndarray  # (K, 3) reflector centers, meters, radar frame
     dropped_unmatched: tuple[int, ...] = ()
     dropped_sync: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        pose_id = np.asarray(self.pose_id, dtype=np.int64).reshape(-1)
+        image_center = np.asarray(self.image_center, dtype=float).reshape(-1, 2)
+        radar_center = np.asarray(self.radar_center, dtype=float).reshape(-1, 3)
+        if not len(pose_id) == len(image_center) == len(radar_center):
+            raise ValueError("pose_id, image_center and radar_center need one row per pose")
+        order = np.argsort(pose_id, kind="stable")
+        pose_id = pose_id[order]
+        if (pose_id[1:] == pose_id[:-1]).any():
+            raise ValueError("pose ids must be unique")
+        object.__setattr__(self, "pose_id", pose_id)
+        object.__setattr__(self, "image_center", image_center[order])
+        object.__setattr__(self, "radar_center", radar_center[order])
+
     def __len__(self) -> int:
-        return len(self.correspondences)
+        return len(self.pose_id)
+
+    def take(self, index) -> "CorrespondenceSet":
+        """The poses at ``index`` (a slice or an index array) of the columns,
+        with no dropped poses."""
+        return CorrespondenceSet(
+            self.pose_id[index], self.image_center[index], self.radar_center[index]
+        )
 
 
 @dataclass
@@ -158,53 +165,32 @@ def build_correspondences(
     than the sync tolerance are dropped and reported.  Raises TooFewPoses
     when fewer than 3 pairs remain.
     """
-    cam = {pid: (t, np.asarray(v, dtype=float)) for pid, t, v in camera_centers}
-    rad = {pid: (t, np.asarray(v, dtype=float)) for pid, t, v in radar_centers}
+    cam = {pid: (t, center) for pid, t, center in camera_centers}
+    rad = {pid: (t, point) for pid, t, point in radar_centers}
     if len(cam) != len(camera_centers) or len(rad) != len(radar_centers):
         raise ValueError("pose ids must be unique per sensor stream")
 
     matched = []
     sync_violations = []
     for pid in sorted(cam.keys() & rad.keys()):
-        t_cam, center = cam[pid]
-        t_rad, point = rad[pid]
-        if abs(t_cam - t_rad) > sync_tolerance_s:
+        gap = abs(cam[pid][0] - rad[pid][0])
+        if gap > sync_tolerance_s:
             sync_violations.append(pid)
-            logger.warning(
-                "pose %d dropped: camera/radar timestamps differ by %.4f s",
-                pid,
-                abs(t_cam - t_rad),
-            )
+            logger.warning("pose %d dropped: camera/radar timestamps differ by %.4f s", pid, gap)
             continue
-        matched.append(
-            Correspondence(
-                pose_id=pid,
-                image_center=center,
-                radar_center=point,
-                t_camera_s=t_cam,
-                t_radar_s=t_rad,
-            )
-        )
+        matched.append(pid)
     unmatched = sorted(cam.keys() ^ rad.keys())
     if len(matched) < 3:
         raise TooFewPoses(
             f"{len(matched)} valid poses; need at least 3 (4+ recommended)"
         )
     return CorrespondenceSet(
-        correspondences=tuple(matched),
+        pose_id=matched,
+        image_center=[cam[pid][1] for pid in matched],
+        radar_center=[rad[pid][1] for pid in matched],
         dropped_unmatched=tuple(unmatched),
         dropped_sync=tuple(sync_violations),
     )
-
-
-def reprojection_residual(
-    k: CameraIntrinsics, t: Extrinsics, corr: Correspondence
-) -> np.ndarray:
-    """(du, dv) = observed - projected; its squared norm is the pose's error term.
-
-    Raises BehindCamera when the radar point has non-positive depth under t.
-    """
-    return corr.image_center - project(k, t, corr.radar_center)
 
 
 def reprojection_errors(residuals: np.ndarray) -> tuple[float, float]:
@@ -474,13 +460,7 @@ def solve_extrinsics(
     cfg = cfg or SolverConfig()
     if len(correspondences) < 3:
         raise TooFewPoses(f"{len(correspondences)} poses; need at least 3")
-    # fixed evaluation order (ascending pose id) makes the float summation,
-    # and therefore the whole solve, invariant to input permutation
-    ordered = sorted(
-        correspondences.correspondences, key=lambda c: c.pose_id
-    )
-    observed = np.array([c.image_center for c in ordered])
-    points = np.array([c.radar_center for c in ordered])
+    observed, points = correspondences.image_center, correspondences.radar_center
 
     runs = _run_lm(np.array(cube_rotation_seeds()), k, observed, points, cfg)
     # the first seed wins a tie, and a NaN cost never wins

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fileio
 from .checkerboard import checkerboard_center
-from .geometry import BehindCamera, project_points
+from .geometry import pinhole, project_points
 
 logger = logging.getLogger("radcal")
 
@@ -326,9 +326,14 @@ def _radar_frame_inputs(path_str: str) -> list[tuple[int, "object"]]:
     raise FileNotFoundError(f"missing radar input: {path}")
 
 
-def _pose_entry(corr, residual, split: str) -> dict:
+def _pose_entry(pose_id: int, residual, split: str) -> dict:
+    """One ``per_pose`` entry; a residual of None marks a pose behind the
+    camera, which has no pixel to compare."""
+    if residual is None:
+        none = dict.fromkeys(("du_px", "dv_px", "error_px"))
+        return {"pose_id": pose_id, **none, "split": split, "behind_camera": True}
     return {
-        "pose_id": corr.pose_id,
+        "pose_id": pose_id,
         "du_px": float(residual[0]),
         "dv_px": float(residual[1]),
         "error_px": float(np.hypot(residual[0], residual[1])),
@@ -378,56 +383,42 @@ def _cmd_calibrate(args, outputs: fileio.Outputs) -> int:
         camera_centers, radar_centers, params["sync_tolerance_s"]
     )
 
-    holdout_report = None
-    solve_set = corrs
+    split = len(corrs)  # the last poses are held out
     if args.holdout > 0:
-        n_hold = int(round(len(corrs) * args.holdout))
-        train = corrs.correspondences[: len(corrs) - n_hold]
-        held = corrs.correspondences[len(corrs) - n_hold :]
-        if len(train) < 3:
+        split -= int(round(len(corrs) * args.holdout))
+        if split < 3:
             raise cal.TooFewPoses(
-                f"holdout {args.holdout} leaves {len(train)} training poses; need 3"
+                f"holdout {args.holdout} leaves {split} training poses; need 3"
             )
-        solve_set = cal.CorrespondenceSet(train)
-        holdout_report = held
+    solve_set = corrs.take(slice(split))
 
     result = cal.solve_extrinsics(solve_set, intrinsics, params["solver"])
 
     per_pose = [
-        _pose_entry(c, r, "train")
-        for c, r in zip(solve_set.correspondences, result.residuals)
+        _pose_entry(pose_id, r, "train")
+        for pose_id, r in zip(solve_set.pose_id.tolist(), result.residuals)
     ]
     line = f"MRE {result.mre_px:.6g} px  RMSE {result.rmse_px:.6g} px  ({len(solve_set)} poses"
-    if holdout_report:
-        held_res = []
-        behind = []
-        for c in holdout_report:
-            try:
-                r = cal.reprojection_residual(intrinsics, result.extrinsics, c)
-            except BehindCamera:
-                # no pixel to compare: reported, but left out of the holdout error
-                behind.append(c.pose_id)
-                per_pose.append(
-                    {
-                        "pose_id": c.pose_id,
-                        "du_px": None,
-                        "dv_px": None,
-                        "error_px": None,
-                        "split": "holdout",
-                        "behind_camera": True,
-                    }
-                )
-                continue
-            held_res.append(r)
-            per_pose.append(_pose_entry(c, r, "holdout"))
-        if held_res:
-            held_mre, held_rmse = cal.reprojection_errors(np.array(held_res))
-            line += (
-                f"; holdout MRE {held_mre:.6g} px RMSE {held_rmse:.6g} px "
-                f"over {len(held_res)} poses"
-            )
-        if behind:
-            line += f"; holdout pose(s) behind the camera: {behind}"
+    held_res = []
+    behind = []
+    for pose_id, observed, point in zip(
+        corrs.pose_id[split:].tolist(), corrs.image_center[split:], corrs.radar_center[split:]
+    ):
+        pixel, front = pinhole(intrinsics, result.extrinsics.transform(point))
+        residual = observed - pixel if front[0] else None
+        per_pose.append(_pose_entry(pose_id, residual, "holdout"))
+        if residual is None:  # reported, but left out of the holdout error
+            behind.append(pose_id)
+        else:
+            held_res.append(residual)
+    if held_res:
+        held_mre, held_rmse = cal.reprojection_errors(np.array(held_res))
+        line += (
+            f"; holdout MRE {held_mre:.6g} px RMSE {held_rmse:.6g} px "
+            f"over {len(held_res)} poses"
+        )
+    if behind:
+        line += f"; holdout pose(s) behind the camera: {behind}"
     line += ")"
 
     config_echo = {

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BehindCamera",
     "CameraIntrinsics",
     "Extrinsics",
     "Z_EPS",
@@ -32,7 +31,6 @@ __all__ = [
     "canonicalize_rotvec",
     "nearest_rotation",
     "pinhole",
-    "project",
     "project_points",
 ]
 
@@ -41,10 +39,6 @@ __all__ = [
 Z_EPS = 1e-6
 
 _EYE3 = np.eye(3)
-
-
-class BehindCamera(ValueError):
-    """Point has non-positive depth in the camera frame; projection undefined."""
 
 
 @dataclass(frozen=True)
@@ -276,18 +270,6 @@ def _pinhole(focal: np.ndarray, center: np.ndarray, cam: np.ndarray):
     front = z > Z_EPS
     zs = np.where(front, z, 1.0)
     return focal * cam[..., :2] / zs + center, front
-
-
-def project(k: CameraIntrinsics, t: Extrinsics, point: np.ndarray) -> np.ndarray:
-    """Pinhole projection of one radar-frame point. Returns pixel (u, v).
-
-    Raises BehindCamera when the camera-frame depth is <= Z_EPS; the caller
-    decides whether that is fatal (calibration) or a skip (labeling).
-    """
-    cam = t.transform(np.asarray(point, dtype=float))
-    if cam[2] <= Z_EPS:
-        raise BehindCamera(f"depth {cam[2]:.3g} m is behind the camera plane")
-    return pinhole(k, cam)[0]
 
 
 def project_points(

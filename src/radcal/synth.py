@@ -46,6 +46,7 @@ from .geometry import (
 from .reflector import RadarFrame
 
 __all__ = [
+    "SCENE_BUDGET",
     "FovInfeasible",
     "SceneConfig",
     "LabelSceneConfig",
@@ -59,8 +60,26 @@ __all__ = [
 ]
 
 
+# The most radar returns, corners and points one scene may ask for.  Poses,
+# movers and objects are drawn one at a time in Python loops, so a config
+# past this (a typo in a count) is refused before the first draw, instead of
+# running for hours.  The benchmark's largest scenes ask for about 8,500.
+SCENE_BUDGET = 1_000_000
+
+
 class FovInfeasible(RuntimeError):
     """No board placement satisfies both sensor fields of view."""
+
+
+def _check_budget(count: int, what: str, fields: dict) -> None:
+    """A ValueError naming the largest of ``fields`` when a scene asks for
+    ``count`` rows of ``what``, past SCENE_BUDGET."""
+    if count > SCENE_BUDGET:
+        name = max(fields, key=fields.get)
+        raise ValueError(
+            f"the scene asks for {count} {what}, more than SCENE_BUDGET = {SCENE_BUDGET}; "
+            f"lower {name} ({fields[name]})"
+        )
 
 
 def default_intrinsics() -> CameraIntrinsics:
@@ -131,6 +150,16 @@ class SceneConfig:
         for name in ("pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0")
+        # per pose: the reflector's apex and at most 8 scatter returns, the
+        # clutter, the movers and the board's corners
+        fields = {
+            name: getattr(self, name)
+            for name in ("pose_count", "clutter_per_frame", "moving_clutter_per_frame",
+                         "board_nx", "board_ny")
+        }
+        per_pose = 9 + self.clutter_per_frame + self.moving_clutter_per_frame
+        per_pose += (self.board_nx - 1) * (self.board_ny - 1)
+        _check_budget(self.pose_count * per_pose, "radar returns and corners", fields)
 
 
 @dataclass(frozen=True)
@@ -344,6 +373,16 @@ class LabelSceneConfig:
         if self.object_count < 1:
             raise ValueError("object_count must be >= 1")
         _check_seed(self.seed)
+        # per object: its most points and as many false-positive bait points
+        # as the rate asks for; then the clutter
+        most = self.points_per_object[1]
+        per_object = most + round(self.false_positive_rate * most)
+        fields = {
+            "object_count": self.object_count,
+            "points_per_object": most,
+            "clutter_count": self.clutter_count,
+        }
+        _check_budget(self.object_count * per_object + self.clutter_count, "points", fields)
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,7 @@ def test_criterion_4_lm_gradient_check():
         for p in scene.poses
     ]
     corrs = build_correspondences(cam, rad)
-    observed = np.array([c.image_center for c in corrs.correspondences])
-    points = np.array([c.radar_center for c in corrs.correspondences])
+    observed, points = corrs.image_center, corrs.radar_center
     k = scene.config.intrinsics
     gt = scene.config.extrinsics
     base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from fd_oracle import central_difference_jacobian
 from radcal import calibration
 from radcal.calibration import (
     BEHIND_CAMERA_RESIDUAL,
-    Correspondence,
     CorrespondenceSet,
     DegenerateGeometry,
     SolverConfig,
@@ -15,7 +16,6 @@ from radcal.calibration import (
     _run_lm,
     build_correspondences,
     cube_rotation_seeds,
-    reprojection_residual,
     solve_extrinsics,
 )
 from radcal.checkerboard import checkerboard_center
@@ -23,6 +23,7 @@ from radcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
     matrix_to_rotvec,
+    pinhole,
     rotvec_to_matrix,
 )
 from radcal.reflector import extract_reflector
@@ -107,6 +108,69 @@ class TestBuildCorrespondences:
         with pytest.raises(ValueError):
             build_correspondences(cam, rad)
 
+    @pytest.mark.parametrize("past", [False, True], ids=["on_boundary", "one_ulp_past"])
+    def test_sync_gate_boundary(self, past):
+        # the gate drops a pair when abs(t_cam - t_rad) > tol: a gap equal to
+        # the tolerance keeps it, one ulp more drops it
+        tol = 2**-6
+        t_rad = 3.0 + tol
+        assert abs(3.0 - t_rad) == tol
+        if past:
+            t_rad = math.nextafter(t_rad, math.inf)
+        cam = [(i, float(i), np.zeros(2)) for i in range(5)]
+        rad = [(i, t_rad if i == 3 else float(i), np.ones(3)) for i in range(5)]
+        corrs = build_correspondences(cam, rad, sync_tolerance_s=tol)
+        assert corrs.dropped_sync == ((3,) if past else ())
+        assert corrs.pose_id.tolist() == ([0, 1, 2, 4] if past else [0, 1, 2, 3, 4])
+
+    def test_columns_in_ascending_pose_id(self):
+        ids = [5, 2, 9, 0]
+        cam = [(i, 0.0, np.array([i, -i])) for i in ids]
+        rad = [(i, 0.0, np.array([i, 2 * i, 3 * i])) for i in reversed(ids)]
+        corrs = build_correspondences(cam, rad)
+        assert corrs.pose_id.dtype == np.int64
+        assert corrs.pose_id.tolist() == [0, 2, 5, 9]
+        assert corrs.image_center.tolist() == [[i, -i] for i in (0, 2, 5, 9)]
+        assert corrs.radar_center.tolist() == [[i, 2 * i, 3 * i] for i in (0, 2, 5, 9)]
+        assert corrs.image_center.dtype == corrs.radar_center.dtype == np.float64
+
+
+class TestCorrespondenceSet:
+    def test_take_keeps_the_columns_aligned(self):
+        corrs = CorrespondenceSet(
+            [3, 1, 2, 0], np.arange(8.0).reshape(4, 2), np.arange(12.0).reshape(4, 3),
+            dropped_unmatched=(7,), dropped_sync=(8,),
+        )
+        assert corrs.pose_id.tolist() == [0, 1, 2, 3]
+        assert corrs.image_center.tolist() == [[6, 7], [2, 3], [4, 5], [0, 1]]
+        head = corrs.take(slice(3))
+        assert head.pose_id.tolist() == [0, 1, 2]
+        assert np.array_equal(head.image_center, corrs.image_center[:3])
+        assert np.array_equal(head.radar_center, corrs.radar_center[:3])
+        assert head.dropped_unmatched == head.dropped_sync == ()
+        assert len(corrs.take(slice(3, None))) == 1
+
+    @pytest.mark.parametrize(
+        "pose_id, image_center, radar_center, message",
+        [
+            ([0, 1], np.zeros((3, 2)), np.zeros((3, 3)), "one row per pose"),
+            ([0, 1, 2], np.zeros((3, 2)), np.zeros((2, 3)), "one row per pose"),
+            ([0, 1, 1], np.zeros((3, 2)), np.zeros((3, 3)), "unique"),
+        ],
+        ids=["short_pose_id", "short_radar_center", "repeated_pose_id"],
+    )
+    def test_rejects_ragged_or_repeated_poses(self, pose_id, image_center, radar_center, message):
+        with pytest.raises(ValueError, match=message):
+            CorrespondenceSet(pose_id, image_center, radar_center)
+
+
+def pose_residual(k, t, image_center, radar_center):
+    """observed - projected of one pose, as ``calibrate`` reports a held-out
+    pose: ``t.transform`` (the 1-D path), then ``pinhole``; None when the
+    point is behind the camera."""
+    pixel, front = pinhole(k, t.transform(radar_center))
+    return image_center - pixel if front[0] else None
+
 
 class TestResidual:
     def test_perfect_correspondence_is_zero(self):
@@ -114,27 +178,24 @@ class TestResidual:
         k = scene.config.intrinsics
         t = scene.config.extrinsics
         for pose in scene.poses:
-            corr = Correspondence(
-                pose.pose_id, pose.gt_center_pixel, pose.gt_center_radar
-            )
-            res = reprojection_residual(k, t, corr)
+            res = pose_residual(k, t, pose.gt_center_pixel, pose.gt_center_radar)
             assert np.linalg.norm(res) < 1e-9
 
     def test_spec_arithmetic_case(self):
         with pytest.warns(UserWarning):
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 200, 200)
         # identity transform projects (103, 96, 1) to exactly (103, 96)
-        corr = Correspondence(0, np.array([100.0, 100.0]), np.array([103.0, 96.0, 1.0]))
-        res = reprojection_residual(k, Extrinsics(np.eye(3), np.zeros(3)), corr)
+        identity = Extrinsics(np.eye(3), np.zeros(3))
+        res = pose_residual(k, identity, np.array([100.0, 100.0]), np.array([103.0, 96.0, 1.0]))
         assert np.allclose(res, [-3.0, 4.0])
         assert np.isclose(res @ res, 25.0)
+        assert pose_residual(k, identity, np.zeros(2), np.array([103.0, 96.0, -1.0])) is None
 
     def test_cost_grows_with_perturbation(self):
         scene = gen_calibration_scene(SceneConfig(seed=2, pose_count=12))
         k = scene.config.intrinsics
         corrs = scene_correspondences(scene)
-        observed = np.array([c.image_center for c in corrs.correspondences])
-        points = np.array([c.radar_center for c in corrs.correspondences])
+        observed, points = corrs.image_center, corrs.radar_center
         gt = scene.config.extrinsics
         gt_pose = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
         rng = np.random.default_rng(3)
@@ -181,8 +242,7 @@ class TestJacobian:
         scene = gen_calibration_scene(SceneConfig(seed=4, pose_count=10))
         k = scene.config.intrinsics
         corrs = scene_correspondences(scene)
-        observed = np.array([c.image_center for c in corrs.correspondences])
-        points = np.array([c.radar_center for c in corrs.correspondences])
+        observed, points = corrs.image_center, corrs.radar_center
         rng = np.random.default_rng(5)
         gt = scene.config.extrinsics
         base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
@@ -223,8 +283,7 @@ class TestSolve:
         scene = gen_calibration_scene(SceneConfig(seed=7))
         corrs = scene_correspondences(scene)
         k = scene.config.intrinsics
-        observed = np.array([c.image_center for c in corrs.correspondences])
-        points = np.array([c.radar_center for c in corrs.correspondences])
+        observed, points = corrs.image_center, corrs.radar_center
         infeasible = []
         seeds = cube_rotation_seeds()
         runs = _run_lm(np.array(seeds), k, observed, points, SolverConfig())
@@ -286,10 +345,7 @@ class TestSolve:
         point = np.array([8.0, 0.5, 0.2])
         k = default_intrinsics()
         corrs = CorrespondenceSet(
-            tuple(
-                Correspondence(i, np.array([900.0 + i, 500.0]), point)
-                for i in range(6)
-            )
+            np.arange(6), [[900.0 + i, 500.0] for i in range(6)], np.tile(point, (6, 1))
         )
         with pytest.raises(DegenerateGeometry):
             solve_extrinsics(corrs, k)
@@ -303,8 +359,7 @@ class TestSolve:
         scene = gen_calibration_scene(SceneConfig(seed=8, pixel_sigma_px=0.5))
         corrs = scene_correspondences(scene)
         k = scene.config.intrinsics
-        observed = np.array([c.image_center for c in corrs.correspondences])
-        points = np.array([c.radar_center for c in corrs.correspondences])
+        observed, points = corrs.image_center, corrs.radar_center
         costs = []
         jacobian = calibration._Problem.jacobian
 
@@ -357,10 +412,12 @@ class TestSolve:
         corrs = scene_correspondences(scene)
         base = solve_extrinsics(corrs, scene.config.intrinsics)
         rng = np.random.default_rng(10)
-        order = list(corrs.correspondences)
         for _ in range(3):
-            rng.shuffle(order)
-            shuffled = CorrespondenceSet(tuple(order))
+            order = rng.permutation(len(corrs))
+            shuffled = CorrespondenceSet(
+                corrs.pose_id[order], corrs.image_center[order], corrs.radar_center[order]
+            )
+            assert np.array_equal(shuffled.pose_id, corrs.pose_id)
             result = solve_extrinsics(shuffled, scene.config.intrinsics)
             assert np.array_equal(
                 result.extrinsics.rotation, base.extrinsics.rotation
@@ -370,6 +427,37 @@ class TestSolve:
             )
             assert result.cost == base.cost
             assert np.array_equal(result.residuals, base.residuals)
+
+    def test_rigid_reparameterisation_of_the_radar_frame(self):
+        # radar centers mapped by p' = R0 p + t0 are seen under R' = R R0^T
+        # and t' = t - R' t0.  To first order a pose's distance from the
+        # minimizer is at most its residual norm over the smallest singular
+        # value of the Jacobian, so the two solutions are within the sum of
+        # the two residual norms over it
+        scene = gen_calibration_scene(SceneConfig(seed=7, pose_count=24))
+        k = scene.config.intrinsics
+        corrs = scene_correspondences(scene)
+        base = solve_extrinsics(corrs, k).extrinsics
+        r0 = rotvec_to_matrix(math.radians(37.0) * np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0))
+        t0 = np.array([0.0, 0.6, 0.8])  # 1 m
+        moved = CorrespondenceSet(
+            corrs.pose_id, corrs.image_center, corrs.radar_center @ r0.T + t0
+        )
+        result = solve_extrinsics(moved, k)
+        rotation = base.rotation @ r0.T
+        expected = np.concatenate(
+            [matrix_to_rotvec(rotation), base.translation - rotation @ t0]
+        )
+        residual, jac = _linearize(expected, k, moved.image_center, moved.radar_center)
+        tolerance = (np.linalg.norm(residual) + np.linalg.norm(result.residuals)) / (
+            np.linalg.svd(jac, compute_uv=False)[-1]
+        )
+        got = np.concatenate(
+            [matrix_to_rotvec(result.extrinsics.rotation), result.extrinsics.translation]
+        )
+        assert result.converged
+        assert rotation_error_rad(result.extrinsics, base) > math.radians(30.0)
+        assert np.linalg.norm(got - expected) <= tolerance
 
     def test_gauge_fully_constrained(self):
         # solving a scene built from any ground truth recovers that exact
@@ -387,11 +475,6 @@ class TestSolve:
             assert np.linalg.norm(result.extrinsics.translation - gt.translation) < 1e-5
 
     def test_too_few_poses(self):
-        corrs = CorrespondenceSet(
-            (
-                Correspondence(0, np.zeros(2), np.array([5.0, 0, 0])),
-                Correspondence(1, np.ones(2), np.array([6.0, 1, 0])),
-            )
-        )
+        corrs = CorrespondenceSet([0, 1], [[0.0, 0.0], [1.0, 1.0]], [[5.0, 0, 0], [6.0, 1, 0]])
         with pytest.raises(TooFewPoses):
             solve_extrinsics(corrs, default_intrinsics())

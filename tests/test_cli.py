@@ -1211,22 +1211,73 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "kind, doc",
+        "kind, doc, message",
         [
-            ("calibration", {"board_nx": 10**14}),
-            ("calibration", {"clutter_per_frame": 10**13}),
-            ("labeling", {"clutter_count": 10**13}),
+            ("calibration", {"board_nx": 10**14},
+             "the scene asks for 16800000000001128 radar returns and corners, more than "
+             "SCENE_BUDGET = 1000000; lower board_nx (100000000000000)"),
+            ("calibration", {"clutter_per_frame": 10**13},
+             "the scene asks for 240000000001176 radar returns and corners, more than "
+             "SCENE_BUDGET = 1000000; lower clutter_per_frame (10000000000000)"),
+            ("labeling", {"clutter_count": 10**13},
+             "the scene asks for 10000000000080 points, more than SCENE_BUDGET = 1000000; "
+             "lower clutter_count (10000000000000)"),
+            ("labeling", {"mask_margin_px": 10**14, "intrinsics": {
+                "fx": 800.0, "fy": 800.0, "cx": 960.0, "cy": 540.0,
+                "width": 10**15, "height": 10**15}}, "out of memory"),
         ],
-        ids=["board_nx", "clutter_per_frame", "clutter_count"],
+        ids=["board_nx", "clutter_per_frame", "clutter_count", "mask_margin_px"],
     )
-    def test_scene_past_memory_exit_2(self, tmp_path, capsys, kind, doc):
-        # each asks for hundreds of TiB, past a 47-bit address space, so the
-        # allocation fails before it begins; it was a MemoryError traceback
+    def test_scene_past_memory_exit_2(self, tmp_path, capsys, kind, doc, message):
+        # each asks for hundreds of TiB, past a 47-bit address space.  A count
+        # past SCENE_BUDGET is refused before any draw; a mask window that
+        # large fails its allocation before it begins.  Both were a
+        # MemoryError traceback
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(doc))
         assert run(["synth", "--kind", kind, "--config", config, "-o", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: bad {kind} scene config {config}: out of memory\n"
+        assert err == f"config error: bad {kind} scene config {config}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, doc, message",
+        [
+            ("calibration", {"pose_count": 10**9},
+             "the scene asks for 89000000000 radar returns and corners, more than "
+             "SCENE_BUDGET = 1000000; lower pose_count (1000000000)"),
+            ("calibration", {"moving_clutter_per_frame": 10**8},
+             "the scene asks for 2400002016 radar returns and corners, more than "
+             "SCENE_BUDGET = 1000000; lower moving_clutter_per_frame (100000000)"),
+            ("labeling", {"clutter_count": 10**8},
+             "the scene asks for 100000080 points, more than SCENE_BUDGET = 1000000; "
+             "lower clutter_count (100000000)"),
+        ],
+        ids=["pose_count", "moving_clutter_per_frame", "clutter_count"],
+    )
+    def test_scene_past_budget_exit_2_at_once(self, tmp_path, kind, doc, message):
+        # each count was drawn one pose, mover or clutter point at a time in
+        # Python: the run went on for more than 20 s under a 1 GiB address
+        # space, and no allocation was large enough to fail.  The budget is
+        # checked before any draw, so the refusal comes within the deadline
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        src = str(Path(radcal.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "radcal.cli", "synth", "--kind", kind,
+             "--config", str(config), "-o", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=15, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: bad {kind} scene config {config}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["calibration", "labeling"])
@@ -2134,6 +2185,34 @@ class TestFlags:
         assert held[23]["error_px"] is None
         assert "behind_camera" not in held[22]
         assert held[22]["error_px"] < 1e-6
+
+    @pytest.mark.parametrize("past", [False, True], ids=["on_boundary", "one_ulp_past"])
+    def test_sync_gate_boundary(self, workflow, tmp_path, past):
+        # a pose is dropped when abs(t_cam - t_rad) > sync_tolerance_s: a
+        # corners timestamp exactly the tolerance from the radar's is kept,
+        # one ulp further it is dropped
+        tol = 2**-6  # every other pose's gap is under 0.01 s
+        scene = tmp_path / "scene"
+        shutil.copytree(workflow / "cal_scene", scene)
+        t_rad = load_radar_frame(scene / "radar_003.json").timestamp_s
+        t_cam = t_rad + tol
+        assert t_cam - t_rad == tol
+        if past:
+            t_cam = math.nextafter(t_cam, math.inf)
+        corners = scene / "corners_003.json"
+        doc = json.loads(corners.read_text())
+        doc["timestamp_s"] = t_cam
+        corners.write_text(json.dumps(doc))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"sync_tolerance_s": tol}))
+        out = tmp_path / "c.json"
+        assert run(["calibrate", "--corners", scene, "--frames", scene,
+                    "--intrinsics", scene / "intrinsics.json", "--params", params,
+                    "-o", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["dropped_sync"] == ([3] if past else [])
+        poses = [p["pose_id"] for p in doc["per_pose"]]
+        assert poses == [i for i in range(24) if not (past and i == 3)]
 
     def test_stage_flag_full_at_least_coarse(self, workflow, tmp_path):
         lab_scene = workflow / "lab_scene"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from radcal.geometry import (
-    BehindCamera,
     CameraIntrinsics,
     Extrinsics,
     Z_EPS,
@@ -14,7 +13,6 @@ from radcal.geometry import (
     matrix_to_rotvec,
     nearest_rotation,
     pinhole,
-    project,
     project_points,
     rotvec_to_matrix,
     sph2cart,
@@ -222,23 +220,36 @@ class TestNearestRotation:
         Extrinsics(snapped, np.zeros(3))
 
 
+def project_one(k, t, point):
+    """One radar-frame point through ``t.transform`` (the 1-D path) and
+    ``pinhole``: the pixel ``(2,)`` and the depth guard."""
+    uv, front = pinhole(k, t.transform(point))
+    return uv, bool(front[0])
+
+
 class TestProjection:
     def test_optical_axis(self):
         with pytest.warns(UserWarning):  # principal point at the corner
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 10, 10)
-        uv = project(k, IDENTITY, np.array([0.0, 0.0, 1.0]))
+        uv, front = project_one(k, IDENTITY, np.array([0.0, 0.0, 1.0]))
+        assert front
         assert np.allclose(uv, [0.0, 0.0])
 
     def test_similar_triangles(self):
         k = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
-        uv = project(k, IDENTITY, np.array([1.0, 0.0, 10.0]))
+        uv, front = project_one(k, IDENTITY, np.array([1.0, 0.0, 10.0]))
+        assert front
         assert np.allclose(uv, [1060.0, 540.0])
 
-    def test_behind_camera(self):
+    @pytest.mark.parametrize(
+        "depth, front",
+        [(-1.0, False), (0.0, False), (Z_EPS, False), (math.nextafter(Z_EPS, 1.0), True)],
+    )
+    def test_depth_guard(self, depth, front):
+        # the guard is depth > Z_EPS: a point on it is behind the camera
         with pytest.warns(UserWarning):
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 10, 10)
-        with pytest.raises(BehindCamera):
-            project(k, IDENTITY, np.array([0.0, 0.0, -1.0]))
+        assert project_one(k, IDENTITY, np.array([0.0, 0.0, depth]))[1] is front
 
     def test_depth_scale_invariance(self):
         k = CameraIntrinsics(800.0, 820.0, 320.0, 240.0, 640, 480)
@@ -246,9 +257,9 @@ class TestProjection:
         for _ in range(20):
             direction = rng.normal(size=3)
             direction[2] = abs(direction[2]) + 0.5
-            baseline = project(k, IDENTITY, direction)
+            baseline = project_one(k, IDENTITY, direction)[0]
             for scale in (0.1, 2.0, 37.0):
-                uv = project(k, IDENTITY, scale * direction)
+                uv = project_one(k, IDENTITY, scale * direction)[0]
                 assert np.allclose(uv, baseline, atol=1e-9)
 
     def test_batch_matches_single(self):
@@ -260,8 +271,9 @@ class TestProjection:
         for i in range(30):
             cam = t.transform(pts[i])
             assert np.isclose(depth[i], cam[2])
+            assert in_front[i] == project_one(k, t, pts[i])[1]
             if in_front[i]:
-                assert np.allclose(uv[i], project(k, t, pts[i]), atol=1e-12)
+                assert np.allclose(uv[i], project_one(k, t, pts[i])[0], atol=1e-12)
             else:
                 assert np.all(np.isnan(uv[i]))
 
@@ -280,7 +292,7 @@ class TestProjection:
                 formula = [k.fx * c[0] / c[2] + k.cx, k.fy * c[1] / c[2] + k.cy]
                 assert np.array_equal(pixel, formula)
                 assert np.array_equal(batch_pixel, pixel)
-                assert np.array_equal(project(k, IDENTITY, c), pixel)
+                assert np.array_equal(project_one(k, IDENTITY, c)[0], pixel)
             else:
                 assert np.all(np.isnan(batch_pixel))
 

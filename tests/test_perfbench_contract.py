@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import lm_reference
 import radcal
 from radcal import calibration, cli
@@ -53,11 +51,10 @@ def reference_iterations(tmp_path, *args):
         calibration.solve_extrinsics = solve
     assert code == cli.EXIT_OK and len(solved) == 1
     correspondences, k, cfg = solved[0]
-    ordered = sorted(correspondences.correspondences, key=lambda c: c.pose_id)
-    observed = np.array([c.image_center for c in ordered])
-    points = np.array([c.radar_center for c in ordered])
     return sum(
-        lm_reference._run_lm(seed, k, observed, points, cfg)[2]
+        lm_reference._run_lm(
+            seed, k, correspondences.image_center, correspondences.radar_center, cfg
+        )[2]
         for seed in calibration.cube_rotation_seeds()
     )
 

@@ -1,4 +1,5 @@
-"""Every public name the package lists resolves.
+"""Every public name the package lists resolves, and README's library
+example runs.
 
 ``perfbench/traced_child.py`` walks ``fileio.__all__`` with ``getattr``, so
 a stale entry in any ``__all__`` would break every traced run, and
@@ -8,6 +9,8 @@ a stale entry in any ``__all__`` would break every traced run, and
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,11 +47,11 @@ EXPORTS = {
         "Provenance", "autolabel_frame",
     ],
     "calibration": [
-        "CalibrationResult", "Correspondence", "CorrespondenceSet", "SolverConfig",
+        "CalibrationResult", "CorrespondenceSet", "SolverConfig",
         "build_correspondences", "solve_extrinsics",
     ],
     "checkerboard": ["CheckerboardSpec", "CornerSet", "checkerboard_center"],
-    "geometry": ["CameraIntrinsics", "Extrinsics", "project", "sph2cart"],
+    "geometry": ["CameraIntrinsics", "Extrinsics", "sph2cart"],
     "metrics": ["label_report", "pooled_report"],
     "reflector": [
         "ClusterParams", "FilterParams", "RadarFrame", "dbscan", "extract_reflector",
@@ -83,3 +86,16 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(radcal, "gen_scene")
     with pytest.raises(ImportError):
         exec("from radcal import no_such_name", {})
+
+
+def test_readme_library_example_runs():
+    # README's one python block calibrates a scene and labels a frame with
+    # the solved extrinsics: the library's only composed calibrate -> label run
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    report = namespace["report"]
+    assert report.pa_percent == 100.0
+    assert report.miou_percent == 100.0
