@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 ok, 2 bad config/params file, 3 IO or
 missing input (or a frame worker that died), 4 invalid input data, 5
-calibration did not converge (the output file is still written), 130
-interrupted (Ctrl-C).  Set RADCAL_LOG=debug|info|warning for verbosity.
+calibration did not converge (the output file is still written), and
+128 + the signal number when interrupted: 130 for Ctrl-C (SIGINT), 143 for
+SIGTERM, 129 for SIGHUP.  Set RADCAL_LOG=debug|info|warning for verbosity.
 
 Radar frame files carry no pose id of their own; within a directory the
 numeric suffix of ``radar_NNN.json`` is the pose id, matching the
@@ -29,6 +30,7 @@ import math
 import os
 import pickle
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -50,6 +52,15 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 class ConfigError(Exception):
     """Unreadable or unparsable config/params file."""
+
+
+class Interrupted(KeyboardInterrupt):
+    """SIGTERM or SIGHUP, raised in the main thread so that a command unwinds
+    as it does on Ctrl-C; ``args[0]`` is the exit code, 128 + the signal."""
+
+
+def _interrupt(signum, frame):
+    raise Interrupted(128 + signum)
 
 
 def _load_config_file(path: str | Path) -> dict:
@@ -212,8 +223,6 @@ def _forked_map(fn, items: list, jobs: int) -> list:
         for k, (pid, read) in enumerate(workers):
             os.close(read)
             if k >= reaped:  # its result is not needed now
-                import signal  # here: its import is about 1 ms of every process
-
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -254,6 +263,11 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
             cfg = fileio._config(
                 synth.LabelSceneConfig, doc, object_count=args.objects, seed=args.seed,
                 false_positive_rate=args.fp_rate, false_negative_rate=args.fn_rate,
+            )
+            # SCENE_BUDGET bounds the frames together, before the first is drawn
+            synth._check_budget(
+                args.frames * cfg.most_points, f"points in {args.frames} frames",
+                {"--frames": args.frames},
             )
     except fileio._BAD_FIELD as exc:
         source = f" {args.config}" if args.config else ""
@@ -494,6 +508,10 @@ def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
 # eval
 
 
+# the MetricReport fields of eval's pooled report, per_frame entries and table
+_SUMMARY = ("pa_percent", "pa_foreground_percent", "miou_percent", "n_matched", "n_points")
+
+
 def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     from . import metrics
     from .autolabel import Provenance
@@ -518,39 +536,52 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     if unscored:
         print(f"warning: no ground truth for predicted frame(s) {unscored}", file=sys.stderr)
 
-    overlay = args.overlay_frames is not None
+    summary = []  # printed once every output is staged
+    staged = {}  # frame index -> its overlay file, for each frame with a radar file
+    if args.overlay_frames is not None:
+        extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
+        frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
+        overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
+        staged = {
+            i: outputs.file(overlay_dir / f"overlay_{i:03d}.json")
+            for i in shared
+            if i in frame_files
+        }
+        provenance = np.array([p.value for p in Provenance])  # indexed by LabelColumns codes
+        summary.append(f"overlay data -> {overlay_dir}")
 
-    def score(i: int):
+    def score(i: int) -> metrics.MetricReport:
         pred = fileio.load_labels(pred_files[i])
         gt = fileio.load_labels(gt_files[i])
         if len(pred) != len(gt):
             raise metrics.LengthMismatch(
                 f"frame {i}: {len(pred)} predicted vs {len(gt)} true labels"
             )
-        return metrics.label_report(pred, gt), pred if overlay else None
-
-    scored = _forked_map(score, shared, _jobs())
-    per_frame = [(i, report) for i, (report, _) in zip(shared, scored)]
-    preds = {i: pred for i, (_, pred) in zip(shared, scored)}
-    pooled = metrics.pooled_report([r for _, r in per_frame])
-
-    report_doc = {
-        "pa_percent": pooled.pa_percent,
-        "pa_foreground_percent": pooled.pa_foreground_percent,
-        "miou_percent": pooled.miou_percent,
-        "n_matched": pooled.n_matched,
-        "n_frames": len(shared),
-        "n_points": pooled.n_points,
-        "per_frame": [
-            {
-                "frame": i,
-                "pa_percent": r.pa_percent,
-                "pa_foreground_percent": r.pa_foreground_percent,
-                "miou_percent": r.miou_percent,
-                "n_matched": r.n_matched,
-                "n_points": r.n_points,
+        report = metrics.label_report(pred, gt)
+        if i in staged:  # one entry per point; None where a point has no pixel or label
+            _, points = fileio.load_radar_points(frame_files[i])
+            uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
+            columns = {
+                "point_index": np.arange(len(depth)),
+                "u_px": np.where(in_front, uv[:, 0], None),
+                "v_px": np.where(in_front, uv[:, 1], None),
+                "depth_m": depth,
+                "class_id": np.where(pred.labeled, pred.class_id, None),
+                "instance_id": np.where(pred.labeled, pred.instance_id, None),
+                "provenance": provenance[pred.provenance],
             }
-            for i, r in per_frame
+            rows = zip(*(column.tolist() for column in columns.values()))
+            fileio.write_json(staged[i], [dict(zip(columns, row)) for row in rows])
+        return report
+
+    reports = _forked_map(score, shared, _jobs())  # in shared order
+    pooled = metrics.pooled_report(reports)
+    report_doc = {
+        **{name: getattr(pooled, name) for name in _SUMMARY},
+        "n_frames": len(shared),
+        "per_frame": [
+            {"frame": i, **{name: getattr(r, name) for name in _SUMMARY}}
+            for i, r in zip(shared, reports)
         ],
         "per_instance": [
             {
@@ -561,65 +592,23 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
                 "gt_instance_id": m.gt[1],
                 "iou": m.iou,
             }
-            for i, r in per_frame
+            for i, r in zip(shared, reports)
             for m in r.per_instance_iou
         ],
     }
     fileio.write_json(report_path, report_doc)
 
     rows = [("frame", "PA%", "PA-fg%", "mIoU%", "matched", "points")]
-    for name, r in [*per_frame, ("all", pooled)]:
-        rows.append(
-            (
-                str(name),
-                f"{r.pa_percent:.2f}",
-                f"{r.pa_foreground_percent:.2f}",
-                f"{r.miou_percent:.2f}",
-                str(r.n_matched),
-                str(r.n_points),
-            )
-        )
+    for name, r in [*zip(shared, reports), ("all", pooled)]:
+        values = [getattr(r, field) for field in _SUMMARY]  # percentages are floats
+        rows.append((str(name), *(f"{v:.2f}" if isinstance(v, float) else str(v) for v in values)))
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     table_lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
     ]
     table = "\n".join(table_lines)
     fileio.write_text(table_path, table + "\n")
-    summary = [table]  # printed once every output is staged
-
-    if overlay:
-        overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
-        extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
-        frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
-        provenance = [p.value for p in Provenance]  # indexed by LabelColumns codes
-        for i in shared:
-            if i not in frame_files:
-                continue
-            _, points = fileio.load_radar_points(frame_files[i])
-            labels = preds[i]
-            uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
-            entries = []
-            for index, ((u, v), z, ok, labeled, class_id, instance_id, code) in enumerate(
-                zip(
-                    uv.tolist(), depth.tolist(), in_front.tolist(),
-                    labels.labeled.tolist(), labels.class_id.tolist(),
-                    labels.instance_id.tolist(), labels.provenance.tolist(),
-                )
-            ):
-                entries.append(
-                    {
-                        "point_index": index,
-                        "u_px": u if ok else None,
-                        "v_px": v if ok else None,
-                        "depth_m": z,
-                        "class_id": class_id if labeled else None,
-                        "instance_id": instance_id if labeled else None,
-                        "provenance": provenance[code],
-                    }
-                )
-            fileio.write_json(outputs.file(overlay_dir / f"overlay_{i:03d}.json"), entries)
-        summary.append(f"overlay data -> {overlay_dir}")
-    print("\n".join(summary))
+    print("\n".join([table, *summary]))
     return EXIT_OK
 
 
@@ -706,6 +695,11 @@ def main(argv: list[str] | None = None) -> int:
         ):
             parser.error("eval: --overlay-frames and --overlay-calibration go together, "
                          "and --overlay-dir needs both")
+    # SIGTERM and SIGHUP unwind as Ctrl-C does, unless something else already
+    # handles or ignores them (nohup ignores SIGHUP)
+    caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) is signal.SIG_DFL]
+    for signum in caught:
+        signal.signal(signum, _interrupt)
     try:
         with fileio.Outputs() as outputs:
             return args.func(args, outputs)
@@ -718,9 +712,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SchemaError and every other input error subclass it
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except KeyboardInterrupt:  # Outputs has removed what the command staged
+    except KeyboardInterrupt as exc:  # Outputs has removed what the command staged
         print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return exc.args[0] if isinstance(exc, Interrupted) else EXIT_INTERRUPTED
+    finally:
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -444,9 +444,13 @@ def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     as ``(N, 5)`` float rows in the order of that variant's keys."""
     pts = _json_column(dict, _json_value(dict, doc, "the document")["points"], "points")
     timestamp = _timestamp(doc)
-    spherical = any("r_m" in p for p in pts)
-    cartesian = any("x_m" in p for p in pts)
-    if spherical and cartesian:
+    # a frame is cartesian when any point holds x_m and mixed when points hold
+    # both keys: the first point holding either decides, and one scan looks
+    # for the other
+    first = next((p for p in pts if "x_m" in p or "r_m" in p), {})
+    cartesian = "x_m" in first
+    other = "r_m" if cartesian else "x_m"
+    if any(other in p for p in pts):
         raise SchemaError("frame mixes spherical and cartesian points")
     rows = _float_rows(pts, _CARTESIAN_KEYS if cartesian else RETURN_DTYPE.names)
     return timestamp, cartesian, rows

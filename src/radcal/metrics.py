@@ -58,8 +58,12 @@ def _instance_keys(labels: LabelColumns) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([class_id[first], instance_id[first]], axis=1), row
 
 
-def _evaluate(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
-    """Match instances and count correct points in one pass over the columns."""
+def label_report(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
+    """Match instances once and assemble PA / mIoU for one aligned label set,
+    in one pass over the columns.  ``pa_foreground_percent`` counts only
+    points with a true label (100.0 when there are none)."""
+    if len(pred) == 0 and len(gt) == 0:
+        raise EmptyInput("no points to evaluate")
     if len(pred) != len(gt):
         raise LengthMismatch(f"{len(pred)} predicted vs {len(gt)} true labels")
     p_keys, p_row = _instance_keys(pred)
@@ -153,15 +157,6 @@ def _report(
         n_correct_foreground=n_correct_foreground,
         n_predicted=n_predicted,
     )
-
-
-def label_report(pred: LabelColumns, gt: LabelColumns) -> MetricReport:
-    """Match instances once and assemble PA / mIoU for one aligned label set.
-    ``pa_foreground_percent`` counts only points with a true label (100.0
-    when there are none)."""
-    if len(pred) == 0 and len(gt) == 0:
-        raise EmptyInput("no points to evaluate")
-    return _evaluate(pred, gt)
 
 
 def pooled_report(reports: list[MetricReport]) -> MetricReport:

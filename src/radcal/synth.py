@@ -60,10 +60,12 @@ __all__ = [
 ]
 
 
-# The most radar returns, corners and points one scene may ask for.  Poses,
-# movers and objects are drawn one at a time in Python loops, so a config
-# past this (a typo in a count) is refused before the first draw, instead of
-# running for hours.  The benchmark's largest scenes ask for about 8,500.
+# The most radar returns, corners and points one scene may ask for, and
+# ``radcal synth --frames`` its frames together.  Poses, movers and objects
+# are drawn one at a time in Python loops, so a config past this (a typo in a
+# count) is refused before the first draw, instead of running for hours.  The
+# benchmark's largest scenes ask for about 8,500, and its largest frame set
+# 60,000.
 SCENE_BUDGET = 1_000_000
 
 
@@ -373,16 +375,21 @@ class LabelSceneConfig:
         if self.object_count < 1:
             raise ValueError("object_count must be >= 1")
         _check_seed(self.seed)
-        # per object: its most points and as many false-positive bait points
-        # as the rate asks for; then the clutter
-        most = self.points_per_object[1]
-        per_object = most + round(self.false_positive_rate * most)
         fields = {
             "object_count": self.object_count,
-            "points_per_object": most,
+            "points_per_object": self.points_per_object[1],
             "clutter_count": self.clutter_count,
         }
-        _check_budget(self.object_count * per_object + self.clutter_count, "points", fields)
+        _check_budget(self.most_points, "points", fields)
+
+    @property
+    def most_points(self) -> int:
+        """The most points one scene asks for: per object its most points and
+        as many false-positive bait points as the rate asks for; then the
+        clutter."""
+        most = self.points_per_object[1]
+        per_object = most + round(self.false_positive_rate * most)
+        return self.object_count * per_object + self.clutter_count
 
 
 @dataclass(frozen=True)

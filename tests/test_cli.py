@@ -617,6 +617,15 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, old)
 
 
+def radcal_env() -> dict:
+    """This environment, with the radcal under test importable by a child
+    Python and one BLAS thread."""
+    src = str(Path(radcal.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                OPENBLAS_NUM_THREADS="1")
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -823,6 +832,108 @@ def test_autolabel_interrupted_exit_130(tmp_path, capsys, monkeypatch, frame):
     assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
     assert len(workers) == 1
     assert_no_child_left()
+
+
+# ``cli.main`` in a child Python started as a shell starts a command (SIGTERM
+# and SIGHUP at their defaults, Ctrl-C raising KeyboardInterrupt), with two
+# CPUs.  Each label stalls, and so does the second synthetic frame; the
+# process prints its forked workers' pids once it has stalled itself.
+STALLING_COMMAND = """
+import os, signal, sys, time
+from radcal import autolabel, cli, synth
+
+for signum in (signal.SIGTERM, signal.SIGHUP):
+    signal.signal(signum, signal.SIG_DFL)
+signal.signal(signal.SIGINT, signal.default_int_handler)
+parent, workers, scenes = os.getpid(), [], []
+fork, label_scene = cli._fork_worker, synth.gen_label_scene
+
+def fork_and_keep(fn, chunk):
+    pid, read = fork(fn, chunk)
+    workers.append(pid)
+    return pid, read
+
+def stall(*args):
+    if os.getpid() == parent:
+        print(*workers, flush=True)
+    time.sleep(60)
+
+def second_scene_stalls(cfg):
+    if scenes:
+        stall()
+    scenes.append(cfg)
+    return label_scene(cfg)
+
+cli._jobs = lambda: 2
+cli._fork_worker = fork_and_keep
+autolabel.autolabel_frame = stall
+synth.gen_label_scene = second_scene_stalls
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, signum, code",
+    [
+        ("autolabel", signal.SIGTERM, 143),
+        ("autolabel", signal.SIGHUP, 129),
+        ("autolabel", signal.SIGINT, 130),
+        ("synth", signal.SIGTERM, 143),
+    ],
+    ids=["autolabel-SIGTERM", "autolabel-SIGHUP", "autolabel-SIGINT", "synth-SIGTERM"],
+)
+def test_signal_unwinds_the_command(tmp_path, command, signum, code):
+    # SIGTERM used to end the process at once: every staged *.tmp stayed in
+    # -o, and a forked worker could outlive its parent
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "3", "-o", scene]) == 0
+    argv = {
+        "autolabel": ["autolabel", "--frames", scene, "--masks", scene,
+                      "--calibration", scene / "calibration.json", "-o", out],
+        "synth": ["synth", "--kind", "labeling", "--seed", "3", "--frames", "3", "-o", out],
+    }[command]
+    proc = subprocess.Popen([sys.executable, "-c", STALLING_COMMAND, *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=radcal_env())
+    try:
+        with deadline(60):
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            proc.send_signal(signum)
+            stdout, stderr = proc.communicate()
+    finally:
+        proc.kill()  # no-op once it has exited
+        proc.wait()
+    assert (proc.returncode, stdout, stderr) == (code, "", "interrupted\n")
+    assert len(workers) == (1 if command == "autolabel" else 0)  # 3 frames, 2 CPUs
+    assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
+    alive = set(workers)
+    for _ in range(100):  # the parent reaps its workers before it exits
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        if not alive:
+            break
+        time.sleep(0.1)
+    assert not alive
+
+
+def test_bad_overlay_input_wins_over_a_labels_fault(workflow, tmp_path, capsys):
+    # the overlay inputs are read before any frame is scored; a labels fault
+    # in any frame used to win over them (exit 4 here)
+    pred, missing = tmp_path / "pred", tmp_path / "missing.json"
+    shutil.copytree(workflow / "labels_out", pred)
+    labels = pred / "labels_000.jsonl"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
+    gt = workflow / "lab_scene" / "gt_labels"
+    assert run(["eval", "--pred", pred, "--gt", gt, "-o", tmp_path / "report.json"]) == 4
+    code, stdout, stderr = outcome(capsys, [
+        "eval", "--pred", pred, "--gt", gt, "--overlay-frames", workflow / "lab_scene",
+        "--overlay-calibration", missing, "-o", tmp_path / "report.json"])
+    assert (code, stdout) == (cli.EXIT_IO, "")
+    assert stderr == f"io error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred"]
 
 
 class TestForkedMap:
@@ -1241,25 +1352,29 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "kind, doc, message",
+        "kind, doc, flags, message",
         [
-            ("calibration", {"pose_count": 10**9},
+            ("calibration", {"pose_count": 10**9}, [],
              "the scene asks for 89000000000 radar returns and corners, more than "
              "SCENE_BUDGET = 1000000; lower pose_count (1000000000)"),
-            ("calibration", {"moving_clutter_per_frame": 10**8},
+            ("calibration", {"moving_clutter_per_frame": 10**8}, [],
              "the scene asks for 2400002016 radar returns and corners, more than "
              "SCENE_BUDGET = 1000000; lower moving_clutter_per_frame (100000000)"),
-            ("labeling", {"clutter_count": 10**8},
+            ("labeling", {"clutter_count": 10**8}, [],
              "the scene asks for 100000080 points, more than SCENE_BUDGET = 1000000; "
              "lower clutter_count (100000000)"),
+            ("labeling", {}, ["--frames", "1000000000"],
+             "the scene asks for 110000000000 points in 1000000000 frames, more than "
+             "SCENE_BUDGET = 1000000; lower --frames (1000000000)"),
         ],
-        ids=["pose_count", "moving_clutter_per_frame", "clutter_count"],
+        ids=["pose_count", "moving_clutter_per_frame", "clutter_count", "frames"],
     )
-    def test_scene_past_budget_exit_2_at_once(self, tmp_path, kind, doc, message):
-        # each count was drawn one pose, mover or clutter point at a time in
-        # Python: the run went on for more than 20 s under a 1 GiB address
-        # space, and no allocation was large enough to fail.  The budget is
-        # checked before any draw, so the refusal comes within the deadline
+    def test_scene_past_budget_exit_2_at_once(self, tmp_path, kind, doc, flags, message):
+        # each count was drawn one pose, mover, clutter point or frame at a
+        # time in Python: the run went on for more than 20 s under a 1 GiB
+        # address space (a billion frames staged three files each), and no
+        # allocation was large enough to fail.  The budget is checked before
+        # any draw, so the refusal comes within the deadline
         import resource
 
         def limit_memory():
@@ -1267,14 +1382,11 @@ class TestExitCodes:
 
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(doc))
-        src = str(Path(radcal.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                   OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "radcal.cli", "synth", "--kind", kind,
-             "--config", str(config), "-o", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=15, preexec_fn=limit_memory,
+             "--config", str(config), *flags, "-o", str(tmp_path / "out")],
+            capture_output=True, text=True, env=radcal_env(), timeout=15,
+            preexec_fn=limit_memory,
         )
         assert proc.returncode == 2
         assert proc.stderr == f"config error: bad {kind} scene config {config}: {message}\n"

@@ -119,6 +119,13 @@ class TestRle:
             fileio._rle_runs([0, 0], 4, 4)
 
 
+FRAME_POINTS = {
+    "spherical": {"r_m": 8.0, "az_rad": 0.1, "el_rad": -0.05, "v_mps": 0.2, "rcs_dbsm": 31.5},
+    "cartesian": {"x_m": 6.0, "y_m": 1.0, "z_m": 0.5, "v_mps": 0.2, "rcs_dbsm": 31.5},
+}
+MIXES = "frame mixes spherical and cartesian points"
+
+
 class TestRadarFrameFiles:
     def frame(self):
         returns = [(8.0, 0.1, -0.05, 0.2, 31.5), (12.5, -0.4, 0.02, -1.0, 7.25)]
@@ -205,6 +212,33 @@ class TestRadarFrameFiles:
         _, points = load_radar_points(path)
         assert len(points) == 0
         assert points.xyz.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([FRAME_POINTS["cartesian"], FRAME_POINTS["spherical"]], MIXES),
+            ([FRAME_POINTS["spherical"], FRAME_POINTS["cartesian"]], MIXES),
+            ([{**FRAME_POINTS["cartesian"], "r_m": 8.0}], MIXES),
+            ([FRAME_POINTS["spherical"], {**FRAME_POINTS["spherical"], "x_m": 6.0}], MIXES),
+            ([{"v_mps": 0.2}, FRAME_POINTS["cartesian"]], "'x_m'"),
+            ([{"v_mps": 0.2}, FRAME_POINTS["spherical"]], "'r_m'"),
+            ([{"v_mps": 0.2}], "'r_m'"),
+        ],
+        ids=["cartesian_then_spherical", "spherical_then_cartesian", "point_with_both",
+             "later_point_with_both", "keyless_then_cartesian", "keyless_then_spherical",
+             "keyless"],
+    )
+    def test_frame_variant(self, tmp_path, points, message):
+        # a frame's variant is cartesian when any point holds x_m; a point
+        # holding the other variant's key, wherever it is, mixes the frame
+        path = tmp_path / "radar_000.json"
+        path.write_text(json.dumps({"timestamp_s": 0.0, "points": points}))
+        with pytest.raises(SchemaError) as points_error:
+            load_radar_points(path)
+        with pytest.raises(SchemaError) as frame_error:
+            load_radar_frame(path)
+        assert str(points_error.value) == f"bad radar frame file {path}: {message}"
+        assert str(frame_error.value) == f"bad radar frame {path}: {message}"
 
     @pytest.mark.parametrize("x", [1e154, 1e200, -1e300, 1.7e308])
     def test_readers_agree_on_a_point_past_the_square_overflow(self, tmp_path, x):
@@ -653,10 +687,6 @@ class TestLabelFileMutations:
 
 
 # one point of each radar frame variant, and how a mutation may rewrite a frame
-FRAME_POINTS = {
-    "spherical": {"r_m": 8.0, "az_rad": 0.1, "el_rad": -0.05, "v_mps": 0.2, "rcs_dbsm": 31.5},
-    "cartesian": {"x_m": 6.0, "y_m": 1.0, "z_m": 0.5, "v_mps": 0.2, "rcs_dbsm": 31.5},
-}
 NOT_A_POINT_LIST = st.sampled_from([{}, {"r_m": 1.0}, 3, "r_m", None, [[8.0, 0.1]], [3]])
 
 
