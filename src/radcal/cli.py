@@ -13,11 +13,11 @@ numeric suffix of ``radar_NNN.json`` is the pose id, matching the
 Each command imports the modules it runs inside its handler, so a
 ``calibrate`` process loads no labeling, metrics or scene-generation code.
 
-``autolabel`` and ``eval`` split their frames into contiguous chunks, one
-per CPU: the process works through the first and a child forked from it
-(after the imports) through each other one.  Outputs, messages and exit
-codes are those of a one-at-a-time run: the first failing frame in frame
-order decides them.
+``autolabel``, ``eval`` and ``synth --kind labeling`` split their frames
+into contiguous chunks, one per CPU: the process works through the first
+and a child forked from it (after the imports) through each other one.
+Outputs, messages and exit codes are those of a one-at-a-time run: the
+first failing frame in frame order decides them.
 """
 
 from __future__ import annotations
@@ -155,6 +155,10 @@ def _jobs() -> int:
         return os.cpu_count() or 1
 
 
+# the signals that unwind a command (see main)
+_UNWINDING = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
 def _fork_worker(fn, chunk: list) -> tuple[int, int]:
     """Fork a child that sends ``(results, first exception or None)`` of
     ``fn`` over ``chunk`` back pickled; (its pid, the pipe's read end)."""
@@ -172,6 +176,7 @@ def _fork_worker(fn, chunk: list) -> tuple[int, int]:
         return pid, read
     status = 1  # the result could not be sent
     try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _UNWINDING)  # blocked by _forked_map
         os.close(read)
         results, error = [], None
         try:
@@ -204,7 +209,12 @@ def _forked_map(fn, items: list, jobs: int) -> list:
     reaped = 0  # workers[:reaped] have been waited for
     try:
         for chunk in chunks[1:]:
-            workers.append(_fork_worker(fn, chunk))
+            # held until the worker is recorded, so that the finally kills it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _UNWINDING)
+            try:
+                workers.append(_fork_worker(fn, chunk))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = [fn(item) for item in chunks[0]]
         for pid, read in workers:
             with open(read, "rb", closefd=False) as pipe:
@@ -289,26 +299,31 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
         fileio.write_json(outputs.file(out / "ground_truth.json"), scene.ground_truth())
         return f"calibration scene: {len(scene.poses)} poses, seed {cfg.seed} -> {out}"
 
-    # labeling scene(s)
+    # labeling scene(s): each frame has its own seed, so the workers draw and
+    # write them apart
     gt_dir = outputs.mkdir(out / "gt_labels")
-    ground_truths = []
-    for frame_idx in range(args.frames):
-        scene = synth.gen_label_scene(dataclasses.replace(cfg, seed=cfg.seed + frame_idx))
-        fileio.write_radar_points(
-            outputs.file(out / f"radar_{frame_idx:03d}.json"), scene.timestamp_s, scene.points
+    staged = [  # per frame: its radar, masks and true labels files
+        (
+            outputs.file(out / f"radar_{i:03d}.json"),
+            outputs.file(out / f"masks_{i:03d}.json"),
+            outputs.file(gt_dir / f"labels_{i:03d}.jsonl"),
         )
-        fileio.write_masks(
-            outputs.file(out / f"masks_{frame_idx:03d}.json"),
-            cfg.intrinsics.width,
-            cfg.intrinsics.height,
-            list(scene.masks),
-        )
-        labels = LabelColumns.from_labels(scene.gt_labels)
-        fileio.write_labels(outputs.file(gt_dir / f"labels_{frame_idx:03d}.jsonl"), labels)
-        ground_truths.append(scene.ground_truth())
-    fileio.write_json(
+        for i in range(args.frames)
+    ]
+
+    def frame(i: int) -> str:
+        scene = synth.gen_label_scene(dataclasses.replace(cfg, seed=cfg.seed + i))
+        radar, masks, labels = staged[i]
+        fileio.write_radar_points(radar, scene.timestamp_s, scene.points)
+        fileio.write_masks(masks, cfg.intrinsics.width, cfg.intrinsics.height, list(scene.masks))
+        fileio.write_labels(labels, LabelColumns.from_labels(scene.gt_labels))
+        return fileio.canonical_json(scene.ground_truth())
+
+    # canonical_json encodes a list and a dict from their items' encodings
+    texts = _forked_map(frame, range(args.frames), _jobs())
+    fileio.write_text(
         outputs.file(out / "ground_truth.json"),
-        ground_truths[0] if len(ground_truths) == 1 else {"frames": ground_truths},
+        (texts[0] if len(texts) == 1 else '{"frames":[' + ",".join(texts) + "]}") + "\n",
     )
     fileio.write_calibration(
         outputs.file(out / "calibration.json"),
@@ -560,6 +575,11 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
         report = metrics.label_report(pred, gt)
         if i in staged:  # one entry per point; None where a point has no pixel or label
             _, points = fileio.load_radar_points(frame_files[i])
+            if len(points) != len(pred):  # the overlay pairs them by position
+                raise ValueError(
+                    f"frame {i}: {len(points)} radar points in {frame_files[i]} vs "
+                    f"{len(pred)} predicted labels"
+                )
             uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
             columns = {
                 "point_index": np.arange(len(depth)),
@@ -623,6 +643,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0 <= value < 1:  # NaN fails too
@@ -641,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("calibration", "labeling"), required=True)
     p.add_argument("--poses", type=int, default=None, help="calibration pose count")
     p.add_argument("--objects", type=int, default=None, help="labeling object count")
-    p.add_argument("--frames", type=int, default=1, help="labeling frame count")
+    p.add_argument("--frames", type=_positive_int, default=1, help="labeling frame count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="TOML or JSON scene config")
     p.add_argument("--pixel-sigma", type=float, default=None)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import radcal
 from frame_stream import write_radar_frames_stream
 from radcal import autolabel as al
-from radcal import cli, fileio
+from radcal import cli, fileio, synth
 from radcal.autolabel import InstanceMask, LabelColumns, PointCloud
 from radcal.fileio import (
     load_calibration,
@@ -776,6 +776,69 @@ def test_autolabel_worker_death_exit_3(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
+# fault -> (what a synthetic frame raises, the stderr line it ends in)
+SCENE_FAULTS = {
+    "fov_infeasible": (synth.FovInfeasible, "config error: frame seed {}\n"),
+    "out_of_memory": (MemoryError, "config error: bad labeling scene config: out of memory\n"),
+}
+
+
+# (frame, fault) pairs on 4 frames; with two CPUs, frames 0-1 are the
+# parent's chunk and 2-3 the forked worker's
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([(i, fault)] for i in (1, 3) for fault in SCENE_FAULTS),
+        [(1, "out_of_memory"), (2, "fov_infeasible")],
+        [(2, "fov_infeasible"), (3, "out_of_memory")],
+    ],
+    ids=lambda faults: "+".join(f"{fault}@{i}" for i, fault in faults),
+)
+def test_synth_first_failing_frame_decides_for_any_cpu_count(
+    tmp_path, capsys, monkeypatch, faults
+):
+    failing = {100 + i: SCENE_FAULTS[fault][0] for i, fault in faults}  # by seed
+    label_scene = synth.gen_label_scene
+
+    def faulty(cfg):
+        if cfg.seed in failing:
+            raise failing[cfg.seed](f"frame seed {cfg.seed}")
+        return label_scene(cfg)
+
+    monkeypatch.setattr(synth, "gen_label_scene", faulty)
+    out = tmp_path / "scene"
+    argv = ["synth", "--kind", "labeling", "--seed", "100", "--frames", "4", "-o", out]
+    seen = {}
+    for cpus in (1, 2):  # one worker per CPU
+        use_cpus(monkeypatch, cpus)
+        seen[cpus] = outcome(capsys, argv)
+        assert not out.exists()
+    assert seen[2] == seen[1]
+    first, fault = faults[0]
+    assert seen[1] == (cli.EXIT_CONFIG, "", SCENE_FAULTS[fault][1].format(100 + first))
+    assert_no_child_left()
+
+
+def test_synth_worker_death_exit_3(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent, label_scene = os.getpid(), synth.gen_label_scene
+
+    def dying(cfg):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return label_scene(cfg)
+
+    monkeypatch.setattr(synth, "gen_label_scene", dying)
+    out = tmp_path / "scene"
+    with deadline(60):
+        code, stdout, stderr = outcome(
+            capsys, ["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", out])
+    assert (code, stdout) == (cli.EXIT_IO, "")
+    assert stderr == "io error: a worker process ended by signal 9\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
 def interrupt_at(monkeypatch, loader: str, name: str):
     """Make ``fileio.<loader>`` raise KeyboardInterrupt, as Ctrl-C would,
     when it reads a file called ``name``."""
@@ -836,8 +899,8 @@ def test_autolabel_interrupted_exit_130(tmp_path, capsys, monkeypatch, frame):
 
 # ``cli.main`` in a child Python started as a shell starts a command (SIGTERM
 # and SIGHUP at their defaults, Ctrl-C raising KeyboardInterrupt), with two
-# CPUs.  Each label stalls, and so does the second synthetic frame; the
-# process prints its forked workers' pids once it has stalled itself.
+# CPUs.  Each label and each synthetic frame stalls; the process prints its
+# forked workers' pids once it has stalled itself.
 STALLING_COMMAND = """
 import os, signal, sys, time
 from radcal import autolabel, cli, synth
@@ -845,8 +908,8 @@ from radcal import autolabel, cli, synth
 for signum in (signal.SIGTERM, signal.SIGHUP):
     signal.signal(signum, signal.SIG_DFL)
 signal.signal(signal.SIGINT, signal.default_int_handler)
-parent, workers, scenes = os.getpid(), [], []
-fork, label_scene = cli._fork_worker, synth.gen_label_scene
+parent, workers = os.getpid(), []
+fork = cli._fork_worker
 
 def fork_and_keep(fn, chunk):
     pid, read = fork(fn, chunk)
@@ -858,18 +921,27 @@ def stall(*args):
         print(*workers, flush=True)
     time.sleep(60)
 
-def second_scene_stalls(cfg):
-    if scenes:
-        stall()
-    scenes.append(cfg)
-    return label_scene(cfg)
-
 cli._jobs = lambda: 2
 cli._fork_worker = fork_and_keep
 autolabel.autolabel_frame = stall
-synth.gen_label_scene = second_scene_stalls
+synth.gen_label_scene = stall
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+def still_alive(pids) -> set:
+    """Those of ``pids`` still running (or unreaped) after up to 10 s."""
+    alive = set(pids)
+    for _ in range(100):
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        if not alive:
+            break
+        time.sleep(0.1)
+    return alive
 
 
 @pytest.mark.parametrize(
@@ -904,19 +976,66 @@ def test_signal_unwinds_the_command(tmp_path, command, signum, code):
         proc.kill()  # no-op once it has exited
         proc.wait()
     assert (proc.returncode, stdout, stderr) == (code, "", "interrupted\n")
-    assert len(workers) == (1 if command == "autolabel" else 0)  # 3 frames, 2 CPUs
+    assert len(workers) == 1  # 3 frames, 2 CPUs
     assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
-    alive = set(workers)
-    for _ in range(100):  # the parent reaps its workers before it exits
-        for pid in list(alive):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                alive.discard(pid)
-        if not alive:
-            break
-        time.sleep(0.1)
-    assert not alive
+    assert not still_alive(workers)  # the parent reaps its workers before it exits
+
+
+# As STALLING_COMMAND, but the process sends itself SIGTERM as soon as
+# ``os.fork`` returns in it, before ``_forked_map`` has recorded the worker;
+# it prints each worker's pid first.  Each synthetic frame stalls in a worker.
+SIGTERM_AFTER_FORK = """
+import os, signal, sys, time
+from radcal import cli, synth
+
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
+parent, fork, label_scene = os.getpid(), os.fork, synth.gen_label_scene
+
+def fork_then_sigterm():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+        os.kill(parent, signal.SIGTERM)
+    return pid
+
+def stall_in_worker(cfg):
+    if os.getpid() != parent:
+        time.sleep(60)
+    return label_scene(cfg)
+
+cli._jobs = lambda: 2
+os.fork = fork_then_sigterm
+synth.gen_label_scene = stall_in_worker
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_signal_right_after_fork_kills_the_worker(tmp_path):
+    # a signal that landed between the fork and the worker's record ended
+    # the command with its worker unkilled: it ran on, reparented, until its
+    # chunk was done
+    out, stdout, stderr = tmp_path / "out", tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    argv = ["synth", "--kind", "labeling", "--seed", "3", "--frames", "4", "-o", str(out)]
+    # files, not pipes: a worker left running would hold a pipe open
+    with stdout.open("w") as out_file, stderr.open("w") as err_file:
+        proc = subprocess.Popen([sys.executable, "-c", SIGTERM_AFTER_FORK, *argv],
+                                stdout=out_file, stderr=err_file, env=radcal_env())
+    try:
+        with deadline(60):
+            proc.wait()
+    finally:
+        proc.kill()  # no-op once it has exited
+        proc.wait()
+    workers = [int(pid) for pid in stdout.read_text().split()]
+    try:
+        assert (proc.returncode, stderr.read_text()) == (143, "interrupted\n")
+        assert len(workers) == 1  # 4 frames, 2 CPUs
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
+        assert not still_alive(workers)
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_bad_overlay_input_wins_over_a_labels_fault(workflow, tmp_path, capsys):
@@ -1026,6 +1145,29 @@ def test_forked_labels_and_reports_byte_identical(seed, frames, objects, cpus):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("frames", [1, 2, 5])
+def test_forked_scene_byte_identical(tmp_path, monkeypatch, frames):
+    # synth draws and writes its labeling frames in forked workers and joins
+    # their ground truths into one ground_truth.json: the same bytes at one
+    # CPU, at several (more than frames at times) and with os.fork missing
+    argv = ["synth", "--kind", "labeling", "--seed", "11", "--frames", frames,
+            "--fp-rate", "0.1", "--fn-rate", "0.1", "-o"]
+    use_cpus(monkeypatch, 1)
+    assert run([*argv, tmp_path / "serial"]) == 0
+    serial = sha256_tree(tmp_path / "serial")
+    assert len(serial) == 3 * frames + 2  # per frame 3 files, ground truth, calibration
+    for cpus in (2, 4):
+        use_cpus(monkeypatch, cpus)
+        assert run([*argv, tmp_path / f"cpus{cpus}"]) == 0
+        assert sha256_tree(tmp_path / f"cpus{cpus}") == serial
+    monkeypatch.delattr(os, "fork")
+    assert run([*argv, tmp_path / "no_fork"]) == 0
+    assert sha256_tree(tmp_path / "no_fork") == serial
+    truth = json.loads((tmp_path / "serial" / "ground_truth.json").read_text())
+    assert ("frames" in truth) == (frames > 1)
+    assert_no_child_left()
+
+
 def test_command_replaces_only_the_files_it_writes(tmp_path, capsys):
     # a 2-frame run into the labels of an earlier 3-frame run replaces
     # labels_000-001 and leaves the stale labels_002, which eval names
@@ -1067,6 +1209,30 @@ def test_failed_eval_overlay_writes_nothing(workflow, tmp_path, fault, code):
                 "--gt", workflow / "lab_scene" / "gt_labels",
                 "--overlay-frames", frames, "--overlay-calibration", calibration,
                 "-o", out / "report.json"]) == code
+    assert list(out.iterdir()) == []
+
+
+def test_eval_overlay_point_count_mismatch_exit_4(tmp_path, capsys):
+    # the overlay pairs a frame's points with its labels by position; another
+    # scene's radar file (148 points for 107 labels) was exit 0 with labels
+    # drawn on the wrong points' pixels
+    scene, other = tmp_path / "scene", tmp_path / "other"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "2", "-o", scene]) == 0
+    assert run(["synth", "--kind", "labeling", "--seed", "5", "--frames", "2", "-o", other]) == 0
+    frames, out = tmp_path / "frames", tmp_path / "out"
+    shutil.copytree(scene, frames)
+    shutil.copy(other / "radar_001.json", frames / "radar_001.json")
+    points = len(fileio.load_radar_points(frames / "radar_001.json")[1])
+    labels = len(fileio.load_labels(scene / "gt_labels" / "labels_001.jsonl"))
+    assert points != labels
+    out.mkdir()
+    code, stdout, stderr = outcome(capsys, [
+        "eval", "--pred", scene / "gt_labels", "--gt", scene / "gt_labels",
+        "--overlay-frames", frames, "--overlay-calibration", scene / "calibration.json",
+        "-o", out / "report.json"])
+    assert (code, stdout) == (cli.EXIT_INVALID, "")
+    assert stderr == (f"invalid input: frame 1: {points} radar points in "
+                      f"{frames / 'radar_001.json'} vs {labels} predicted labels\n")
     assert list(out.iterdir()) == []
 
 
@@ -1155,6 +1321,15 @@ class TestExitCodes:
                  "-o", tmp_path / "out"])
         assert exc.value.code == 2
         assert "--jobs: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_exit_2(self, tmp_path, capsys, frames):
+        # both were exit 0 with a scene of no frames: {"frames":[]}
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--kind", "labeling", "--frames", frames, "-o", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"--frames: must be >= 1, got {frames}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("holdout", ["inf", "1.5", "-0.5", "nan", "1"])
