@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Extrinsics, project_points
+from .geometry import CameraIntrinsics, Extrinsics, pinhole
 
 __all__ = [
     "DimensionMismatch",
@@ -282,12 +282,6 @@ def _starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keys != np.concatenate(([0], keys[:-1])))
 
 
-def _split(members: np.ndarray, keys: np.ndarray) -> dict:
-    """{key: its members} of members grouped by their positive keys."""
-    starts = _starts(keys).tolist()
-    return {int(keys[a]): members[a:b] for a, b in zip(starts, starts[1:] + [len(members)])}
-
-
 def _lookup_pixels(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous (u, v) to 1-based lookup pixels, rounding half up."""
     ui = np.floor(uv[:, 0] + 0.5).astype(int)
@@ -314,15 +308,15 @@ def coarse_associate(
                 f"mask {m.instance_id} has shape {(m.height, m.width)}, "
                 f"expected {(k.height, k.width)}"
             )
-    uv, depth, in_front = project_points(k, t, points.xyz)
-    with np.errstate(invalid="ignore"):
-        in_image = (
-            in_front
-            & (uv[:, 0] >= 1.0)
-            & (uv[:, 0] <= k.width)
-            & (uv[:, 1] >= 1.0)
-            & (uv[:, 1] <= k.height)
-        )
+    cam = t.transform(points.xyz)
+    uv, front = pinhole(k, cam)
+    in_image = (
+        front[:, 0]
+        & (uv[:, 0] >= 1.0)
+        & (uv[:, 0] <= k.width)
+        & (uv[:, 1] >= 1.0)
+        & (uv[:, 1] <= k.height)
+    )
     cand = np.flatnonzero(in_image)
     ui, vi = _lookup_pixels(uv[cand])
     flat = (vi - 1) * k.width + (ui - 1)
@@ -341,7 +335,7 @@ def coarse_associate(
     instance_of = np.array([m.instance_id for m in masks] + [0])[owner]
     labeled = np.flatnonzero(owner >= 0)
     members = labeled[np.argsort(instance_of[labeled], kind="stable")]
-    return CoarseResult(owner, instance_of, members, np.flatnonzero(owner < 0), depth)
+    return CoarseResult(owner, instance_of, members, np.flatnonzero(owner < 0), cam[:, 2])
 
 
 def _segment_stats(
@@ -434,16 +428,18 @@ def filter_cluster(
 
 
 def complete_clusters(
-    refined: dict[int, np.ndarray],
+    refined: tuple[np.ndarray, np.ndarray],
     unassociated: np.ndarray | list[int],
     points: PointCloud,
     depths: np.ndarray,
     params: LabelParams,
     excluded: np.ndarray | None = None,
-) -> dict[int, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Assign unassociated points to clusters by maximum Gaussian affinity.
 
-    The affinity is a unit-peak Gaussian product over position, velocity
+    ``refined`` is ``(members, instance_ids)``: the clusters' point indices
+    grouped by ascending positive instance id, and each member's id.  The
+    affinity is a unit-peak Gaussian product over position, velocity
     and RCS distance to the cluster's statistics; the velocity and RCS
     scales are floored so zero-spread clusters keep a usable Gaussian.  A
     point is a candidate for a cluster when it lies within r_search of the
@@ -451,15 +447,15 @@ def complete_clusters(
     affinity >= tau_a (ties: lower instance id), at most once.
     ``excluded`` holds, per point of the cloud, the instance id whose filter
     removed it (0 for none); such a point may only be recovered by other
-    clusters.  Returns {point index: instance id}.
+    clusters.  Returns ``(point_indices, instance_ids)``, points ascending.
     """
-    order = sorted(iid for iid, members in refined.items() if len(members))
+    members, keys = map(np.asarray, refined)
     cand = np.flatnonzero(np.bincount(np.asarray(unassociated, dtype=np.intp)))
-    if not order or not len(cand):
-        return {}
-    ids = np.array(order)
-    parts = [np.asarray(refined[iid], dtype=np.intp) for iid in order]
-    st = _segment_stats(np.concatenate(parts), np.array([len(p) for p in parts]), points, depths)
+    if not len(members) or not len(cand):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    starts = _starts(keys)
+    ids = keys[starts]
+    st = _segment_stats(members, np.diff(starts, append=len(keys)), points, depths)
     sigma_v = np.maximum(st.std_velocity_mps, params.sigma_v_min)
     sigma_rho = np.maximum(st.std_rcs_dbsm, RCS_AFFINITY_SIGMA_FLOOR)
 
@@ -479,7 +475,7 @@ def complete_clusters(
     affinity = np.where(ok, affinity, 0.0)
     best = affinity.argmax(axis=1)
     hit = ok[np.arange(len(cand)), best]
-    return dict(zip(cand[hit].tolist(), ids[best[hit]].tolist()))
+    return cand[hit], ids[best[hit]]
 
 
 def autolabel_frame(
@@ -522,13 +518,11 @@ def autolabel_frame(
         removed_from[removed] = coarse.instance_of[removed]
 
         if stage == "full":
-            recovered = complete_clusters(
-                _split(kept, coarse.instance_of[kept]),
+            idx, iids = complete_clusters(
+                (kept, coarse.instance_of[kept]),
                 np.concatenate((coarse.unassociated, removed)), points,
                 coarse.depths, params, excluded=removed_from,
             )
-            idx = np.fromiter(recovered.keys(), dtype=np.intp, count=len(recovered))
-            iids = np.fromiter(recovered.values(), dtype=np.int64, count=len(recovered))
             # a cluster carries the label of its last coarse member's mask
             last = coarse.members[keys != np.concatenate((keys[1:], [0]))]
             owner[idx] = coarse.owner[last[np.searchsorted(coarse.instance_of[last], iids)]]

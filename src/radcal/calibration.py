@@ -308,28 +308,6 @@ class _Problem:
         return (d_res @ d_cam).reshape(count, -1, 6)
 
 
-def _residual_vector(
-    pose: np.ndarray,
-    k: CameraIntrinsics,
-    observed: np.ndarray,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Stacked (2K,) residuals; behind-camera poses get the constant penalty."""
-    return _Problem(k, observed, points).state(pose[None]).residual[0]
-
-
-def _linearize(
-    pose: np.ndarray,
-    k: CameraIntrinsics,
-    observed: np.ndarray,
-    points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector (2K,) and its closed-form Jacobian (2K, 6) at one pose."""
-    problem = _Problem(k, observed, points)
-    state = problem.state(pose[None])
-    return state.residual[0], problem.jacobian(pose[None], state)[0]
-
-
 class _Descents(NamedTuple):
     """The outcome of one stacked LM descent, one row per seed."""
 

@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 ok, 2 bad config/params file, 3 IO or
 missing input (or a frame worker that died), 4 invalid input data, 5
 calibration did not converge (the output file is still written), and
 128 + the signal number when interrupted: 130 for Ctrl-C (SIGINT), 143 for
-SIGTERM, 129 for SIGHUP.  Set RADCAL_LOG=debug|info|warning for verbosity.
+SIGTERM, 129 for SIGHUP.  Set RADCAL_LOG=debug|info|warning for verbosity;
+a value that is no logging level name means warning.
 
 Radar frame files carry no pose id of their own; within a directory the
 numeric suffix of ``radar_NNN.json`` is the pose id, matching the
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import fileio
 from .checkerboard import checkerboard_center
-from .geometry import pinhole, project_points
+from .geometry import pinhole
 
 logger = logging.getLogger("radcal")
 
@@ -572,6 +573,8 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
             raise metrics.LengthMismatch(
                 f"frame {i}: {len(pred)} predicted vs {len(gt)} true labels"
             )
+        if not len(pred):
+            raise metrics.EmptyInput(f"frame {i}: no points to evaluate in {pred_files[i]}")
         report = metrics.label_report(pred, gt)
         if i in staged:  # one entry per point; None where a point has no pixel or label
             _, points = fileio.load_radar_points(frame_files[i])
@@ -580,12 +583,13 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
                     f"frame {i}: {len(points)} radar points in {frame_files[i]} vs "
                     f"{len(pred)} predicted labels"
                 )
-            uv, depth, in_front = project_points(intrinsics, extrinsics, points.xyz)
+            cam = extrinsics.transform(points.xyz)
+            uv, front = pinhole(intrinsics, cam)
             columns = {
-                "point_index": np.arange(len(depth)),
-                "u_px": np.where(in_front, uv[:, 0], None),
-                "v_px": np.where(in_front, uv[:, 1], None),
-                "depth_m": depth,
+                "point_index": np.arange(len(cam)),
+                "u_px": np.where(front[:, 0], uv[:, 0], None),
+                "v_px": np.where(front[:, 0], uv[:, 1], None),
+                "depth_m": cam[:, 2],
                 "class_id": np.where(pred.labeled, pred.class_id, None),
                 "instance_id": np.where(pred.labeled, pred.instance_id, None),
                 "provenance": provenance[pred.provenance],
@@ -711,8 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("RADCAL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a level name gives its number; any other value is "Level <value>"
+    level = logging.getLevelName(os.environ.get("RADCAL_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":

@@ -94,10 +94,11 @@ _BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 class Outputs(contextlib.AbstractContextManager):
     """The files one command writes, staged beside their targets; ``file``
-    fails at once on a missing directory.  When the ``with`` block ends
-    without an exception each temp file replaces its target; when it raises
-    each is removed, with every directory ``mkdir`` made.  A command replaces
-    exactly the files it writes and deletes nothing else."""
+    fails at once on a missing directory or a directory in the target's
+    place.  When the ``with`` block ends without an exception each temp file
+    replaces its target; when it raises each is removed, with every
+    directory ``mkdir`` made.  A command replaces exactly the files it
+    writes and deletes nothing else."""
 
     def __init__(self):
         self._made: list[Path] = []  # outermost first
@@ -117,6 +118,8 @@ class Outputs(contextlib.AbstractContextManager):
         target = Path(target)
         if not target.parent.is_dir():
             raise FileNotFoundError(f"cannot write {target}: no directory {target.parent}")
+        if target.is_dir():
+            raise IsADirectoryError(f"cannot write {target}: it is a directory")
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
         os.close(fd)
         self._staged.append((temp, target))

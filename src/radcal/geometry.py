@@ -31,7 +31,6 @@ __all__ = [
     "canonicalize_rotvec",
     "nearest_rotation",
     "pinhole",
-    "project_points",
 ]
 
 # Depth guard for the pinhole projection: points with camera-frame depth at
@@ -271,18 +270,3 @@ def _pinhole(focal: np.ndarray, center: np.ndarray, cam: np.ndarray):
     zs = np.where(front, z, 1.0)
     return focal * cam[..., :2] / zs + center, front
 
-
-def project_points(
-    k: CameraIntrinsics, t: Extrinsics, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized projection of an (N, 3) batch.
-
-    Returns ``(uv, depth, in_front)`` where ``uv`` is (N, 2), ``depth`` the
-    camera-frame z, and ``in_front`` flags depth > Z_EPS.  Rows of ``uv``
-    with ``in_front`` False are NaN rather than an error.
-    """
-    cam = t.transform(np.asarray(points, dtype=float).reshape(-1, 3))
-    uv, front = pinhole(k, cam)
-    in_front = front[:, 0]
-    uv[~in_front] = np.nan
-    return uv, cam[:, 2], in_front

@@ -5,7 +5,9 @@ in ``radcal.autolabel`` replaced, copied unchanged: one frozen
 ``RadarPoint`` per point, Python loops over points and masks, and one
 scalar affinity per point and cluster.  ``test_autolabel_differential.py``
 requires both paths to produce identical records.  ``radar_points``
-converts a ``PointCloud`` to the point list this path takes.
+converts a ``PointCloud`` to the point list this path takes, and
+``segments`` a ``{instance id: members}`` dict to the member arrays the
+columnar ``complete_clusters`` takes.
 
 ``rle_decode`` is the dense, per-run mask decoder that ``radcal.fileio``
 used before masks were held as runs; ``test_masks.py`` requires the run
@@ -29,7 +31,7 @@ from radcal.autolabel import (
     Provenance,
 )
 from radcal.fileio import SchemaError
-from radcal.geometry import CameraIntrinsics, Extrinsics, project_points
+from radcal.geometry import CameraIntrinsics, Extrinsics, pinhole
 
 # Floor for the RCS affinity scale; the velocity floor reuses sigma_v_min.
 # The gate itself (rcs_valid) stays literal with no floor.
@@ -60,6 +62,15 @@ def radar_points(cloud: PointCloud) -> list[RadarPoint]:
         RadarPoint(p, v, rho)
         for p, v, rho in zip(cloud.xyz, cloud.velocity.tolist(), cloud.rcs.tolist())
     ]
+
+
+def segments(refined: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``refined`` as ``radcal.autolabel.complete_clusters`` takes it: the
+    clusters' members grouped by ascending instance id, and each member's id."""
+    order = sorted(refined)
+    members = [i for iid in order for i in refined[iid]]
+    ids = [iid for iid in order for _ in refined[iid]]
+    return np.array(members, dtype=np.intp), np.array(ids, dtype=np.int64)
 
 
 @dataclass
@@ -111,15 +122,15 @@ def coarse_associate(
                             np.empty(0), np.empty(0, dtype=bool))
 
     positions = np.array([p.position for p in points])
-    uv, depth, in_front = project_points(k, t, positions)
-    with np.errstate(invalid="ignore"):
-        in_image = (
-            in_front
-            & (uv[:, 0] >= 1.0)
-            & (uv[:, 0] <= k.width)
-            & (uv[:, 1] >= 1.0)
-            & (uv[:, 1] <= k.height)
-        )
+    cam = t.transform(positions)
+    uv, front = pinhole(k, cam)
+    in_image = (
+        front[:, 0]
+        & (uv[:, 0] >= 1.0)
+        & (uv[:, 0] <= k.width)
+        & (uv[:, 1] >= 1.0)
+        & (uv[:, 1] <= k.height)
+    )
     ui, vi = _lookup_pixels(np.where(in_image[:, None], uv, 1.0))
 
     # Highest confidence first so the first covering mask wins; instance id
@@ -142,7 +153,7 @@ def coarse_associate(
         labels[i] = label
         clusters.setdefault(chosen.instance_id, []).append(i)
         cluster_labels[chosen.instance_id] = label
-    return CoarseResult(labels, clusters, cluster_labels, unassociated, depth, in_image)
+    return CoarseResult(labels, clusters, cluster_labels, unassociated, cam[:, 2], in_image)
 
 
 def cluster_stats(

@@ -20,6 +20,7 @@ from radcal.autolabel import (
     vel_valid,
 )
 from radcal.geometry import CameraIntrinsics, Extrinsics
+from scalar_reference import segments
 
 # identity extrinsics: camera frame == point frame, depth == z
 K = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
@@ -240,17 +241,17 @@ class TestCompleteClusters:
         candidate = pt(1.0, 2.0, 10.0, v=3.0, rcs=12.0)
         points = cloud(*members, candidate)
         depths = np.full(4, 10.0)
-        out = complete_clusters({7: [0, 1, 2]}, [3], points, depths, LabelParams())
-        assert out == {3: 7}
+        out = complete_clusters(segments({7: [0, 1, 2]}), [3], points, depths, LabelParams())
+        assert dict(zip(*out)) == {3: 7}
 
     def test_beyond_search_radius_not_candidate(self):
         members = [pt(0, 0, 10.0) for _ in range(3)]
         candidate = pt(10.0, 0, 10.0)
         points = cloud(*members, candidate)
         out = complete_clusters(
-            {1: [0, 1, 2]}, [3], points, np.full(4, 10.0), LabelParams(r_search=2.0)
+            segments({1: [0, 1, 2]}), [3], points, np.full(4, 10.0), LabelParams(r_search=2.0)
         )
-        assert out == {}
+        assert dict(zip(*out)) == {}
 
     def test_argmax_across_clusters(self):
         params = LabelParams()
@@ -262,9 +263,9 @@ class TestCompleteClusters:
         points = cloud(*cluster_a, *cluster_b, candidate)
         depths = np.full(7, 10.0)
         out = complete_clusters(
-            {1: [0, 1, 2], 2: [3, 4, 5]}, [6], points, depths, params
+            segments({1: [0, 1, 2], 2: [3, 4, 5]}), [6], points, depths, params
         )
-        assert out == {6: 2}
+        assert dict(zip(*out)) == {6: 2}
 
     def test_below_threshold_not_recovered(self):
         members = [pt(0, 0, 10.0) for _ in range(3)]
@@ -272,23 +273,23 @@ class TestCompleteClusters:
         candidate = pt(d, 0, 10.0)  # affinity 0.5 < 0.6
         points = cloud(*members, candidate)
         out = complete_clusters(
-            {1: [0, 1, 2]}, [3], points, np.full(4, 10.0), LabelParams()
+            segments({1: [0, 1, 2]}), [3], points, np.full(4, 10.0), LabelParams()
         )
-        assert out == {}
+        assert dict(zip(*out)) == {}
 
     def test_excluded_cluster_skipped(self):
         members = [pt(0, 0, 10.0) for _ in range(3)]
         candidate = pt(0, 0, 10.0)
         points = cloud(*members, candidate)
         out = complete_clusters(
-            {1: [0, 1, 2]},
+            segments({1: [0, 1, 2]}),
             [3],
             points,
             np.full(4, 10.0),
             LabelParams(),
             excluded=np.array([0, 0, 0, 1]),
         )
-        assert out == {}
+        assert dict(zip(*out)) == {}
 
 
 class TestAutolabelFrame:

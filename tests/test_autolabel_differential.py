@@ -21,7 +21,7 @@ from radcal.autolabel import (
     autolabel_frame,
     complete_clusters,
 )
-from radcal.geometry import CameraIntrinsics, Extrinsics, project_points
+from radcal.geometry import CameraIntrinsics, Extrinsics
 from radcal.synth import (
     LabelSceneConfig,
     default_extrinsics,
@@ -182,15 +182,57 @@ def test_excluded_changes_the_winner():
     points, _, params = excluded_scene(with_other_cluster=True)
     refined = {1: [0, 1, 2, 3], 2: [5, 6, 7]}
     depths = points.xyz[:, 2]
-    assert complete_clusters(refined, [4], points, depths, params) == {4: 1}
+    out = complete_clusters(ref.segments(refined), [4], points, depths, params)
+    assert dict(zip(*out)) == {4: 1}
     assert ref.complete_clusters(
         refined, [4], ref.radar_points(points), depths, params
     ) == {4: 1}
     excluded = np.array([0, 0, 0, 0, 1, 0, 0, 0])
-    assert complete_clusters(refined, [4], points, depths, params, excluded) == {4: 2}
+    out = complete_clusters(ref.segments(refined), [4], points, depths, params, excluded)
+    assert dict(zip(*out)) == {4: 2}
     assert ref.complete_clusters(
         refined, [4], ref.radar_points(points), depths, params, excluded={4: 1}
     ) == {4: 2}
+
+
+@st.composite
+def completion_inputs(draw):
+    """Points on a coarse grid, some on one line or with one velocity and
+    RCS (so that affinities tie), up to four clusters of them as a dict (empty clusters
+    included), the other points offered for completion, and None or, per
+    point, the cluster that excluded it (0 for none)."""
+    n = draw(st.integers(1, 12))
+    grid = st.sampled_from([-0.5, 0.0, 0.5])
+    line, spread = draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([0.0, 1.0]))
+    rows = [
+        (draw(grid), line * draw(grid), 10.0 + line * draw(grid), spread * draw(grid),
+         10.0 + spread * draw(grid))
+        for _ in range(n)
+    ]
+    owner = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(1, 50), min_size=4, max_size=4, unique=True))
+    refined = {ids[c]: [i for i in range(n) if owner[i] == c + 1] for c in range(4)}
+    refined = {iid: members for iid, members in refined.items() if draw(st.booleans())}
+    unassociated = [i for i in range(n) if owner[i] == 0]
+    excluded = draw(st.none() | st.lists(st.sampled_from([0, *ids]), min_size=n, max_size=n))
+    return cloud(*rows), refined, unassociated, excluded
+
+
+@settings(max_examples=300)
+@given(completion_inputs())
+def test_completion_on_segments_matches_scalar_reference(inputs):
+    points, refined, unassociated, excluded = inputs
+    params = LabelParams(r_search=0.5)  # the grid step: points sit on the search radius
+    depths = points.xyz[:, 2]
+    out = complete_clusters(
+        ref.segments(refined), unassociated, points, depths, params,
+        None if excluded is None else np.array(excluded),
+    )
+    expected = ref.complete_clusters(
+        refined, unassociated, ref.radar_points(points), depths, params,
+        None if excluded is None else {i: iid for i, iid in enumerate(excluded) if iid},
+    )
+    assert list(zip(*(a.tolist() for a in out))) == sorted(expected.items())
 
 
 # Cluster sizes on both sides of numpy's pairwise-summation boundaries:
@@ -249,7 +291,7 @@ def boundary_frames(draw):
     defaults = LabelParams()
     members = np.flatnonzero(bands == draw(st.integers(0, len(sizes) - 1)))
     k = members[draw(st.integers(0, len(members) - 1))]
-    _, depth, _ = project_points(K_NARROW, T, points.xyz)
+    depth = T.transform(points.xyz)[:, 2]
     rcs, vel = points.rcs[members], points.velocity[members]
     sigma_v = max(vel.std(), defaults.sigma_v_min)
     pins = {

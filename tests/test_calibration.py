@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fd_oracle import central_difference_jacobian
+from fd_oracle import central_difference_jacobian, linearize, residual_vector
 from radcal import calibration
 from radcal.calibration import (
     BEHIND_CAMERA_RESIDUAL,
@@ -11,8 +11,6 @@ from radcal.calibration import (
     DegenerateGeometry,
     SolverConfig,
     TooFewPoses,
-    _linearize,
-    _residual_vector,
     _run_lm,
     build_correspondences,
     cube_rotation_seeds,
@@ -204,7 +202,7 @@ class TestResidual:
             direction /= np.linalg.norm(direction)
             costs = []
             for scale in (0.0, 0.002, 0.005, 0.01, 0.02, 0.05):
-                r = _residual_vector(gt_pose + scale * direction, k, observed, points)
+                r = residual_vector(gt_pose + scale * direction, k, observed, points)
                 costs.append(float(r @ r))
             assert all(a < b for a, b in zip(costs, costs[1:])), costs
 
@@ -213,7 +211,7 @@ class TestResidual:
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 10, 10)
         observed = np.array([[0.0, 0.0]])
         points = np.array([[0.0, 0.0, -5.0]])
-        res = _residual_vector(np.zeros(6), k, observed, points)
+        res = residual_vector(np.zeros(6), k, observed, points)
         assert np.all(res == BEHIND_CAMERA_RESIDUAL)
 
 
@@ -250,7 +248,7 @@ class TestJacobian:
             pose = base + np.concatenate(
                 [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
             )
-            analytic = _linearize(pose, k, observed, points)[1]
+            analytic = linearize(pose, k, observed, points)[1]
             numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-4, rel
@@ -264,7 +262,7 @@ class TestJacobian:
         observed = rng.uniform(0.0, 1000.0, (8, 2))
         axis = np.array([0.6, -0.48, 0.64])
         pose = np.concatenate([angle * axis, [0.1, -0.2, 0.3]])
-        analytic = _linearize(pose, k, observed, points)[1]
+        analytic = linearize(pose, k, observed, points)[1]
         numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
         assert np.linalg.norm(analytic - numeric) < 1e-6 * np.linalg.norm(numeric)
 
@@ -272,7 +270,7 @@ class TestJacobian:
         k = default_intrinsics()
         points = np.array([[0.5, 0.2, 5.0], [0.0, 0.0, -5.0]])
         observed = np.zeros((2, 2))
-        jac = _linearize(np.zeros(6), k, observed, points)[1]
+        jac = linearize(np.zeros(6), k, observed, points)[1]
         numeric = central_difference_jacobian(np.zeros(6), k, observed, points)
         assert np.all(jac[2:] == 0.0)
         assert np.allclose(jac[:2], numeric[:2], rtol=1e-6, atol=1e-6)
@@ -288,7 +286,7 @@ class TestSolve:
         seeds = cube_rotation_seeds()
         runs = _run_lm(np.array(seeds), k, observed, points, SolverConfig())
         for index, seed in enumerate(seeds):
-            if not np.all(_residual_vector(seed, k, observed, points) == BEHIND_CAMERA_RESIDUAL):
+            if not np.all(residual_vector(seed, k, observed, points) == BEHIND_CAMERA_RESIDUAL):
                 continue
             infeasible.append(index)
             pose, cost, iterations, converged = (
@@ -298,7 +296,7 @@ class TestSolve:
             assert converged is False
             assert iterations == 1
             assert np.array_equal(pose, seed)
-            assert cost == float(np.sum(_residual_vector(seed, k, observed, points) ** 2))
+            assert cost == float(np.sum(residual_vector(seed, k, observed, points) ** 2))
         assert len(infeasible) == 4
         result = solve_extrinsics(corrs, k)
         assert result.converged
@@ -365,7 +363,7 @@ class TestSolve:
 
         def recording(problem, poses, state):
             for pose, state_residual in zip(poses, state.residual):
-                residual = _residual_vector(pose, k, observed, points)
+                residual = residual_vector(pose, k, observed, points)
                 assert np.array_equal(state_residual, residual)  # the state is the pose's
                 costs.append(float(np.sum(residual**2)))
             return jacobian(problem, poses, state)
@@ -448,7 +446,7 @@ class TestSolve:
         expected = np.concatenate(
             [matrix_to_rotvec(rotation), base.translation - rotation @ t0]
         )
-        residual, jac = _linearize(expected, k, moved.image_center, moved.radar_center)
+        residual, jac = linearize(expected, k, moved.image_center, moved.radar_center)
         tolerance = (np.linalg.norm(residual) + np.linalg.norm(result.residuals)) / (
             np.linalg.svd(jac, compute_uv=False)[-1]
         )

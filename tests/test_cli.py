@@ -1236,6 +1236,55 @@ def test_eval_overlay_point_count_mismatch_exit_4(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_eval_empty_frame_exit_4_naming_the_frame(tmp_path, capsys):
+    # autolabel writes an empty labels file for a radar frame with no points;
+    # eval stopped on it with "no points to evaluate", naming no frame
+    scene, frames, pred = tmp_path / "scene", tmp_path / "frames", tmp_path / "pred"
+    assert run(["synth", "--kind", "labeling", "--seed", "3", "--frames", "2", "-o", scene]) == 0
+    shutil.copytree(scene, frames)
+    nothing = np.empty((0, 3))
+    fileio.write_radar_points(frames / "radar_001.json", 0.0, PointCloud(nothing, [], []))
+    assert run(["autolabel", "--frames", frames, "--masks", frames,
+                "--calibration", scene / "calibration.json", "-o", pred]) == 0
+    assert (pred / "labels_001.jsonl").read_bytes() == b""
+    shutil.copy(pred / "labels_001.jsonl", frames / "gt_labels" / "labels_001.jsonl")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, stderr = outcome(capsys, [
+        "eval", "--pred", pred, "--gt", frames / "gt_labels", "-o", out / "report.json"])
+    assert (code, stdout) == (cli.EXIT_INVALID, "")
+    assert stderr == (
+        f"invalid input: frame 1: no points to evaluate in {pred / 'labels_001.jsonl'}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["autolabel", "calibrate"])
+def test_directory_in_a_targets_place_exit_3_before_any_work(workflow, tmp_path, capsys,
+                                                             command):
+    # such a target failed only when the files were committed: autolabel
+    # printed its summary and left the other frames' labels written, and
+    # calibrate printed its MRE line
+    if command == "autolabel":
+        scene, out = tmp_path / "scene", tmp_path / "out"
+        assert run(["synth", "--kind", "labeling", "--seed", "9", "--frames", "3",
+                    "-o", scene]) == 0
+        target = out / "labels_000.jsonl"
+        argv = ["autolabel", "--frames", scene, "--masks", scene,
+                "--calibration", scene / "calibration.json", "-o", out]
+    else:
+        scene, out = workflow / "cal_scene", tmp_path
+        target = out / "calibration.json"
+        argv = ["calibrate", "--corners", scene, "--frames", scene,
+                "--intrinsics", scene / "intrinsics.json", "-o", target]
+    target.mkdir(parents=True)
+    code, stdout, stderr = outcome(capsys, argv)
+    assert (code, stdout) == (cli.EXIT_IO, "")
+    assert stderr == f"io error: cannot write {target}: it is a directory\n"
+    assert list(out.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
 def test_failed_eval_overlay_prints_no_table(workflow, tmp_path, capsys):
     # the table used to be printed before the overlay inputs were read
     capsys.readouterr()
@@ -2549,6 +2598,22 @@ class TestFlags:
         monkeypatch.setenv("RADCAL_LOG", "debug")
         assert run(["synth", "--kind", "calibration", "--poses", "3", "--seed", "1",
                     "-o", tmp_path / "scene"]) == 0
+
+    @pytest.mark.parametrize(
+        "value, level", [("basic_format", "WARNING"), ("bogus", "WARNING"), ("Info", "INFO")]
+    )
+    def test_log_env_var_reads_level_names_only(self, tmp_path, value, level):
+        # RADCAL_LOG=basic_format named a logging attribute that is no level,
+        # and every command ended in a ValueError traceback, exit 1
+        code = (
+            "import logging; from radcal import cli; "
+            "code = cli.main(['synth', '--kind', 'calibration', '--poses', '3', "
+            f"'-o', {str(tmp_path / 'scene')!r}]); "
+            "print(code, logging.getLevelName(logging.getLogger().level))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(radcal_env(), RADCAL_LOG=value))
+        assert (proc.stdout.splitlines()[-1:], proc.stderr) == ([f"0 {level}"], "")
 
     def test_scene_config_file(self, tmp_path):
         from radcal.geometry import matrix_to_rotvec

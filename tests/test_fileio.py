@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -1276,12 +1277,21 @@ class TestOutputs:
         assert (tmp_path / "kept.json").read_text() == "old\n"
 
     def test_failed_move_leaves_no_temp_file(self, tmp_path):
-        (tmp_path / "dir").mkdir()
         with pytest.raises(IsADirectoryError):
             with fileio.Outputs() as outputs:
                 write_json(outputs.file(tmp_path / "dir"), {})
                 write_json(outputs.file(tmp_path / "x.json"), {})
+                (tmp_path / "dir").mkdir()  # after staging, so the move fails
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "x.json"]
+
+    def test_directory_target_fails_before_a_temp_file(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        message = re.escape(f"cannot write {tmp_path / 'dir'}: it is a directory")
+        with pytest.raises(IsADirectoryError, match=f"^{message}$"):
+            with fileio.Outputs() as outputs:
+                write_json(outputs.file(tmp_path / "x.json"), {})
+                outputs.file(tmp_path / "dir")
+        assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_files_get_the_mode_a_plain_write_gives(self, tmp_path, umask, mode):

@@ -13,7 +13,6 @@ from radcal.geometry import (
     matrix_to_rotvec,
     nearest_rotation,
     pinhole,
-    project_points,
     rotvec_to_matrix,
     sph2cart,
 )
@@ -267,15 +266,13 @@ class TestProjection:
         rng = np.random.default_rng(10)
         t = Extrinsics(random_rotation(rng), rng.normal(size=3))
         pts = rng.normal(size=(30, 3)) * 5
-        uv, depth, in_front = project_points(k, t, pts)
+        cam = t.transform(pts)
+        uv, front = pinhole(k, cam)
         for i in range(30):
-            cam = t.transform(pts[i])
-            assert np.isclose(depth[i], cam[2])
-            assert in_front[i] == project_one(k, t, pts[i])[1]
-            if in_front[i]:
+            assert np.isclose(cam[i, 2], t.transform(pts[i])[2])
+            assert front[i, 0] == project_one(k, t, pts[i])[1]
+            if front[i, 0]:
                 assert np.allclose(uv[i], project_one(k, t, pts[i])[0], atol=1e-12)
-            else:
-                assert np.all(np.isnan(uv[i]))
 
     def test_pinhole_gives_the_bits_of_every_projection(self):
         k = CameraIntrinsics(700.0, 710.0, 320.0, 240.0, 640, 480)
@@ -284,17 +281,16 @@ class TestProjection:
         assert uv.shape == (4, 5, 2) and front.shape == (4, 5, 1)
         flat_uv, flat_front = pinhole(k, cam.reshape(-1, 3))
         assert np.array_equal(flat_uv, uv.reshape(-1, 2))
-        batch_uv, _, in_front = project_points(k, IDENTITY, cam)
-        assert np.array_equal(in_front, flat_front[:, 0])
-        for c, pixel, batch_pixel, ok in zip(cam.reshape(-1, 3), flat_uv, batch_uv, in_front):
+        batch_uv, batch_front = pinhole(k, IDENTITY.transform(cam.reshape(-1, 3)))
+        assert np.array_equal(batch_front, flat_front)
+        rows = zip(cam.reshape(-1, 3), flat_uv, batch_uv, flat_front[:, 0])
+        for c, pixel, batch_pixel, ok in rows:
             assert ok == (c[2] > Z_EPS)
             if ok:
                 formula = [k.fx * c[0] / c[2] + k.cx, k.fy * c[1] / c[2] + k.cy]
                 assert np.array_equal(pixel, formula)
                 assert np.array_equal(batch_pixel, pixel)
                 assert np.array_equal(project_one(k, IDENTITY, c)[0], pixel)
-            else:
-                assert np.all(np.isnan(batch_pixel))
 
     def test_principal_point_warning(self):
         with pytest.warns(UserWarning):
