@@ -195,22 +195,6 @@ class LabelColumns:
         ):
             yield LabelRecord(i, (class_id, instance_id) if labeled else None, _PROVENANCE[code])
 
-    @classmethod
-    def from_labels(cls, labels) -> "LabelColumns":
-        """Columns from per-point labels ((class_id, instance_id) or None),
-        with a ground-truth file's provenance: coarse where labeled."""
-        labeled = np.array([lbl is not None for lbl in labels], dtype=bool)
-        pairs = np.array(
-            [lbl for lbl in labels if lbl is not None], dtype=np.int64
-        ).reshape(-1, 2)
-        class_id = np.zeros(len(labeled), dtype=np.int64)
-        instance_id = np.zeros(len(labeled), dtype=np.int64)
-        class_id[labeled], instance_id[labeled] = pairs.T
-        provenance = np.where(
-            labeled, _CODE[Provenance.COARSE], _CODE[Provenance.UNLABELED]
-        ).astype(np.int8)
-        return cls(class_id, instance_id, labeled, provenance)
-
 
 @dataclass(frozen=True)
 class ClusterStats:

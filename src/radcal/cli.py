@@ -258,7 +258,6 @@ def _cmd_synth(args, outputs: fileio.Outputs) -> int:
 def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     """Write the requested scene's files into ``out``; returns a summary."""
     from . import synth
-    from .autolabel import LabelColumns
 
     doc = _load_config_file(args.config) if args.config else {}
     try:
@@ -317,7 +316,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
         radar, masks, labels = staged[i]
         fileio.write_radar_points(radar, scene.timestamp_s, scene.points)
         fileio.write_masks(masks, cfg.intrinsics.width, cfg.intrinsics.height, list(scene.masks))
-        fileio.write_labels(labels, LabelColumns.from_labels(scene.gt_labels))
+        fileio.write_labels(labels, scene.gt_labels)
         return fileio.canonical_json(scene.ground_truth())
 
     # canonical_json encodes a list and a dict from their items' encodings

@@ -32,7 +32,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autolabel import InstanceMask, PointCloud, _lookup_pixels, offsets_to_runs
+from .autolabel import (
+    _CODE,
+    InstanceMask,
+    LabelColumns,
+    PointCloud,
+    Provenance,
+    _lookup_pixels,
+    offsets_to_runs,
+)
 from .checkerboard import CheckerboardSpec, CornerSet
 from .geometry import (
     Z_EPS,
@@ -402,8 +410,7 @@ class SceneObject:
     centroid: np.ndarray  # (3,) radar frame
     velocity_mps: float
     rcs_dbsm: float
-    point_indices: tuple[int, ...]  # into the scene point list (incl. displaced)
-    positions: np.ndarray  # (n, 3) radar frame, in point_indices order
+    positions: np.ndarray  # (n, 3) radar frame, incl. displaced points
     bbox: tuple[int, int, int, int]  # the mask's, as _mask_bbox gives it
     mask_offsets: np.ndarray  # ascending flat pixel offsets of the mask
     depth_m: float  # camera depth of the centroid
@@ -414,7 +421,7 @@ class LabelScene:
     config: LabelSceneConfig
     points: PointCloud
     masks: tuple[InstanceMask, ...]
-    gt_labels: tuple  # per point: (class_id, instance_id) or None
+    gt_labels: LabelColumns  # objects' points first, in object order
     objects: tuple[SceneObject, ...]
     timestamp_s: float = 0.0
 
@@ -430,13 +437,8 @@ class LabelScene:
                     "centroid_m": [float(x) for x in o.centroid],
                     "velocity_mps": o.velocity_mps,
                     "rcs_dbsm": o.rcs_dbsm,
-                    "point_indices": list(o.point_indices),
                 }
                 for o in self.objects
-            ],
-            "labels": [
-                None if lbl is None else {"class_id": lbl[0], "instance_id": lbl[1]}
-                for lbl in self.gt_labels
             ],
         }
 
@@ -673,7 +675,6 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
             else:
                 v_obj = float(rng.uniform(-0.25, 0.25))
             rcs_obj = float(rng.uniform(0.0, 25.0))
-            start = sum(len(o.positions) for o in objects)
             objects.append(
                 SceneObject(
                     instance_id=obj_idx + 1,
@@ -682,7 +683,6 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
                     centroid=centroid,
                     velocity_mps=v_obj,
                     rcs_dbsm=rcs_obj,
-                    point_indices=tuple(range(start, start + n_pts)),
                     positions=positions,
                     bbox=bbox,
                     mask_offsets=mask_offsets,
@@ -698,14 +698,12 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
 
     # per object point: the object's velocity and RCS, plus one normal draw
     # per jitter that is on, velocity's before RCS's
-    values = np.repeat(
-        [(o.velocity_mps, o.rcs_dbsm) for o in objects], [len(o.positions) for o in objects], axis=0
-    )
+    sizes = [len(o.positions) for o in objects]
+    values = np.repeat([(o.velocity_mps, o.rcs_dbsm) for o in objects], sizes, axis=0)
     jitters = np.array([cfg.velocity_jitter_mps, cfg.rcs_jitter_dbsm])
     on = jitters > 0
     values[:, on] += rng.normal(0.0, jitters[on], (len(values), np.count_nonzero(on)))
     xyz, values = [o.positions for o in objects], [values]  # then a row per bait point
-    gt_labels = [(o.class_id, o.instance_id) for o in objects for _ in o.point_indices]
 
     # false-positive bait: inside the mask in the image, far off in depth,
     # so the depth gate is guaranteed to remove what coarse association added
@@ -721,7 +719,6 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
                 if np.min(np.linalg.norm(centroids - p_radar, axis=1)) > 2.5:
                     xyz.append(p_radar)
                     values.append((rng.uniform(-10.0, 10.0), rng.uniform(-5.0, 30.0)))
-                    gt_labels.append(None)
                     break
     velocity, rcs = np.vstack(values).T
 
@@ -730,8 +727,23 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
     clutter_xyz, clutter_velocity, clutter_rcs = _clutter(
         rng, cfg.clutter_count, centroids, masked, k, t
     )
-    gt_labels += [None] * len(clutter_velocity)
 
+    points = PointCloud(
+        np.vstack((*xyz, clutter_xyz)),
+        np.concatenate((velocity, clutter_velocity)),
+        np.concatenate((rcs, clutter_rcs)),
+    )
+    # true labels: each object's points, in object order, then the bait and
+    # the clutter, unlabeled
+    sizes.append(len(points) - sum(sizes))
+    labeled = np.repeat([True] * len(objects) + [False], sizes)
+    provenance = np.where(labeled, _CODE[Provenance.COARSE], _CODE[Provenance.UNLABELED])
+    gt_labels = LabelColumns(
+        np.repeat(np.array([o.class_id for o in objects] + [0], dtype=np.int64), sizes),
+        np.repeat(np.array([o.instance_id for o in objects] + [0], dtype=np.int64), sizes),
+        labeled,
+        provenance.astype(np.int8),
+    )
     masks = tuple(
         InstanceMask(
             *offsets_to_runs(o.mask_offsets), k.height, k.width,
@@ -740,13 +752,5 @@ def gen_label_scene(cfg: LabelSceneConfig | None = None) -> LabelScene:
         for o in objects
     )
     return LabelScene(
-        config=cfg,
-        points=PointCloud(
-            np.vstack((*xyz, clutter_xyz)),
-            np.concatenate((velocity, clutter_velocity)),
-            np.concatenate((rcs, clutter_rcs)),
-        ),
-        masks=masks,
-        gt_labels=tuple(gt_labels),
-        objects=tuple(objects),
+        config=cfg, points=points, masks=masks, gt_labels=gt_labels, objects=tuple(objects)
     )

@@ -9,7 +9,8 @@ tested against the centroids and the mask windows on its own.
 ``calibration_scene`` and ``label_scene`` are ``gen_calibration_scene`` and
 ``gen_label_scene`` with their per-value loops: radar returns drawn one
 ``float(rng.uniform(...))`` at a time into tuples, each labeling object a
-dict first, and each object point appended with its own jitter draws.
+dict first, and each object point appended with its own jitter draws and
+its own true label, turned into columns only at the end.
 ``test_synth_differential.py`` requires ``radcal.synth`` to give the same
 bits and to leave the generator in the same state.
 """
@@ -33,6 +34,7 @@ from radcal.synth import (
     SceneConfig,
     SceneObject,
 )
+from truth_columns import truth_columns
 
 
 def clear(
@@ -287,9 +289,7 @@ def label_scene(cfg: LabelSceneConfig) -> LabelScene:
     gt_labels: list = []
     scene_objects: list[SceneObject] = []
     for o in objects:
-        idx_start = len(xyz)
-        n = len(o["positions"])
-        for j in range(n):
+        for j in range(len(o["positions"])):
             v = o["velocity"] + (
                 float(rng.normal(0.0, cfg.velocity_jitter_mps))
                 if cfg.velocity_jitter_mps > 0
@@ -312,7 +312,6 @@ def label_scene(cfg: LabelSceneConfig) -> LabelScene:
                 centroid=o["centroid"],
                 velocity_mps=o["velocity"],
                 rcs_dbsm=o["rcs"],
-                point_indices=tuple(range(idx_start, idx_start + n)),
                 positions=o["positions"],
                 bbox=o["bbox"],
                 mask_offsets=o["offsets"],
@@ -362,6 +361,6 @@ def label_scene(cfg: LabelSceneConfig) -> LabelScene:
             np.concatenate((rcs, clutter_rcs)),
         ),
         masks=masks,
-        gt_labels=tuple(gt_labels),
+        gt_labels=truth_columns(gt_labels),
         objects=tuple(scene_objects),
     )

@@ -10,7 +10,7 @@ import pytest
 
 from fd_oracle import central_difference_jacobian, linearize
 from radcal import cli
-from radcal.autolabel import LabelColumns, LabelParams, autolabel_frame
+from radcal.autolabel import LabelParams, autolabel_frame
 from radcal.calibration import (
     build_correspondences,
     reprojection_errors,
@@ -35,6 +35,7 @@ from radcal.synth import (
     gen_calibration_scene,
     gen_label_scene,
 )
+from truth_columns import truth_columns
 
 
 def report(criterion, text):
@@ -192,7 +193,7 @@ def test_criterion_5_clean_labeling_soundness():
     k, t = default_intrinsics(), default_extrinsics()
     scene = gen_label_scene(LabelSceneConfig(seed=5))
     labels = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
-    rep = label_report(labels, LabelColumns.from_labels(scene.gt_labels))
+    rep = label_report(labels, scene.gt_labels)
     assert rep.pa_percent == 100.0, f"PA {rep.pa_percent}"
     assert rep.miou_percent == 100.0, f"mIoU {rep.miou_percent}"
     report(5, f"PA {rep.pa_percent}, mIoU {rep.miou_percent} on the clean scene")
@@ -211,15 +212,14 @@ def test_criterion_6_ablation_direction():
                 false_negative_rate=0.1,
             )
         )
-        gt = list(scene.gt_labels)
+        gt = [r.label for r in scene.gt_labels]
         stage_labels = {}
         for stage in ("coarse", "otpf", "full"):
             records = autolabel_frame(
                 scene.points, list(scene.masks), k, t, stage=stage
             )
-            labels = [r.label for r in records]
-            stage_labels[stage] = labels
-            rep = label_report(LabelColumns.from_labels(labels), LabelColumns.from_labels(gt))
+            stage_labels[stage] = [r.label for r in records]
+            rep = label_report(records, scene.gt_labels)
             pa[stage].append(rep.pa_percent)
             miou_v[stage].append(rep.miou_percent)
 
@@ -266,7 +266,7 @@ def test_criterion_7_metric_unit_truths():
     assert np.isclose(rmse, np.sqrt(50.0))
     gt = [(1, 1)] * 4 + [None]
     pred = [(1, 1)] * 3 + [None, None]
-    scores = label_report(LabelColumns.from_labels(pred), LabelColumns.from_labels(gt))
+    scores = label_report(truth_columns(pred), truth_columns(gt))
     assert scores.miou_percent == 75.0
     report(7, "MRE/RMSE unit cases and the 3-of-4 IoU case hold exactly")
 
@@ -364,7 +364,7 @@ def _label_scores(scenes, extrinsics):
     scores = []
     for scene in scenes:
         labels = autolabel_frame(scene.points, scene.masks, scene.config.intrinsics, extrinsics)
-        rep = label_report(labels, LabelColumns.from_labels(scene.gt_labels))
+        rep = label_report(labels, scene.gt_labels)
         scores.append((rep.pa_percent, rep.miou_percent))
     return scores
 

@@ -25,7 +25,7 @@ import radcal
 from frame_stream import write_radar_frames_stream
 from radcal import autolabel as al
 from radcal import cli, fileio, synth
-from radcal.autolabel import InstanceMask, LabelColumns, PointCloud
+from radcal.autolabel import InstanceMask, PointCloud
 from radcal.fileio import (
     load_calibration,
     load_labels,
@@ -38,6 +38,7 @@ from radcal.fileio import (
 )
 from radcal.geometry import CameraIntrinsics, Extrinsics, sph2cart
 from radcal.reflector import RadarFrame
+from truth_columns import truth_columns
 from radcal.synth import LabelSceneConfig, SceneConfig, default_intrinsics
 
 
@@ -393,7 +394,7 @@ GOLDEN_LABELING = {
     "labels/labels_000.jsonl": "839459f7fc621272614aef14f7aae8217387c7084d84cfdf19d0e9ad35aefb43",
     "labels/labels_001.jsonl": "7108533c94a6d9f7521944632775e360de7de348aef0461e8a33a06f2ad939ff",
     "scene/calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
-    "scene/ground_truth.json": "3f9dbad7da2b71c350c87dcd4e0c9bd7336b007fc9e2504e3bdca31240bcc9b0",
+    "scene/ground_truth.json": "29d1d32c558d692f7065ba77f2b4d2eae5386d36ef3a4ddec96837c6fae16930",
     "scene/gt_labels/labels_000.jsonl": "46ea6000adf3842f102b7c05ca7158c5f362809b656222c44ede4aeeda2c8ea5",
     "scene/gt_labels/labels_001.jsonl": "563f1350792060069073698232255239e5b197ca27959340a411e0681c810d01",
     "scene/masks_000.json": "feb8ff86b5fb839276ace021fcf108dad954e7e27772ddf06b727b5d88e674d5",
@@ -420,7 +421,7 @@ GOLDEN_LABELING_HULL = {
     "labels/labels_000.jsonl": "839459f7fc621272614aef14f7aae8217387c7084d84cfdf19d0e9ad35aefb43",
     "labels/labels_001.jsonl": "7108533c94a6d9f7521944632775e360de7de348aef0461e8a33a06f2ad939ff",
     "scene/calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
-    "scene/ground_truth.json": "3f9dbad7da2b71c350c87dcd4e0c9bd7336b007fc9e2504e3bdca31240bcc9b0",
+    "scene/ground_truth.json": "29d1d32c558d692f7065ba77f2b4d2eae5386d36ef3a4ddec96837c6fae16930",
     "scene/gt_labels/labels_000.jsonl": "46ea6000adf3842f102b7c05ca7158c5f362809b656222c44ede4aeeda2c8ea5",
     "scene/gt_labels/labels_001.jsonl": "563f1350792060069073698232255239e5b197ca27959340a411e0681c810d01",
     "scene/masks_000.json": "136c876873659954b6503d919b669093a55179fc6be314729c4236261609127c",
@@ -472,7 +473,7 @@ DENSE_SCENE_CONFIG = {
 }
 GOLDEN_LABELING_DENSE = {
     "calibration.json": "5ae411e8012a7c727efdf6bf07fa3f97f4bad3c01e46924323b01e510af0c248",
-    "ground_truth.json": "acfbc51ba5d9b5bc472daed4aa10e60471f3e866d05d9ed4809a1ce95f11d19a",
+    "ground_truth.json": "b444133de4b3004e1e066bb3f95af64c3370559bdbf90c9b597a74047fe4ad54",
     "gt_labels/labels_000.jsonl": "762e60bb8d2d6d2d5e08a05418eec1c674502bace05e16fd136a13ca50350327",
     "masks_000.json": "ca2b41dcb49f468a8e00a6785b296ed57140037d6eabdc25ecbc0f4e6084eee4",
     "radar_000.json": "31dc73baecd9c3d8e91a497957a1810dcf983daf179b36412b9d53e83991d072",
@@ -554,8 +555,8 @@ def test_eval_pooled_miou_zero_when_only_predictions_hold_instances(tmp_path):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir()
     gt.mkdir()
-    write_labels(pred / "labels_000.jsonl", LabelColumns.from_labels([(1, 1), (1, 1), None]))
-    write_labels(gt / "labels_000.jsonl", LabelColumns.from_labels([None] * 3))
+    write_labels(pred / "labels_000.jsonl", truth_columns([(1, 1), (1, 1), None]))
+    write_labels(gt / "labels_000.jsonl", truth_columns([None] * 3))
     assert run(["eval", "--pred", pred, "--gt", gt, "-o", tmp_path / "report.json"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["per_frame"][0]["miou_percent"] == 0.0

@@ -48,6 +48,7 @@ from radcal.geometry import (
 )
 from radcal.reflector import RadarFrame
 from radcal.synth import default_extrinsics, default_intrinsics
+from truth_columns import truth_columns
 
 
 class TestCanonicalJson:
@@ -534,7 +535,7 @@ class TestLabelFiles:
 
     def test_incomplete_coverage_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        write_labels(path, LabelColumns.from_labels([None] * 3))
+        write_labels(path, truth_columns([None] * 3))
         lines = path.read_text().splitlines()
         path.write_text(f"{lines[0]}\n{lines[2]}\n")  # point indices 0 and 2
         with pytest.raises(SchemaError):

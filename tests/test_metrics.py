@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from radcal.autolabel import LabelColumns
 from radcal.calibration import reprojection_errors
 from radcal.metrics import EmptyInput, LengthMismatch, label_report
-
-columns = LabelColumns.from_labels
+from truth_columns import truth_columns as columns
 
 
 class TestResidualMetrics:

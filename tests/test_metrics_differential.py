@@ -12,10 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as ref
-from radcal.autolabel import LabelColumns
 from radcal.metrics import EmptyInput, label_report, pooled_report
-
-columns = LabelColumns.from_labels
+from truth_columns import truth_columns as columns
 
 LABEL = st.one_of(st.none(), st.tuples(st.integers(-1, 2), st.integers(0, 3)))
 FIELDS = (

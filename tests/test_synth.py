@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radcal.autolabel import LabelColumns, autolabel_frame
+from radcal.autolabel import autolabel_frame
 from radcal.calibration import build_correspondences, solve_extrinsics
 from radcal.checkerboard import checkerboard_center
 from radcal.geometry import Extrinsics, matrix_to_rotvec
@@ -16,6 +16,7 @@ from radcal.synth import (
     gen_calibration_scene,
     gen_label_scene,
 )
+from truth_columns import column_bytes
 
 
 @pytest.mark.parametrize("config", [SceneConfig, LabelSceneConfig])
@@ -121,12 +122,8 @@ class TestOracleSoundness:
 
         k, t = default_intrinsics(), result.extrinsics
         label_scene = gen_label_scene(LabelSceneConfig(seed=12, extrinsics=t))
-        records = autolabel_frame(
-            label_scene.points, list(label_scene.masks), k, t, stage="full"
-        )
-        report = label_report(
-            LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(label_scene.gt_labels)
-        )
+        labels = autolabel_frame(label_scene.points, list(label_scene.masks), k, t, stage="full")
+        report = label_report(labels, label_scene.gt_labels)
         assert report.pa_percent == 100.0
         assert report.miou_percent == 100.0
 
@@ -135,22 +132,15 @@ class TestLabelScene:
     def run_stages(self, scene, k, t, params=None):
         out = {}
         for stage in ("coarse", "otpf", "full"):
-            records = autolabel_frame(
-                scene.points, list(scene.masks), k, t, params, stage
-            )
-            out[stage] = (
-                [r.label for r in records],
-                label_report(
-                    LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
-                ),
-            )
+            labels = autolabel_frame(scene.points, list(scene.masks), k, t, params, stage)
+            out[stage] = ([r.label for r in labels], label_report(labels, scene.gt_labels))
         return out
 
     def test_determinism(self):
         cfg = LabelSceneConfig(seed=13, false_positive_rate=0.1, false_negative_rate=0.1)
         a = gen_label_scene(cfg)
         b = gen_label_scene(cfg)
-        assert a.gt_labels == b.gt_labels
+        assert column_bytes(a.gt_labels) == column_bytes(b.gt_labels)
         assert np.array_equal(a.points.xyz, b.points.xyz)
         assert np.array_equal(a.points.velocity, b.points.velocity)
         for ma, mb in zip(a.masks, b.masks):
@@ -195,12 +185,8 @@ class TestLabelScene:
     def test_hull_masks(self):
         k, t = default_intrinsics(), default_extrinsics()
         scene = gen_label_scene(LabelSceneConfig(seed=17, mask_shape="hull"))
-        records = autolabel_frame(
-            scene.points, list(scene.masks), k, t, stage="full"
-        )
-        report = label_report(
-            LabelColumns.from_labels([r.label for r in records]), LabelColumns.from_labels(scene.gt_labels)
-        )
+        labels = autolabel_frame(scene.points, list(scene.masks), k, t, stage="full")
+        report = label_report(labels, scene.gt_labels)
         assert report.pa_percent == 100.0
 
     def test_invariants_hold_under_jitter(self):
@@ -235,6 +221,8 @@ class TestLabelScene:
     def test_gt_labels_reference_real_instances(self):
         scene = gen_label_scene(LabelSceneConfig(seed=18))
         instances = {(m.class_id, m.instance_id) for m in scene.masks}
-        for lbl in scene.gt_labels:
-            assert lbl is None or lbl in instances
+        gt = scene.gt_labels
+        labeled = zip(gt.class_id[gt.labeled].tolist(), gt.instance_id[gt.labeled].tolist())
+        assert set(labeled) <= instances
+        assert not gt.class_id[~gt.labeled].any() and not gt.instance_id[~gt.labeled].any()
         assert len(scene.masks) == scene.config.object_count

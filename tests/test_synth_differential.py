@@ -36,6 +36,7 @@ from radcal.synth import (
     default_extrinsics,
     default_intrinsics,
 )
+from truth_columns import column_bytes
 
 
 def test_uniform_is_low_plus_span_times_random():
@@ -132,7 +133,7 @@ def assert_same_label_scene(cfg):
         return
     for name in ("xyz", "velocity", "rcs"):
         assert getattr(scene.points, name).tobytes() == getattr(ref.points, name).tobytes()
-    assert scene.gt_labels == ref.gt_labels
+    assert column_bytes(scene.gt_labels) == column_bytes(ref.gt_labels)
     assert scene.ground_truth() == ref.ground_truth()
     for mask, ref_mask in zip(scene.masks, ref.masks, strict=True):
         assert (mask.starts.tobytes(), mask.ends.tobytes()) == (
@@ -202,7 +203,7 @@ def assert_same_scene(cfg):
     assert scene.points.xyz.tobytes() == ref.points.xyz.tobytes()
     assert scene.points.velocity.tobytes() == ref.points.velocity.tobytes()
     assert scene.points.rcs.tobytes() == ref.points.rcs.tobytes()
-    assert scene.gt_labels == ref.gt_labels
+    assert column_bytes(scene.gt_labels) == column_bytes(ref.gt_labels)
     assert state == ref_state
 
 
