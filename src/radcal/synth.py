@@ -160,6 +160,8 @@ class SceneConfig:
         for name in ("pixel_sigma_px", "range_sigma_m", "angle_sigma_rad", "rcs_sigma_dbsm"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0")
+        if not -math.inf < self.center_offset_px < math.inf:  # NaN fails too
+            raise ValueError(f"center_offset_px must be finite, got {self.center_offset_px}")
         # per pose: the reflector's apex and at most 8 scatter returns, the
         # clutter, the movers and the board's corners
         fields = {
@@ -374,12 +376,19 @@ class LabelSceneConfig:
             raise ValueError("class_count must be >= 1")
         if self.clutter_count < 0:
             raise ValueError("clutter_count must be >= 0")
-        if not 0.0 <= self.false_positive_rate <= 1.0:
-            raise ValueError("false_positive_rate must be in [0, 1]")
-        if not 0.0 <= self.false_negative_rate <= 1.0:
-            raise ValueError("false_negative_rate must be in [0, 1]")
+        for name in ("dynamic_fraction", "false_positive_rate", "false_negative_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("velocity_jitter_mps", "rcs_jitter_dbsm"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.mask_shape not in ("rect", "hull"):
             raise ValueError(f"unknown mask_shape {self.mask_shape!r}")
+        # a mask must cover its object's lookup pixels, and those are up to
+        # half a pixel off each axis from the projections a hull is drawn around
+        least = 1 if self.mask_shape == "hull" else 0
+        if self.mask_margin_px < least:
+            raise ValueError(f"mask_margin_px must be >= {least} for {self.mask_shape} masks")
         if self.object_count < 1:
             raise ValueError("object_count must be >= 1")
         _check_seed(self.seed)

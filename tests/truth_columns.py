@@ -15,7 +15,7 @@ def truth_columns(labels) -> LabelColumns:
     with a ground-truth file's provenance: coarse where labeled."""
     labeled = np.array([lbl is not None for lbl in labels], dtype=bool)
     pairs = np.array([(0, 0) if lbl is None else lbl for lbl in labels], dtype=np.int64)
-    class_id, instance_id = pairs.reshape(-1, 2).T.copy()
+    class_id, instance_id = pairs.reshape(-1, 2).T
     provenance = np.where(labeled, _CODE[Provenance.COARSE], _CODE[Provenance.UNLABELED])
     return LabelColumns(class_id, instance_id, labeled, provenance.astype(np.int8))
 
