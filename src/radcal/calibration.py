@@ -238,10 +238,8 @@ class _PoseState(NamedTuple):
 
 
 class _Problem:
-    """One LM problem's fixed data: the observed pixels, the radar points,
-    the intrinsics as ``[fx, fy]`` and ``[cx, cy]``, and Jacobian buffers,
-    sized for the tallest stack so far, whose constant entries are set once
-    (the identity block of d(cam)/d(t), the zeros of d(residual)/d(cam)).
+    """One LM problem's fixed data: the observed pixels, the radar points and
+    the intrinsics as ``[fx, fy]`` and ``[cx, cy]``.
 
     Its methods take a stack of S poses (S, 6).  Every stacked operation
     keeps each row's bits: elementwise arithmetic, row sums, and ``@`` and
@@ -253,7 +251,6 @@ class _Problem:
         self.points = points
         self.focal = np.array([k.fx, k.fy])
         self.center = np.array([k.cx, k.cy])
-        self.d_cam = self.d_res = np.empty(0)
 
     def state(self, poses: np.ndarray) -> _PoseState:
         """The residuals at each pose and what its Jacobian reuses of them.
@@ -278,11 +275,9 @@ class _Problem:
         """
         rotation, skew, theta2, rotated, cam, _, front = state
         count, k = cam.shape[:2]
-        if len(self.d_cam) < count:
-            self.d_cam = np.empty((count, k, 3, 6))
-            self.d_cam[..., 3:] = _EYE3
-            self.d_res = np.zeros((count, k, 2, 3))
-        d_cam, d_res = self.d_cam[:count], self.d_res[:count]
+        d_cam = np.empty((count, k, 3, 6))
+        d_cam[..., 3:] = _EYE3
+        d_res = np.zeros((count, k, 2, 3))
         omega = poses[:, :3]
         near = theta2 < 1e-10
         right = (

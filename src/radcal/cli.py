@@ -260,6 +260,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
     from . import synth
 
     doc = _load_config_file(args.config) if args.config else {}
+    frames = args.frames or 1
     try:
         if args.kind == "calibration":
             cfg = fileio._config(
@@ -276,8 +277,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
             )
             # SCENE_BUDGET bounds the frames together, before the first is drawn
             synth._check_budget(
-                args.frames * cfg.most_points, f"points in {args.frames} frames",
-                {"--frames": args.frames},
+                frames * cfg.most_points, f"points in {frames} frames", {"--frames": frames},
             )
     except fileio._BAD_FIELD as exc:
         source = f" {args.config}" if args.config else ""
@@ -308,23 +308,20 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
             outputs.file(out / f"masks_{i:03d}.json"),
             outputs.file(gt_dir / f"labels_{i:03d}.jsonl"),
         )
-        for i in range(args.frames)
+        for i in range(frames)
     ]
 
-    def frame(i: int) -> str:
+    def frame(i: int) -> dict:
         scene = synth.gen_label_scene(dataclasses.replace(cfg, seed=cfg.seed + i))
         radar, masks, labels = staged[i]
         fileio.write_radar_points(radar, scene.timestamp_s, scene.points)
         fileio.write_masks(masks, cfg.intrinsics.width, cfg.intrinsics.height, list(scene.masks))
         fileio.write_labels(labels, scene.gt_labels)
-        return fileio.canonical_json(scene.ground_truth())
+        return scene.ground_truth()
 
-    # canonical_json encodes a list and a dict from their items' encodings
-    texts = _forked_map(frame, range(args.frames), _jobs())
-    fileio.write_text(
-        outputs.file(out / "ground_truth.json"),
-        (texts[0] if len(texts) == 1 else '{"frames":[' + ",".join(texts) + "]}") + "\n",
-    )
+    docs = _forked_map(frame, range(frames), _jobs())
+    truth = docs[0] if frames == 1 else {"frames": docs}
+    fileio.write_json(outputs.file(out / "ground_truth.json"), truth)
     fileio.write_calibration(
         outputs.file(out / "calibration.json"),
         cfg.extrinsics,
@@ -334,7 +331,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
         converged=True,
         config={"source": "synthetic ground truth"},
     )
-    return f"labeling scene: {args.frames} frame(s), seed {cfg.seed} -> {out}"
+    return f"labeling scene: {frames} frame(s), seed {cfg.seed} -> {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +657,13 @@ def _fraction(text: str) -> float:
     return value
 
 
+# the synth flags that shape one kind of scene: each is an error for the other
+_SCENE_FLAGS = {
+    "calibration": ("poses", "pixel_sigma", "range_sigma", "angle_sigma", "clutter_only"),
+    "labeling": ("objects", "frames", "fp_rate", "fn_rate"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radcal",
@@ -671,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("calibration", "labeling"), required=True)
     p.add_argument("--poses", type=int, default=None, help="calibration pose count")
     p.add_argument("--objects", type=int, default=None, help="labeling object count")
-    p.add_argument("--frames", type=_positive_int, default=1, help="labeling frame count")
+    p.add_argument("--frames", type=_positive_int, help="labeling frame count (default 1)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="TOML or JSON scene config")
     p.add_argument("--pixel-sigma", type=float, default=None)
@@ -726,6 +730,12 @@ def main(argv: list[str] | None = None) -> int:
         ):
             parser.error("eval: --overlay-frames and --overlay-calibration go together, "
                          "and --overlay-dir needs both")
+    if args.command == "synth":
+        other = "labeling" if args.kind == "calibration" else "calibration"
+        stated = [dest for dest in _SCENE_FLAGS[other] if getattr(args, dest) is not None]
+        if stated:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in stated)
+            parser.error(f"synth --kind {args.kind}: {flags} only apply to --kind {other}")
     # SIGTERM and SIGHUP unwind as Ctrl-C does, unless something else already
     # handles or ignores them (nohup ignores SIGHUP)
     caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) is signal.SIG_DFL]

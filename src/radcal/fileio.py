@@ -239,8 +239,12 @@ def _json_value(kind, value, name: str):
     try:
         return _extrinsics(value) if kind is Extrinsics else _config(kind, value)
     except _BAD_FIELD as exc:
-        missing = "missing key " if isinstance(exc, KeyError) else ""
-        raise ValueError(f"{name}: {missing}{exc}") from exc
+        raise ValueError(f"{name}: {_field_error(exc)}") from exc
+
+
+def _field_error(exc: Exception) -> str:
+    """The one wording of a field error: a KeyError is the key it misses."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _json_column(kind, values, name: str, nullable: bool = False):
@@ -325,11 +329,16 @@ def _extrinsics(doc: dict) -> Extrinsics:
     return Extrinsics(rotation, numbers("translation_m", 3))
 
 
-def _float_rows(items: list, keys: tuple) -> np.ndarray:
-    """``(N, len(keys))`` float64 rows of each item's JSON numbers at ``keys``."""
+def _float_rows(items: list, keys: tuple, name: str) -> np.ndarray:
+    """``(N, len(keys))`` float64 rows of each item's JSON numbers at ``keys``;
+    a missing key names the first row of the array ``name`` without it."""
     rows = np.empty((len(items), len(keys)))
-    for i, key in enumerate(keys):
-        rows[:, i] = _json_column(float, list(map(operator.itemgetter(key), items)), key)
+    try:
+        for i, key in enumerate(keys):
+            rows[:, i] = _json_column(float, list(map(operator.itemgetter(key), items)), key)
+    except KeyError as exc:
+        row = next(row for row, item in enumerate(items) if exc.args[0] not in item)
+        raise ValueError(f"{name}[{row}]: {_field_error(exc)}") from exc
     return rows
 
 
@@ -358,15 +367,18 @@ def _read_lines(path: str | Path, what: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _load_json(path: str | Path):
-    """A JSON file's document; a syntax error (or bytes that are not UTF-8)
-    and nesting past the parser's recursion limit are SchemaErrors naming
-    the file.  Each reader checks that the document is an object."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+@contextlib.contextmanager
+def _document(what: str, source: str | Path, line: str | None = None):
+    """The JSON object of the file ``source``, or of its one ``line``, for
+    the ``with`` block to read.  A syntax error (or bytes that are not
+    UTF-8), nesting past the parser's recursion limit, a document that is
+    not an object and each bad field the block reads are one SchemaError,
+    ``bad <what> <source>: <message>``."""
+    try:
+        doc = json.loads(Path(source).read_text() if line is None else line)
+        yield _json_value(dict, doc, "the document")
+    except _BAD_FIELD as exc:
+        raise SchemaError(f"bad {what} {source}: {_field_error(exc)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +457,7 @@ def write_radar_points(path: str | Path, timestamp_s: float, points: PointCloud)
 def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     """A frame document's timestamp, whether it is cartesian, and its points
     as ``(N, 5)`` float rows in the order of that variant's keys."""
-    pts = _json_column(dict, _json_value(dict, doc, "the document")["points"], "points")
+    pts = _json_column(dict, doc["points"], "points")
     timestamp = _timestamp(doc)
     # a frame is cartesian when any point holds x_m and mixed when points hold
     # both keys: the first point holding either decides, and one scan looks
@@ -455,7 +467,7 @@ def _frame_rows(doc: dict) -> tuple[float, bool, np.ndarray]:
     other = "r_m" if cartesian else "x_m"
     if any(other in p for p in pts):
         raise SchemaError("frame mixes spherical and cartesian points")
-    rows = _float_rows(pts, _CARTESIAN_KEYS if cartesian else RETURN_DTYPE.names)
+    rows = _float_rows(pts, _CARTESIAN_KEYS if cartesian else RETURN_DTYPE.names, "points")
     return timestamp, cartesian, rows
 
 
@@ -466,49 +478,37 @@ def load_radar_frames(path: str | Path) -> list[RadarFrame]:
         return [load_radar_frame(path)]
     frames = []
     for line_no, line in enumerate(_read_lines(path, "frame stream"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"bad frame stream {path}:{line_no}: {exc}") from exc
-        frames.append(_frame_from_doc(doc, f"{path}:{line_no}"))
+        if line := line.strip():
+            with _document("frame stream", f"{path}:{line_no}", line) as doc:
+                frames.append(_frame_from_doc(doc))
     return frames
 
 
 def load_radar_frame(path: str | Path) -> RadarFrame:
     """Read either coordinate variant into a spherical frame."""
-    return _frame_from_doc(_load_json(path), str(path))
+    with _document("radar frame", path) as doc:
+        return _frame_from_doc(doc)
 
 
-def _frame_from_doc(doc: dict, source: str) -> RadarFrame:
-    try:
-        timestamp, cartesian, rows = _frame_rows(doc)
-        if cartesian and len(rows):
-            # scalar math, one point at a time: see cart2sph
-            rows[:, :3] = [cart2sph(p) for p in rows[:, :3].tolist()]
-        return RadarFrame(timestamp, rows)
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad radar frame {source}: {exc}") from exc
+def _frame_from_doc(doc: dict) -> RadarFrame:
+    timestamp, cartesian, rows = _frame_rows(doc)
+    if cartesian and len(rows):
+        # scalar math, one point at a time: see cart2sph
+        rows[:, :3] = [cart2sph(p) for p in rows[:, :3].tolist()]
+    return RadarFrame(timestamp, rows)
 
 
 def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
     """Read either coordinate variant into a Cartesian labeling point cloud."""
     from .autolabel import PointCloud
 
-    doc = _load_json(path)
-    try:
+    with _document("radar frame", path) as doc:
         timestamp, cartesian, rows = _frame_rows(doc)
         if cartesian:
-            points = PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
-        else:
-            ret = RadarFrame(timestamp, rows).returns
-            xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
-            points = PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"])
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad radar frame file {path}: {exc}") from exc
-    return timestamp, points
+            return timestamp, PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
+        ret = RadarFrame(timestamp, rows).returns
+        xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
+        return timestamp, PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"])
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +532,15 @@ def write_corners(
 
 
 def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
-    doc = _load_json(path)
-    try:
-        _json_value(dict, doc, "the document")
+    with _document("corners file", path) as doc:
         board = _json_value(dict, doc["checkerboard"], "checkerboard")
         spec = CheckerboardSpec(*(_json_value(int, board[name], name) for name in ("nx", "ny")))
-        corners = _float_rows(_json_column(dict, doc["corners"], "corners"), ("u_px", "v_px"))
+        rows = _json_column(dict, doc["corners"], "corners")
+        corners = _float_rows(rows, ("u_px", "v_px"), "corners")
         pose_id = _json_value(int, doc["pose_id"], "pose_id")
         timestamp = _timestamp(doc)
         corner_set = CornerSet(corners, spec)
         corner_set.check_count()
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad corners file {path}: {exc}") from exc
     return pose_id, timestamp, corner_set
 
 
@@ -572,9 +569,7 @@ def write_masks(path: str | Path, width: int, height: int, masks: list[InstanceM
 def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
     from .autolabel import InstanceMask
 
-    doc = _load_json(path)
-    try:
-        _json_value(dict, doc, "the document")
+    with _document("mask file", path) as doc:
         width, height = (_json_value(int, doc[name], name) for name in ("width", "height"))
         if min(width, height) < 0:
             raise ValueError(f"negative mask size {width}x{height}")
@@ -590,8 +585,6 @@ def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
                     confidence=_json_value(float, inst["confidence"], "confidence"),
                 )
             )
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad mask file {path}: {exc}") from exc
     return width, height, masks
 
 
@@ -626,12 +619,9 @@ def write_calibration(
 def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, dict]:
     """Read a calibration file: its extrinsics (rotation orthonormal within
     1e-6, see ``_extrinsics``), its intrinsics and the document."""
-    doc = _load_json(path)
-    try:
-        extrinsics = _extrinsics(_json_value(dict, doc, "the document"))
+    with _document("calibration file", path) as doc:
+        extrinsics = _extrinsics(doc)
         return extrinsics, _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics"), doc
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad calibration file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -704,12 +694,9 @@ def _parse_labels(path: str | Path, raw_lines: list[str]) -> tuple[np.ndarray, L
         except _BAD_FIELD:
             pass
     for line_no, line in enumerate(raw_lines, 1):
-        if not line.strip():
-            continue
-        try:
-            _label_columns([_json_value(dict, json.loads(line.strip()), "the line")])
-        except _BAD_FIELD as exc:
-            raise SchemaError(f"bad labels file {path}:{line_no}: {exc}") from exc
+        if line := line.strip():
+            with _document("labels file", f"{path}:{line_no}", line) as doc:
+                _label_columns([doc])
     return _label_columns([json.loads(line) for line in lines])
 
 
@@ -726,7 +713,7 @@ def load_labels(path: str | Path) -> LabelColumns:
     point_index, columns = _parse_labels(path, _read_lines(path, "labels file"))
     order = np.argsort(point_index, kind="stable")
     if not np.array_equal(point_index[order], np.arange(len(order))):
-        raise SchemaError(f"labels file {path} does not cover point indices exactly once")
+        raise SchemaError(f"bad labels file {path}: point indices must cover 0..N-1 exactly once")
     return LabelColumns(
         columns.class_id[order],
         columns.instance_id[order],
@@ -744,8 +731,5 @@ def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
 
 
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:
-    doc = _load_json(path)
-    try:
+    with _document("intrinsics file", path) as doc:
         return _json_value(CameraIntrinsics, doc, "intrinsics")
-    except _BAD_FIELD as exc:
-        raise SchemaError(f"bad intrinsics file {path}: {exc}") from exc

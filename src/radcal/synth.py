@@ -379,6 +379,14 @@ class LabelSceneConfig:
         for name in ("dynamic_fraction", "false_positive_rate", "false_negative_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
                 raise ValueError(f"{name} must be in [0, 1]")
+        # n - round(rate * n) never falls as n grows: the top keeps the most
+        most = self.points_per_object[1]
+        kept = most - round(self.false_negative_rate * most)
+        if kept < 3:
+            raise ValueError(
+                f"points_per_object keeps at most {kept} points of an object after "
+                f"false_negative_rate {self.false_negative_rate}; an object needs 3"
+            )
         for name in ("velocity_jitter_mps", "rcs_jitter_dbsm"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0")

@@ -1420,6 +1420,27 @@ class TestExitCodes:
         assert f"--frames: must be >= 1, got {frames}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, flags, named",
+        [("labeling", ["--poses", "99"], "--poses"),
+         ("labeling", ["--pixel-sigma", "5", "--clutter-only", "1,2"],
+          "--pixel-sigma, --clutter-only"),
+         ("labeling", ["--range-sigma", "0", "--angle-sigma", "0"], "--range-sigma, --angle-sigma"),
+         ("calibration", ["--frames", "1"], "--frames"),
+         ("calibration", ["--frames", "7", "--objects", "3", "--fp-rate", "0.5"],
+          "--objects, --frames, --fp-rate"),
+         ("calibration", ["--fn-rate", "0"], "--fn-rate")],
+    )
+    def test_synth_flag_of_the_other_kind_exit_2(self, tmp_path, capsys, kind, flags, named):
+        # each was ignored, and the scene drawn with exit 0
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--kind", kind, *flags, "-o", tmp_path / "out"])
+        assert exc.value.code == 2
+        other = "labeling" if kind == "calibration" else "calibration"
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: synth --kind {kind}: {named} only apply to --kind {other}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("holdout", ["inf", "1.5", "-0.5", "nan", "1"])
     def test_holdout_outside_unit_interval_exit_2(self, tmp_path, capsys, holdout):
         # inf ended in an OverflowError traceback, 1.5 held out poses as 0.5
@@ -1464,6 +1485,16 @@ class TestExitCodes:
              "velocity_jitter_mps must be finite and >= 0"),
             ("labeling", {"rcs_jitter_dbsm": math.nan}, "rcs_jitter_dbsm must be finite and >= 0"),
             ("labeling", {"rcs_jitter_dbsm": -2.0}, "rcs_jitter_dbsm must be finite and >= 0"),
+            # no object could keep 3 points, which was reported as a full view
+            ("labeling", {"points_per_object": [0, 2]},
+             "points_per_object keeps at most 2 points of an object after "
+             "false_negative_rate 0.0; an object needs 3"),
+            ("labeling", {"false_negative_rate": 1.0},
+             "points_per_object keeps at most 0 points of an object after "
+             "false_negative_rate 1.0; an object needs 3"),
+            ("labeling", {"points_per_object": [4, 4], "false_negative_rate": 0.4},
+             "points_per_object keeps at most 2 points of an object after "
+             "false_negative_rate 0.4; an object needs 3"),
         ],
     )
     def test_non_finite_noise_in_scene_config_exit_2(self, tmp_path, capsys, kind, doc, message):
@@ -1473,6 +1504,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: bad {kind} scene config {config}: {message}")
         assert not (tmp_path / "out").exists()
+
+    def test_fewest_kept_points_that_draw(self, tmp_path, capsys):
+        # 4 - round(0.3 * 4) is 3, the least an object keeps; --fn-rate 1
+        # keeps none
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps({"points_per_object": [4, 4], "false_negative_rate": 0.3}))
+        assert run(["synth", "--kind", "labeling", "--config", config,
+                    "-o", tmp_path / "out"]) == 0
+        assert run(["synth", "--kind", "labeling", "--fn-rate", "1", "-o", tmp_path / "no"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: bad labeling scene config: points_per_object keeps at most 0 points"
+        )
 
     @pytest.mark.parametrize("field", ["rotation", "translation", "fx", "cy"])
     def test_non_finite_calibration_file_exit_4(self, tmp_path, capsys, field):
@@ -1835,8 +1878,8 @@ class TestExitCodes:
         if command in ("calibrate", "autolabel"):
             argv, what = self.params_argv(command, tmp_path, path), "parameter file"
         else:
-            argv = ["synth", "--kind", command, "--poses", "3", "--objects", "1",
-                    "--config", path, "-o", tmp_path / "out"]
+            size = ["--poses", "3"] if command == "calibration" else ["--objects", "1"]
+            argv = ["synth", "--kind", command, *size, "--config", path, "-o", tmp_path / "out"]
             what = f"{command} scene config"
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -1954,6 +1997,39 @@ class TestExitCodes:
         assert run(["eval", "--pred", empty, "--gt", scene / "gt_labels",
                     "-o", tmp_path / "r.json"]) == 3
 
+    @pytest.mark.parametrize(
+        "case", ["corners_dir", "radar_input", "holdout", "autolabel_dir", "eval_dir", "no_shared"]
+    )
+    def test_input_error_exit_code_and_message(self, workflow, tmp_path, capsys, case):
+        cal, lab, nope = workflow / "cal_scene", workflow / "lab_scene", tmp_path / "nope"
+        intrinsics = cal / "intrinsics.json"
+        calibrate = ["calibrate", "--corners", cal, "--intrinsics", intrinsics, "--frames"]
+        other = tmp_path / "other"  # a prediction for frame 1, where the truth has frame 0
+        other.mkdir()
+        shutil.copy(lab / "gt_labels" / "labels_000.jsonl", other / "labels_001.jsonl")
+        pred = workflow / "labels_out"
+        argv, code, message = {
+            "corners_dir": (["calibrate", "--corners", nope, "--frames", cal,
+                             "--intrinsics", intrinsics], 3,
+                            f"io error: missing corners directory: {nope}"),
+            # neither a directory nor a .jsonl stream
+            "radar_input": ([*calibrate, intrinsics], 3,
+                            f"io error: missing radar input: {intrinsics}"),
+            # round(24 * 0.9) = 22 of the 24 poses held out
+            "holdout": ([*calibrate, cal, "--holdout", "0.9"], 4,
+                        "invalid input: holdout 0.9 leaves 2 training poses; need 3"),
+            "autolabel_dir": (["autolabel", "--frames", nope, "--masks", lab,
+                               "--calibration", workflow / "calibration.json"], 3,
+                              f"io error: missing input directory: {nope} / {lab}"),
+            "eval_dir": (["eval", "--pred", pred, "--gt", nope], 3,
+                         f"io error: missing input directory: {pred} / {nope}"),
+            "no_shared": (["eval", "--pred", other, "--gt", lab / "gt_labels"], 3,
+                          "io error: no frame indices shared between pred and gt"),
+        }[case]
+        assert run([*argv, "-o", tmp_path / "out"]) == code
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_too_few_poses_exit_4(self, tmp_path):
         scene = tmp_path / "scene"
         assert run(["synth", "--kind", "calibration", "--poses", "2", "--seed", "1",
@@ -2038,7 +2114,8 @@ class TestExitCodes:
         # abs(nan) > tol is false: a NaN radar timestamp passed the sync gate
         kind = "labeling" if reader == "radar_points" else "calibration"
         scene = tmp_path / "scene"
-        assert run(["synth", "--kind", kind, "--poses", "6", "--seed", "1", "-o", scene]) == 0
+        poses = ["--poses", "6"] if kind == "calibration" else []
+        assert run(["synth", "--kind", kind, *poses, "--seed", "1", "-o", scene]) == 0
         prefix = "corners" if reader == "corners" else "radar"
         path = scene / f"{prefix}_000.json"
         doc = json.loads(path.read_text())
@@ -2099,15 +2176,19 @@ class TestExitCodes:
     )
     def test_truncated_json_exit_4_naming_the_file(self, tmp_path, capsys, kind, name):
         # the message was the parser's alone, as "Expecting value: line 1 column 8"
+        noun = {"intrinsics.json": "intrinsics file", "corners_000.json": "corners file",
+                "radar_000.json": "radar frame", "masks_000.json": "mask file",
+                "calibration.json": "calibration file"}[name]
         scene = tmp_path / "scene"
-        assert run(["synth", "--kind", kind, "--poses", "3", "--seed", "1", "-o", scene]) == 0
+        poses = ["--poses", "3"] if kind == "calibration" else []
+        assert run(["synth", "--kind", kind, *poses, "--seed", "1", "-o", scene]) == 0
         path = scene / name
         path.write_text(path.read_text()[:7])
+        with pytest.raises(json.JSONDecodeError) as parser:
+            json.loads(path.read_text())
         capsys.readouterr()
         assert run([*self.scene_argv(kind, scene), "-o", tmp_path / "out"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"invalid input: {path}: ")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"invalid input: bad {noun} {path}: {parser.value}\n"
 
     @pytest.mark.parametrize(
         "runs, message",
@@ -2180,7 +2261,8 @@ class TestExitCodes:
     ):
         # each was read with float() or int(): "800" as 800, 1920.7 as 1920
         scene = tmp_path / "scene"
-        assert run(["synth", "--kind", kind, "--poses", "3", "--seed", "1", "-o", scene]) == 0
+        poses = ["--poses", "3"] if kind == "calibration" else []
+        assert run(["synth", "--kind", kind, *poses, "--seed", "1", "-o", scene]) == 0
         path = scene / name
         doc = json.loads(path.read_text())
         target = doc
@@ -2508,16 +2590,16 @@ class TestJsonFieldRule:
         ("corners", ("corners", 2), "corners[2]", "bad corners file"),
         ("radar", (), "the document", "bad radar frame"),
         ("radar", ("points", 2), "points[2]", "bad radar frame"),
-        ("radar_stream", (0,), "the document", "bad radar frame"),
-        ("radar_stream", (0, "points", 2), "points[2]", "bad radar frame"),
-        ("intrinsics", (), "intrinsics", "bad intrinsics file"),
+        ("radar_stream", (0,), "the document", "bad frame stream"),
+        ("radar_stream", (0, "points", 2), "points[2]", "bad frame stream"),
+        ("intrinsics", (), "the document", "bad intrinsics file"),
         ("calibration", (), "the document", "bad calibration file"),
         ("calibration", ("intrinsics",), "intrinsics", "bad calibration file"),
-        ("lab_radar", (), "the document", "bad radar frame file"),
-        ("lab_radar", ("points", 2), "points[2]", "bad radar frame file"),
+        ("lab_radar", (), "the document", "bad radar frame"),
+        ("lab_radar", ("points", 2), "points[2]", "bad radar frame"),
         ("masks", (), "the document", "bad mask file"),
         ("masks", ("instances", 0), "instances[0]", "bad mask file"),
-        ("labels", (0,), "the line", "bad labels file"),
+        ("labels", (0,), "the document", "bad labels file"),
     ]
 
     @pytest.mark.parametrize(

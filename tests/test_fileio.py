@@ -222,9 +222,9 @@ class TestRadarFrameFiles:
             ([FRAME_POINTS["spherical"], FRAME_POINTS["cartesian"]], MIXES),
             ([{**FRAME_POINTS["cartesian"], "r_m": 8.0}], MIXES),
             ([FRAME_POINTS["spherical"], {**FRAME_POINTS["spherical"], "x_m": 6.0}], MIXES),
-            ([{"v_mps": 0.2}, FRAME_POINTS["cartesian"]], "'x_m'"),
-            ([{"v_mps": 0.2}, FRAME_POINTS["spherical"]], "'r_m'"),
-            ([{"v_mps": 0.2}], "'r_m'"),
+            ([{"v_mps": 0.2}, FRAME_POINTS["cartesian"]], "points[0]: missing key 'x_m'"),
+            ([{"v_mps": 0.2}, FRAME_POINTS["spherical"]], "points[0]: missing key 'r_m'"),
+            ([{"v_mps": 0.2}], "points[0]: missing key 'r_m'"),
         ],
         ids=["cartesian_then_spherical", "spherical_then_cartesian", "point_with_both",
              "later_point_with_both", "keyless_then_cartesian", "keyless_then_spherical",
@@ -239,7 +239,8 @@ class TestRadarFrameFiles:
             load_radar_points(path)
         with pytest.raises(SchemaError) as frame_error:
             load_radar_frame(path)
-        assert str(points_error.value) == f"bad radar frame file {path}: {message}"
+        # one noun for the file, whichever reader reads it
+        assert str(points_error.value) == f"bad radar frame {path}: {message}"
         assert str(frame_error.value) == f"bad radar frame {path}: {message}"
 
     @pytest.mark.parametrize("x", [1e154, 1e200, -1e300, 1.7e308])
@@ -1173,7 +1174,7 @@ class TestIntrinsicsFiles:
              "intrinsics: fx must be a JSON number, got str"),
             ({"fx": 0.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2},
              "intrinsics: focal lengths must be positive and finite: 0.0, 1.0"),
-            ([1.0, 1.0, 1.0, 1.0, 2, 2], "intrinsics must be a JSON object, got list"),
+            ([1.0, 1.0, 1.0, 1.0, 2, 2], "the document must be a JSON object, got list"),
             ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2, "k1": 0.1},
              "intrinsics: unknown key(s) ['k1']"),
         ],
@@ -1249,6 +1250,111 @@ class TestUndecodableText:
         lines = path.read_text().splitlines()
         path.write_text("\r\n".join(lines[:2]) + "\r" + "\n".join(lines[2:]), newline="")
         assert load_labels(path).class_id.tolist() == [1, 0, 2, 0]
+
+
+def frame_doc():
+    point = {"r_m": 8.0, "az_rad": 0.1, "el_rad": -0.05, "v_mps": 0.2, "rcs_dbsm": 31.5}
+    return {"timestamp_s": 0.0, "points": [point, dict(point, r_m=9.0)]}
+
+
+def label_line(point_index):
+    return {"point_index": point_index, "class_id": None, "instance_id": None,
+            "provenance": "unlabeled"}
+
+
+# reader -> (the loader, its noun, the file it reads, a valid document, a
+# key the document must hold and the message naming it, and an array of
+# rows with a key each row must hold, or None); a JSON-lines file holds a
+# valid first line and the document on line 2
+WORDING_READERS = {
+    "radar_frame": (load_radar_frame, "radar frame", "radar_000.json", frame_doc,
+                    "timestamp_s", "missing key 'timestamp_s'", ("points", "az_rad")),
+    "radar_points": (load_radar_points, "radar frame", "radar_000.json", frame_doc,
+                     "timestamp_s", "missing key 'timestamp_s'", ("points", "az_rad")),
+    "frame_stream": (load_radar_frames, "frame stream", "frames.jsonl", frame_doc,
+                     "points", "missing key 'points'", ("points", "r_m")),
+    "corners": (load_corners, "corners file", "corners_000.json", corners_doc,
+                "pose_id", "missing key 'pose_id'", ("corners", "v_px")),
+    "masks": (load_masks, "mask file", "masks_000.json", masks_doc,
+              "instances", "missing key 'instances'", None),
+    "calibration": (load_calibration, "calibration file", "calibration.json", calibration_doc,
+                    "translation_m", "missing key 'translation_m'", None),
+    "intrinsics": (load_intrinsics, "intrinsics file", "intrinsics.json", intrinsics_doc,
+                   "cx", "intrinsics: missing key 'cx'", None),
+    "labels": (load_labels, "labels file", "labels_000.jsonl", lambda: label_line(1),
+               "provenance", "missing key 'provenance'", None),
+}
+ROW_READERS = [name for name, spec in WORDING_READERS.items() if spec[-1]]
+
+
+class TestOneWording:
+    """Every data file's error is one line, ``bad <noun> <source>:
+    <message>``: one noun per file kind whichever reader reads it, the file
+    (with ``:<line>`` in a JSON-lines file) as the source, and one wording
+    per message class."""
+
+    @staticmethod
+    def write(tmp_path, reader, text):
+        """The reader's file holding ``text`` and the source its errors name."""
+        path = tmp_path / WORDING_READERS[reader][2]
+        if path.suffix != ".jsonl":
+            path.write_text(text)
+            return path, path
+        first = label_line(0) if reader == "labels" else frame_doc()
+        path.write_text(f"{json.dumps(first)}\n{text}\n")
+        return path, f"{path}:2"
+
+    def error(self, tmp_path, reader, text):
+        load, noun, *_ = WORDING_READERS[reader]
+        path, source = self.write(tmp_path, reader, text)
+        with pytest.raises(SchemaError) as info:
+            load(path)
+        return str(info.value), f"bad {noun} {source}: "
+
+    @pytest.mark.parametrize("reader", sorted(WORDING_READERS))
+    def test_valid_document_loads(self, tmp_path, reader):
+        load, _, _, doc, *_ = WORDING_READERS[reader]
+        load(self.write(tmp_path, reader, json.dumps(doc()))[0])
+
+    @pytest.mark.parametrize("reader", sorted(WORDING_READERS))
+    def test_syntax_error(self, tmp_path, reader):
+        text = json.dumps(WORDING_READERS[reader][3]())[:7]
+        with pytest.raises(json.JSONDecodeError) as parser:
+            json.loads(text)
+        message, prefix = self.error(tmp_path, reader, text)
+        assert message == f"{prefix}{parser.value}"
+
+    @pytest.mark.parametrize("reader", sorted(WORDING_READERS))
+    def test_non_object_document(self, tmp_path, reader):
+        message, prefix = self.error(tmp_path, reader, "[1, 2]")
+        assert message == f"{prefix}the document must be a JSON object, got list"
+
+    @pytest.mark.parametrize("reader", sorted(WORDING_READERS))
+    def test_missing_key(self, tmp_path, reader):
+        _, _, _, doc, key, named, _ = WORDING_READERS[reader]
+        doc = doc()
+        del doc[key]
+        message, prefix = self.error(tmp_path, reader, json.dumps(doc))
+        assert message == f"{prefix}{named}"
+
+    @pytest.mark.parametrize("reader", ROW_READERS)
+    def test_missing_key_in_a_row(self, tmp_path, reader):
+        # the first row without the key, not the first row
+        doc = WORDING_READERS[reader][3]()
+        rows, key = WORDING_READERS[reader][-1]
+        del doc[rows][1][key]
+        message, prefix = self.error(tmp_path, reader, json.dumps(doc))
+        assert message == f"{prefix}{rows}[1]: missing key '{key}'"
+
+    def test_labels_that_miss_a_point(self, tmp_path):
+        # the one error of a labels file as a whole, not of a line
+        path = tmp_path / "labels_000.jsonl"
+        path.write_text(f"{json.dumps(label_line(0))}\n{json.dumps(label_line(2))}\n")
+        with pytest.raises(SchemaError) as info:
+            load_labels(path)
+        assert str(info.value) == (
+            f"bad labels file {path}: point indices must cover 0..N-1 exactly once"
+        )
 
 
 class TestOutputs:
