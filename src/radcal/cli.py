@@ -502,7 +502,7 @@ def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
         width, height, frame_masks = fileio.load_masks(masks[i])
         if (width, height) != (intrinsics.width, intrinsics.height):
             raise al.DimensionMismatch(
-                f"{masks[i]}: mask size {width}x{height} != intrinsics "
+                f"bad mask file {masks[i]}: mask size {width}x{height} != intrinsics "
                 f"{intrinsics.width}x{intrinsics.height}"
             )
         labels = al.autolabel_frame(

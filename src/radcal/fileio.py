@@ -23,6 +23,17 @@ calibration   {"rotation_row_major": [9], "axis_angle": [3],
 labels        JSON-lines {"point_index", "class_id", "instance_id",
               "provenance"}; ids are null for unlabeled points
 intrinsics    {"fx", "fy", "cx", "cy", "width", "height"}
+
+Reading
+-------
+orjson parses each data file, being several times faster than the json
+module, and each reader checks the fields it reads.  On any fault the file is
+parsed again by json, which words the message: json also reads ``NaN``,
+``Infinity``, ``1e999`` and a lone surrogate, which orjson refuses, and an
+integer past 64 bits as an int, where orjson reads a float that the field
+check refuses.  So every value a reader accepts, and every message, is the
+json module's.  orjson recurses without a depth limit, so a text with more
+than ``_ORJSON_BRACKETS`` "[" and "{" goes to json alone.
 """
 
 from __future__ import annotations
@@ -367,16 +378,38 @@ def _read_lines(path: str | Path, what: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-@contextlib.contextmanager
-def _document(what: str, source: str | Path, line: str | None = None):
-    """The JSON object of the file ``source``, or of its one ``line``, for
-    the ``with`` block to read.  A syntax error (or bytes that are not
-    UTF-8), nesting past the parser's recursion limit, a document that is
-    not an object and each bad field the block reads are one SchemaError,
-    ``bad <what> <source>: <message>``."""
+# orjson recurses without a depth limit (3.8.3 overflowed a 2 MB C stack at
+# 65,536 nested arrays); a text's count of "[" and "{" bounds its depth
+_ORJSON_BRACKETS = 20_000
+
+
+def _fast_loads(text: str):
+    """``json.loads(text)``, by orjson when ``text`` holds at most
+    ``_ORJSON_BRACKETS`` "[" and "{"; see the module docstring for where its
+    values and faults differ from json's."""
+    if text.count("[") + text.count("{") > _ORJSON_BRACKETS:
+        return json.loads(text)
+    import orjson  # here: a command that only writes files never loads it
+
+    return orjson.loads(text)
+
+
+def _document(what: str, source: str | Path, read, line: str | None = None):
+    """``read`` of the JSON object of the file ``source``, or of its one
+    ``line``.  orjson parses first; if that parse, the object check or
+    ``read`` fails, json parses again and ``read`` reads its document.  A
+    syntax error (or bytes that are not UTF-8), nesting past json's
+    recursion limit, a document that is not an object and each bad field
+    ``read`` meets are then one SchemaError, ``bad <what> <source>:
+    <message>``."""
+    try:
+        text = Path(source).read_bytes().decode() if line is None else line
+        return read(_json_value(dict, _fast_loads(text), "the document"))
+    except _BAD_FIELD:
+        pass  # json words the fault, or reads what orjson refuses
     try:
         doc = json.loads(Path(source).read_text() if line is None else line)
-        yield _json_value(dict, doc, "the document")
+        return read(_json_value(dict, doc, "the document"))
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad {what} {source}: {_field_error(exc)}") from exc
 
@@ -476,18 +509,16 @@ def load_radar_frames(path: str | Path) -> list[RadarFrame]:
     path = Path(path)
     if path.suffix.lower() != ".jsonl":
         return [load_radar_frame(path)]
-    frames = []
-    for line_no, line in enumerate(_read_lines(path, "frame stream"), 1):
-        if line := line.strip():
-            with _document("frame stream", f"{path}:{line_no}", line) as doc:
-                frames.append(_frame_from_doc(doc))
-    return frames
+    return [
+        _document("frame stream", f"{path}:{line_no}", _frame_from_doc, line)
+        for line_no, raw in enumerate(_read_lines(path, "frame stream"), 1)
+        if (line := raw.strip())
+    ]
 
 
 def load_radar_frame(path: str | Path) -> RadarFrame:
     """Read either coordinate variant into a spherical frame."""
-    with _document("radar frame", path) as doc:
-        return _frame_from_doc(doc)
+    return _document("radar frame", path, _frame_from_doc)
 
 
 def _frame_from_doc(doc: dict) -> RadarFrame:
@@ -502,13 +533,15 @@ def load_radar_points(path: str | Path) -> tuple[float, PointCloud]:
     """Read either coordinate variant into a Cartesian labeling point cloud."""
     from .autolabel import PointCloud
 
-    with _document("radar frame", path) as doc:
+    def read(doc: dict) -> tuple[float, PointCloud]:
         timestamp, cartesian, rows = _frame_rows(doc)
         if cartesian:
             return timestamp, PointCloud(rows[:, :3], rows[:, 3], rows[:, 4])
         ret = RadarFrame(timestamp, rows).returns
         xyz = sph2cart(ret["r_m"], ret["az_rad"], ret["el_rad"])
         return timestamp, PointCloud(xyz, ret["v_mps"], ret["rcs_dbsm"])
+
+    return _document("radar frame", path, read)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +565,7 @@ def write_corners(
 
 
 def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
-    with _document("corners file", path) as doc:
+    def read(doc: dict) -> tuple[int, float, CornerSet]:
         board = _json_value(dict, doc["checkerboard"], "checkerboard")
         spec = CheckerboardSpec(*(_json_value(int, board[name], name) for name in ("nx", "ny")))
         rows = _json_column(dict, doc["corners"], "corners")
@@ -541,7 +574,9 @@ def load_corners(path: str | Path) -> tuple[int, float, CornerSet]:
         timestamp = _timestamp(doc)
         corner_set = CornerSet(corners, spec)
         corner_set.check_count()
-    return pose_id, timestamp, corner_set
+        return pose_id, timestamp, corner_set
+
+    return _document("corners file", path, read)
 
 
 # ---------------------------------------------------------------------------
@@ -566,26 +601,35 @@ def write_masks(path: str | Path, width: int, height: int, masks: list[InstanceM
     write_json(path, {"width": width, "height": height, "instances": instances})
 
 
+_MASK_FIELDS = operator.itemgetter("rle", "class_id", "instance_id", "confidence")
+
+
 def load_masks(path: str | Path) -> tuple[int, int, list[InstanceMask]]:
     from .autolabel import InstanceMask
 
-    with _document("mask file", path) as doc:
+    def read(doc: dict) -> tuple[int, int, list[InstanceMask]]:
         width, height = (_json_value(int, doc[name], name) for name in ("width", "height"))
         if min(width, height) < 0:
             raise ValueError(f"negative mask size {width}x{height}")
         masks = []
-        for inst in _json_column(dict, doc["instances"], "instances"):
+        for i, inst in enumerate(_json_column(dict, doc["instances"], "instances")):
+            try:
+                runs, class_id, instance_id, confidence = _MASK_FIELDS(inst)
+            except KeyError as exc:
+                raise ValueError(f"instances[{i}]: {_field_error(exc)}") from exc
             masks.append(
                 InstanceMask(
-                    *_rle_runs(inst["rle"], height, width),
+                    *_rle_runs(runs, height, width),
                     height=height,
                     width=width,
-                    class_id=_json_value(int, inst["class_id"], "class_id"),
-                    instance_id=_json_value(int, inst["instance_id"], "instance_id"),
-                    confidence=_json_value(float, inst["confidence"], "confidence"),
+                    class_id=_json_value(int, class_id, "class_id"),
+                    instance_id=_json_value(int, instance_id, "instance_id"),
+                    confidence=_json_value(float, confidence, "confidence"),
                 )
             )
-    return width, height, masks
+        return width, height, masks
+
+    return _document("mask file", path, read)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +663,31 @@ def write_calibration(
 def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, dict]:
     """Read a calibration file: its extrinsics (rotation orthonormal within
     1e-6, see ``_extrinsics``), its intrinsics and the document."""
-    with _document("calibration file", path) as doc:
+    def read(doc: dict) -> tuple[Extrinsics, CameraIntrinsics, dict]:
         extrinsics = _extrinsics(doc)
         return extrinsics, _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics"), doc
+
+    extrinsics, intrinsics, doc = _document("calibration file", path, read)
+    if _whole_float_past_int64(doc):  # orjson's reading of a wider integer
+        doc = json.loads(Path(path).read_text())
+    return extrinsics, intrinsics, doc
+
+
+def _whole_float_past_int64(doc) -> bool:
+    """Whether a parsed document holds a whole float of magnitude 2**63 or
+    more anywhere: how orjson reads an integer literal past 64 bits, which
+    json reads as an int.  A field check refuses such a float, but the
+    calibration document is returned whole, so it is parsed again by json."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if type(value) is dict:
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+        elif type(value) is float and abs(value) >= 2**63 and value.is_integer():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -676,28 +742,35 @@ def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
 def _parse_labels(path: str | Path, raw_lines: list[str]) -> tuple[np.ndarray, LabelColumns]:
     """Point indices and label columns of a labels file's non-blank lines.
 
-    One ``json.loads`` parses all lines joined into an array when that is
+    One ``_fast_loads`` parses all lines joined into an array when that is
     sure to give each line's own value: no line holds a bracket and every
     line after the first starts with "{".  A separator inside a nested
     container would then sit inside an object, where a "{" cannot follow a
     comma, so the parse fails instead; and one value per line means one
     element per line.  Otherwise, and to name the first bad line, the lines
-    are parsed one by one.
+    are parsed one by one, each as a ``_document``.
     """
     lines = [s for line in raw_lines if (s := line.strip())]
     body = ",\n".join(lines)
     if "[" not in body and "]" not in body and body.count("\n{") == len(lines) - 1:
         try:
-            docs = json.loads(f"[{body}]")
+            docs = _fast_loads(f"[{body}]")
             if len(docs) == len(lines):
                 return _label_columns(docs)
         except _BAD_FIELD:
             pass
-    for line_no, line in enumerate(raw_lines, 1):
-        if line := line.strip():
-            with _document("labels file", f"{path}:{line_no}", line) as doc:
-                _label_columns([doc])
-    return _label_columns([json.loads(line) for line in lines])
+    docs = [
+        _document("labels file", f"{path}:{line_no}", _label_line, line)
+        for line_no, raw in enumerate(raw_lines, 1)
+        if (line := raw.strip())
+    ]
+    return _label_columns(docs)
+
+
+def _label_line(doc: dict) -> dict:
+    """A labels line's document, once its fields read as a label."""
+    _label_columns([doc])
+    return doc
 
 
 def load_labels(path: str | Path) -> LabelColumns:
@@ -731,5 +804,4 @@ def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
 
 
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:
-    with _document("intrinsics file", path) as doc:
-        return _json_value(CameraIntrinsics, doc, "intrinsics")
+    return _document("intrinsics file", path, functools.partial(_config, CameraIntrinsics))

@@ -152,6 +152,17 @@ def test_cli_import_loads_no_scipy():
     assert fresh_python(code).strip() == "[]"
 
 
+@pytest.mark.parametrize("kind", [None, "calibration", "labeling"])
+def test_cli_import_and_synth_load_no_orjson(tmp_path, kind):
+    # only the readers of data files import orjson; synth writes them
+    code = "import sys, radcal.cli"
+    if kind:
+        argv = ["synth", "--kind", kind, "--seed", "1", "-o", str(tmp_path / "scene")]
+        code += f"; assert radcal.cli.main({argv!r}) == 0"
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))"
+    assert fresh_python(code).strip().splitlines()[-1] == "[]"
+
+
 def test_import_radcal_loads_no_submodule():
     code = "import sys, radcal; print(sorted(m for m in sys.modules if m.startswith('radcal')))"
     assert fresh_python(code).strip() == "['radcal']"
@@ -1951,6 +1962,40 @@ class TestExitCodes:
                     "-o", tmp_path / "r.json"]) == 4
         assert "labels_000.jsonl:1" in capsys.readouterr().err
 
+    def test_deep_balanced_nesting_exit_4_not_a_crash(self, tmp_path):
+        # 200,000 nested arrays under a key the reader ignores: past the
+        # bracket bound json parses, and its recursion limit is exit 4; the
+        # orjson parse would overflow the C stack and kill the process
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        radar = scene / "radar_000.json"
+        depth = 200_000
+        radar.write_text('{"timestamp_s":0.0,"points":[],"extra":' + "[" * depth + "]" * depth + "}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "radcal.cli", "autolabel", "--frames", str(scene),
+             "--masks", str(scene), "--calibration", str(scene / "calibration.json"),
+             "-o", str(tmp_path / "labels")],
+            capture_output=True, text=True, env=radcal_env(), timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(
+            f"invalid input: bad radar frame {radar}: maximum recursion depth exceeded"
+        ), proc.stderr
+
+    def test_mask_size_other_than_the_intrinsics_exit_4(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        k = default_intrinsics()
+        masks = scene / "masks_000.json"
+        fileio.write_masks(masks, k.width + 1, k.height, [])
+        capsys.readouterr()
+        assert run(["autolabel", "--frames", scene, "--masks", scene,
+                    "--calibration", scene / "calibration.json", "-o", tmp_path / "labels"]) == 4
+        assert capsys.readouterr().err == (
+            f"invalid input: bad mask file {masks}: mask size {k.width + 1}x{k.height} "
+            f"!= intrinsics {k.width}x{k.height}\n"
+        )
+
     @pytest.mark.parametrize("command", ["calibrate", "eval"])
     def test_output_into_missing_directory_exit_3_before_any_work(
         self, workflow, tmp_path, capsys, monkeypatch, command
@@ -2446,7 +2491,7 @@ FIELD_READERS = {
         *((("instances", 0, name), int, name) for name in ("class_id", "instance_id")),
         (("instances", 0, "confidence"), float, "confidence"),
     ]),
-    "intrinsics": (4, "invalid input: bad intrinsics file", INTRINSICS_FIELDS),
+    "intrinsics": (4, "invalid input: bad intrinsics file", number_fields(CameraIntrinsics)),
     "calibration": (4, "invalid input: bad calibration file", [
         (("intrinsics", *path), kind, named) for path, kind, named in INTRINSICS_FIELDS
     ] + extrinsics_fields()),

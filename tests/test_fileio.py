@@ -1167,16 +1167,16 @@ class TestIntrinsicsFiles:
         "doc, message",
         [
             ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2},
-             "intrinsics: missing key 'height'"),
+             "missing key 'height'"),
             ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 1e999},
-             "intrinsics: height must be a JSON integer, got float"),
+             "height must be a JSON integer, got float"),
             ({"fx": "x", "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2},
-             "intrinsics: fx must be a JSON number, got str"),
+             "fx must be a JSON number, got str"),
             ({"fx": 0.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2},
-             "intrinsics: focal lengths must be positive and finite: 0.0, 1.0"),
+             "focal lengths must be positive and finite: 0.0, 1.0"),
             ([1.0, 1.0, 1.0, 1.0, 2, 2], "the document must be a JSON object, got list"),
             ({"fx": 1.0, "fy": 1.0, "cx": 1.0, "cy": 1.0, "width": 2, "height": 2, "k1": 0.1},
-             "intrinsics: unknown key(s) ['k1']"),
+             "unknown key(s) ['k1']"),
         ],
         ids=["missing_height", "infinite_height", "text_fx", "zero_fx", "list", "extra_key"],
     )
@@ -1276,11 +1276,11 @@ WORDING_READERS = {
     "corners": (load_corners, "corners file", "corners_000.json", corners_doc,
                 "pose_id", "missing key 'pose_id'", ("corners", "v_px")),
     "masks": (load_masks, "mask file", "masks_000.json", masks_doc,
-              "instances", "missing key 'instances'", None),
+              "instances", "missing key 'instances'", ("instances", "rle")),
     "calibration": (load_calibration, "calibration file", "calibration.json", calibration_doc,
                     "translation_m", "missing key 'translation_m'", None),
     "intrinsics": (load_intrinsics, "intrinsics file", "intrinsics.json", intrinsics_doc,
-                   "cx", "intrinsics: missing key 'cx'", None),
+                   "cx", "missing key 'cx'", None),
     "labels": (load_labels, "labels file", "labels_000.jsonl", lambda: label_line(1),
                "provenance", "missing key 'provenance'", None),
 }
