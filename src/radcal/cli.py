@@ -266,9 +266,7 @@ def _write_scene(args, outputs: fileio.Outputs, out: Path) -> str:
             cfg = fileio._config(
                 synth.SceneConfig, doc, pose_count=args.poses, seed=args.seed,
                 pixel_sigma_px=args.pixel_sigma, range_sigma_m=args.range_sigma,
-                angle_sigma_rad=args.angle_sigma,
-                clutter_only_poses=tuple(int(x) for x in args.clutter_only.split(","))
-                if args.clutter_only else None,
+                angle_sigma_rad=args.angle_sigma, clutter_only_poses=args.clutter_only,
             )
         else:
             cfg = fileio._config(
@@ -486,7 +484,7 @@ def _cmd_autolabel(args, outputs: fileio.Outputs) -> int:
     masks_dir = Path(args.masks)
     if not frames_dir.is_dir() or not masks_dir.is_dir():
         raise FileNotFoundError(f"missing input directory: {frames_dir} / {masks_dir}")
-    extrinsics, intrinsics, _ = fileio.load_calibration(args.calibration)
+    extrinsics, intrinsics = fileio.load_calibration(args.calibration)
     out = outputs.mkdir(args.out)
 
     frames = dict(_indexed_files(frames_dir, "radar"))
@@ -551,7 +549,7 @@ def _cmd_eval(args, outputs: fileio.Outputs) -> int:
     summary = []  # printed once every output is staged
     staged = {}  # frame index -> its overlay file, for each frame with a radar file
     if args.overlay_frames is not None:
-        extrinsics, intrinsics, _ = fileio.load_calibration(args.overlay_calibration)
+        extrinsics, intrinsics = fileio.load_calibration(args.overlay_calibration)
         frame_files = dict(_indexed_files(Path(args.overlay_frames), "radar"))
         overlay_dir = outputs.mkdir(args.overlay_dir or (out.parent / "overlay"))
         staged = {
@@ -650,6 +648,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _pose_ids(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0 <= value < 1:  # NaN fails too
@@ -683,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-sigma", type=float, default=None)
     p.add_argument("--fp-rate", type=float, default=None)
     p.add_argument("--fn-rate", type=float, default=None)
-    p.add_argument("--clutter-only", default=None, help="comma-separated pose ids")
+    p.add_argument("--clutter-only", type=_pose_ids, help="comma-separated pose ids")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

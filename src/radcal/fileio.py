@@ -32,8 +32,10 @@ parsed again by json, which words the message: json also reads ``NaN``,
 ``Infinity``, ``1e999`` and a lone surrogate, which orjson refuses, and an
 integer past 64 bits as an int, where orjson reads a float that the field
 check refuses.  So every value a reader accepts, and every message, is the
-json module's.  orjson recurses without a depth limit, so a text with more
-than ``_ORJSON_BRACKETS`` "[" and "{" goes to json alone.
+json module's; in a JSON-lines file it names the first bad line.  orjson
+recurses without a depth limit, so a text longer than ``_ORJSON_BRACKETS``
+with more "[" and "{" than that goes to json alone: either count bounds its
+depth.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def canonical_json(obj) -> str:
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path``; an error names ``path``."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
 
@@ -379,39 +381,61 @@ def _read_lines(path: str | Path, what: str) -> list[str]:
 
 
 # orjson recurses without a depth limit (3.8.3 overflowed a 2 MB C stack at
-# 65,536 nested arrays); a text's count of "[" and "{" bounds its depth
+# 65,536 nested arrays); a text's length, or its count of "[" and "{", bounds
+# its depth
 _ORJSON_BRACKETS = 20_000
 
 
-def _fast_loads(text: str):
-    """``json.loads(text)``, by orjson when ``text`` holds at most
-    ``_ORJSON_BRACKETS`` "[" and "{"; see the module docstring for where its
-    values and faults differ from json's."""
-    if text.count("[") + text.count("{") > _ORJSON_BRACKETS:
-        return json.loads(text)
-    import orjson  # here: a command that only writes files never loads it
-
-    return orjson.loads(text)
+def _shallow(text: str) -> bool:
+    """Whether orjson may parse ``text``: its length or its brackets are few."""
+    return len(text) <= _ORJSON_BRACKETS or text.count("[") + text.count("{") <= _ORJSON_BRACKETS
 
 
 def _document(what: str, source: str | Path, read, line: str | None = None):
     """``read`` of the JSON object of the file ``source``, or of its one
-    ``line``.  orjson parses first; if that parse, the object check or
-    ``read`` fails, json parses again and ``read`` reads its document.  A
-    syntax error (or bytes that are not UTF-8), nesting past json's
-    recursion limit, a document that is not an object and each bad field
-    ``read`` meets are then one SchemaError, ``bad <what> <source>:
+    ``line``.  orjson parses a ``_shallow`` text first; if that parse, the
+    object check or ``read`` fails, json parses again and ``read`` reads its
+    document.  A syntax error (or bytes that are not UTF-8), nesting past
+    json's recursion limit, a document that is not an object and each bad
+    field ``read`` meets are then one SchemaError, ``bad <what> <source>:
     <message>``."""
     try:
         text = Path(source).read_bytes().decode() if line is None else line
-        return read(_json_value(dict, _fast_loads(text), "the document"))
+        if _shallow(text):
+            import orjson  # here: a command that only writes files never loads it
+
+            return read(_json_value(dict, orjson.loads(text), "the document"))
     except _BAD_FIELD:
         pass  # json words the fault, or reads what orjson refuses
     try:
-        doc = json.loads(Path(source).read_text() if line is None else line)
+        # UTF-8 whatever the locale; universal newlines keep json's positions
+        doc = json.loads(Path(source).read_text(encoding="utf-8") if line is None else line)
         return read(_json_value(dict, doc, "the document"))
     except _BAD_FIELD as exc:
         raise SchemaError(f"bad {what} {source}: {_field_error(exc)}") from exc
+
+
+def _json_lines(what: str, path: str | Path, read):
+    """``read`` of the list of the JSON objects on a file's non-blank lines.
+    orjson parses them when each is ``_shallow``.  On any fault each line is
+    read alone as a ``_document`` (``<path>:<n>``), naming the first bad one;
+    ``read`` then takes json's documents, and must fail only where a line does."""
+    raw_lines = _read_lines(path, what)
+    lines = [line for raw in raw_lines if (line := raw.strip())]
+    try:
+        if all(map(_shallow, lines)):
+            import orjson
+
+            return read(_json_column(dict, list(map(orjson.loads, lines)), "lines"))
+    except _BAD_FIELD:
+        pass  # each line alone names the first bad one
+
+    def checked(doc: dict) -> dict:
+        read([doc])
+        return doc
+
+    return read([_document(what, f"{path}:{n}", checked, line)
+                 for n, raw in enumerate(raw_lines, 1) if (line := raw.strip())])
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +533,7 @@ def load_radar_frames(path: str | Path) -> list[RadarFrame]:
     path = Path(path)
     if path.suffix.lower() != ".jsonl":
         return [load_radar_frame(path)]
-    return [
-        _document("frame stream", f"{path}:{line_no}", _frame_from_doc, line)
-        for line_no, raw in enumerate(_read_lines(path, "frame stream"), 1)
-        if (line := raw.strip())
-    ]
+    return _json_lines("frame stream", path, lambda docs: list(map(_frame_from_doc, docs)))
 
 
 def load_radar_frame(path: str | Path) -> RadarFrame:
@@ -660,34 +680,14 @@ def write_calibration(
     )
 
 
-def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics, dict]:
-    """Read a calibration file: its extrinsics (rotation orthonormal within
-    1e-6, see ``_extrinsics``), its intrinsics and the document."""
-    def read(doc: dict) -> tuple[Extrinsics, CameraIntrinsics, dict]:
-        extrinsics = _extrinsics(doc)
-        return extrinsics, _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics"), doc
+def load_calibration(path: str | Path) -> tuple[Extrinsics, CameraIntrinsics]:
+    """Read a calibration file's extrinsics (rotation orthonormal within
+    1e-6, see ``_extrinsics``) and intrinsics."""
 
-    extrinsics, intrinsics, doc = _document("calibration file", path, read)
-    if _whole_float_past_int64(doc):  # orjson's reading of a wider integer
-        doc = json.loads(Path(path).read_text())
-    return extrinsics, intrinsics, doc
+    def read(doc: dict) -> tuple[Extrinsics, CameraIntrinsics]:
+        return _extrinsics(doc), _json_value(CameraIntrinsics, doc["intrinsics"], "intrinsics")
 
-
-def _whole_float_past_int64(doc) -> bool:
-    """Whether a parsed document holds a whole float of magnitude 2**63 or
-    more anywhere: how orjson reads an integer literal past 64 bits, which
-    json reads as an int.  A field check refuses such a float, but the
-    calibration document is returned whole, so it is parsed again by json."""
-    stack = [doc]
-    while stack:
-        value = stack.pop()
-        if type(value) is dict:
-            stack.extend(value.values())
-        elif type(value) is list:
-            stack.extend(value)
-        elif type(value) is float and abs(value) >= 2**63 and value.is_integer():
-            return True
-    return False
+    return _document("calibration file", path, read)
 
 
 # ---------------------------------------------------------------------------
@@ -739,40 +739,6 @@ def _label_columns(docs: list) -> tuple[np.ndarray, LabelColumns]:
     return point_index, LabelColumns(class_id, instance_id, ~unlabeled, codes)
 
 
-def _parse_labels(path: str | Path, raw_lines: list[str]) -> tuple[np.ndarray, LabelColumns]:
-    """Point indices and label columns of a labels file's non-blank lines.
-
-    One ``_fast_loads`` parses all lines joined into an array when that is
-    sure to give each line's own value: no line holds a bracket and every
-    line after the first starts with "{".  A separator inside a nested
-    container would then sit inside an object, where a "{" cannot follow a
-    comma, so the parse fails instead; and one value per line means one
-    element per line.  Otherwise, and to name the first bad line, the lines
-    are parsed one by one, each as a ``_document``.
-    """
-    lines = [s for line in raw_lines if (s := line.strip())]
-    body = ",\n".join(lines)
-    if "[" not in body and "]" not in body and body.count("\n{") == len(lines) - 1:
-        try:
-            docs = _fast_loads(f"[{body}]")
-            if len(docs) == len(lines):
-                return _label_columns(docs)
-        except _BAD_FIELD:
-            pass
-    docs = [
-        _document("labels file", f"{path}:{line_no}", _label_line, line)
-        for line_no, raw in enumerate(raw_lines, 1)
-        if (line := raw.strip())
-    ]
-    return _label_columns(docs)
-
-
-def _label_line(doc: dict) -> dict:
-    """A labels line's document, once its fields read as a label."""
-    _label_columns([doc])
-    return doc
-
-
 def load_labels(path: str | Path) -> LabelColumns:
     """Read a labels file into columns in point-index order.
 
@@ -783,7 +749,7 @@ def load_labels(path: str | Path) -> LabelColumns:
     """
     from .autolabel import LabelColumns
 
-    point_index, columns = _parse_labels(path, _read_lines(path, "labels file"))
+    point_index, columns = _json_lines("labels file", path, _label_columns)
     order = np.argsort(point_index, kind="stable")
     if not np.array_equal(point_index[order], np.arange(len(order))):
         raise SchemaError(f"bad labels file {path}: point indices must cover 0..N-1 exactly once")

@@ -88,7 +88,8 @@ class TestWorkflow:
         assert (scene / "intrinsics.json").exists()
 
     def test_calibration_result_accurate(self, workflow):
-        extrinsics, intrinsics, doc = load_calibration(workflow / "calibration.json")
+        extrinsics, _ = load_calibration(workflow / "calibration.json")
+        doc = json.loads((workflow / "calibration.json").read_text())
         gt = json.loads((workflow / "cal_scene" / "ground_truth.json").read_text())
         gt_rot = np.array(gt["rotation_row_major"]).reshape(3, 3)
         assert doc["converged"] is True
@@ -1431,6 +1432,17 @@ class TestExitCodes:
         assert f"--frames: must be >= 1, got {frames}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("poses", ["a", "1,,2", "", "1;2", "2.5"])
+    def test_clutter_only_not_pose_ids_exit_2(self, tmp_path, capsys, poses):
+        # each was a scene config error naming no flag, and "" was ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--kind", "calibration", "--clutter-only", poses,
+                 "-o", tmp_path / "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --clutter-only: invalid _pose_ids value: {poses!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "kind, flags, named",
         [("labeling", ["--poses", "99"], "--poses"),
@@ -1981,6 +1993,56 @@ class TestExitCodes:
         assert proc.stderr.startswith(
             f"invalid input: bad radar frame {radar}: maximum recursion depth exceeded"
         ), proc.stderr
+
+    @pytest.mark.parametrize("kind", ["labels file", "frame stream"])
+    def test_deep_balanced_nesting_in_a_json_lines_file_exit_4_not_a_crash(
+        self, workflow, tmp_path, kind
+    ):
+        # as above, for a line of a labels file or of a .jsonl frame stream:
+        # a line that long goes to json alone
+        depth = 200_000
+        extra = ',"extra":' + "[" * depth + "]" * depth + "}"
+        if kind == "labels file":
+            pred = tmp_path / "pred"
+            shutil.copytree(workflow / "labels_out", pred)
+            path = pred / "labels_000.jsonl"
+            argv = ["eval", "--pred", pred, "--gt", workflow / "lab_scene" / "gt_labels",
+                    "-o", tmp_path / "report.json"]
+        else:
+            cal_scene = workflow / "cal_scene"
+            path = tmp_path / "frames.jsonl"
+            write_radar_frames_stream(
+                path, [load_radar_frame(p) for p in sorted(cal_scene.glob("radar_*.json"))]
+            )
+            argv = ["calibrate", "--corners", cal_scene, "--frames", path,
+                    "--intrinsics", cal_scene / "intrinsics.json", "-o", tmp_path / "c.json"]
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip()[:-1] + extra + "\n"
+        path.write_text("".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "radcal.cli", *map(str, argv)],
+            capture_output=True, text=True, env=radcal_env(), timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert f"bad {kind} {path}:2: maximum recursion depth exceeded" in proc.stderr
+
+    def test_non_ascii_frame_loads_under_the_c_locale(self, tmp_path):
+        # a lone surrogate sends the frame to json, which read the file in the
+        # locale's encoding: exit 4, 'ascii' codec can't decode byte 0xc3
+        scene = tmp_path / "scene"
+        assert run(["synth", "--kind", "labeling", "--seed", "2", "-o", scene]) == 0
+        radar = scene / "radar_000.json"
+        text = radar.read_text()
+        radar.write_text('{"note":"caf\u00e9 \\ud800",' + text[1:], encoding="utf-8")
+        env = dict(radcal_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "radcal.cli", "autolabel", "--frames", str(scene),
+             "--masks", str(scene), "--calibration", str(scene / "calibration.json"),
+             "-o", str(tmp_path / "labels")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "labels" / "labels_000.jsonl").exists()
 
     def test_mask_size_other_than_the_intrinsics_exit_4(self, tmp_path, capsys):
         scene = tmp_path / "scene"
