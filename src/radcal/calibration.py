@@ -2,8 +2,9 @@
 
 The board center seen by the camera (pixel) and by the radar (3D point)
 are paired per pose, and the radar-to-camera transform is found by
-minimizing the summed squared reprojection error over a 6-parameter pose
-vector (rotation vector + translation) with Levenberg-Marquardt.
+minimizing the summed squared reprojection error with Levenberg-Marquardt.
+A pose is the (3, 4) block [R | t]; a step (dw, dt) moves it on SO(3) x R^3
+to R <- exp([dw]x) R, t <- t + dt (a left perturbation).
 
 The solver restarts from the identity plus the 23 remaining rotational
 symmetries of the cube so no coarse mounting orientation needs a DLT-style
@@ -33,7 +34,7 @@ from .geometry import (
     Extrinsics,
     _pinhole,
     _rodrigues,
-    canonicalize_rotvec,
+    _skew,
     matrix_to_rotvec,
     nearest_rotation,
 )
@@ -64,7 +65,6 @@ BEHIND_CAMERA_RESIDUAL = 1e4
 # considered rank-deficient.
 RANK_TOLERANCE = 1e-10
 
-_EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 
 
@@ -201,36 +201,29 @@ def reprojection_errors(residuals: np.ndarray) -> tuple[float, float]:
 
 
 def cube_rotation_seeds() -> list[np.ndarray]:
-    """The 24 rotational symmetries of the cube as 6-vector seeds (t = 0).
+    """The 24 rotational symmetries of the cube as (3, 4) seed poses [R | 0],
+    R an integer matrix.
 
-    Identity first, remaining seeds in a fixed canonical order, so the
-    multistart sweep is deterministic.
+    Identity first, the rest in ascending order of their rotation vectors,
+    so the multistart sweep is deterministic.
     """
-    rotations = []
+    seeds = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1.0, -1.0), repeat=3):
-            m = np.zeros((3, 3))
-            for row, col in enumerate(perm):
-                m[row, col] = signs[row]
-            if np.linalg.det(m) > 0:
-                rotations.append(m)
-    seeds = []
-    for m in rotations:
-        pose = np.zeros(6)
-        pose[:3] = matrix_to_rotvec(m)
-        seeds.append(pose)
-    seeds.sort(key=lambda p: tuple(np.round(p[:3], 12)))
-    identity = [s for s in seeds if np.linalg.norm(s[:3]) < 1e-12]
-    rest = [s for s in seeds if np.linalg.norm(s[:3]) >= 1e-12]
-    return identity + rest
+            seed = np.zeros((3, 4))
+            seed[range(3), perm] = signs
+            if np.linalg.det(seed[:, :3]) > 0:
+                seeds.append(seed)
+    # the identity (the one integer rotation of trace 3), then by rotation vector
+    seeds.sort(key=lambda s: (
+        np.trace(s[:, :3]) < 3, tuple(np.round(matrix_to_rotvec(s[:, :3]), 12))
+    ))
+    return seeds
 
 
 class _PoseState(NamedTuple):
     """What the cost and the Jacobian at a stack of S poses share."""
 
-    rotation: np.ndarray  # (S, 3, 3)
-    skew: np.ndarray  # (S, 3, 3) cross-product matrices of the rotation vectors
-    theta2: np.ndarray  # (S, 1, 1) squared rotation angles
     rotated: np.ndarray  # (S, K, 3) radar points, rotated
     cam: np.ndarray  # (S, K, 3) camera-frame points
     residual: np.ndarray  # (S, 2K); rows behind the camera hold the penalty
@@ -241,7 +234,7 @@ class _Problem:
     """One LM problem's fixed data: the observed pixels, the radar points and
     the intrinsics as ``[fx, fy]`` and ``[cx, cy]``.
 
-    Its methods take a stack of S poses (S, 6).  Every stacked operation
+    ``state`` takes a stack of S poses (S, 3, 4).  Every stacked operation
     keeps each row's bits: elementwise arithmetic, row sums, and ``@`` and
     ``np.linalg.solve``, which run the one-pose BLAS / LAPACK call per slice.
     """
@@ -255,58 +248,46 @@ class _Problem:
     def state(self, poses: np.ndarray) -> _PoseState:
         """The residuals at each pose and what its Jacobian reuses of them.
         Behind-camera rows get the constant penalty."""
-        rotation, skew, theta2 = _rodrigues(poses[:, :3])
-        rotated = self.points @ rotation.transpose(0, 2, 1)
-        cam = rotated + poses[:, None, 3:]
+        rotated = self.points @ poses[:, :, :3].transpose(0, 2, 1)
+        cam = rotated + poses[:, None, :, 3]
         projected, front = _pinhole(self.focal, self.center, cam)
         residual = np.where(front, self.observed - projected, BEHIND_CAMERA_RESIDUAL)
-        return _PoseState(
-            rotation, skew, theta2, rotated, cam, residual.reshape(len(poses), -1), front
-        )
+        return _PoseState(rotated, cam, residual.reshape(len(poses), -1), front)
 
-    def jacobian(self, poses: np.ndarray, state: _PoseState) -> np.ndarray:
-        """The closed-form (S, 2K, 6) Jacobians of the residuals at the poses.
+    def jacobian(self, state: _PoseState) -> np.ndarray:
+        """The closed-form (S, 2K, 6) Jacobians of the residuals at the
+        state's poses, along the step (dw, dt).
 
-        The rotation part uses d(R p)/d(omega) = -R [p]x J, with
-        J = (omega omega^T + (R^T - I)[omega]x) / |omega|^2 (Gallego & Yezzi;
-        Sola et al., arXiv:1812.01537), rewritten as -[R p]x (R J).  Near
-        omega = 0, J is I - [omega]x / 2 to first order.  Rows of points
-        behind the camera are 0: the derivative of the constant penalty.
+        d(exp([dw]x) R p)/d(dw) at dw = 0 is -[R p]x (Sola et al.,
+        arXiv:1812.01537; Barfoot, State Estimation for Robotics, 7.1), and
+        d(cam)/d(dt) = I.  Rows of points behind the camera are 0: the
+        derivative of the constant penalty.
         """
-        rotation, skew, theta2, rotated, cam, _, front = state
+        rotated, cam, _, front = state
         count, k = cam.shape[:2]
-        d_cam = np.empty((count, k, 3, 6))
-        d_cam[..., 3:] = _EYE3
-        d_res = np.zeros((count, k, 2, 3))
-        omega = poses[:, :3]
-        near = theta2 < 1e-10
-        right = (
-            omega[:, :, None] * omega[:, None, :] + (rotation.transpose(0, 2, 1) - _EYE3) @ skew
-        ) / np.where(near, 1.0, theta2)
-        if near.any():
-            right = np.where(near, _EYE3 - 0.5 * skew, right)
-        # d(cam)/d(omega): column i is (R J)[:, i] x (R p), each entry
-        # p[i + 2] b[i + 1] - p[i + 1] b[i + 2] (indices mod 3) for b = R J;
-        # d(cam)/d(t) = I
-        b = rotation @ right
-        b = np.concatenate((b, b[:, :2]), axis=1)[:, None]
-        p = np.concatenate((rotated, rotated[..., :2]), axis=2)[..., None]
-        np.subtract(
-            p[..., 2:, :] * b[..., 1:4, :], p[..., 1:4, :] * b[..., 2:, :], out=d_cam[..., :3]
-        )
         # d(residual)/d(cam) = -d(pixel)/d(cam); 1 / depth = 0 zeroes rows behind.
         # Row-major, (0, 0) and (1, 1) are entries 0 and 4, column 2 is 2 and 5
+        d_res = np.zeros((count, k, 2, 3))
         inv_z = np.divide(1.0, cam[..., 2:], out=np.zeros(front.shape), where=front)
         entries = d_res.reshape(count, k, 6)
         np.multiply(-self.focal, inv_z, out=entries[..., ::4])
         np.multiply(self.focal * cam[..., :2], inv_z**2, out=entries[..., 2::3])
-        return (d_res @ d_cam).reshape(count, -1, 6)
+        d_rot = d_res @ _skew(-rotated.reshape(-1, 3)).reshape(count, k, 3, 3)
+        return np.concatenate((d_rot, d_res), axis=3).reshape(count, -1, 6)
+
+
+def _step(poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Each pose (S, 3, 4) moved by its step (S, 6, 1):
+    R <- exp([dw]x) R and t <- t + dt."""
+    moved = _rodrigues(delta[:, :3, 0]) @ poses
+    moved[..., 3] = poses[..., 3] + delta[:, 3:, 0]
+    return moved
 
 
 class _Descents(NamedTuple):
     """The outcome of one stacked LM descent, one row per seed."""
 
-    poses: np.ndarray  # (S, 6)
+    poses: np.ndarray  # (S, 3, 4)
     costs: np.ndarray  # (S,)
     iterations: int  # summed over the seeds
     seed_iterations: np.ndarray  # (S,) int
@@ -314,12 +295,12 @@ class _Descents(NamedTuple):
 
 
 def _normal_equations(
-    problem: _Problem, poses: np.ndarray, state: _PoseState
+    problem: _Problem, state: _PoseState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J^T J (S, 6, 6) and -J^T r (S, 6, 1) at each pose, and which poses'
     Jacobians are all zero: every point behind the camera, where the
     penalty is flat and the zero gradient marks no minimum."""
-    jac = problem.jacobian(poses, state)
+    jac = problem.jacobian(state)
     jac_t = jac.transpose(0, 2, 1)
     return jac_t @ jac, -(jac_t @ state.residual[:, :, None]), ~jac.any(axis=(1, 2))
 
@@ -349,7 +330,7 @@ def _run_lm(
     points: np.ndarray,
     cfg: SolverConfig,
 ) -> _Descents:
-    """One LM descent from each seed (S, 6), run as one stack.
+    """One LM descent from each seed pose (S, 3, 4), run as one stack.
 
     Per seed, one iteration is one damped trial step: accepted steps shrink
     its lambda, rejected ones grow it.  A seed stops on relative cost
@@ -361,13 +342,12 @@ def _run_lm(
     """
     problem = _Problem(k, observed, points)
     poses = np.array(seeds, dtype=float)
-    poses[:, :3] = canonicalize_rotvec(poses[:, :3])
     state = problem.state(poses)
     costs = (state.residual**2).sum(axis=1)
-    jtj, descent, flat = _normal_equations(problem, poses, state)
+    jtj, descent, flat = _normal_equations(problem, state)
     count = len(poses)
     out = _Descents(
-        np.empty((count, 6)), np.empty(count), 0,
+        np.empty((count, 3, 4)), np.empty(count), 0,
         np.empty(count, dtype=np.int64), np.empty(count, dtype=bool),
     )
     live = np.arange(count)  # the seed of each row still descending
@@ -379,8 +359,7 @@ def _run_lm(
         # no step
         blocked = flat | singular
         small = np.sqrt(delta.transpose(0, 2, 1) @ delta)[:, 0, 0] <= cfg.step_tol
-        trial = poses + delta[:, :, 0]
-        trial[:, :3] = canonicalize_rotvec(trial[:, :3])
+        trial = _step(poses, delta)
         trial_state = problem.state(trial)
         trial_costs = (trial_state.residual**2).sum(axis=1)
         better = (trial_costs < costs) & ~small & ~blocked
@@ -392,14 +371,12 @@ def _run_lm(
         converged = small | np.where(better, rel_drop <= cfg.cost_rel_tol, lam > 1e15)
         converged &= ~blocked
         done = converged | flat | (iteration == cfg.max_iters)
-        poses = np.where(better[:, None], trial, poses)
+        poses = np.where(better[:, None, None], trial, poses)
         costs = np.where(better, trial_costs, costs)
         flat = np.zeros(len(live), dtype=bool)
         if better.any():
             moved = _PoseState(*(a[better] for a in trial_state))
-            jtj[better], descent[better], flat[better] = _normal_equations(
-                problem, trial[better], moved
-            )
+            jtj[better], descent[better], flat[better] = _normal_equations(problem, moved)
         if done.any():
             seeds_done = live[done]
             out.poses[seeds_done] = poses[done]
@@ -446,16 +423,17 @@ def solve_extrinsics(
 
     problem = _Problem(k, observed, points)
     state = problem.state(pose)
-    singular_values = np.linalg.svd(problem.jacobian(pose, state)[0], compute_uv=False)
+    singular_values = np.linalg.svd(problem.jacobian(state)[0], compute_uv=False)
     if singular_values[-1] <= RANK_TOLERANCE * max(singular_values[0], 1.0):
         raise DegenerateGeometry(
             "Jacobian is rank-deficient at the solution "
             f"(singular values {singular_values})"
         )
 
-    # Rodrigues output is orthonormal to machine precision; the SVD snap
-    # guards against accumulated drift before the Extrinsics invariant check.
-    extrinsics = Extrinsics(nearest_rotation(state.rotation[0]), pose[0, 3:].copy())
+    # R is a product of Rodrigues matrices, orthonormal to within a few ulps
+    # per step; the SVD snap takes out that drift before the Extrinsics
+    # invariant check.
+    extrinsics = Extrinsics(nearest_rotation(pose[0, :, :3]), pose[0, :, 3].copy())
 
     residuals = state.residual[0].reshape(-1, 2)
     mre_px, rmse_px = reprojection_errors(residuals)

@@ -28,7 +28,6 @@ __all__ = [
     "cart2sph",
     "rotvec_to_matrix",
     "matrix_to_rotvec",
-    "canonicalize_rotvec",
     "nearest_rotation",
     "pinhole",
 ]
@@ -158,7 +157,7 @@ def rotvec_to_matrix(rotvec: np.ndarray) -> np.ndarray:
 
     Rodrigues formula with series-expanded coefficients near zero angle.
     """
-    return _rodrigues(np.asarray(rotvec, dtype=float).reshape(1, 3))[0][0]
+    return _rodrigues(np.asarray(rotvec, dtype=float).reshape(1, 3))[0]
 
 
 def _rodrigues_coefficients(theta2: float) -> tuple[float, float]:
@@ -169,10 +168,8 @@ def _rodrigues_coefficients(theta2: float) -> tuple[float, float]:
     return math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
 
 
-def _rodrigues(rotvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rotvec_to_matrix`` of each row of a float64 (S, 3) array, with what
-    it is built from: the rows' cross-product matrices (S, 3, 3) and squared
-    norms (S, 1, 1).
+def _rodrigues(rotvecs: np.ndarray) -> np.ndarray:
+    """``rotvec_to_matrix`` of each row of a float64 (S, 3) array: (S, 3, 3).
 
     Each row's arithmetic is the one-vector formula's: the squared norm is
     one BLAS dot per row, and the coefficients come from ``math`` per row.
@@ -180,7 +177,7 @@ def _rodrigues(rotvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     theta2 = rotvecs[:, None, :] @ rotvecs[:, :, None]
     ab = np.array(list(map(_rodrigues_coefficients, theta2.ravel().tolist())))
     k = _skew(rotvecs)
-    return _EYE3 + ab[:, :1, None] * k + ab[:, 1:, None] * (k @ k), k, theta2
+    return _EYE3 + ab[:, :1, None] * k + ab[:, 1:, None] * (k @ k)
 
 
 def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
@@ -225,25 +222,6 @@ def matrix_to_rotvec(rotation: np.ndarray) -> np.ndarray:
                     axis = -axis
                 break
     return theta * axis
-
-
-def canonicalize_rotvec(rotvec: np.ndarray) -> np.ndarray:
-    """Wrap a rotation vector (3,), or each row of a stack (S, 3), to the
-    canonical representative with norm <= pi."""
-    rotvec = np.asarray(rotvec, dtype=float)
-    rows = rotvec.reshape(-1, 3)
-    # np.linalg.norm's arithmetic: one BLAS dot per row
-    theta = np.sqrt(rows[:, None, :] @ rows[:, :, None]).ravel()
-    inside = theta <= math.pi  # NaN is not
-    wrapped = rows.copy()
-    if not inside.all():
-        for i in np.flatnonzero(~inside).tolist():
-            angle = math.fmod(theta[i], 2.0 * math.pi)
-            if angle > math.pi:
-                angle -= 2.0 * math.pi
-            # angle in (-pi, pi]; same axis, scaled (sign flip when negative)
-            wrapped[i] = rows[i] * (angle / theta[i])
-    return wrapped.reshape(rotvec.shape)
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

@@ -162,6 +162,11 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not -math.inf < self.center_offset_px < math.inf:  # NaN fails too
             raise ValueError(f"center_offset_px must be finite, got {self.center_offset_px}")
+        for pose_id in self.clutter_only_poses:
+            if not 0 <= pose_id < self.pose_count:
+                raise ValueError(
+                    f"clutter_only_poses holds pose id {pose_id}, outside [0, {self.pose_count})"
+                )
         # per pose: the reflector's apex and at most 8 scatter returns, the
         # clutter, the movers and the board's corners
         fields = {

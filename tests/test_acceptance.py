@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fd_oracle import central_difference_jacobian, linearize
+from fd_oracle import central_difference_jacobian, linearize, pose_of
 from radcal import cli
 from radcal.autolabel import LabelParams, autolabel_frame
 from radcal.calibration import (
@@ -170,12 +170,12 @@ def test_criterion_4_lm_gradient_check():
     observed, points = corrs.image_center, corrs.radar_center
     k = scene.config.intrinsics
     gt = scene.config.extrinsics
-    base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
+    omega = matrix_to_rotvec(gt.rotation)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
-        pose = base + np.concatenate(
-            [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
+        pose = pose_of(
+            omega + rng.uniform(-0.3, 0.3, 3), gt.translation + rng.uniform(-0.5, 0.5, 3)
         )
         analytic = linearize(pose, k, observed, points)[1]
         numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)

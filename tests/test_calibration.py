@@ -1,9 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fd_oracle import central_difference_jacobian, linearize, residual_vector
+from fd_oracle import (
+    central_difference_jacobian,
+    linearize,
+    perturb,
+    pose_of,
+    residual_vector,
+)
 from radcal import calibration
 from radcal.calibration import (
     BEHIND_CAMERA_RESIDUAL,
@@ -195,14 +202,14 @@ class TestResidual:
         corrs = scene_correspondences(scene)
         observed, points = corrs.image_center, corrs.radar_center
         gt = scene.config.extrinsics
-        gt_pose = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
+        gt_pose = np.column_stack((gt.rotation, gt.translation))
         rng = np.random.default_rng(3)
         for _ in range(10):
             direction = rng.normal(size=6)
             direction /= np.linalg.norm(direction)
             costs = []
             for scale in (0.0, 0.002, 0.005, 0.01, 0.02, 0.05):
-                r = residual_vector(gt_pose + scale * direction, k, observed, points)
+                r = residual_vector(perturb(gt_pose, scale * direction), k, observed, points)
                 costs.append(float(r @ r))
             assert all(a < b for a, b in zip(costs, costs[1:])), costs
 
@@ -211,7 +218,7 @@ class TestResidual:
             k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 10, 10)
         observed = np.array([[0.0, 0.0]])
         points = np.array([[0.0, 0.0, -5.0]])
-        res = residual_vector(np.zeros(6), k, observed, points)
+        res = residual_vector(np.eye(3, 4), k, observed, points)
         assert np.all(res == BEHIND_CAMERA_RESIDUAL)
 
 
@@ -219,14 +226,23 @@ class TestSeeds:
     def test_24_unique_cube_rotations_identity_first(self):
         seeds = cube_rotation_seeds()
         assert len(seeds) == 24
-        assert np.allclose(seeds[0], np.zeros(6))
-        matrices = [rotvec_to_matrix(s[:3]) for s in seeds]
+        assert np.array_equal(seeds[0], np.eye(3, 4))
+        for s in seeds:
+            assert s.shape == (3, 4) and np.array_equal(s, np.round(s))
+            assert np.all(s[:, 3] == 0.0)
+        matrices = [s[:, :3] for s in seeds]
         for m in matrices:
             assert np.allclose(np.abs(m).sum(axis=0), 1.0, atol=1e-12)
             assert np.isclose(np.linalg.det(m), 1.0)
         for i in range(24):
             for j in range(i + 1, 24):
                 assert not np.allclose(matrices[i], matrices[j], atol=1e-6)
+
+    def test_rest_in_ascending_rotation_vector_order(self):
+        # the order the seeds had as rotation vectors, so a seed index keeps
+        # its meaning
+        keys = [tuple(np.round(matrix_to_rotvec(s[:, :3]), 12)) for s in cube_rotation_seeds()]
+        assert keys[1:] == sorted(keys[1:])
 
     def test_deterministic_order(self):
         a = cube_rotation_seeds()
@@ -243,10 +259,10 @@ class TestJacobian:
         observed, points = corrs.image_center, corrs.radar_center
         rng = np.random.default_rng(5)
         gt = scene.config.extrinsics
-        base = np.concatenate([matrix_to_rotvec(gt.rotation), gt.translation])
+        omega = matrix_to_rotvec(gt.rotation)
         for _ in range(50):
-            pose = base + np.concatenate(
-                [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)]
+            pose = pose_of(
+                omega + rng.uniform(-0.3, 0.3, 3), gt.translation + rng.uniform(-0.5, 0.5, 3)
             )
             analytic = linearize(pose, k, observed, points)[1]
             numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
@@ -261,7 +277,7 @@ class TestJacobian:
         points = rng.uniform(-1.0, 1.0, (8, 3)) + [0.0, 0.0, 6.0]
         observed = rng.uniform(0.0, 1000.0, (8, 2))
         axis = np.array([0.6, -0.48, 0.64])
-        pose = np.concatenate([angle * axis, [0.1, -0.2, 0.3]])
+        pose = pose_of(angle * axis, [0.1, -0.2, 0.3])
         analytic = linearize(pose, k, observed, points)[1]
         numeric = central_difference_jacobian(pose, k, observed, points, step=1e-6)
         assert np.linalg.norm(analytic - numeric) < 1e-6 * np.linalg.norm(numeric)
@@ -270,8 +286,8 @@ class TestJacobian:
         k = default_intrinsics()
         points = np.array([[0.5, 0.2, 5.0], [0.0, 0.0, -5.0]])
         observed = np.zeros((2, 2))
-        jac = linearize(np.zeros(6), k, observed, points)[1]
-        numeric = central_difference_jacobian(np.zeros(6), k, observed, points)
+        jac = linearize(np.eye(3, 4), k, observed, points)[1]
+        numeric = central_difference_jacobian(np.eye(3, 4), k, observed, points)
         assert np.all(jac[2:] == 0.0)
         assert np.allclose(jac[:2], numeric[:2], rtol=1e-6, atol=1e-6)
 
@@ -352,36 +368,38 @@ class TestSolve:
         # LM linearizes at the seed and again after each accepted step, so
         # the costs at its linearization points are the accepted costs; it
         # builds each Jacobian from the state the accepted trial computed.
-        # Run from one seed, every linearized row is that seed's; the stack
-        # of all seeds linearizes at the same points
+        # Run from one seed, every linearized row is that seed's, the first
+        # at the seed and the last at the pose it returns; the stack of all
+        # seeds linearizes at the same points
         scene = gen_calibration_scene(SceneConfig(seed=8, pixel_sigma_px=0.5))
         corrs = scene_correspondences(scene)
         k = scene.config.intrinsics
         observed, points = corrs.image_center, corrs.radar_center
-        costs = []
+        residuals = []
         jacobian = calibration._Problem.jacobian
 
-        def recording(problem, poses, state):
-            for pose, state_residual in zip(poses, state.residual):
-                residual = residual_vector(pose, k, observed, points)
-                assert np.array_equal(state_residual, residual)  # the state is the pose's
-                costs.append(float(np.sum(residual**2)))
-            return jacobian(problem, poses, state)
+        def recording(problem, state):
+            residuals.extend(state.residual)
+            return jacobian(problem, state)
 
         monkeypatch.setattr(calibration._Problem, "jacobian", recording)
         longest = 0
         every_seed = []
         seeds = np.array(cube_rotation_seeds())
         for seed in seeds:
-            costs.clear()
-            _run_lm(seed[None], k, observed, points, SolverConfig())
+            residuals.clear()
+            pose = _run_lm(seed[None], k, observed, points, SolverConfig()).poses[0]
+            # the state is the pose's
+            assert np.array_equal(residuals[0], residual_vector(seed, k, observed, points))
+            assert np.array_equal(residuals[-1], residual_vector(pose, k, observed, points))
+            costs = [float(np.sum(residual**2)) for residual in residuals]
             assert all(b < a for a, b in zip(costs, costs[1:])), costs
             longest = max(longest, len(costs))
             every_seed += costs
         assert longest >= 2
-        costs.clear()
+        residuals.clear()
         _run_lm(seeds, k, observed, points, SolverConfig())
-        assert sorted(costs) == sorted(every_seed)
+        assert sorted(float(np.sum(residual**2)) for residual in residuals) == sorted(every_seed)
 
     def test_winner_is_first_strict_minimum_never_nan(self, monkeypatch):
         # the multistart keeps the first seed of the lowest cost: a later
@@ -429,9 +447,9 @@ class TestSolve:
     def test_rigid_reparameterisation_of_the_radar_frame(self):
         # radar centers mapped by p' = R0 p + t0 are seen under R' = R R0^T
         # and t' = t - R' t0.  To first order a pose's distance from the
-        # minimizer is at most its residual norm over the smallest singular
-        # value of the Jacobian, so the two solutions are within the sum of
-        # the two residual norms over it
+        # minimizer, in the coordinates of the solver's step, is at most its
+        # residual norm over the smallest singular value of the Jacobian, so
+        # the two solutions are within the sum of the two residual norms over it
         scene = gen_calibration_scene(SceneConfig(seed=7, pose_count=24))
         k = scene.config.intrinsics
         corrs = scene_correspondences(scene)
@@ -443,19 +461,52 @@ class TestSolve:
         )
         result = solve_extrinsics(moved, k)
         rotation = base.rotation @ r0.T
-        expected = np.concatenate(
-            [matrix_to_rotvec(rotation), base.translation - rotation @ t0]
-        )
+        expected = np.column_stack((rotation, base.translation - rotation @ t0))
         residual, jac = linearize(expected, k, moved.image_center, moved.radar_center)
         tolerance = (np.linalg.norm(residual) + np.linalg.norm(result.residuals)) / (
             np.linalg.svd(jac, compute_uv=False)[-1]
         )
-        got = np.concatenate(
-            [matrix_to_rotvec(result.extrinsics.rotation), result.extrinsics.translation]
+        # the step (dw, dt) from the expected pose to the solution
+        got = result.extrinsics
+        step = np.concatenate(
+            [matrix_to_rotvec(got.rotation @ rotation.T), got.translation - expected[:, 3]]
         )
         assert result.converged
         assert rotation_error_rad(result.extrinsics, base) > math.radians(30.0)
-        assert np.linalg.norm(got - expected) <= tolerance
+        assert np.linalg.norm(step) <= tolerance
+
+    @pytest.mark.parametrize("pose_count", [6, 24, 96])
+    def test_cube_group_equivariance(self, pose_count):
+        # radar centers mapped by p' = G p, G one of the 24 rotations of the
+        # cube, are seen under R G^T and the same t.  The multistart is over
+        # that group, so each solve finds the same minimum however the radar
+        # is mounted
+        scene = gen_calibration_scene(SceneConfig(
+            seed=5000, pose_count=pose_count,
+            pixel_sigma_px=0.5, range_sigma_m=0.02, angle_sigma_rad=0.003,
+        ))
+        k = scene.config.intrinsics
+        corrs = scene_correspondences(scene)
+        base = solve_extrinsics(corrs, k)
+        group = []
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                g = np.zeros((3, 3))
+                g[range(3), perm] = signs
+                if np.linalg.det(g) > 0:
+                    group.append(g)
+        assert len(group) == 24 and base.converged
+        translation = base.extrinsics.translation
+        for g in group:
+            moved = CorrespondenceSet(corrs.pose_id, corrs.image_center, corrs.radar_center @ g.T)
+            result = solve_extrinsics(moved, k)
+            expected = Extrinsics(base.extrinsics.rotation @ g.T, translation)
+            assert result.converged
+            assert abs(result.cost - base.cost) <= 1e-12 * base.cost
+            assert math.degrees(rotation_error_rad(result.extrinsics, expected)) <= 1e-6
+            assert np.linalg.norm(result.extrinsics.translation - translation) <= (
+                1e-6 * np.linalg.norm(translation)
+            )
 
     def test_gauge_fully_constrained(self):
         # solving a scene built from any ground truth recovers that exact

@@ -264,7 +264,7 @@ class TestDeterminism:
 # `calibrate --holdout 0.25` on them: noisy poses, so the solve's result moves
 # with any bit of the projection, the LM loop or the writers.
 GOLDEN_CALIBRATION = {
-    "calibration.json": "cf4cbbab167cd86c73c3197ee4a8a4601b3eeabca4d39d9d76652748fbab127f",
+    "calibration.json": "08bc7c8f22035a64eaa3268dbb4afedd735d74ca804f75649c9caa616dbcf95c",
     "scene/corners_000.json": "616fc653f0fffdd90030440bad914845ac30060ec630a17dfe331a69a23b266e",
     "scene/corners_001.json": "f05e436271c061a4f072f8733b5274285b05e4bf2868dcaa6e75f1996ad92b1d",
     "scene/corners_002.json": "9349f452f2982254e47beb5687d8ee6e871e95caba253914ab8d3add2bf37770",
@@ -336,8 +336,8 @@ def test_calibration_golden_digests(tmp_path):
 # so these move with any bit of it.
 GOLDEN_CALIBRATION_FORMS = {
     "cartesian": {
-        "calibration.json": "3976697b36fead466d7f1c206ecd6ef9f940c5296a06457f8ea694e3500e25ab",
-        "calibration_holdout.json": "d376f5c64de98aeb5ee6c70f2d04f2c20d85fa7190a9791bb56b9abe69378f9e",
+        "calibration.json": "77f5eccf08fbf0d2b34d70e74d6021acc3875513a86ff1944731d68d8b97b9df",
+        "calibration_holdout.json": "35f3f98297b77edb06855a4f52ea0ef65b27427bbb96a8cf46917748d15c734c",
         "frames/radar_000.json": "52080b6ea6791186edc2e68022fbc83ed23e62f8fec8bc04f87f80a2ea27482a",
         "frames/radar_001.json": "839c292076ecb4d8f58ccd49d10bf9f4b4c33b6a48a11e2483d993822a7e65e1",
         "frames/radar_002.json": "f40b54fcddf9103d9cfb11cfa91cd34e4191c16a2ab09f6bb3fa0fdc6d12acf7",
@@ -364,8 +364,8 @@ GOLDEN_CALIBRATION_FORMS = {
         "frames/radar_023.json": "73a0af5a5db9e6d51f3167ded2967e78f5682c0c0b124f99dfa7c63610a0a95d",
     },
     "jsonl": {
-        "calibration.json": "83b989d349828405382b4d097965ec9a6ec89ff182537655090b9c3dafae894e",
-        "calibration_holdout.json": "cf4cbbab167cd86c73c3197ee4a8a4601b3eeabca4d39d9d76652748fbab127f",
+        "calibration.json": "fe920075750398c59ce7043a110214e85a12b859f2533ed45d159a6d1512d0d7",
+        "calibration_holdout.json": "08bc7c8f22035a64eaa3268dbb4afedd735d74ca804f75649c9caa616dbcf95c",
         "frames.jsonl": "930de05e5eed1adf4b5842f084381d088dc03cc14132a5f792a054038381dea0",
     },
 }
@@ -1443,6 +1443,18 @@ class TestExitCodes:
         assert err.endswith(f"argument --clutter-only: invalid _pose_ids value: {poses!r}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("poses", ["99", "-1", "4", "0,4"])
+    def test_clutter_only_pose_outside_the_scene_exit_2(self, tmp_path, capsys, poses):
+        # each was exit 0, the id that no pose has ignored
+        assert run(["synth", "--kind", "calibration", "--poses", "4", "--seed", "3",
+                    "--clutter-only", poses, "-o", tmp_path / "out"]) == 2
+        pose_id = poses.split(",")[-1]
+        assert capsys.readouterr().err == (
+            "config error: bad calibration scene config: "
+            f"clutter_only_poses holds pose id {pose_id}, outside [0, 4)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "kind, flags, named",
         [("labeling", ["--poses", "99"], "--poses"),
@@ -1518,6 +1530,13 @@ class TestExitCodes:
             ("labeling", {"points_per_object": [4, 4], "false_negative_rate": 0.4},
              "points_per_object keeps at most 2 points of an object after "
              "false_negative_rate 0.4; an object needs 3"),
+            # a pose id no pose has was ignored, and the scene drawn without it
+            ("calibration", {"pose_count": 4, "clutter_only_poses": [99]},
+             "clutter_only_poses holds pose id 99, outside [0, 4)"),
+            ("calibration", {"pose_count": 4, "clutter_only_poses": [0, -1]},
+             "clutter_only_poses holds pose id -1, outside [0, 4)"),
+            ("calibration", {"pose_count": 4, "clutter_only_poses": [4]},
+             "clutter_only_poses holds pose id 4, outside [0, 4)"),
         ],
     )
     def test_non_finite_noise_in_scene_config_exit_2(self, tmp_path, capsys, kind, doc, message):

@@ -8,7 +8,6 @@ from radcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
     Z_EPS,
-    canonicalize_rotvec,
     cart2sph,
     matrix_to_rotvec,
     nearest_rotation,
@@ -123,22 +122,6 @@ class TestRotationVector:
         for _ in range(100):
             r = random_rotation(rng)
             assert np.linalg.norm(matrix_to_rotvec(r)) <= math.pi + 1e-12
-
-    def test_canonicalize_wraps(self):
-        axis = np.array([0.0, 0.0, 1.0])
-        big = axis * (2 * math.pi + 0.3)
-        wrapped = canonicalize_rotvec(big)
-        assert np.allclose(wrapped, axis * 0.3, atol=1e-12)
-        over = axis * (math.pi + 0.2)  # equivalent to -(pi - 0.2) about +z
-        wrapped = canonicalize_rotvec(over)
-        assert np.linalg.norm(wrapped) <= math.pi
-        assert np.allclose(
-            rotvec_to_matrix(wrapped), rotvec_to_matrix(over), atol=1e-12
-        )
-
-    def test_canonicalize_preserves_small(self):
-        v = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(canonicalize_rotvec(v), v)
 
 
 class TestExtrinsics:

@@ -1,11 +1,17 @@
-"""The LM descent against its reference copy: bit-identical on every seed.
+"""The LM descent against its one-seed references.
 
-``_run_lm`` runs every seed's descent in one stack, keeps each accepted
-trial's rotation, camera points and residuals and builds the next Jacobian
-from them; ``lm_reference`` holds the one-seed path that recomputed them.
-Every row of one stacked call must give the pose bytes, cost, iteration
-count and converged flag of the reference descent from that row's seed.
+``_run_lm`` runs every seed's descent on SO(3) in one stack, keeps each
+accepted trial's rotated points, camera points and residuals and builds the
+next Jacobian from them; ``lm_reference._run_lm`` is the one-seed path that
+recomputes them.  Every row of one stacked call must give the pose bytes,
+cost, iteration count and converged flag of the reference descent from that
+row's seed.
+
+``lm_reference._run_lm_rotvec`` descends the same cost in rotation-vector
+coordinates: the solver's winner must be the minimum its best seed finds.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lm_reference
-from fd_oracle import linearize
+from fd_oracle import linearize, pose_of
 from radcal import calibration
-from radcal.calibration import SolverConfig, _run_lm, cube_rotation_seeds
-from radcal.geometry import _rodrigues, canonicalize_rotvec
+from radcal.calibration import (
+    CorrespondenceSet,
+    SolverConfig,
+    _run_lm,
+    _step,
+    cube_rotation_seeds,
+    solve_extrinsics,
+)
+from radcal.geometry import matrix_to_rotvec
 from radcal.synth import SceneConfig, gen_calibration_scene
 
 
@@ -94,7 +107,8 @@ def test_iteration_budget_bit_identical():
 def test_linearize_bit_identical(pose_count):
     k, observed, points = scene_arrays(pose_count, noisy=True)
     rng = np.random.default_rng(pose_count)
-    for pose in [np.zeros(6), *rng.uniform(-2.0, 2.0, (20, 6))]:
+    poses = [pose_of(v[:3], v[3:]) for v in rng.uniform(-2.0, 2.0, (20, 6))]
+    for pose in [np.eye(3, 4), *poses]:
         residual, jac = linearize(pose, k, observed, points)
         ref_residual, ref_jac = lm_reference._linearize(pose, k, observed, points)
         assert residual.tobytes() == ref_residual.tobytes()
@@ -165,17 +179,40 @@ ROTVEC_ROW = st.tuples(
     st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
     st.sampled_from([1.0, 1e-9, 0.0, np.pi / np.sqrt(3.0)]),
 ).map(lambda row: np.array(row[:3]) * row[3])
+TRANSLATION = st.tuples(*[st.floats(-20.0, 20.0)] * 3).map(np.array)
 
 
 @settings(max_examples=200)
-@given(st.lists(ROTVEC_ROW, min_size=1, max_size=6))
-def test_stacked_rotation_helpers_match_reference_rows(rows):
-    # the stacked canonicalization and Rodrigues give each row the bits of
-    # the one-vector functions, past pi, near zero and at zero alike
-    stack = np.array(rows)
-    wrapped = canonicalize_rotvec(stack)
-    rotations, _, _ = _rodrigues(wrapped)
-    for row, got, rotation in zip(stack, wrapped, rotations):
-        expected = lm_reference.canonicalize_rotvec(row)
-        assert got.tobytes() == expected.tobytes()
-        assert rotation.tobytes() == lm_reference.rotvec_to_matrix(expected).tobytes()
+@given(st.lists(st.tuples(ROTVEC_ROW, TRANSLATION, ROTVEC_ROW, TRANSLATION),
+                min_size=1, max_size=6))
+def test_stacked_step_matches_reference_rows(rows):
+    # each row of the stacked step R <- exp([dw]x) R, t <- t + dt has the
+    # bits of the one-pose step, for dw past pi, near zero and at zero alike
+    poses = np.array([pose_of(rotvec, t) for rotvec, t, _, _ in rows])
+    deltas = np.array([np.concatenate((dw, dt)) for _, _, dw, dt in rows])
+    moved = _step(poses, deltas[:, :, None])
+    for pose, delta, got in zip(poses, deltas, moved):
+        assert got.tobytes() == lm_reference._step(pose, delta).tobytes()
+
+
+@pytest.mark.parametrize("pose_count", [4, 6, 12, 24, 96])
+@pytest.mark.parametrize("scene_seed", [5000, 5001])
+def test_same_minimum_as_rotation_vector_descent(pose_count, scene_seed):
+    # the SO(3) multistart's winner is the minimum the best rotation-vector
+    # seed finds: the same cost, rotation, translation and converged flag
+    k, observed, points = scene_arrays(pose_count, noisy=True, seed=scene_seed)
+    cfg = SolverConfig()
+    best = None
+    for seed in cube_rotation_seeds():
+        rotvec_seed = np.concatenate((matrix_to_rotvec(seed[:, :3]), seed[:, 3]))
+        run = lm_reference._run_lm_rotvec(rotvec_seed, k, observed, points, cfg)
+        if best is None or run[1] < best[1]:
+            best = run
+    pose, cost, _, converged = best
+    result = solve_extrinsics(CorrespondenceSet(np.arange(pose_count), observed, points), k)
+    assert abs(result.cost - cost) <= 1e-12 * cost
+    rotation = lm_reference.rotvec_to_matrix(pose[:3])
+    angle = np.linalg.norm(matrix_to_rotvec(result.extrinsics.rotation @ rotation.T))
+    assert math.degrees(angle) <= 1e-5
+    assert np.linalg.norm(result.extrinsics.translation - pose[3:]) <= 1e-6  # 1e-3 mm
+    assert result.converged == converged

@@ -35,8 +35,8 @@ def traced(tmp_path, name, *args):
 
 
 def reference_iterations(tmp_path, *args):
-    """Iterations of the 24 one-seed reference descents, summed, on the
-    correspondences an in-process ``calibrate`` solves."""
+    """Iterations of ``lm_reference``'s 24 one-seed descents on SO(3),
+    summed, on the correspondences an in-process ``calibrate`` solves."""
     solved = []
     solve = calibration.solve_extrinsics
 

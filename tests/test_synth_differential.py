@@ -156,7 +156,8 @@ def test_calibration_scene_matches_reference_property(
 ):
     assert_same_calibration_scene(SceneConfig(
         pose_count=poses, range_sigma_m=range_sigma, angle_sigma_rad=angle_sigma,
-        rcs_sigma_dbsm=rcs_sigma, clutter_only_poses=tuple(sorted(clutter_only)),
+        rcs_sigma_dbsm=rcs_sigma,
+        clutter_only_poses=tuple(sorted(i for i in clutter_only if i < poses)),
         clutter_per_frame=clutter, moving_clutter_per_frame=movers, seed=seed,
     ))
 
